@@ -21,6 +21,7 @@ from .errors import (
     CircuitParseError,
     IllegalCircuit,
     IncompleteTable,
+    InternalError,
     InvalidFunction,
     MetricMismatch,
     NcvSynthError,

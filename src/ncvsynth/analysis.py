@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IncompleteTable, MetricMismatch
+from .errors import IncompleteTable, InternalError, MetricMismatch
 from .model import CostMetric
 from .nct import (
     GATE_COUNT,
@@ -206,9 +206,13 @@ def compare(
 
     for f, y in ys.items():
         if not (sub_min[f] <= sub[f] <= sub_max[f]) or sub_min[f] < y:
-            raise AssertionError(f"substituted costs inconsistent at {f}")
+            raise InternalError(
+                f"internal error: substituted costs inconsistent at {f}"
+            )
         if split_nct_cost(lexmin_table, lexmin_table.costs[f])[0] != gc[f]:
-            raise AssertionError("lexicographic primary disagrees with gate count")
+            raise InternalError(
+                "internal error: lexicographic primary disagrees with gate count"
+            )
 
     rows = tuple(
         (f, gc[f], sub[f], sub_min[f], sub_max[f], ys[f]) for f in sorted(ys)

@@ -5,7 +5,8 @@ file per metric/topology slug) so repeated invocations reuse them; pass
 ``--no-cache`` to recompute.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
-3 invalid function, 4 budget exceeded, 5 I/O failure.
+3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
+failed internal consistency check: a bug in ncvsynth, not in the input).
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from . import analysis, io, nct, search
 from .errors import (
     BudgetExceeded,
     CircuitParseError,
+    InternalError,
     InvalidFunction,
     NcvSynthError,
 )
-from .model import CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology, enumerate_gates
+from .model import CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -33,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_BAD_FUNCTION = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 DEFAULT_CACHE_DIR = Path(".ncv-cache")
 
@@ -197,15 +200,6 @@ def cached_nct_table(mode, metric, cache_dir, use_cache, need_witnesses=False):
     return table.costs, table
 
 
-def _table_from_costs(costs, metric) -> search.SynthesisTable:
-    """Cost-only stand-in for consumers that never ask for witnesses."""
-    records = {f: search.FunctionRecord(cost, ()) for f, cost in costs.items()}
-    return search.SynthesisTable(
-        metric, FULL_TOPOLOGY, "NCV", enumerate_gates(FULL_TOPOLOGY),
-        records, search.SearchOptions(), mode="metric",
-    )
-
-
 # --------------------------------------------------------------------------
 # Commands
 
@@ -250,7 +244,7 @@ def cmd_compare(config: RunConfig) -> int:
         config.metric, FULL_TOPOLOGY, config.cache_dir, config.use_cache
     )
     if ncv_table is None:
-        ncv_table = _table_from_costs(ncv_costs, config.metric)
+        ncv_table = search.SynthesisTable.from_costs(ncv_costs, config.metric)
     lexmin_costs, lexmin = cached_nct_table(
         "lex-min", config.metric, config.cache_dir, config.use_cache
     )
@@ -258,9 +252,13 @@ def cmd_compare(config: RunConfig) -> int:
         "lex-max", config.metric, config.cache_dir, config.use_cache
     )
     if lexmin is None:
-        lexmin = _nct_stand_in(lexmin_costs, "lex-min", config.metric)
+        lexmin = search.SynthesisTable.from_costs(
+            lexmin_costs, config.metric, "NCT", f"lex-min:{config.metric.slug}"
+        )
     if lexmax is None:
-        lexmax = _nct_stand_in(lexmax_costs, "lex-max", config.metric)
+        lexmax = search.SynthesisTable.from_costs(
+            lexmax_costs, config.metric, "NCT", f"lex-max:{config.metric.slug}"
+        )
     report = analysis.compare(
         nct_table, ncv_table, config.metric,
         lexmin_table=lexmin, lexmax_table=lexmax,
@@ -273,14 +271,6 @@ def cmd_compare(config: RunConfig) -> int:
             io.write_comparison_csv(report, fh)
         print(f"comparison written to {config.out_path}")
     return EXIT_OK
-
-
-def _nct_stand_in(costs, mode, metric) -> search.SynthesisTable:
-    records = {f: search.FunctionRecord(cost, ()) for f, cost in costs.items()}
-    return search.SynthesisTable(
-        metric, FULL_TOPOLOGY, "NCT", enumerate_gates(FULL_TOPOLOGY, "NCT"),
-        records, search.SearchOptions(), mode=f"{mode}:{metric.slug}",
-    )
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -347,6 +337,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InternalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except NcvSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

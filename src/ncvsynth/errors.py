@@ -45,3 +45,7 @@ class IllegalCircuit(NcvSynthError):
 
 class CircuitParseError(NcvSynthError):
     """A circuit or function text file could not be parsed."""
+
+
+class InternalError(NcvSynthError, AssertionError):
+    """An internal invariant of the package failed: a bug, not bad input."""

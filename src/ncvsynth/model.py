@@ -21,12 +21,15 @@ keeps the model closed over these four values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import QuantumControl, TopologyViolation
+import numpy as np
+
+from .errors import InternalError, InvalidFunction, QuantumControl, TopologyViolation
 
 N_LINES = 3
 N_ROWS = 8
@@ -189,7 +192,10 @@ class CostMetric:
         """Filesystem-friendly identifier used for cache file names."""
         if self.name:
             return self.name
-        return f"custom-{self.w_not}-{self.w_cnot}-{self.w_v}"
+        slug = f"custom-{self.w_not}-{self.w_cnot}-{self.w_v}"
+        if self.w_v != self.w_vplus:
+            slug += f"-{self.w_vplus}"
+        return slug
 
     @classmethod
     def parse(cls, text: str) -> "CostMetric":
@@ -350,12 +356,13 @@ class CircuitState:
         return cls(tuple(rows))
 
 
+_ROW_SET = frozenset(range(N_ROWS))
+
+
 def validate_permutation(values: Sequence[int]) -> tuple[int, ...]:
     """Return ``values`` as a tuple, or raise InvalidFunction."""
-    from .errors import InvalidFunction
-
-    perm = tuple(int(v) for v in values)
-    if len(perm) != N_ROWS or sorted(perm) != list(range(N_ROWS)):
+    perm = tuple(map(int, values))
+    if len(perm) != N_ROWS or set(perm) != _ROW_SET:
         raise InvalidFunction(f"not a permutation of 0..7: {values!r}")
     return perm
 
@@ -399,7 +406,7 @@ def apply_gate(state: CircuitState, gate: Gate) -> CircuitState:
             rows.append(row)
     result = CircuitState(tuple(rows))
     if sorted(result.boolean_projection()) != list(range(N_ROWS)):
-        raise AssertionError(
+        raise InternalError(
             "internal error: Boolean projection stopped being a permutation"
         )
     return result
@@ -459,14 +466,26 @@ def row_permutation(perm: LinePerm) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _inverse_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(rows.index(j) for j in range(len(rows)))
+
+
+#: Row permutation and its inverse for each line renaming.
+_ROW_PERMS = {
+    perm: (row_permutation(perm), _inverse_rows(row_permutation(perm)))
+    for perm in LINE_PERMUTATIONS
+}
+
+
 def relabel_function(func: Sequence[int], perm: LinePerm) -> tuple[int, ...]:
     """Conjugate a reversible function by a line renaming."""
     func = validate_permutation(func)
-    rp = row_permutation(perm)
-    out = [0] * N_ROWS
-    for i in range(N_ROWS):
-        out[rp[i]] = rp[func[i]]
-    return tuple(out)
+    try:
+        rp, rp_inv = _ROW_PERMS[tuple(perm)]
+    except KeyError:
+        raise ValueError(f"not a permutation of the lines 0..2: {perm!r}") from None
+    # out[rp[i]] = rp[func[i]], read off by output row j = rp[i].
+    return tuple([rp[func[i]] for i in rp_inv])
 
 
 def relabel_circuit(
@@ -515,3 +534,82 @@ def enumerate_gates(topology: Topology, library: str = "NCV") -> tuple[Gate, ...
             if topology.allows_gate(gate):
                 gates.append(gate)
     return tuple(gates)
+
+
+# --------------------------------------------------------------------------
+# Functions as ranks
+
+N_FUNCTIONS = 40320
+
+
+class RankTables(NamedTuple):
+    """Every reversible function by its rank in 0..40319.
+
+    The rank is the lexicographic index of the output tuple, so ascending
+    ranks are the serialization order.  All arrays are read-only.
+    """
+
+    #: (rank, row) -> output of that row, uint8
+    outputs: np.ndarray
+    #: rank -> 24-bit code sum(out[i] << 3 * (7 - i)), strictly ascending
+    codes: np.ndarray
+    #: (rank, j) -> rank of the image under LINE_PERMUTATIONS[j]
+    relabeled: np.ndarray
+    #: rank -> rank of the inverse function
+    inverse: np.ndarray
+
+    def ranks_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Ranks of functions given by their 24-bit codes."""
+        return np.searchsorted(self.codes, codes).astype(np.int32)
+
+    def function(self, rank: int) -> tuple[int, ...]:
+        return tuple(self.outputs[rank].tolist())
+
+
+def _codes(outputs: np.ndarray) -> np.ndarray:
+    """24-bit codes of uint8 output rows."""
+    codes = np.zeros(len(outputs), dtype=np.int32)
+    for column in outputs.T:
+        codes = (codes << 3) | column
+    return codes
+
+
+@functools.cache
+def rank_tables() -> RankTables:
+    """The rank tables, built on first use (a few hundredths of a second).
+
+    Built column by column in small dtypes, so that building them adds little
+    to peak memory."""
+    outputs = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(N_ROWS))),
+        dtype=np.uint8, count=N_FUNCTIONS * N_ROWS,
+    ).reshape(N_FUNCTIONS, N_ROWS)
+    codes = _codes(outputs)
+    relabeled = np.empty((N_FUNCTIONS, len(LINE_PERMUTATIONS)), dtype=np.int32)
+    image = np.empty_like(outputs)
+    for j, perm in enumerate(LINE_PERMUTATIONS):
+        rp = np.array(_ROW_PERMS[perm][0], dtype=np.uint8)
+        for row in range(N_ROWS):
+            image[:, rp[row]] = rp[outputs[:, row]]
+        relabeled[:, j] = np.searchsorted(codes, _codes(image))
+    for out in range(N_ROWS):
+        image[:, out] = (outputs == out).argmax(axis=1)
+    inverse = np.searchsorted(codes, _codes(image)).astype(np.int32)
+    tables = RankTables(outputs, codes, relabeled, inverse)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+_FACTORIALS = (5040, 720, 120, 24, 6, 2, 1)
+
+
+def function_rank(func: Sequence[int]) -> int:
+    """Rank of a function in 0..40319; InvalidFunction for a non-permutation."""
+    rank = 0
+    unused = (1 << N_ROWS) - 1
+    for out, weight in zip(validate_permutation(func), _FACTORIALS):
+        bit = 1 << out
+        rank += weight * (unused & (bit - 1)).bit_count()
+        unused ^= bit
+    return rank

@@ -25,40 +25,62 @@ Optional search reductions (all individually toggleable):
    same cost with relabeled witnesses;
 4. (off by default) on recording a function, record its inverse too, with
    the reversed/inverted witness.
+
+Functions are handled by rank (their lexicographic index in 0..40319, see
+:func:`~ncvsynth.model.rank_tables`).  Each drained bucket decodes its
+settled Boolean keys to ranks in one batch and records, per state in
+packed-key order: its own function, then its image under each non-identity
+symmetry in ``line_symmetries()`` order, then (with reduction 4) its inverse
+and the inverse's images.  The first record of a rank wins, exactly as a
+function-at-a-time loop in that order would decide, so reductions never
+change which witness a function gets.  Records are parallel arrays by rank:
+cost, settle index, line permutation and an inverted flag.
+
+When the search ends, one vectorized walk over the predecessor array
+extracts the gate-id path of every settle index that a record uses; the
+per-state predecessor and gate arrays are then dropped.  A witness is its
+path (reversed for an inverted record) mapped through one of the table's
+gate maps: the image of every library gate under that record's line
+relabeling, after V/V+ inversion for inverted records, built once per table
+with the topology check of :func:`~ncvsynth.model.relabel_circuit`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, QuantumControl, UnknownState
+from .errors import (
+    BudgetExceeded,
+    InternalError,
+    InvalidFunction,
+    QuantumControl,
+    UnknownState,
+)
 from .model import (
     Circuit,
     CircuitState,
     CostMetric,
     FULL_TOPOLOGY,
     Gate,
-    IDENTITY_FUNCTION,
+    LINE_PERMUTATIONS,
     LinePerm,
+    N_FUNCTIONS,
     N_LINES,
     N_ROWS,
     Topology,
     apply_gate,
     bit_offset,
     enumerate_gates,
+    function_rank,
     invert_circuit,
-    invert_function,
+    rank_tables,
     relabel_circuit,
-    relabel_function,
-    validate_permutation,
     vswap,
 )
-
-N_FUNCTIONS = 40320
 
 #: Scalarization base for lexicographic (primary, secondary) costs.  Any
 #: secondary total stays below this (at most ~16 gates of weight <= 25 for
@@ -107,8 +129,25 @@ class FunctionRecord:
     inverted: bool = False
 
 
+class _Records(NamedTuple):
+    """Per-function records as parallel arrays indexed by function rank."""
+
+    cost: np.ndarray       # int64; -1 where the function was never settled
+    path_row: np.ndarray   # int32 row of ``paths``; -1 where no witness is held
+    perm_id: np.ndarray    # int8 index into LINE_PERMUTATIONS (0 = identity)
+    inverted: np.ndarray   # bool
+    paths: np.ndarray      # uint8 gate-id paths from the root, padded per row
+    lengths: np.ndarray    # int32 length of each row's path
+
+
 class SynthesisTable:
-    """Optimal cost and one witness circuit per settled reversible function."""
+    """Optimal cost and one witness circuit per settled reversible function.
+
+    Functions are stored by rank; the tuple-keyed methods convert at the
+    boundary.  A witness is a settled gate-id path, optionally reversed (for
+    an inverted record), mapped gate by gate through one of the table's gate
+    maps (line relabeling, plus the gate inversion for inverted records).
+    """
 
     def __init__(
         self,
@@ -116,7 +155,7 @@ class SynthesisTable:
         topology: Topology,
         library: str,
         gate_list: tuple[Gate, ...],
-        records: dict[tuple[int, ...], FunctionRecord],
+        records: _Records,
         options: SearchOptions,
         mode: str = "metric",
         states_visited: int = 0,
@@ -129,57 +168,119 @@ class SynthesisTable:
         self.states_visited = states_visited
         self._gate_list = gate_list
         self._records = records
+        self._settled = np.flatnonzero(records.cost >= 0)
+        self._gate_maps: dict[tuple[int, bool], tuple[Gate, ...]] = {}
         self._costs: dict[tuple[int, ...], int] | None = None
+
+    @classmethod
+    def from_costs(
+        cls,
+        costs: Mapping[tuple[int, ...], int],
+        metric: CostMetric | None,
+        library: str = "NCV",
+        mode: str = "metric",
+    ) -> "SynthesisTable":
+        """A full-topology table of costs alone; ``witness`` and ``record``
+        raise UnknownState."""
+        cost = np.full(N_FUNCTIONS, -1, dtype=np.int64)
+        cost[[function_rank(f) for f in costs]] = list(costs.values())
+        records = _Records(
+            cost,
+            np.full(N_FUNCTIONS, -1, dtype=np.int32),
+            np.zeros(N_FUNCTIONS, dtype=np.int8),
+            np.zeros(N_FUNCTIONS, dtype=bool),
+            np.zeros((0, 0), dtype=np.uint8),
+            np.zeros(0, dtype=np.int32),
+        )
+        return cls(
+            metric, FULL_TOPOLOGY, library, enumerate_gates(FULL_TOPOLOGY, library),
+            records, SearchOptions(), mode=mode,
+        )
 
     @property
     def settled_count(self) -> int:
-        return len(self._records)
+        return len(self._settled)
 
     @property
     def complete(self) -> bool:
         return self.settled_count == N_FUNCTIONS
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self.settled_count
 
     def __contains__(self, func) -> bool:
-        return tuple(func) in self._records
+        try:
+            rank = function_rank(func)
+        except (InvalidFunction, TypeError, ValueError):
+            return False
+        return bool(self._records.cost[rank] >= 0)
 
     def functions(self) -> Iterator[tuple[int, ...]]:
         """Settled functions in lexicographic order (the serialization order)."""
-        return iter(sorted(self._records))
+        return map(tuple, rank_tables().outputs[self._settled].tolist())
 
     @property
     def costs(self) -> Mapping[tuple[int, ...], int]:
         if self._costs is None:
-            self._costs = {f: r.cost for f, r in self._records.items()}
+            self._costs = dict(self.items())
         return self._costs
 
+    def _rank(self, func: Sequence[int]) -> int:
+        rank = function_rank(func)
+        if self._records.cost[rank] < 0:
+            raise UnknownState(f"function {rank_tables().function(rank)} was never settled")
+        return rank
+
+    def _path(self, rank: int) -> list[int]:
+        rec = self._records
+        row = int(rec.path_row[rank])
+        if row < 0:
+            raise UnknownState(
+                f"the table holds no witness for {rank_tables().function(rank)}"
+            )
+        return rec.paths[row, :rec.lengths[row]].tolist()
+
     def cost_of(self, func: Sequence[int]) -> int:
-        return self.record(func).cost
+        return int(self._records.cost[self._rank(func)])
 
     def record(self, func: Sequence[int]) -> FunctionRecord:
-        func = validate_permutation(func)
-        try:
-            return self._records[func]
-        except KeyError:
-            raise UnknownState(f"function {func} was never settled") from None
+        rank = self._rank(func)
+        perm_id = int(self._records.perm_id[rank])
+        return FunctionRecord(
+            int(self._records.cost[rank]),
+            tuple(self._path(rank)),
+            LINE_PERMUTATIONS[perm_id] if perm_id else None,
+            bool(self._records.inverted[rank]),
+        )
 
     def witness(self, func: Sequence[int]) -> Circuit:
         """Materialize the stored optimal circuit for one function."""
-        rec = self.record(func)
-        circuit = Circuit(tuple(self._gate_list[i] for i in rec.gate_ids), self.library)
-        if rec.inverted:
-            # vswap keeps the inverse witness at the source's exact cost even
-            # for metrics weighing V and V+ differently.
-            circuit = vswap(invert_circuit(circuit))
-        if rec.line_perm is not None:
-            circuit = relabel_circuit(circuit, rec.line_perm, self.topology)
-        return circuit
+        rank = self._rank(func)
+        ids = self._path(rank)
+        inverted = bool(self._records.inverted[rank])
+        if inverted:
+            ids.reverse()
+        gates = self._mapped_gates(int(self._records.perm_id[rank]), inverted)
+        return Circuit(tuple([gates[i] for i in ids]), self.library)
+
+    def _mapped_gates(self, perm_id: int, inverted: bool) -> tuple[Gate, ...]:
+        """The image of every library gate, in library order, under one
+        witness transformation: ``relabel_circuit(vswap(invert_circuit(c)),
+        perm)`` for an inverted record, ``relabel_circuit(c, perm)`` otherwise.
+        A witness lists the images of its (reversed, if inverted) path."""
+        gates = self._gate_maps.get((perm_id, inverted))
+        if gates is None:
+            circuit = Circuit(self._gate_list, self.library)
+            if inverted:
+                # vswap keeps the inverse witness at the source's exact cost
+                # even for metrics weighing V and V+ differently.
+                circuit = Circuit(vswap(invert_circuit(circuit)).gates[::-1], self.library)
+            gates = relabel_circuit(circuit, LINE_PERMUTATIONS[perm_id], self.topology).gates
+            self._gate_maps[(perm_id, inverted)] = gates
+        return gates
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for f in self.functions():
-            yield f, self._records[f].cost
+        return zip(self.functions(), self._records.cost[self._settled].tolist())
 
 
 # --------------------------------------------------------------------------
@@ -260,18 +361,18 @@ _OUT_SHIFTS = [
 ]
 
 
-def _functions_of(keys: np.ndarray) -> list[tuple[int, ...]]:
-    """Decode the realized permutation of each (Boolean) packed key."""
-    out = []
-    for key in keys:
-        k = int(key)
-        out.append(
-            tuple(
-                4 * ((k >> sa) & 1) + 2 * ((k >> sb) & 1) + ((k >> sc) & 1)
-                for sa, sb, sc in _OUT_SHIFTS
-            )
+def _ranks_of(keys: np.ndarray) -> np.ndarray:
+    """Rank of the realized function of each (Boolean) packed key."""
+    one = _U64(1)
+    code = np.zeros(len(keys), dtype=np.uint64)
+    for sa, sb, sc in _OUT_SHIFTS:
+        out = (
+            ((keys >> _U64(sa)) & one) << _U64(2)
+            | ((keys >> _U64(sb)) & one) << one
+            | ((keys >> _U64(sc)) & one)
         )
-    return out
+        code = (code << _U64(3)) | out
+    return rank_tables().ranks_of_codes(code.astype(np.int32))
 
 
 def _assert_projection_permutation(keys: np.ndarray) -> None:
@@ -286,7 +387,7 @@ def _assert_projection_permutation(keys: np.ndarray) -> None:
         )
         occupancy |= one << out
     if not bool((occupancy == _U64(0xFF)).all()):
-        raise AssertionError(
+        raise InternalError(
             "internal error: reached a state whose Boolean projection is not "
             "a permutation"
         )
@@ -328,17 +429,15 @@ def _run_search(
     weights: Sequence[int],
     symmetries: Sequence[LinePerm],
     options: SearchOptions,
-    targets: frozenset[tuple[int, ...]] | None = None,
-) -> tuple[dict, np.ndarray, np.ndarray, int]:
-    """Core settle loop.
-
-    Returns (records, predecessor array, gate-id array, states visited) where
-    records maps each recorded function to (cost, state index, line perm,
-    inverted).
-    """
+    targets: np.ndarray | None = None,
+) -> tuple[_Records, int]:
+    """Core settle loop; stops once every function (or every target rank) is
+    recorded.  Returns the records (of the targets alone, if given) and the
+    number of states settled."""
     vgates = _vector_gates(gates, weights)
     n_gates = len(vgates)
     hint = options.capacity_hint
+    ranks = rank_tables()
 
     pred_store = _Chunks(np.int32, hint)
     gate_store = _Chunks(np.uint8, hint)
@@ -349,39 +448,67 @@ def _run_search(
     total = 1
     sorted_keys = root.copy()
 
-    records: dict[tuple[int, ...], tuple] = {}
+    cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
+    state_of = np.full(N_FUNCTIONS, -1, dtype=np.int32)
+    perm_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
+    inverted_of = np.zeros(N_FUNCTIONS, dtype=bool)
     remaining = N_FUNCTIONS
 
-    def record(func, cost, gidx, perm, inverted) -> None:
-        nonlocal remaining
-        if func not in records:
-            records[func] = (cost, gidx, perm, inverted)
-            remaining -= 1
+    # Candidate columns per settled function, in recording order: the
+    # function, its non-identity relabelings in line_symmetries() order, then
+    # (with reduction (4)) its inverse and the inverse's relabelings.
+    sym_ids = [
+        LINE_PERMUTATIONS.index(p) for p in symmetries if p != LINE_PERMUTATIONS[0]
+    ] if options.settle_relabelings else []
+    col_perm = np.array([0, *sym_ids], dtype=np.int8)
+    col_inverted = np.zeros(len(col_perm), dtype=bool)
+    if options.settle_inverses:
+        col_perm = np.concatenate([col_perm, col_perm])
+        col_inverted = np.repeat([False, True], len(sym_ids) + 1)
+    width = len(col_perm)
 
-    def record_with_symmetries(func, cost, gidx) -> None:
-        record(func, cost, gidx, None, False)
-        variants = [(func, False)]
+    def record(funcs: np.ndarray, states: np.ndarray, cost: int) -> None:
+        """Record the functions of Boolean states settled in packed-key order
+        with all their candidate symmetries; the first record of a function
+        wins."""
+        nonlocal remaining
+        parts = [funcs[:, None], ranks.relabeled[funcs[:, None], sym_ids]]
         if options.settle_inverses:
-            variants.append((invert_function(func), True))
-        for base, inverted in variants:
-            if options.settle_relabelings:
-                for perm in symmetries:
-                    if perm == (0, 1, 2):
-                        if inverted:
-                            record(base, cost, gidx, None, True)
-                        continue
-                    record(relabel_function(base, perm), cost, gidx, perm, inverted)
-            elif inverted:
-                record(base, cost, gidx, None, True)
+            inv = ranks.inverse[funcs]
+            parts += [inv[:, None], ranks.relabeled[inv[:, None], sym_ids]]
+        candidates = np.concatenate(parts, axis=1).ravel()
+        uniq, first = np.unique(candidates, return_index=True)
+        fresh = cost_of[uniq] < 0
+        new, first = uniq[fresh], first[fresh]
+        row, col = np.divmod(first, width)
+        cost_of[new] = cost
+        state_of[new] = states[row]
+        perm_of[new] = col_perm[col]
+        inverted_of[new] = col_inverted[col]
+        remaining -= len(new)
 
     def done() -> bool:
         if targets is not None:
-            return all(t in records for t in targets)
+            return bool((cost_of[targets] >= 0).all())
         return remaining == 0
 
-    record_with_symmetries(IDENTITY_FUNCTION, 0, 0)
+    def result() -> tuple[_Records, int]:
+        if targets is not None:
+            keep = np.zeros(N_FUNCTIONS, dtype=bool)
+            keep[targets] = True
+            cost_of[~keep] = -1
+        held = cost_of >= 0
+        states, rows = np.unique(state_of[held], return_inverse=True)
+        path_row = np.full(N_FUNCTIONS, -1, dtype=np.int32)
+        path_row[held] = rows
+        paths, lengths = _extract_paths(
+            states, pred_store.concatenate(), gate_store.concatenate()
+        )
+        return _Records(cost_of, path_row, perm_of, inverted_of, paths, lengths), total
+
+    record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), 0)
     if done():
-        return records, pred_store.concatenate(), gate_store.concatenate(), total
+        return result()
 
     buckets: dict[int, list] = {}
     heap: list[int] = []
@@ -476,30 +603,37 @@ def _run_search(
 
             boolean = (new_keys & _ALL_FLAGS) == _U64(0)
             if bool(boolean.any()):
-                idx = np.nonzero(boolean)[0]
-                for func, i in zip(_functions_of(new_keys[idx]), idx):
-                    record_with_symmetries(func, cost, int(gidx[i]))
-                    if done():
-                        stop = True
-                        break
+                record(_ranks_of(new_keys[boolean]), gidx[boolean], cost)
+                stop = done()
             if not stop:
                 expand(new_keys, gidx, new_plc, cost)
         buckets.pop(cost, None)
 
-    return records, pred_store.concatenate(), gate_store.concatenate(), total
+    return result()
 
 
-def _extract_records(
-    raw: dict, pred: np.ndarray, gate_ids: np.ndarray
-) -> dict[tuple[int, ...], FunctionRecord]:
-    out = {}
-    for func, (cost, gidx, perm, inverted) in raw.items():
-        ids = []
-        while gidx > 0:
-            ids.append(int(gate_ids[gidx]))
-            gidx = int(pred[gidx])
-        out[func] = FunctionRecord(cost, tuple(reversed(ids)), perm, inverted)
-    return out
+def _extract_paths(
+    states: np.ndarray, pred: np.ndarray, gate_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gate-id paths from the root to each state, by one pointer walk over
+    all of them: a padded uint8 matrix (a row per state) and the lengths."""
+    cur = states.astype(np.int64)
+    lengths = np.zeros(len(cur), dtype=np.int32)
+    steps = []  # steps[d][i]: the d-th gate back from state i
+    while True:
+        live = cur > 0
+        if not live.any():
+            break
+        steps.append(np.where(live, gate_ids[cur], 0).astype(np.uint8))
+        lengths += live
+        cur = np.where(live, pred[cur], 0)
+    if not steps:
+        return np.zeros((len(cur), 0), dtype=np.uint8), lengths
+    back = np.stack(steps, axis=1)
+    src = lengths[:, None] - 1 - np.arange(back.shape[1])
+    paths = np.take_along_axis(back, np.maximum(src, 0), axis=1)
+    paths[src < 0] = 0
+    return paths, lengths
 
 
 def _effective_options(options: SearchOptions, weights_equal: bool) -> SearchOptions:
@@ -530,15 +664,13 @@ def settle_all(
     if weights is None:
         weights = [metric.weight(g) for g in gates]
         options = _effective_options(options, metric.w_v == metric.w_vplus)
-    raw, pred, gids, total = _run_search(
-        gates, weights, topology.line_symmetries(), options
-    )
+    records, total = _run_search(gates, weights, topology.line_symmetries(), options)
     table = SynthesisTable(
-        metric, topology, library, gates, _extract_records(raw, pred, gids),
+        metric, topology, library, gates, records,
         options, mode=mode, states_visited=total,
     )
     if not table.complete:
-        raise AssertionError("search ended with unsettled functions")
+        raise InternalError("internal error: search ended with unsettled functions")
     return table
 
 
@@ -549,20 +681,19 @@ def synthesize_one(
     options: SearchOptions | None = None,
 ) -> tuple[int, Circuit]:
     """Optimal cost and witness for one function; stops as soon as it settles."""
-    func = validate_permutation(func)
+    target = function_rank(func)
     options = options or SearchOptions()
     if not topology.is_connected():
         raise ValueError("topology must be connected")
     gates = enumerate_gates(topology, "NCV")
     weights = [metric.weight(g) for g in gates]
     options = _effective_options(options, metric.w_v == metric.w_vplus)
-    raw, pred, gids, total = _run_search(
+    records, total = _run_search(
         gates, weights, topology.line_symmetries(), options,
-        targets=frozenset({func}),
+        targets=np.array([target]),
     )
     table = SynthesisTable(
-        metric, topology, "NCV", gates, _extract_records(raw, pred, gids),
-        options, states_visited=total,
+        metric, topology, "NCV", gates, records, options, states_visited=total,
     )
     return table.cost_of(func), table.witness(func)
 

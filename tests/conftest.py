@@ -28,6 +28,13 @@ def ncv111_path():
 
 
 @pytest.fixture(scope="session")
+def ncv111_full_inverses():
+    return nv.settle_all(
+        nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions(settle_inverses=True)
+    )
+
+
+@pytest.fixture(scope="session")
 def nct_gc():
     return nv.settle_all_nct()
 

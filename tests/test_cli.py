@@ -168,6 +168,17 @@ def test_compare_cli(tmp_path, capsys, warm_cache_dir):
     assert "#summary" in text
 
 
+def test_internal_error_exits_6(capsys, monkeypatch, warm_cache_dir):
+    def broken_compare(*args, **kwargs):
+        raise nv.InternalError("internal error: substituted costs inconsistent")
+
+    monkeypatch.setattr(nv.analysis, "compare", broken_compare)
+    code, _, err = run(
+        capsys, "compare", "--metric", "ncv-111", "--cache-dir", str(warm_cache_dir),
+    )
+    assert code == 6 and "internal error" in err
+
+
 def test_seed_is_printed(capsys):
     code, out, _ = run(capsys, "--seed", "7", "synth", "--function", "0,1,2,3,4,5,6,7")
     assert code == 0 and out.startswith("seed: 7")

@@ -1,5 +1,7 @@
 """Gate semantics, circuit transforms, and their algebraic properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -193,6 +195,23 @@ def test_cost_invariance_under_inversion_and_vswap(metric, seed):
 # --------------------------------------------------------------------------
 # Relabeling
 
+def test_rank_tables_match_scalar_algebra():
+    tables = nv.model.rank_tables()
+    functions = [tables.function(rank) for rank in range(nv.N_FUNCTIONS)]
+    assert functions == sorted(itertools.permutations(range(8)))
+    for rank, func in enumerate(functions):
+        assert nv.model.function_rank(func) == rank
+        assert functions[tables.inverse[rank]] == nv.invert_function(func)
+        for j, perm in enumerate(nv.model.LINE_PERMUTATIONS):
+            assert functions[tables.relabeled[rank, j]] == relabel_function(func, perm)
+
+
+def test_function_rank_rejects_non_permutations():
+    with pytest.raises(nv.InvalidFunction):
+        nv.model.function_rank((0, 0, 1, 2, 3, 4, 5, 6))
+    assert nv.model.function_rank(np.arange(8)) == 0
+
+
 def test_relabel_function_examples():
     assert relabel_function(TOF_FUNC, (2, 1, 0)) == (0, 1, 2, 7, 4, 5, 6, 3)
     assert relabel_function(tuple(range(8)), (1, 2, 0)) == tuple(range(8))
@@ -244,6 +263,12 @@ def test_metric_parse():
             CostMetric.parse(bad)
     with pytest.raises(ValueError):
         CostMetric(-1, 0, 0, 0)
+
+
+def test_metric_slug_separates_unequal_v_weights():
+    # the slug names cache files: two metrics must never share one
+    assert CostMetric(1, 1, 1, 2).slug == "custom-1-1-1-2"
+    assert CostMetric(1, 1, 1, 1).slug == CostMetric.parse("custom:1,1,1").slug == "custom-1-1-1"
 
 
 def test_builtin_metrics_weigh_v_and_vplus_equally():

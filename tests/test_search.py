@@ -9,7 +9,7 @@ from ncvsynth import (
     SearchOptions,
     UnknownState,
 )
-from ncvsynth.model import CostMetric, CircuitState
+from ncvsynth.model import CostMetric, CircuitState, enumerate_gates
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 PERES_FUNC = (0, 1, 2, 3, 6, 7, 5, 4)
@@ -44,11 +44,54 @@ def test_witnesses_fold_to_their_functions(ncv111_full):
         assert nv.circuit_cost(witness, nv.NCV_111) == ncv111_full.cost_of(func)
 
 
-def test_synthesize_one_matches_full_table(ncv111_full):
-    for func in (TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7)):
-        cost, circuit = nv.synthesize_one(func, nv.NCV_111)
-        assert cost == ncv111_full.cost_of(func)
-        assert circuit == ncv111_full.witness(func)
+def test_synthesize_one_matches_full_table(ncv111_full, ncv111_path):
+    for table in (ncv111_full, ncv111_path):
+        for func in (TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7)):
+            cost, circuit = nv.synthesize_one(func, nv.NCV_111, table.topology)
+            assert cost == table.cost_of(func)
+            assert circuit == table.witness(func)
+
+
+def _witness_from_record(table, func):
+    """The witness rebuilt gate by gate from its record, as documented."""
+    rec = table.record(func)
+    gates = enumerate_gates(table.topology, table.library)
+    circuit = nv.Circuit(tuple(gates[i] for i in rec.gate_ids), table.library)
+    if rec.inverted:
+        circuit = nv.vswap(nv.invert_circuit(circuit))
+    if rec.line_perm is not None:
+        circuit = nv.relabel_circuit(circuit, rec.line_perm, table.topology)
+    return circuit
+
+
+@pytest.mark.parametrize("name", ["ncv111_full_inverses", "ncv111_path"])
+def test_every_witness_is_optimal_legal_and_matches_its_record(name, request):
+    table = request.getfixturevalue(name)
+    witnesses = [(f, table.witness(f)) for f in table.functions()]
+    assert len(witnesses) == nv.N_FUNCTIONS
+    assert nv.verify_witnesses(witnesses, topology=table.topology) == (nv.N_FUNCTIONS, None)
+    kinds = {"inverted": 0, "relabeled": 0}
+    for func, circuit in witnesses:
+        assert nv.circuit_cost(circuit, table.metric) == table.cost_of(func)
+        assert all(table.topology.allows_gate(g) for g in circuit)
+        assert circuit == _witness_from_record(table, func)
+        rec = table.record(func)
+        kinds["inverted"] += rec.inverted
+        kinds["relabeled"] += rec.line_perm is not None
+    assert kinds["relabeled"] > 0
+    assert (kinds["inverted"] > 0) == table.options.settle_inverses
+
+
+def test_cost_only_table_has_no_witnesses(ncv111_full):
+    table = nv.SynthesisTable.from_costs(ncv111_full.costs, nv.NCV_111)
+    assert table.complete and table.costs == ncv111_full.costs
+    assert table.cost_of(TOF_FUNC) == 5
+    with pytest.raises(UnknownState):
+        table.witness(TOF_FUNC)
+    with pytest.raises(UnknownState):
+        table.record(TOF_FUNC)
+    with pytest.raises(UnknownState):
+        nv.SynthesisTable.from_costs({}, nv.NCV_111).cost_of(TOF_FUNC)
 
 
 def test_determinism():
