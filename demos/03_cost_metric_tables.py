@@ -31,10 +31,8 @@ print("distinct V+V+ totals over all ncv-111 witnesses:", sorted(v_totals))
 # Lexicographic bi-criteria search: minimizing (ncv-111 cost, ncv-012 cost)
 # reaches the ncv-012 optimum for every function, i.e. the set of optimal
 # ncv-111 circuits contains circuits optimal under ncv-012 as well.
-lex = nv.settle_all(nv.lexicographic_metric(nv.NCV_111, nv.NCV_012))
+lex = nv.settle_all(nv.NCV_111, secondary=nv.NCV_012)
 t012 = nv.settle_all(nv.NCV_012)
-agree = sum(
-    1 for f, c in lex.costs.items() if nv.split_lex_cost(c)[1] == t012.costs[f]
-)
+agree = sum(1 for f in lex.functions() if lex.secondary_of(f) == t012.costs[f])
 print(f"functions whose ncv-111-optimal circuit set attains the ncv-012 "
       f"optimum: {agree} / {nv.N_FUNCTIONS}")

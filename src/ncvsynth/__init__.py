@@ -69,15 +69,12 @@ from .nct import (
 )
 from .search import (
     FunctionRecord,
-    LEX_BASE,
     N_FUNCTIONS,
     SearchOptions,
     SynthesisTable,
     exhaustive_oracle,
-    lexicographic_metric,
     reconstruct_circuit,
     settle_all,
-    split_lex_cost,
     synthesize_one,
 )
 from .verify import (

@@ -15,12 +15,7 @@ import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
 from .model import CostMetric
-from .nct import (
-    GATE_COUNT,
-    settle_all_nct,
-    split_nct_cost,
-    substituted_witness_cost,
-)
+from .nct import GATE_COUNT, settle_all_nct, substituted_witness_cost
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -171,17 +166,12 @@ class ComparisonReport:
 
 
 def compare(
-    nct_table: SynthesisTable,
-    ncv_table: SynthesisTable,
-    metric: CostMetric,
-    lexmin_table: SynthesisTable | None = None,
-    lexmax_table: SynthesisTable | None = None,
+    nct_table: SynthesisTable, ncv_table: SynthesisTable, metric: CostMetric
 ) -> ComparisonReport:
     """Build the full comparison for one metric.
 
     ``nct_table`` must be the gate-count table (its witnesses are
-    substituted); the two lexicographic tables are computed on demand when
-    not supplied.
+    substituted); the lex-min and lex-max NCT tables are settled here.
     """
     if ncv_table.metric != metric:
         raise MetricMismatch(
@@ -193,23 +183,21 @@ def compare(
     for t in (nct_table, ncv_table):
         if not t.complete:
             raise IncompleteTable("comparison needs complete tables")
-    if lexmin_table is None:
-        lexmin_table = settle_all_nct("lex-min", metric, topology=nct_table.topology)
-    if lexmax_table is None:
-        lexmax_table = settle_all_nct("lex-max", metric, topology=nct_table.topology)
+    lexmin = settle_all_nct("lex-min", metric, topology=nct_table.topology)
+    lexmax = settle_all_nct("lex-max", metric, topology=nct_table.topology)
 
     ys = ncv_table.costs
     gc = nct_table.costs
     sub = {f: substituted_witness_cost(nct_table, f, metric) for f in gc}
-    sub_min = {f: split_nct_cost(lexmin_table, c)[1] for f, c in lexmin_table.costs.items()}
-    sub_max = {f: split_nct_cost(lexmax_table, c)[1] for f, c in lexmax_table.costs.items()}
+    sub_min = lexmin.secondaries()
+    sub_max = {f: -s for f, s in lexmax.secondaries().items()}
 
     for f, y in ys.items():
         if not (sub_min[f] <= sub[f] <= sub_max[f]) or sub_min[f] < y:
             raise InternalError(
                 f"internal error: substituted costs inconsistent at {f}"
             )
-        if split_nct_cost(lexmin_table, lexmin_table.costs[f])[0] != gc[f]:
+        if lexmin.costs[f] != gc[f]:
             raise InternalError(
                 "internal error: lexicographic primary disagrees with gate count"
             )

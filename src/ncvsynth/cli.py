@@ -1,8 +1,9 @@
 """Command line interface: synth, synth-all, compare, verify, stats.
 
-Completed tables are cached as plain CSV/JSONL under ``./.ncv-cache`` (one
-file per metric/topology slug) so repeated invocations reuse them; pass
-``--no-cache`` to recompute.
+Completed NCV cost tables are cached as CSV under ``./.ncv-cache`` (one file
+per metric/topology slug) so repeated invocations reuse them; pass
+``--no-cache`` to recompute.  NCT tables settle in a fraction of a second
+and are never cached.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
 3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
@@ -149,22 +150,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 # --------------------------------------------------------------------------
 # Table cache
 
-def _load_cached_costs(path: Path) -> dict | None:
-    if not path.is_file():
-        return None
-    with path.open("r", newline="") as fh:
-        costs = io.read_table_csv(fh)
-    return costs if len(costs) == search.N_FUNCTIONS else None
-
-
-def _write_cache_csv(path: Path, costs, use_cache: bool) -> None:
-    if not use_cache:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        io.write_table_csv(costs, fh)
-
-
 def cached_ncv_table(
     metric: CostMetric,
     topology: Topology,
@@ -179,24 +164,16 @@ def cached_ncv_table(
     rebuild (witnesses are deterministic, so cache and recomputation agree).
     """
     csv_path = cache_dir / f"{metric.slug}_{topology.slug}.csv"
-    if use_cache and not need_witnesses:
-        costs = _load_cached_costs(csv_path)
-        if costs is not None:
+    if use_cache and not need_witnesses and csv_path.is_file():
+        with csv_path.open("r", newline="") as fh:
+            costs = io.read_table_csv(fh)
+        if len(costs) == search.N_FUNCTIONS:
             return costs, None
     table = search.settle_all(metric, topology, options)
-    _write_cache_csv(csv_path, table.costs, use_cache)
-    return table.costs, table
-
-
-def cached_nct_table(mode, metric, cache_dir, use_cache, need_witnesses=False):
-    metric_slug = f"-{metric.slug}" if metric is not None else ""
-    csv_path = cache_dir / f"nct-{mode}{metric_slug}_full.csv"
-    if use_cache and not need_witnesses:
-        costs = _load_cached_costs(csv_path)
-        if costs is not None:
-            return costs, None
-    table = nct.settle_all_nct(mode, metric)
-    _write_cache_csv(csv_path, table.costs, use_cache)
+    if use_cache:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        with csv_path.open("w", newline="") as fh:
+            io.write_table_csv(table.costs, fh)
     return table.costs, table
 
 
@@ -236,33 +213,13 @@ def cmd_synth_all(config: RunConfig) -> int:
 
 
 def cmd_compare(config: RunConfig) -> int:
-    _, nct_table = cached_nct_table(
-        nct.GATE_COUNT, None, config.cache_dir, config.use_cache,
-        need_witnesses=True,
-    )
+    nct_table = nct.settle_all_nct()
     ncv_costs, ncv_table = cached_ncv_table(
         config.metric, FULL_TOPOLOGY, config.cache_dir, config.use_cache
     )
     if ncv_table is None:
         ncv_table = search.SynthesisTable.from_costs(ncv_costs, config.metric)
-    lexmin_costs, lexmin = cached_nct_table(
-        "lex-min", config.metric, config.cache_dir, config.use_cache
-    )
-    lexmax_costs, lexmax = cached_nct_table(
-        "lex-max", config.metric, config.cache_dir, config.use_cache
-    )
-    if lexmin is None:
-        lexmin = search.SynthesisTable.from_costs(
-            lexmin_costs, config.metric, "NCT", f"lex-min:{config.metric.slug}"
-        )
-    if lexmax is None:
-        lexmax = search.SynthesisTable.from_costs(
-            lexmax_costs, config.metric, "NCT", f"lex-max:{config.metric.slug}"
-        )
-    report = analysis.compare(
-        nct_table, ncv_table, config.metric,
-        lexmin_table=lexmin, lexmax_table=lexmax,
-    )
+    report = analysis.compare(nct_table, ncv_table, config.metric)
     sys.stdout.write(io.comparison_text(report))
     for line in report.summary_lines():
         print(line)

@@ -2,15 +2,23 @@
 
 NCT states are purely Boolean, so the same bucket-queue engine settles the
 whole space quickly (12 placed gates: 3 NOT + 6 CNOT + 3 TOF).  Three cost
-modes feed the cross-library comparisons:
+modes feed the cross-library comparisons.  Each gives every gate a
+(primary, secondary) weight pair, where w is the gate's substituted cost
+(see :class:`NctCostModel`):
 
-* ``gate-count``   - plain gate count; the table's witnesses are the
-                     deterministic first-found optimal circuits.
-* ``lex-min``      - minimize (gate count, substituted NCV cost); the
-                     cheapest-to-substitute optimal circuit per function.
-* ``lex-max``      - minimize (gate count, -substituted NCV cost); the
-                     dearest-to-substitute optimal circuit, i.e. how far off
-                     an optimal NCT circuit can be after substitution.
+* ``gate-count``   - weights (1, 0): plain gate count; the table's
+                     witnesses are the deterministic first-found optimal
+                     circuits.
+* ``lex-min``      - weights (1, w): minimize (gate count, substituted NCV
+                     cost); the cheapest-to-substitute optimal circuit per
+                     function.  ``secondary_of`` is its substituted cost.
+* ``lex-max``      - weights (1, -w): minimize (gate count, -substituted NCV
+                     cost); the dearest-to-substitute optimal circuit, i.e.
+                     how far off an optimal NCT circuit can be after
+                     substitution.  ``secondary_of`` is its substituted cost
+                     negated.
+
+In every mode ``cost_of`` is the gate count.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .model import (
     enumerate_gates,
 )
 from .search import (
-    LEX_BASE,
+    Cost,
     SearchOptions,
     SynthesisTable,
     settle_all,
@@ -79,19 +87,16 @@ class NctCostModel:
 GATE_COUNT = "gate-count"
 
 
-def _nct_weights(mode: str, metric: CostMetric | None, gates) -> list[int]:
+def _nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
     if mode == GATE_COUNT:
-        return [1] * len(gates)
+        return [(1, 0)] * len(gates)
     if metric is None:
         raise MetricMismatch(f"mode {mode!r} needs a substitution metric")
     sub = NctCostModel.for_metric(metric)
     if mode == "lex-min":
-        return [LEX_BASE + sub.weight(g) for g in gates]
+        return [(1, sub.weight(g)) for g in gates]
     if mode == "lex-max":
-        weights = [LEX_BASE - sub.weight(g) for g in gates]
-        if any(w <= 0 for w in weights):
-            raise MetricMismatch("substitution weights too large to scalarize")
-        return weights
+        return [(1, -sub.weight(g)) for g in gates]
     raise ValueError(f"unknown NCT cost mode {mode!r}")
 
 
@@ -108,18 +113,6 @@ def settle_all_nct(
     return settle_all(
         metric, topology, options, library="NCT", weights=weights, mode=label
     )
-
-
-def split_nct_cost(table: SynthesisTable, cost: int) -> tuple[int, int]:
-    """Decode a table cost into (gate count, substituted cost) per its mode."""
-    if table.mode.startswith("lex-min"):
-        return divmod(cost, LEX_BASE)
-    if table.mode.startswith("lex-max"):
-        gc = -(-cost // LEX_BASE)
-        return gc, gc * LEX_BASE - cost
-    if table.mode == GATE_COUNT:
-        return cost, cost
-    raise ValueError(f"table mode {table.mode!r} carries no (count, cost) pair")
 
 
 def substituted_witness_cost(

@@ -7,6 +7,14 @@ recorded cost, so the first recorded cost of a reversible function is its
 true minimum.  Zero-weight gates re-insert into the current bucket, which is
 processed to exhaustion.
 
+Costs are (primary, secondary) integer pairs, and a heap orders the bucket
+keys lexicographically.  A plain metric gives every gate secondary weight 0;
+a secondary metric, or the NCT modes' negated substitution costs, pick among
+the primary-optimal circuits.  Dijkstra is sound because no gate weighs less
+than (0, 0): a gate of primary weight >= 1 may carry a negative secondary
+weight, and a gate of primary weight 0 may not.  Weights below (0, 0) are
+rejected with ValueError.
+
 Expansion is vectorized with numpy: each bucket's candidates are produced
 per-gate as uint64 batches, deduplicated, and filtered against the settled
 set with sorted-array searches.  Ties between equal-cost paths to the same
@@ -17,10 +25,14 @@ settle in packed-key order, which makes every witness reproducible.
 Optional search reductions (all individually toggleable):
 
 1. never extend a path with a gate whose (controls, target) placement equals
-   the placement of the gate that produced the node;
+   the placement of the gate that produced the node (two such gates compose
+   to the identity or to one gate on that placement; the search turns this
+   off for weights under which that gate can cost more than the two, such
+   as w_cnot > 2 w_v);
 2. never apply a controlled-V+ to a fully Boolean state (a V+ opening a
    quantum excursion can always be traded for a V by interchanging V and V+
-   inside the excursion, at equal cost when w_v == w_vplus);
+   inside the excursion, at equal cost only when V and V+ weigh the same;
+   otherwise the search turns this off);
 3. on settling a Boolean state, record all of its line relabelings at the
    same cost with relabeled witnesses;
 4. (off by default) on recording a function, record its inverse too, with
@@ -34,7 +46,8 @@ symmetry in ``line_symmetries()`` order, then (with reduction 4) its inverse
 and the inverse's images.  The first record of a rank wins, exactly as a
 function-at-a-time loop in that order would decide, so reductions never
 change which witness a function gets.  Records are parallel arrays by rank:
-cost, settle index, line permutation and an inverted flag.
+primary and secondary cost, settle index, line permutation and an inverted
+flag.
 
 When the search ends, one vectorized walk over the predecessor array
 extracts the gate-id path of every settle index that a record uses; the
@@ -82,27 +95,8 @@ from .model import (
     vswap,
 )
 
-#: Scalarization base for lexicographic (primary, secondary) costs.  Any
-#: secondary total stays below this (at most ~16 gates of weight <= 25 for
-#: the costliest secondary in use), so primary*BASE + secondary orders pairs
-#: lexicographically.
-LEX_BASE = 4096
-
-
-def lexicographic_metric(primary: CostMetric, secondary: CostMetric) -> CostMetric:
-    """Metric whose optimum minimizes (primary cost, secondary cost)."""
-    return CostMetric(
-        LEX_BASE * primary.w_not + secondary.w_not,
-        LEX_BASE * primary.w_cnot + secondary.w_cnot,
-        LEX_BASE * primary.w_v + secondary.w_v,
-        LEX_BASE * primary.w_vplus + secondary.w_vplus,
-        name=f"lex-{primary.slug}-{secondary.slug}",
-    )
-
-
-def split_lex_cost(cost: int) -> tuple[int, int]:
-    """Decompose a scalarized lexicographic cost into (primary, secondary)."""
-    return divmod(cost, LEX_BASE)
+#: A (primary, secondary) cost, ordered lexicographically.
+Cost = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,6 @@ class SearchOptions:
     settle_inverses: bool = False      # reduction (4)
     max_cost: int | None = None
     max_states: int | None = None
-    capacity_hint: int | None = None   # advisory preallocation size
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,8 @@ class FunctionRecord:
 class _Records(NamedTuple):
     """Per-function records as parallel arrays indexed by function rank."""
 
-    cost: np.ndarray       # int64; -1 where the function was never settled
+    cost: np.ndarray       # int64 primary cost; -1 where never settled
+    secondary: np.ndarray  # int64 secondary cost; 0 under a plain metric
     path_row: np.ndarray   # int32 row of ``paths``; -1 where no witness is held
     perm_id: np.ndarray    # int8 index into LINE_PERMUTATIONS (0 = identity)
     inverted: np.ndarray   # bool
@@ -174,18 +168,15 @@ class SynthesisTable:
 
     @classmethod
     def from_costs(
-        cls,
-        costs: Mapping[tuple[int, ...], int],
-        metric: CostMetric | None,
-        library: str = "NCV",
-        mode: str = "metric",
+        cls, costs: Mapping[tuple[int, ...], int], metric: CostMetric
     ) -> "SynthesisTable":
-        """A full-topology table of costs alone; ``witness`` and ``record``
-        raise UnknownState."""
+        """A full-topology NCV table of costs alone; ``witness`` and
+        ``record`` raise UnknownState."""
         cost = np.full(N_FUNCTIONS, -1, dtype=np.int64)
         cost[[function_rank(f) for f in costs]] = list(costs.values())
         records = _Records(
             cost,
+            np.zeros(N_FUNCTIONS, dtype=np.int64),
             np.full(N_FUNCTIONS, -1, dtype=np.int32),
             np.zeros(N_FUNCTIONS, dtype=np.int8),
             np.zeros(N_FUNCTIONS, dtype=bool),
@@ -193,8 +184,8 @@ class SynthesisTable:
             np.zeros(0, dtype=np.int32),
         )
         return cls(
-            metric, FULL_TOPOLOGY, library, enumerate_gates(FULL_TOPOLOGY, library),
-            records, SearchOptions(), mode=mode,
+            metric, FULL_TOPOLOGY, "NCV", enumerate_gates(FULL_TOPOLOGY, "NCV"),
+            records, SearchOptions(),
         )
 
     @property
@@ -242,6 +233,17 @@ class SynthesisTable:
 
     def cost_of(self, func: Sequence[int]) -> int:
         return int(self._records.cost[self._rank(func)])
+
+    def secondary_of(self, func: Sequence[int]) -> int:
+        """The witness's secondary cost: under ``settle_all``'s ``secondary``
+        metric, or by the second components of pair weights; 0 for a table
+        settled under a single metric."""
+        return int(self._records.secondary[self._rank(func)])
+
+    def secondaries(self) -> dict[tuple[int, ...], int]:
+        """``secondary_of`` of every settled function, in one pass."""
+        secondary = self._records.secondary[self._settled].tolist()
+        return dict(zip(self.functions(), secondary))
 
     def record(self, func: Sequence[int]) -> FunctionRecord:
         rank = self._rank(func)
@@ -310,7 +312,7 @@ class _VGate:
 
     __slots__ = ("gid", "gate", "weight", "placement_id", "control_flags", "is_vplus")
 
-    def __init__(self, gid: int, gate: Gate, weight: int, placement_id: int) -> None:
+    def __init__(self, gid: int, gate: Gate, weight: Cost, placement_id: int) -> None:
         self.gid = gid
         self.gate = gate
         self.weight = weight
@@ -343,7 +345,7 @@ class _VGate:
         return keys ^ sel ^ (((keys & sel) ^ sel) << _U64(1))
 
 
-def _vector_gates(gates: Sequence[Gate], weights: Sequence[int]) -> list[_VGate]:
+def _vector_gates(gates: Sequence[Gate], weights: Sequence[Cost]) -> list[_VGate]:
     placements: dict[tuple, int] = {}
     out = []
     for gid, (gate, w) in enumerate(zip(gates, weights)):
@@ -396,37 +398,9 @@ def _assert_projection_permutation(keys: np.ndarray) -> None:
 # --------------------------------------------------------------------------
 # The engine
 
-class _Chunks:
-    """Append-only array storage with optional preallocation."""
-
-    def __init__(self, dtype, hint: int | None) -> None:
-        self.dtype = dtype
-        self.parts: list[np.ndarray] = []
-        self._buf = np.empty(hint, dtype=dtype) if hint else None
-        self._used = 0
-
-    def append(self, arr: np.ndarray) -> None:
-        if self._buf is not None and self._used + len(arr) <= len(self._buf):
-            self._buf[self._used:self._used + len(arr)] = arr
-            self._used += len(arr)
-            return
-        if self._buf is not None:
-            self.parts.append(self._buf[:self._used])
-            self._buf = None
-        self.parts.append(np.asarray(arr, dtype=self.dtype))
-
-    def concatenate(self) -> np.ndarray:
-        parts = list(self.parts)
-        if self._buf is not None:
-            parts.append(self._buf[:self._used])
-        if not parts:
-            return np.empty(0, dtype=self.dtype)
-        return np.concatenate(parts)
-
-
 def _run_search(
     gates: Sequence[Gate],
-    weights: Sequence[int],
+    weights: Sequence[Cost],
     symmetries: Sequence[LinePerm],
     options: SearchOptions,
     targets: np.ndarray | None = None,
@@ -434,21 +408,20 @@ def _run_search(
     """Core settle loop; stops once every function (or every target rank) is
     recorded.  Returns the records (of the targets alone, if given) and the
     number of states settled."""
+    if min(weights) < (0, 0):
+        raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     vgates = _vector_gates(gates, weights)
     n_gates = len(vgates)
-    hint = options.capacity_hint
     ranks = rank_tables()
 
-    pred_store = _Chunks(np.int32, hint)
-    gate_store = _Chunks(np.uint8, hint)
-
     root = np.array([_identity_key()], dtype=np.uint64)
-    pred_store.append(np.array([-1], dtype=np.int32))
-    gate_store.append(np.array([255], dtype=np.uint8))
+    pred_parts = [np.array([-1], dtype=np.int32)]
+    gate_parts = [np.array([255], dtype=np.uint8)]
     total = 1
     sorted_keys = root.copy()
 
     cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
+    secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
     state_of = np.full(N_FUNCTIONS, -1, dtype=np.int32)
     perm_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
     inverted_of = np.zeros(N_FUNCTIONS, dtype=bool)
@@ -467,7 +440,7 @@ def _run_search(
         col_inverted = np.repeat([False, True], len(sym_ids) + 1)
     width = len(col_perm)
 
-    def record(funcs: np.ndarray, states: np.ndarray, cost: int) -> None:
+    def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
         """Record the functions of Boolean states settled in packed-key order
         with all their candidate symmetries; the first record of a function
         wins."""
@@ -481,7 +454,7 @@ def _run_search(
         fresh = cost_of[uniq] < 0
         new, first = uniq[fresh], first[fresh]
         row, col = np.divmod(first, width)
-        cost_of[new] = cost
+        cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]
         perm_of[new] = col_perm[col]
         inverted_of[new] = col_inverted[col]
@@ -502,18 +475,21 @@ def _run_search(
         path_row = np.full(N_FUNCTIONS, -1, dtype=np.int32)
         path_row[held] = rows
         paths, lengths = _extract_paths(
-            states, pred_store.concatenate(), gate_store.concatenate()
+            states, np.concatenate(pred_parts), np.concatenate(gate_parts)
         )
-        return _Records(cost_of, path_row, perm_of, inverted_of, paths, lengths), total
+        records = _Records(
+            cost_of, secondary_of, path_row, perm_of, inverted_of, paths, lengths
+        )
+        return records, total
 
-    record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), 0)
+    record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
     if done():
         return result()
 
-    buckets: dict[int, list] = {}
-    heap: list[int] = []
+    buckets: dict[Cost, list] = {}
+    heap: list[Cost] = []
 
-    def enqueue(cost: int, keys, preds, gids) -> None:
+    def enqueue(cost: Cost, keys, preds, gids) -> None:
         if len(keys) == 0:
             return
         if cost not in buckets:
@@ -521,7 +497,7 @@ def _run_search(
             heapq.heappush(heap, cost)
         buckets[cost].append((keys, preds, gids))
 
-    def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: int) -> None:
+    def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
         is_boolean = (keys & _ALL_FLAGS) == _U64(0)
         for vg in vgates:
             mask = None
@@ -543,19 +519,19 @@ def _run_search(
             pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
             fresh = sorted_keys[pos] != new_keys
             enqueue(
-                cost + vg.weight,
+                (cost[0] + vg.weight[0], cost[1] + vg.weight[1]),
                 new_keys[fresh],
                 src_gidx[fresh],
                 np.full(int(fresh.sum()), vg.gid, dtype=np.uint8),
             )
 
     placement_of_gate = np.array([vg.placement_id for vg in vgates], dtype=np.uint8)
-    expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), 0)
+    expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
 
     stop = False
     while heap and not stop:
         cost = heapq.heappop(heap)
-        if options.max_cost is not None and cost > options.max_cost:
+        if options.max_cost is not None and cost[0] > options.max_cost:
             raise BudgetExceeded(
                 f"cost ceiling {options.max_cost} reached with "
                 f"{remaining} function(s) unsettled"
@@ -589,8 +565,8 @@ def _run_search(
 
             _assert_projection_permutation(new_keys)
             gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
-            pred_store.append(new_pred)
-            gate_store.append(new_gate)
+            pred_parts.append(new_pred)
+            gate_parts.append(new_gate)
             total += len(new_keys)
             if options.max_states is not None and total > options.max_states:
                 raise BudgetExceeded(
@@ -636,34 +612,58 @@ def _extract_paths(
     return paths, lengths
 
 
-def _effective_options(options: SearchOptions, weights_equal: bool) -> SearchOptions:
-    # Reductions (2) and (4)'s witness construction lean on the V <-> V+
-    # interchange; (2) needs w_v == w_vplus to preserve optimality.
-    if weights_equal or not options.skip_leading_vplus:
-        return options
-    return replace(options, skip_leading_vplus=False)
+#: Controlled gates as powers of V: V * V = CNOT, V * CNOT = V+, V * V+ = I.
+_V_POWER = {"V": 1, "CNOT": 2, "V+": 3}
+
+
+def _effective_options(
+    options: SearchOptions, gates: Sequence[Gate], weights: Sequence[Cost]
+) -> SearchOptions:
+    """Switch off the reductions that the gate weights make unsound."""
+    weight_of = {g.kind: w for g, w in zip(gates, weights)}
+    power = {_V_POWER[k]: w for k, w in weight_of.items() if k in _V_POWER}
+    # (1): two gates on one placement compose to the identity or, on a
+    # controlled placement, to the gate whose V power is the sum of theirs;
+    # skipping the pair is sound only if that gate never costs more.
+    if options.no_repeat_placement and not all(
+        (a + b) % 4 == 0 or power[(a + b) % 4] <= (wa[0] + wb[0], wa[1] + wb[1])
+        for a, wa in power.items()
+        for b, wb in power.items()
+    ):
+        options = replace(options, no_repeat_placement=False)
+    # (2) trades a V+ for a V, which keeps the cost only if they weigh the same.
+    if options.skip_leading_vplus and weight_of.get("V") != weight_of.get("V+"):
+        options = replace(options, skip_leading_vplus=False)
+    return options
 
 
 def settle_all(
-    metric: CostMetric,
+    metric: CostMetric | None,
     topology: Topology = FULL_TOPOLOGY,
     options: SearchOptions | None = None,
     library: str = "NCV",
-    weights: Sequence[int] | None = None,
+    weights: Sequence[Cost] | None = None,
     mode: str = "metric",
+    secondary: CostMetric | None = None,
 ) -> SynthesisTable:
     """Settle optimal circuits for all 40,320 reversible functions.
 
-    ``weights`` overrides the per-gate weights (used by the NCT cost modes);
-    by default they come from ``metric`` applied to the library's gates.
+    Costs are (primary, secondary) pairs minimized lexicographically.  By
+    default the primary weights come from ``metric`` and the secondary ones
+    from ``secondary`` (0 without it), so each witness is, among the
+    ``metric``-optimal circuits, one of least ``secondary`` cost.
+    ``weights`` overrides the per-gate pairs (used by the NCT cost modes);
+    they must depend on the gate kind alone.
     """
     options = options or SearchOptions()
     if not topology.is_connected():
         raise ValueError("topology must be connected for a complete search")
     gates = enumerate_gates(topology, library)
     if weights is None:
-        weights = [metric.weight(g) for g in gates]
-        options = _effective_options(options, metric.w_v == metric.w_vplus)
+        weights = [
+            (metric.weight(g), secondary.weight(g) if secondary else 0) for g in gates
+        ]
+    options = _effective_options(options, gates, weights)
     records, total = _run_search(gates, weights, topology.line_symmetries(), options)
     table = SynthesisTable(
         metric, topology, library, gates, records,
@@ -686,8 +686,8 @@ def synthesize_one(
     if not topology.is_connected():
         raise ValueError("topology must be connected")
     gates = enumerate_gates(topology, "NCV")
-    weights = [metric.weight(g) for g in gates]
-    options = _effective_options(options, metric.w_v == metric.w_vplus)
+    weights = [(metric.weight(g), 0) for g in gates]
+    options = _effective_options(options, gates, weights)
     records, total = _run_search(
         gates, weights, topology.line_symmetries(), options,
         targets=np.array([target]),

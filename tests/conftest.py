@@ -35,6 +35,11 @@ def ncv111_full_inverses():
 
 
 @pytest.fixture(scope="session")
+def ncv111_lex012():
+    return nv.settle_all(nv.NCV_111, secondary=nv.NCV_012)
+
+
+@pytest.fixture(scope="session")
 def nct_gc():
     return nv.settle_all_nct()
 

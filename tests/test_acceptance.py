@@ -193,18 +193,20 @@ def test_criterion_7e_v_count_law(ncv111_full, ncv012_full, ncv155_full):
               f"{'holds' if holds else 'violated'}; max total {max(counts)}")
 
 
-def test_criterion_7f_lexicographic_containment(ncv111_full, ncv012_full, ncv155_full):
-    pairs = (
-        ("ncv-111 primary, ncv-012 secondary", nv.NCV_111, nv.NCV_012, ncv012_full),
-        ("ncv-111 primary, ncv-155 secondary", nv.NCV_111, nv.NCV_155, ncv155_full),
-        ("ncv-155 primary, ncv-111 secondary", nv.NCV_155, nv.NCV_111, ncv111_full),
+def test_criterion_7f_lexicographic_containment(
+    ncv111_full, ncv012_full, ncv155_full, ncv111_lex012
+):
+    cases = (
+        ("ncv-111 primary, ncv-012 secondary", ncv111_lex012, ncv111_full, ncv012_full),
+        ("ncv-111 primary, ncv-155 secondary",
+         nv.settle_all(nv.NCV_111, secondary=nv.NCV_155), ncv111_full, ncv155_full),
+        ("ncv-155 primary, ncv-111 secondary",
+         nv.settle_all(nv.NCV_155, secondary=nv.NCV_111), ncv155_full, ncv111_full),
     )
-    primaries = {"ncv-111": ncv111_full, "ncv-155": ncv155_full}
-    for name, primary, secondary, sec_table in pairs:
-        lex = nv.settle_all(nv.lexicographic_metric(primary, secondary))
-        primary_table = primaries[primary.slug]
+    for name, lex, primary_table, secondary_table in cases:
         ok = all(
-            nv.split_lex_cost(c) == (primary_table.costs[f], sec_table.costs[f])
-            for f, c in lex.costs.items()
+            (lex.cost_of(f), lex.secondary_of(f))
+            == (primary_table.costs[f], secondary_table.costs[f])
+            for f in lex.functions()
         )
         check("7f", f"lexicographic containment holds: {name}", ok)

@@ -182,3 +182,12 @@ def test_internal_error_exits_6(capsys, monkeypatch, warm_cache_dir):
 def test_seed_is_printed(capsys):
     code, out, _ = run(capsys, "--seed", "7", "synth", "--function", "0,1,2,3,4,5,6,7")
     assert code == 0 and out.startswith("seed: 7")
+
+
+def test_compare_with_wide_substitution_costs(tmp_path, capsys):
+    code, stdout, err = run(
+        capsys, "compare", "--metric", "custom:1,300,300",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert "#summary metric=custom-1-300-300" in stdout

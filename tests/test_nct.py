@@ -6,13 +6,14 @@ import ncvsynth as nv
 from ncvsynth import Circuit, NOT, TOF
 from ncvsynth.nct import (
     NctCostModel,
-    split_nct_cost,
     substituted_witness_cost,
     toffoli_decomposition,
     toffoli_substitute,
 )
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
+#: Substituted costs far beyond any fixed scalarization base.
+WIDE_METRIC = nv.CostMetric.parse("custom:1,300,300")
 
 
 @pytest.mark.parametrize(
@@ -56,16 +57,25 @@ def test_witness_substitution_cost(nct_gc):
     assert substituted_witness_cost(nct_gc, TOF_FUNC, nv.NCV_012) == 8
 
 
-def test_split_nct_cost_modes(nct_gc):
+def test_lex_modes_pair_gate_count_with_substituted_cost(nct_gc):
     lexmin = nv.settle_all_nct("lex-min", nv.NCV_111)
     lexmax = nv.settle_all_nct("lex-max", nv.NCV_111)
     for func in (tuple(range(8)), TOF_FUNC, (7, 6, 4, 5, 2, 3, 1, 0)):
         gc = nct_gc.cost_of(func)
-        lo_gc, lo_sub = split_nct_cost(lexmin, lexmin.cost_of(func))
-        hi_gc, hi_sub = split_nct_cost(lexmax, lexmax.cost_of(func))
-        assert lo_gc == hi_gc == gc
-        assert lo_sub <= hi_sub
-        assert split_nct_cost(nct_gc, gc) == (gc, gc)
+        assert lexmin.cost_of(func) == lexmax.cost_of(func) == gc
+        assert lexmin.secondary_of(func) <= -lexmax.secondary_of(func)
+        assert nct_gc.secondary_of(func) == 0
+
+
+@pytest.mark.parametrize("mode,sign", [("lex-min", 1), ("lex-max", -1)])
+def test_wide_lex_witnesses_are_gate_count_optimal(nct_gc, mode, sign):
+    table = nv.settle_all_nct(mode, WIDE_METRIC)
+    for func in table.functions():
+        witness = table.witness(func)
+        assert len(witness) == table.cost_of(func) == nct_gc.cost_of(func)
+        assert table.secondary_of(func) == sign * nv.circuit_cost(
+            toffoli_substitute(witness), WIDE_METRIC
+        )
 
 
 def test_nct_witnesses_fold(nct_gc):

@@ -1,6 +1,8 @@
 """Search engine behavior: landmarks, oracles, budgets, determinism."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncvsynth as nv
 from ncvsynth import (
@@ -131,6 +133,26 @@ def test_oracle_respects_weights():
     assert by_cost[0] == 8 and by_cost[1] == 48
 
 
+ORACLE_REACH = 3
+
+
+# Weights are drawn independently, so w_v != w_vplus and w_cnot > 2 w_v occur;
+# the explicit example has both, plus a free NOT.
+@settings(max_examples=2, deadline=None)
+@given(
+    w_not=st.integers(0, 2),
+    w_cnot=st.integers(1, 3),
+    w_v=st.integers(1, 3),
+    w_vplus=st.integers(1, 3),
+)
+@example(w_not=0, w_cnot=3, w_v=1, w_vplus=2)
+def test_engine_agrees_with_oracle_on_random_metrics(w_not, w_cnot, w_v, w_vplus):
+    metric = CostMetric(w_not, w_cnot, w_v, w_vplus)
+    table = nv.settle_all(metric)
+    reached = {f: c for f, c in table.costs.items() if c <= ORACLE_REACH}
+    assert reached == nv.exhaustive_oracle(metric, max_cost=ORACLE_REACH)
+
+
 # --------------------------------------------------------------------------
 # Budgets and guards
 
@@ -163,12 +185,20 @@ def test_unequal_v_weights_stay_optimal():
     assert nv.check_realizes(circuit, TOF_FUNC)
 
 
-def test_capacity_hint_changes_nothing():
-    baseline = nv.synthesize_one(PERES_FUNC, nv.NCV_111)
-    hinted = nv.synthesize_one(
-        PERES_FUNC, nv.NCV_111, options=SearchOptions(capacity_hint=1 << 16)
-    )
-    assert baseline == hinted
+def test_repeat_placement_reduction_yields_to_cheap_v_pairs():
+    # V * V = CNOT on one placement: under custom:1,3,1 the pair (cost 2)
+    # beats the CNOT (cost 3), so never repeating a placement would miss it.
+    metric = CostMetric(1, 3, 1, 1)
+    cnot = nv.realized_function(nv.Circuit((nv.CNOT(0, 2),)))
+    cost, circuit = nv.synthesize_one(cnot, metric)
+    assert cost == nv.circuit_cost(circuit, metric) == 2
+    assert nv.check_realizes(circuit, cnot)
+
+
+@pytest.mark.parametrize("weight", [(0, -1), (-1, 5)])
+def test_weights_below_zero_pair_rejected(weight):
+    with pytest.raises(ValueError):
+        nv.settle_all(None, library="NCT", weights=[weight] * 12)
 
 
 # --------------------------------------------------------------------------
@@ -195,28 +225,16 @@ def test_reconstruct_unknown_state(ncv111_full):
 
 
 # --------------------------------------------------------------------------
-# Lexicographic scalarization
+# Lexicographic (primary, secondary) costs
 
-def test_lexicographic_metric_roundtrip():
-    lex = nv.lexicographic_metric(nv.NCV_111, nv.NCV_012)
-    assert lex.w_not == nv.LEX_BASE + 0
-    assert lex.w_v == nv.LEX_BASE + 2
-    assert nv.split_lex_cost(5 * nv.LEX_BASE + 7) == (5, 7)
-
-
-def test_reported_containment_conjecture():
-    """Optimal gate-count circuits stay optimal under NCV-xyz with y < 2z.
-
-    Observed, not asserted: the outcome is printed for the spot-check metrics.
-    """
-    for x, y, z in ((2, 3, 2), (1, 1, 1), (1, 2, 2)):
-        metric = CostMetric(x, y, z, z)
-        base = nv.settle_all(metric)
-        lex = nv.settle_all(nv.lexicographic_metric(nv.NCV_111, metric))
-        mismatches = sum(
-            1 for f, c in lex.costs.items() if c % nv.LEX_BASE != base.costs[f]
-        )
-        print(
-            f"containment ncv-111 -> ({x},{y},{z}): "
-            f"{'holds' if mismatches == 0 else f'{mismatches} mismatches'}"
-        )
+def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
+    table = ncv111_lex012
+    assert table.complete and table.metric == nv.NCV_111
+    for func in table.functions():
+        witness = table.witness(func)
+        assert nv.circuit_cost(witness, nv.NCV_111) == table.cost_of(func)
+        assert nv.circuit_cost(witness, nv.NCV_012) == table.secondary_of(func)
+    assert table.secondaries() == {f: table.secondary_of(f) for f in table.functions()}
+    assert set(ncv111_full.secondaries().values()) == {0}
+    cost_only = nv.SynthesisTable.from_costs(ncv111_full.costs, nv.NCV_111)
+    assert cost_only.secondary_of(TOF_FUNC) == 0
