@@ -33,5 +33,8 @@ for name, func in (
     print(nio.format_circuit(circuit))
 
 # Only the a<->c relabeling respects the path, so the relabeling symmetry
-# group shrinks from 6 permutations to 2.
+# group shrinks from 6 permutations to 2.  The search settles one state per
+# symmetry orbit, which cuts the states it visits about 2x here against
+# about 6x on the full topology.
 print("path line symmetries:", nv.PATH_TOPOLOGY.line_symmetries())
+print("states visited:", table.states_visited)

@@ -81,11 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-prune-vplus", action="store_true",
                        help="disable the leading controlled-V+ reduction")
         p.add_argument("--no-prune-relabel", action="store_true",
-                       help="disable settling line relabelings")
+                       help="search every state, not one per line-symmetry orbit")
         p.add_argument("--prune-inverse", action="store_true",
                        help="also settle inverse functions (off by default)")
-        p.add_argument("--max-cost", type=int, default=None)
-        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--max-cost", type=int, default=None,
+                       help="exit 4 once the search passes this primary cost")
+        p.add_argument("--max-states", type=int, default=None,
+                       help="exit 4 once the search settles more states than this "
+                            "(orbit representatives unless --no-prune-relabel)")
 
     p = sub.add_parser("synth", help="synthesize one function")
     add_search_args(p, function_required=True)

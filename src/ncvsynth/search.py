@@ -33,10 +33,22 @@ Optional search reductions (all individually toggleable):
    quantum excursion can always be traded for a V by interchanging V and V+
    inside the excursion, at equal cost only when V and V+ weigh the same;
    otherwise the search turns this off);
-3. on settling a Boolean state, record all of its line relabelings at the
-   same cost with relabeled witnesses;
+3. search one state per orbit under the topology's line symmetries, and
+   record every line relabeling of each settled function at the same cost;
 4. (off by default) on recording a function, record its inverse too, with
    the reversed/inverted witness.
+
+Reduction (3) is the orbit search.  Relabeling the lines of a circuit by a
+symmetry of the topology relabels the quaternary state it reaches and keeps
+its cost (every gate weight must be invariant under the symmetries, else
+ValueError), so the search settles only canonical states: the least packed
+key among a state's images.  Each settled state stores, beside its
+predecessor and gate id, the id sigma of the symmetry that took the raw key
+(the gate applied to the predecessor's canonical key) to the canonical one;
+the canonical state's last gate, which reduction (1) looks at, is then
+sigma(gate).  States visited, and ``SearchOptions.max_states``, count these
+orbit representatives.  Without reduction (3) the only symmetry is the
+identity and every state is its own representative.
 
 Functions are handled by rank (their lexicographic index in 0..40319, see
 :func:`~ncvsynth.model.rank_tables`).  Each drained bucket decodes its
@@ -44,22 +56,25 @@ settled Boolean keys to ranks in one batch and records, per state in
 packed-key order: its own function, then its image under each non-identity
 symmetry in ``line_symmetries()`` order, then (with reduction 4) its inverse
 and the inverse's images.  The first record of a rank wins, exactly as a
-function-at-a-time loop in that order would decide, so reductions never
-change which witness a function gets.  Records are parallel arrays by rank:
-primary and secondary cost, settle index, line permutation and an inverted
-flag.
+function-at-a-time loop in that order would decide.  Records are parallel
+arrays by rank: primary and secondary cost, settle index, line permutation
+and an inverted flag.
 
 When the search ends, one vectorized walk over the predecessor array
-extracts the gate-id path of every settle index that a record uses; the
-per-state predecessor and gate arrays are then dropped.  A witness is its
-path (reversed for an inverted record) mapped through one of the table's
-gate maps: the image of every library gate under that record's line
-relabeling, after V/V+ inversion for inverted records, built once per table
-with the topology check of :func:`~ncvsynth.model.relabel_circuit`.
+extracts the gate-id path of every settle index that a record uses,
+composing the sigmas along the way: the j-th gate of a path to state n is
+sigma_n o ... o sigma_j applied to the gate stored at state j, so every
+path realizes its canonical state's function.  The per-state arrays are
+then dropped.  A witness is its path (reversed for an inverted record)
+mapped through one of the table's gate maps: the image of every library
+gate under that record's line relabeling, after V/V+ inversion for inverted
+records, built once per table with the topology check of
+:func:`~ncvsynth.model.relabel_circuit`.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -92,6 +107,7 @@ from .model import (
     invert_circuit,
     rank_tables,
     relabel_circuit,
+    row_permutation,
     vswap,
 )
 
@@ -108,7 +124,7 @@ class SearchOptions:
     settle_relabelings: bool = True    # reduction (3)
     settle_inverses: bool = False      # reduction (4)
     max_cost: int | None = None
-    max_states: int | None = None
+    max_states: int | None = None      # counts orbit representatives (see 3)
 
 
 @dataclass(frozen=True)
@@ -396,6 +412,74 @@ def _assert_projection_permutation(keys: np.ndarray) -> None:
 
 
 # --------------------------------------------------------------------------
+# Line symmetries of packed states
+
+class _Orbits(NamedTuple):
+    """The line symmetries of one search as lookup tables."""
+
+    perm_ids: np.ndarray  # int8 LINE_PERMUTATIONS ids of the non-identity symmetries
+    images: np.ndarray    # uint64 (symmetry, key word, word value): bits of the image
+    compose: np.ndarray   # int8 (a, b): id of LINE_PERMUTATIONS[a] after [b]
+    relabel: np.ndarray   # uint8 (perm, gate id): id of the gate's image; 255 if
+                          # none, and for the root's gate id 255
+
+
+@functools.cache
+def _image_tables(symmetries: tuple[LinePerm, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Relabeling by ``perm`` moves the level of row i, line l to row
+    ``row_permutation(perm)[i]``, line ``perm[l]`` (the state the relabeled
+    circuit reaches), so the image of a packed key is the OR of one table
+    entry per 16-bit word of the key, built here from per-byte parts."""
+    perm_ids = [LINE_PERMUTATIONS.index(p) for p in symmetries if p != LINE_PERMUTATIONS[0]]
+    values = np.arange(256, dtype=np.uint64)
+    images = np.empty((len(perm_ids), 3, 1 << 16), dtype=np.uint64)
+    for s, pid in enumerate(perm_ids):
+        perm = LINE_PERMUTATIONS[pid]
+        rows = row_permutation(perm)
+        parts = np.zeros((6, 256), dtype=np.uint64)
+        for field in range(N_ROWS * N_LINES):
+            row, line = divmod(field, N_LINES)
+            byte, offset = divmod(field, 4)
+            dest = bit_offset(rows[row], perm[line])
+            parts[byte] |= ((values >> _U64(2 * offset)) & _U64(3)) << _U64(dest)
+        # word value 256 * high byte + low byte
+        images[s] = (parts[1::2, :, None] | parts[0::2, None, :]).reshape(3, -1)
+    return np.array(perm_ids, dtype=np.int8), images
+
+
+@functools.cache
+def _orbit_tables(gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...]) -> _Orbits:
+    """Built on first use per gate list and symmetry set."""
+    compose = np.array(
+        [[LINE_PERMUTATIONS.index(tuple(a[l] for l in b)) for b in LINE_PERMUTATIONS]
+         for a in LINE_PERMUTATIONS],
+        dtype=np.int8,
+    )
+    gate_id = {g: i for i, g in enumerate(gates)}
+    relabel = np.full((len(LINE_PERMUTATIONS), 256), 255, dtype=np.uint8)
+    for pid, perm in enumerate(LINE_PERMUTATIONS):
+        for i, g in enumerate(gates):
+            image = Gate(g.kind, perm[g.target], tuple(perm[c] for c in g.controls))
+            relabel[pid, i] = gate_id.get(image, 255)
+    return _Orbits(*_image_tables(symmetries), compose, relabel)
+
+
+def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
+    """The least image of each key under the symmetries, and the
+    LINE_PERMUTATIONS id of the first symmetry giving it (0 for the key)."""
+    words = keys.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
+    least, sigma = keys, np.zeros(len(keys), dtype=np.int8)
+    for pid, table in zip(orbits.perm_ids.tolist(), orbits.images):
+        image = table[0].take(words[:, 0])
+        image |= table[1].take(words[:, 1])
+        image |= table[2].take(words[:, 2])
+        moved = image < least
+        least = np.where(moved, image, least)
+        sigma[moved] = pid
+    return least, sigma
+
+
+# --------------------------------------------------------------------------
 # The engine
 
 def _run_search(
@@ -407,16 +491,26 @@ def _run_search(
 ) -> tuple[_Records, int]:
     """Core settle loop; stops once every function (or every target rank) is
     recorded.  Returns the records (of the targets alone, if given) and the
-    number of states settled."""
+    number of (canonical) states settled."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
+    if not options.settle_relabelings:
+        symmetries = LINE_PERMUTATIONS[:1]
+    orbits = _orbit_tables(tuple(gates), tuple(symmetries))
+    n_gates = len(gates)
+    pairs = np.array(weights)
+    if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
+        raise ValueError("gate weights must be invariant under the line symmetries")
     vgates = _vector_gates(gates, weights)
-    n_gates = len(vgates)
+    groups: dict[Cost, list[_VGate]] = {}
+    for vg in vgates:
+        groups.setdefault(vg.weight, []).append(vg)
     ranks = rank_tables()
 
     root = np.array([_identity_key()], dtype=np.uint64)
     pred_parts = [np.array([-1], dtype=np.int32)]
     gate_parts = [np.array([255], dtype=np.uint8)]
+    sigma_parts = [np.zeros(1, dtype=np.int8)]
     total = 1
     sorted_keys = root.copy()
 
@@ -430,9 +524,7 @@ def _run_search(
     # Candidate columns per settled function, in recording order: the
     # function, its non-identity relabelings in line_symmetries() order, then
     # (with reduction (4)) its inverse and the inverse's relabelings.
-    sym_ids = [
-        LINE_PERMUTATIONS.index(p) for p in symmetries if p != LINE_PERMUTATIONS[0]
-    ] if options.settle_relabelings else []
+    sym_ids = orbits.perm_ids.tolist()
     col_perm = np.array([0, *sym_ids], dtype=np.int8)
     col_inverted = np.zeros(len(col_perm), dtype=bool)
     if options.settle_inverses:
@@ -475,7 +567,8 @@ def _run_search(
         path_row = np.full(N_FUNCTIONS, -1, dtype=np.int32)
         path_row[held] = rows
         paths, lengths = _extract_paths(
-            states, np.concatenate(pred_parts), np.concatenate(gate_parts)
+            states, np.concatenate(pred_parts), np.concatenate(gate_parts),
+            np.concatenate(sigma_parts), orbits,
         )
         records = _Records(
             cost_of, secondary_of, path_row, perm_of, inverted_of, paths, lengths
@@ -489,41 +582,45 @@ def _run_search(
     buckets: dict[Cost, list] = {}
     heap: list[Cost] = []
 
-    def enqueue(cost: Cost, keys, preds, gids) -> None:
-        if len(keys) == 0:
-            return
-        if cost not in buckets:
-            buckets[cost] = []
-            heapq.heappush(heap, cost)
-        buckets[cost].append((keys, preds, gids))
+    def fresh_mask(keys: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(sorted_keys, keys)
+        pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
+        return sorted_keys[pos] != keys
 
     def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
+        """Enqueue the fresh canonical successors of settled states, one
+        batch per gate weight."""
         is_boolean = (keys & _ALL_FLAGS) == _U64(0)
-        for vg in vgates:
-            mask = None
-            if vg.control_flags:
-                mask = (keys & vg.control_flags) == _U64(0)
-            if options.no_repeat_placement:
-                m = plc != np.uint8(vg.placement_id)
-                mask = m if mask is None else mask & m
-            if options.skip_leading_vplus and vg.is_vplus:
-                mask = ~is_boolean if mask is None else mask & ~is_boolean
-            if mask is None:
-                src_keys, src_gidx = keys, gidx
-            else:
-                src_keys, src_gidx = keys[mask], gidx[mask]
-            if len(src_keys) == 0:
+        for weight, group in groups.items():
+            raw, preds, gids = [], [], []
+            for vg in group:
+                mask = None
+                if vg.control_flags:
+                    mask = (keys & vg.control_flags) == _U64(0)
+                if options.no_repeat_placement:
+                    m = plc != np.uint8(vg.placement_id)
+                    mask = m if mask is None else mask & m
+                if options.skip_leading_vplus and vg.is_vplus:
+                    mask = ~is_boolean if mask is None else mask & ~is_boolean
+                src_keys, src_gidx = (keys, gidx) if mask is None else (keys[mask], gidx[mask])
+                if len(src_keys):
+                    raw.append(vg.apply(src_keys))
+                    preds.append(src_gidx)
+                    gids.append(np.full(len(src_keys), vg.gid, dtype=np.uint8))
+            if not raw:
                 continue
-            new_keys = vg.apply(src_keys)
-            pos = np.searchsorted(sorted_keys, new_keys)
-            pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
-            fresh = sorted_keys[pos] != new_keys
-            enqueue(
-                (cost[0] + vg.weight[0], cost[1] + vg.weight[1]),
-                new_keys[fresh],
-                src_gidx[fresh],
-                np.full(int(fresh.sum()), vg.gid, dtype=np.uint8),
-            )
+            new_keys, sigma = _canonical(np.concatenate(raw), orbits)
+            fresh = fresh_mask(new_keys)
+            if not fresh.any():
+                continue
+            new_cost = (cost[0] + weight[0], cost[1] + weight[1])
+            if new_cost not in buckets:
+                buckets[new_cost] = []
+                heapq.heappush(heap, new_cost)
+            buckets[new_cost].append((
+                new_keys[fresh], np.concatenate(preds)[fresh],
+                np.concatenate(gids)[fresh], sigma[fresh],
+            ))
 
     placement_of_gate = np.array([vg.placement_id for vg in vgates], dtype=np.uint8)
     expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
@@ -537,11 +634,8 @@ def _run_search(
                 f"{remaining} function(s) unsettled"
             )
         while not stop and buckets.get(cost):
-            entries = buckets[cost]
+            keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
             buckets[cost] = []
-            keys = np.concatenate([e[0] for e in entries])
-            preds = np.concatenate([e[1] for e in entries])
-            gids = np.concatenate([e[2] for e in entries])
             # Tie-break equal-cost paths by (parent settle index, gate index).
             tie = preds.astype(np.int64) * n_gates + gids
             order = np.lexsort((tie, keys))
@@ -552,21 +646,22 @@ def _run_search(
                 lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
             winners = order[lead]
             unique_keys = keys_sorted[lead]
-            pos = np.searchsorted(sorted_keys, unique_keys)
-            pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
-            fresh = sorted_keys[pos] != unique_keys
+            fresh = fresh_mask(unique_keys)
             new_keys = unique_keys[fresh]
             if len(new_keys) == 0:
                 continue
             winners = winners[fresh]
             new_pred = preds[winners]
             new_gate = gids[winners]
-            new_plc = placement_of_gate[new_gate]
+            new_sigma = sigmas[winners]
+            # The canonical state's last gate is sigma(gate).
+            new_plc = placement_of_gate[orbits.relabel[new_sigma, new_gate]]
 
             _assert_projection_permutation(new_keys)
             gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
             pred_parts.append(new_pred)
             gate_parts.append(new_gate)
+            sigma_parts.append(new_sigma)
             total += len(new_keys)
             if options.max_states is not None and total > options.max_states:
                 raise BudgetExceeded(
@@ -589,20 +684,25 @@ def _run_search(
 
 
 def _extract_paths(
-    states: np.ndarray, pred: np.ndarray, gate_ids: np.ndarray
+    states: np.ndarray, pred: np.ndarray, gate_ids: np.ndarray,
+    sigma: np.ndarray, orbits: _Orbits,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gate-id paths from the root to each state, by one pointer walk over
-    all of them: a padded uint8 matrix (a row per state) and the lengths."""
+    all of them: a padded uint8 matrix (a row per state) and the lengths.
+    Each stored gate is mapped through the composition of the sigmas from
+    its own state to the path's end."""
     cur = states.astype(np.int64)
+    perm = sigma[cur]
     lengths = np.zeros(len(cur), dtype=np.int32)
     steps = []  # steps[d][i]: the d-th gate back from state i
     while True:
         live = cur > 0
         if not live.any():
             break
-        steps.append(np.where(live, gate_ids[cur], 0).astype(np.uint8))
+        steps.append(np.where(live, orbits.relabel[perm, gate_ids[cur]], 0))
         lengths += live
         cur = np.where(live, pred[cur], 0)
+        perm = orbits.compose[perm, sigma[cur]]
     if not steps:
         return np.zeros((len(cur), 0), dtype=np.uint8), lengths
     back = np.stack(steps, axis=1)
@@ -653,7 +753,9 @@ def settle_all(
     from ``secondary`` (0 without it), so each witness is, among the
     ``metric``-optimal circuits, one of least ``secondary`` cost.
     ``weights`` overrides the per-gate pairs (used by the NCT cost modes);
-    they must depend on the gate kind alone.
+    with reduction (3) on they must be invariant under the topology's line
+    symmetries (ValueError otherwise), which weights by gate kind are.  The
+    table's ``states_visited`` counts the orbit representatives settled.
     """
     options = options or SearchOptions()
     if not topology.is_connected():

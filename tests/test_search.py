@@ -1,5 +1,6 @@
 """Search engine behavior: landmarks, oracles, budgets, determinism."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,15 @@ from ncvsynth import (
     SearchOptions,
     UnknownState,
 )
-from ncvsynth.model import CostMetric, CircuitState, enumerate_gates
+from ncvsynth import search
+from ncvsynth.model import (
+    LINE_PERMUTATIONS,
+    CostMetric,
+    CircuitState,
+    apply_circuit,
+    enumerate_gates,
+    row_permutation,
+)
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 PERES_FUNC = (0, 1, 2, 3, 6, 7, 5, 4)
@@ -195,10 +204,62 @@ def test_repeat_placement_reduction_yields_to_cheap_v_pairs():
     assert nv.check_realizes(circuit, cnot)
 
 
+def test_weights_must_be_invariant_under_line_symmetries():
+    # NOT a weighs 2, NOT b and NOT c weigh 1: relabeling a and b changes cost.
+    gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCT")
+    weights = [(2 if g == nv.NOT(0) else 1, 0) for g in gates]
+    with pytest.raises(ValueError):
+        nv.settle_all(None, library="NCT", weights=weights)
+    table = nv.settle_all(
+        None, library="NCT", weights=weights,
+        options=SearchOptions(settle_relabelings=False),
+    )
+    weight_of = {g: w for g, (w, _) in zip(gates, weights)}
+    assert table.cost_of((4, 5, 6, 7, 0, 1, 2, 3)) == 2   # NOT a
+    assert table.cost_of((2, 3, 0, 1, 6, 7, 4, 5)) == 1   # NOT b
+    for func in table.functions():
+        assert sum(weight_of[g] for g in table.witness(func)) == table.cost_of(func)
+
+
 @pytest.mark.parametrize("weight", [(0, -1), (-1, 5)])
 def test_weights_below_zero_pair_rejected(weight):
     with pytest.raises(ValueError):
         nv.settle_all(None, library="NCT", weights=[weight] * 12)
+
+
+# --------------------------------------------------------------------------
+# Orbit canonicalization
+
+def _relabeled_state(state, perm):
+    """Scalar reference: the level of row i, line l moves to row
+    row_permutation(perm)[i], line perm[l]."""
+    rows = row_permutation(perm)
+    out = [[0] * 3 for _ in range(8)]
+    for i, row in enumerate(state.rows):
+        for line, level in enumerate(row):
+            out[rows[i]][perm[line]] = level
+    return CircuitState(tuple(map(tuple, out)))
+
+
+@pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
+def test_canonical_key_is_shared_by_every_image(topology):
+    rng = np.random.default_rng(11)
+    symmetries = topology.line_symmetries()
+    orbits = search._orbit_tables(enumerate_gates(topology, "NCV"), symmetries)
+    for n_gates in list(range(12)) * 4:
+        circuit = nv.random_legal_circuit(rng, n_gates, topology)
+        state = apply_circuit(CircuitState.identity(), circuit)
+        images = [_relabeled_state(state, perm) for perm in symmetries]
+        for perm, image in zip(symmetries, images):
+            moved = nv.relabel_circuit(circuit, perm, topology)
+            assert apply_circuit(CircuitState.identity(), moved) == image
+        keys = np.array([image.pack() for image in images], dtype=np.uint64)
+        canonical, sigma = search._canonical(keys, orbits)
+        assert canonical.tolist() == [int(keys.min())] * len(keys)
+        for key, perm_id, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
+            assert LINE_PERMUTATIONS[perm_id] in symmetries
+            moved = _relabeled_state(CircuitState.unpack(key), LINE_PERMUTATIONS[perm_id])
+            assert moved.pack() == least
 
 
 # --------------------------------------------------------------------------
