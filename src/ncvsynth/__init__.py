@@ -72,6 +72,7 @@ from .search import (
     N_FUNCTIONS,
     SearchOptions,
     SynthesisTable,
+    WitnessPaths,
     exhaustive_oracle,
     reconstruct_circuit,
     settle_all,

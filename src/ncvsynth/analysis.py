@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
-from .model import CostMetric
-from .nct import GATE_COUNT, settle_all_nct, substituted_witness_cost
+from .model import CostMetric, rank_tables
+from .nct import GATE_COUNT, NctCostModel, settle_all_nct
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -58,7 +58,14 @@ def histogram(table: SynthesisTable) -> CostHistogram:
         raise IncompleteTable(
             f"table has {table.settled_count} of {N_FUNCTIONS} functions"
         )
-    return CostHistogram.from_costs(table.costs)
+    costs = table.cost_array()
+    counts = np.bincount(costs)
+    seen = np.flatnonzero(counts)
+    return CostHistogram(
+        dict(zip(seen.tolist(), counts[seen].tolist())),
+        N_FUNCTIONS,
+        Fraction(int(costs.sum()), N_FUNCTIONS),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -84,27 +91,34 @@ def compare_costs(xs: Mapping, ys: Mapping) -> ComparisonStats:
     funcs = sorted(ys)
     if sorted(xs) != funcs:
         raise MetricMismatch("cost tables cover different function sets")
-    x = np.array([xs[f] for f in funcs], dtype=float)
-    y = np.array([ys[f] for f in funcs], dtype=float)
-    corr = float(np.corrcoef(x, y)[0, 1])
-    ratio_sum = Fraction(0)
-    best = Fraction(0)
-    best_func = funcs[0]
-    n = 0
-    for f in funcs:
-        yy = ys[f]
-        if yy == 0:
-            continue
-        r = Fraction(xs[f], yy)
-        ratio_sum += r
-        n += 1
-        if r > best:
-            best, best_func = r, f
+    x = np.array([xs[f] for f in funcs], dtype=np.int64)
+    y = np.array([ys[f] for f in funcs], dtype=np.int64)
+    return _comparison_stats(x, y, funcs.__getitem__)
+
+
+def _comparison_stats(
+    x: np.ndarray, y: np.ndarray, function_of: Callable[[int], Sequence]
+) -> ComparisonStats:
+    """``compare_costs`` over aligned integer arrays; ``function_of(i)`` names
+    entry i.  The ratios are exact, summed once per distinct (x, y) pair, and
+    the max-ratio function is the first entry attaining the maximum."""
+    corr = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1])
+    ratio = y != 0
+    pairs, counts = np.unique(
+        np.stack([x[ratio], y[ratio]], axis=1), axis=0, return_counts=True
+    )
+    ratios = [Fraction(a, b) for a, b in pairs.tolist()]
+    n = int(counts.sum())
+    total = sum((r * c for r, c in zip(ratios, counts.tolist())), Fraction(0))
+    best = max([Fraction(0), *ratios])
+    first = 0
+    if best > 0:
+        first = int(np.argmax(ratio & (x * best.denominator == y * best.numerator)))
     return ComparisonStats(
         pearson_correlation=corr,
-        average_ratio=ratio_sum / n if n else Fraction(0),
+        average_ratio=total / n if n else Fraction(0),
         max_ratio=best,
-        max_ratio_function=best_func,
+        max_ratio_function=function_of(first),
         equal_count=int((x == y).sum()),
     )
 
@@ -186,29 +200,38 @@ def compare(
     lexmin = settle_all_nct("lex-min", metric, topology=nct_table.topology)
     lexmax = settle_all_nct("lex-max", metric, topology=nct_table.topology)
 
-    ys = ncv_table.costs
-    gc = nct_table.costs
-    sub = {f: substituted_witness_cost(nct_table, f, metric) for f in gc}
-    sub_min = lexmin.secondaries()
-    sub_max = {f: -s for f, s in lexmax.secondaries().items()}
+    # Every table is complete, so array entry i is the function of rank i.
+    functions = rank_tables()
+    paths = nct_table.witness_paths()
+    cost_model = NctCostModel.for_metric(metric)
+    weights = np.array([cost_model.weight(g) for g in nct_table.gate_list] + [0])
+    gc = paths.cost
+    sub = weights[paths.gate_ids].sum(axis=1)
+    sub_min = lexmin.secondary_array()
+    sub_max = -lexmax.secondary_array()
+    y = ncv_table.cost_array()
 
-    for f, y in ys.items():
-        if not (sub_min[f] <= sub[f] <= sub_max[f]) or sub_min[f] < y:
+    inconsistent = (sub_min > sub) | (sub > sub_max) | (sub_min < y)
+    bad = np.flatnonzero(inconsistent | (lexmin.cost_array() != gc))
+    if len(bad):
+        first = int(bad[0])
+        if inconsistent[first]:
             raise InternalError(
-                f"internal error: substituted costs inconsistent at {f}"
+                "internal error: substituted costs inconsistent at "
+                f"{functions.function(first)}"
             )
-        if lexmin.costs[f] != gc[f]:
-            raise InternalError(
-                "internal error: lexicographic primary disagrees with gate count"
-            )
+        raise InternalError(
+            "internal error: lexicographic primary disagrees with gate count"
+        )
 
-    rows = tuple(
-        (f, gc[f], sub[f], sub_min[f], sub_max[f], ys[f]) for f in sorted(ys)
-    )
+    rows = tuple(zip(
+        map(tuple, functions.outputs.tolist()), gc.tolist(), sub.tolist(),
+        sub_min.tolist(), sub_max.tolist(), y.tolist(),
+    ))
     return ComparisonReport(
         metric=metric,
         rows=rows,
-        witness=compare_costs(sub, ys),
-        worst_case=compare_costs(sub_max, ys),
-        best_case=compare_costs(sub_min, ys),
+        witness=_comparison_stats(sub, y, functions.function),
+        worst_case=_comparison_stats(sub_max, y, functions.function),
+        best_case=_comparison_stats(sub_min, y, functions.function),
     )

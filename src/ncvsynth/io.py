@@ -23,9 +23,11 @@ import io as _stdio
 import json
 from typing import Mapping
 
+import numpy as np
+
 from .analysis import ComparisonReport, CostHistogram
 from .errors import CircuitParseError
-from .model import Circuit, Gate, LINE_NAMES, validate_permutation
+from .model import Circuit, Gate, LINE_NAMES, rank_tables, validate_permutation
 from .search import SynthesisTable
 
 _ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
@@ -115,14 +117,30 @@ def read_table_csv(stream) -> dict[tuple[int, ...], int]:
     return costs
 
 
+#: Rows per formatted block of ``write_table_jsonl``: big enough to amortize
+#: numpy calls, small enough that no block's Python strings add to peak memory.
+_JSONL_BLOCK = 4096
+
+
 def write_table_jsonl(table: SynthesisTable, stream) -> None:
-    for func in table.functions():
-        record = {
-            "function": format_function(func),
-            "cost": table.cost_of(func),
-            "circuit": format_circuit(table.witness(func)),
-        }
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+    """One ``json.dumps(record, sort_keys=True)`` line per settled function
+    in rank order, with record {function, cost, circuit}, written block by
+    block from the table's witness paths and each gate's escaped text."""
+    paths = table.witness_paths()
+    gate_text = np.array(
+        [json.dumps(f"{g}\n")[1:-1] for g in table.gate_list] + [""], dtype=object
+    )
+    outputs = rank_tables().outputs
+    for start in range(0, len(paths.ranks), _JSONL_BLOCK):
+        block = slice(start, start + _JSONL_BLOCK)
+        funcs = outputs[paths.ranks[block]].tolist()
+        circuits = gate_text[paths.gate_ids[block]].tolist()
+        costs = paths.cost[block].tolist()
+        stream.write("".join([
+            f'{{"circuit": "{"".join(circuit)}", "cost": {cost}, '
+            f'"function": "{format_function(func)}"}}\n'
+            for func, circuit, cost in zip(funcs, circuits, costs)
+        ]))
 
 
 def read_table_jsonl(stream) -> dict[tuple[int, ...], tuple[int, Circuit]]:

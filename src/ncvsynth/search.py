@@ -65,11 +65,18 @@ extracts the gate-id path of every settle index that a record uses,
 composing the sigmas along the way: the j-th gate of a path to state n is
 sigma_n o ... o sigma_j applied to the gate stored at state j, so every
 path realizes its canonical state's function.  The per-state arrays are
-then dropped.  A witness is its path (reversed for an inverted record)
-mapped through one of the table's gate maps: the image of every library
-gate under that record's line relabeling, after V/V+ inversion for inverted
-records, built once per table with the topology check of
-:func:`~ncvsynth.model.relabel_circuit`.
+then dropped.
+
+A witness is its path, reversed for an inverted record, with every gate id
+mapped through the record's line relabeling by one uint8 (perm x gate id)
+map per gate list.  An inverted record needs no other map: inverting a
+circuit inverts each gate (V <-> V+), and the V/V+ interchange that keeps
+the inverse witness at the source's cost undoes it, so
+``vswap(invert_circuit(c))`` is ``c`` reversed.  ``witness_paths`` applies
+this to every settled function at once, on first use, and keeps the
+resulting gate-id matrix in rank order; ``witness`` reads one row of it, and
+bulk consumers (the JSONL writer, ``analysis.compare``) read the whole
+matrix without building a Circuit per function.
 """
 
 from __future__ import annotations
@@ -104,11 +111,8 @@ from .model import (
     bit_offset,
     enumerate_gates,
     function_rank,
-    invert_circuit,
     rank_tables,
-    relabel_circuit,
     row_permutation,
-    vswap,
 )
 
 #: A (primary, secondary) cost, ordered lexicographically.
@@ -150,13 +154,25 @@ class _Records(NamedTuple):
     lengths: np.ndarray    # int32 length of each row's path
 
 
+class WitnessPaths(NamedTuple):
+    """Every settled function's cost and witness, one row per function in
+    rank order.  Row i's witness is ``gate_ids[i, :lengths[i]]`` indexing the
+    table's ``gate_list``; the rest of the row holds ``len(gate_list)``, so a
+    lookup table with one extra entry (weight 0, empty text) ignores it."""
+
+    ranks: np.ndarray     # int64 function ranks, ascending
+    cost: np.ndarray      # int64 primary cost
+    gate_ids: np.ndarray  # uint8 (function, position)
+    lengths: np.ndarray   # int32 witness length
+
+
 class SynthesisTable:
     """Optimal cost and one witness circuit per settled reversible function.
 
     Functions are stored by rank; the tuple-keyed methods convert at the
-    boundary.  A witness is a settled gate-id path, optionally reversed (for
-    an inverted record), mapped gate by gate through one of the table's gate
-    maps (line relabeling, plus the gate inversion for inverted records).
+    boundary, and the array methods list the settled functions in rank
+    order.  A witness is a settled gate-id path, reversed for an inverted
+    record, with each id mapped through the record's line relabeling.
     """
 
     def __init__(
@@ -176,18 +192,19 @@ class SynthesisTable:
         self.options = options
         self.mode = mode
         self.states_visited = states_visited
-        self._gate_list = gate_list
+        self.gate_list = gate_list
         self._records = records
         self._settled = np.flatnonzero(records.cost >= 0)
-        self._gate_maps: dict[tuple[int, bool], tuple[Gate, ...]] = {}
+        self._settled.setflags(write=False)
+        self._witness_paths: WitnessPaths | None = None
         self._costs: dict[tuple[int, ...], int] | None = None
 
     @classmethod
     def from_costs(
         cls, costs: Mapping[tuple[int, ...], int], metric: CostMetric
     ) -> "SynthesisTable":
-        """A full-topology NCV table of costs alone; ``witness`` and
-        ``record`` raise UnknownState."""
+        """A full-topology NCV table of costs alone; ``witness``,
+        ``witness_paths`` and ``record`` raise UnknownState."""
         cost = np.full(N_FUNCTIONS, -1, dtype=np.int64)
         cost[[function_rank(f) for f in costs]] = list(costs.values())
         records = _Records(
@@ -232,20 +249,28 @@ class SynthesisTable:
             self._costs = dict(self.items())
         return self._costs
 
+    def cost_array(self) -> np.ndarray:
+        """``cost_of`` every settled function, in rank order."""
+        return self._records.cost[self._settled]
+
+    def secondary_array(self) -> np.ndarray:
+        """``secondary_of`` every settled function, in rank order."""
+        return self._records.secondary[self._settled]
+
     def _rank(self, func: Sequence[int]) -> int:
         rank = function_rank(func)
         if self._records.cost[rank] < 0:
             raise UnknownState(f"function {rank_tables().function(rank)} was never settled")
         return rank
 
-    def _path(self, rank: int) -> list[int]:
+    def _path(self, rank: int) -> np.ndarray:
         rec = self._records
         row = int(rec.path_row[rank])
         if row < 0:
             raise UnknownState(
                 f"the table holds no witness for {rank_tables().function(rank)}"
             )
-        return rec.paths[row, :rec.lengths[row]].tolist()
+        return rec.paths[row, :rec.lengths[row]]
 
     def cost_of(self, func: Sequence[int]) -> int:
         return int(self._records.cost[self._rank(func)])
@@ -256,49 +281,51 @@ class SynthesisTable:
         settled under a single metric."""
         return int(self._records.secondary[self._rank(func)])
 
-    def secondaries(self) -> dict[tuple[int, ...], int]:
-        """``secondary_of`` of every settled function, in one pass."""
-        secondary = self._records.secondary[self._settled].tolist()
-        return dict(zip(self.functions(), secondary))
-
     def record(self, func: Sequence[int]) -> FunctionRecord:
         rank = self._rank(func)
         perm_id = int(self._records.perm_id[rank])
         return FunctionRecord(
             int(self._records.cost[rank]),
-            tuple(self._path(rank)),
+            tuple(self._path(rank).tolist()),
             LINE_PERMUTATIONS[perm_id] if perm_id else None,
             bool(self._records.inverted[rank]),
         )
 
     def witness(self, func: Sequence[int]) -> Circuit:
-        """Materialize the stored optimal circuit for one function."""
+        """Materialize the stored optimal circuit for one function: its row
+        of ``witness_paths``."""
         rank = self._rank(func)
-        ids = self._path(rank)
-        inverted = bool(self._records.inverted[rank])
-        if inverted:
-            ids.reverse()
-        gates = self._mapped_gates(int(self._records.perm_id[rank]), inverted)
+        paths = self.witness_paths()
+        row = rank if self.complete else int(self._settled.searchsorted(rank))
+        gates = self.gate_list
+        ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
         return Circuit(tuple([gates[i] for i in ids]), self.library)
 
-    def _mapped_gates(self, perm_id: int, inverted: bool) -> tuple[Gate, ...]:
-        """The image of every library gate, in library order, under one
-        witness transformation: ``relabel_circuit(vswap(invert_circuit(c)),
-        perm)`` for an inverted record, ``relabel_circuit(c, perm)`` otherwise.
-        A witness lists the images of its (reversed, if inverted) path."""
-        gates = self._gate_maps.get((perm_id, inverted))
-        if gates is None:
-            circuit = Circuit(self._gate_list, self.library)
-            if inverted:
-                # vswap keeps the inverse witness at the source's exact cost
-                # even for metrics weighing V and V+ differently.
-                circuit = Circuit(vswap(invert_circuit(circuit)).gates[::-1], self.library)
-            gates = relabel_circuit(circuit, LINE_PERMUTATIONS[perm_id], self.topology).gates
-            self._gate_maps[(perm_id, inverted)] = gates
-        return gates
+    def witness_paths(self) -> WitnessPaths:
+        """The witness of every settled function as gate ids, in rank order.
+        Built on first use (hundredths of a second) and kept, read-only."""
+        if self._witness_paths is None:
+            rec = self._records
+            ranks = self._settled
+            rows = rec.path_row[ranks]
+            if (rows < 0).any():
+                raise UnknownState("the table holds costs alone, no witnesses")
+            lengths = rec.lengths[rows]
+            col = np.arange(rec.paths.shape[1], dtype=np.int32)
+            pad = col >= lengths[:, None]
+            src = np.where(rec.inverted[ranks, None], lengths[:, None] - 1 - col, col)
+            src[pad] = 0
+            relabel = _relabel_table(self.gate_list)
+            ids = relabel[rec.perm_id[ranks, None], rec.paths[rows[:, None], src]]
+            ids[pad] = len(self.gate_list)
+            paths = WitnessPaths(ranks, rec.cost[ranks], ids, lengths)
+            for arr in paths:
+                arr.setflags(write=False)
+            self._witness_paths = paths
+        return self._witness_paths
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return zip(self.functions(), self._records.cost[self._settled].tolist())
+        return zip(self.functions(), self.cost_array().tolist())
 
 
 # --------------------------------------------------------------------------
@@ -448,6 +475,22 @@ def _image_tables(symmetries: tuple[LinePerm, ...]) -> tuple[np.ndarray, np.ndar
 
 
 @functools.cache
+def _relabel_table(gates: tuple[Gate, ...]) -> np.ndarray:
+    """uint8 (perm, gate id): the id of the gate's image under
+    LINE_PERMUTATIONS[perm], or 255 where the image is not in the list (the
+    topology forbids it), and for the root's gate id 255.  Built once per
+    gate list, read-only."""
+    gate_id = {g: i for i, g in enumerate(gates)}
+    relabel = np.full((len(LINE_PERMUTATIONS), 256), 255, dtype=np.uint8)
+    for pid, perm in enumerate(LINE_PERMUTATIONS):
+        for i, g in enumerate(gates):
+            image = Gate(g.kind, perm[g.target], tuple(perm[c] for c in g.controls))
+            relabel[pid, i] = gate_id.get(image, 255)
+    relabel.setflags(write=False)
+    return relabel
+
+
+@functools.cache
 def _orbit_tables(gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...]) -> _Orbits:
     """Built on first use per gate list and symmetry set."""
     compose = np.array(
@@ -455,13 +498,7 @@ def _orbit_tables(gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...]) -> 
          for a in LINE_PERMUTATIONS],
         dtype=np.int8,
     )
-    gate_id = {g: i for i, g in enumerate(gates)}
-    relabel = np.full((len(LINE_PERMUTATIONS), 256), 255, dtype=np.uint8)
-    for pid, perm in enumerate(LINE_PERMUTATIONS):
-        for i, g in enumerate(gates):
-            image = Gate(g.kind, perm[g.target], tuple(perm[c] for c in g.controls))
-            relabel[pid, i] = gate_id.get(image, 255)
-    return _Orbits(*_image_tables(symmetries), compose, relabel)
+    return _Orbits(*_image_tables(symmetries), compose, _relabel_table(gates))
 
 
 def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncvsynth as nv
 from ncvsynth import IncompleteTable, MetricMismatch
 from ncvsynth.analysis import CostHistogram, compare_costs, render_4dp
+from ncvsynth.nct import substituted_witness_cost
 
 TABLE1_NCV111 = (1, 9, 51, 187, 417, 714, 1373, 3176, 4470, 4122, 10008, 5036, 1236, 8340, 1180)
 TABLE1_NCT_GC = (1, 12, 102, 625, 2780, 8921, 17049, 10253, 577)
@@ -45,6 +49,12 @@ def test_histogram_of_complete_table(ncv111_full):
     assert h.as_row() == TABLE1_NCV111
 
 
+@pytest.mark.parametrize("name", ["ncv111_full", "ncv012_full", "nct_gc"])
+def test_histogram_equals_histogram_of_cost_mapping(name, request):
+    table = request.getfixturevalue(name)
+    assert nv.histogram(table) == CostHistogram.from_costs(table.costs)
+
+
 def test_render_4dp():
     assert render_4dp(Fraction(1, 3)) == "0.3333"
     assert render_4dp(Fraction(2, 3)) == "0.6667"
@@ -59,6 +69,49 @@ def test_compare_costs_self_comparison(ncv111_full):
     assert stats.equal_count == nv.N_FUNCTIONS
 
 
+def _reference_compare_costs(xs, ys):
+    """The per-function Fraction loop that compare_costs replaces."""
+    funcs = sorted(ys)
+    ratio_sum, best, best_func, n = Fraction(0), Fraction(0), funcs[0], 0
+    for f in funcs:
+        if ys[f] == 0:
+            continue
+        r = Fraction(xs[f], ys[f])
+        ratio_sum += r
+        n += 1
+        if r > best:
+            best, best_func = r, f
+    x = np.array([xs[f] for f in funcs], dtype=float)
+    y = np.array([ys[f] for f in funcs], dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = float(np.corrcoef(x, y)[0, 1])
+    return corr, ratio_sum / n if n else Fraction(0), best, best_func, int((x == y).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 4)), min_size=2, max_size=40),
+    st.randoms(use_true_random=False),
+)
+@example([(3, 0), (0, 0), (5, 0)], None)          # every y == 0
+@example([(4, 2), (2, 1), (1, 1)], None)          # 4/2 ties 2/1: the first wins
+@example([(1, 1), (2, 1), (4, 2), (0, 0)], None)  # 2/1 first, then 4/2
+@example([(0, 3), (0, 1)], None)                  # every ratio 0
+def test_compare_costs_matches_fraction_loop(pairs, rng):
+    keys = [(i,) for i in range(len(pairs))]
+    if rng is not None:
+        rng.shuffle(keys)  # the Mappings' insertion order must not matter
+    xs = {k: pairs[k[0]][0] for k in keys}
+    ys = {k: pairs[k[0]][1] for k in keys}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stats = compare_costs(xs, ys)
+    corr, average, best, best_func, equal = _reference_compare_costs(xs, ys)
+    assert stats.pearson_correlation == pytest.approx(corr, nan_ok=True)
+    assert (stats.average_ratio, stats.max_ratio) == (average, best)
+    assert stats.max_ratio_function == best_func
+    assert stats.equal_count == equal
+
+
 def test_compare_costs_mismatched_domains():
     with pytest.raises(MetricMismatch):
         compare_costs({"a": 1}, {"b": 1})
@@ -67,6 +120,14 @@ def test_compare_costs_mismatched_domains():
 def test_compare_requires_matching_metric(nct_gc, ncv111_full):
     with pytest.raises(MetricMismatch):
         nv.compare(nct_gc, ncv111_full, nv.NCV_012)
+
+
+def test_substituted_cost_column_matches_per_function_reference(nct_gc, comparison_012):
+    rows = comparison_012.rows
+    assert [f for f, *_ in rows] == list(nct_gc.functions())
+    for func, gc, sub, *_ in rows:
+        assert gc == nct_gc.cost_of(func)
+        assert sub == substituted_witness_cost(nct_gc, func, nv.NCV_012)
 
 
 def test_comparison_report_invariants(comparison_111):

@@ -1,6 +1,8 @@
 """Serialization round trips for circuits, functions, tables, and reports."""
 
+import hashlib
 import io as stdio
+import json
 
 import numpy as np
 import pytest
@@ -81,6 +83,48 @@ def test_jsonl_roundtrip(ncv111_full):
     func = (0, 1, 2, 3, 4, 5, 7, 6)
     cost, circuit = records[func]
     assert cost == 5 and nv.realized_function(circuit) == func
+
+
+# SHA-256 of outputs that depend on which optimal witness each table holds.
+# A change that moves witnesses must update these and say why.
+NCT_GC_JSONL_SHA256 = "c41a08f48827ee160d62bf0286a3f3889672b573fa1f702ed4a70e992cef1e93"
+COMPARISON_CSV_SHA256 = {
+    "comparison_111": "c849da58d8df77cc7d8be7179819bd1cf205539d68c6132be7988e60eb1721af",
+    "comparison_012": "e1c481507608064b653419da47bedbacfad1412e9053a13e1ced0dfbc02edd60",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_jsonl_digest_is_pinned(nct_gc):
+    buf = stdio.StringIO()
+    nio.write_table_jsonl(nct_gc, buf)
+    assert _sha256(buf.getvalue()) == NCT_GC_JSONL_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(COMPARISON_CSV_SHA256))
+def test_comparison_csv_digest_is_pinned(name, request):
+    buf = stdio.StringIO()
+    nio.write_comparison_csv(request.getfixturevalue(name), buf)
+    assert _sha256(buf.getvalue()) == COMPARISON_CSV_SHA256[name]
+
+
+def test_jsonl_matches_record_by_record_formatting(ncv111_path):
+    """Block-wise writing gives json.dumps of every record, none dropped at
+    a block boundary."""
+    buf = stdio.StringIO()
+    nio.write_table_jsonl(ncv111_path, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert len(lines) == nv.N_FUNCTIONS
+    for func, line in zip(ncv111_path.functions(), lines):
+        record = {
+            "function": nio.format_function(func),
+            "cost": ncv111_path.cost_of(func),
+            "circuit": nio.format_circuit(ncv111_path.witness(func)),
+        }
+        assert line == json.dumps(record, sort_keys=True) + "\n"
 
 
 def test_histogram_csv_and_text(ncv111_full):

@@ -102,7 +102,48 @@ def test_cost_only_table_has_no_witnesses(ncv111_full):
     with pytest.raises(UnknownState):
         table.record(TOF_FUNC)
     with pytest.raises(UnknownState):
+        table.witness_paths()
+    with pytest.raises(UnknownState):
         nv.SynthesisTable.from_costs({}, nv.NCV_111).cost_of(TOF_FUNC)
+
+
+@pytest.mark.parametrize(
+    "name", ["nct_gc", "ncv111_full", "ncv111_path", "ncv111_full_inverses"]
+)
+def test_witness_paths_row_by_row_equal_witness(name, request):
+    table = request.getfixturevalue(name)
+    paths = table.witness_paths()
+    functions = list(table.functions())
+    assert paths.ranks.tolist() == list(range(nv.N_FUNCTIONS))
+    assert paths.cost.tolist() == [table.cost_of(f) for f in functions]
+    assert np.array_equal(paths.cost, table.cost_array())
+    assert paths.gate_ids.dtype == np.uint8
+    gates = table.gate_list
+    for func, ids, length in zip(functions, paths.gate_ids.tolist(), paths.lengths.tolist()):
+        assert set(ids[length:]) <= {len(gates)}
+        assert nv.Circuit(tuple(gates[i] for i in ids[:length]), table.library) == table.witness(func)
+
+
+@pytest.mark.parametrize("library", ["NCV", "NCT"])
+@pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
+def test_inverted_records_share_the_plain_gate_map(topology, library):
+    """vswap(invert_circuit(c)) is c reversed, so the single (perm x gate id)
+    map serves inverted records too; perms outside the topology's symmetries
+    map some gate to 255."""
+    gates = enumerate_gates(topology, library)
+    relabel = search._relabel_table(gates)
+    plain = nv.Circuit(gates, library)
+    inverted = nv.Circuit(nv.vswap(nv.invert_circuit(plain)).gates[::-1], library)
+    for pid, perm in enumerate(LINE_PERMUTATIONS):
+        ids = relabel[pid, :len(gates)].tolist()
+        if perm in topology.line_symmetries():
+            mapped = tuple(gates[i] for i in ids)
+            assert mapped == nv.relabel_circuit(plain, perm, topology).gates
+            assert mapped == nv.relabel_circuit(inverted, perm, topology).gates
+        else:
+            assert 255 in ids
+            with pytest.raises(nv.TopologyViolation):
+                nv.relabel_circuit(plain, perm, topology)
 
 
 def test_determinism():
@@ -295,7 +336,7 @@ def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
         witness = table.witness(func)
         assert nv.circuit_cost(witness, nv.NCV_111) == table.cost_of(func)
         assert nv.circuit_cost(witness, nv.NCV_012) == table.secondary_of(func)
-    assert table.secondaries() == {f: table.secondary_of(f) for f in table.functions()}
-    assert set(ncv111_full.secondaries().values()) == {0}
+    assert table.secondary_array().tolist() == [table.secondary_of(f) for f in table.functions()]
+    assert not ncv111_full.secondary_array().any()
     cost_only = nv.SynthesisTable.from_costs(ncv111_full.costs, nv.NCV_111)
     assert cost_only.secondary_of(TOF_FUNC) == 0
