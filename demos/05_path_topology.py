@@ -33,8 +33,9 @@ for name, func in (
     print(nio.format_circuit(circuit))
 
 # Only the a<->c relabeling respects the path, so the relabeling symmetry
-# group shrinks from 6 permutations to 2.  The search settles one state per
-# symmetry orbit, which cuts the states it visits about 2x here against
-# about 6x on the full topology.
+# group shrinks from 6 permutations to 2; with V<->V+ conjugation (V and V+
+# weigh the same) the search's group has 4 symmetries here against 12 on
+# the full topology.  Settling one state per orbit cuts the states it visits
+# about 4x against the unreduced path search.
 print("path line symmetries:", nv.PATH_TOPOLOGY.line_symmetries())
 print("states visited:", table.states_visited)

@@ -78,12 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="8 comma-separated outputs, e.g. 0,1,2,3,4,5,7,6")
         p.add_argument("--no-prune-repeat", action="store_true",
                        help="disable the repeated-placement reduction")
-        p.add_argument("--no-prune-vplus", action="store_true",
-                       help="disable the leading controlled-V+ reduction")
         p.add_argument("--no-prune-relabel", action="store_true",
-                       help="search every state, not one per line-symmetry orbit")
-        p.add_argument("--prune-inverse", action="store_true",
-                       help="also settle inverse functions (off by default)")
+                       help="search every state, not one per symmetry orbit")
         p.add_argument("--max-cost", type=int, default=None,
                        help="exit 4 once the search passes this primary cost")
         p.add_argument("--max-states", type=int, default=None,
@@ -125,9 +121,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         config.topology = TOPOLOGIES[args.topology]
         config.options = search.SearchOptions(
             no_repeat_placement=not args.no_prune_repeat,
-            skip_leading_vplus=not args.no_prune_vplus,
             settle_relabelings=not args.no_prune_relabel,
-            settle_inverses=args.prune_inverse,
             max_cost=args.max_cost,
             max_states=args.max_states,
         )

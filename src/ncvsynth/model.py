@@ -86,6 +86,13 @@ class Gate:
         if self.target in self.controls or len(set(self.controls)) != len(self.controls):
             raise ValueError("control and target lines must be distinct")
         object.__setattr__(self, "controls", tuple(sorted(self.controls)))
+        # Hashed once, from ints alone (the same in every process): the
+        # oracle looks every gate of every witness up by hash.
+        key = (GATE_KINDS.index(self.kind), self.target, self.controls)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def placement(self) -> tuple[tuple[int, ...], int]:
@@ -434,16 +441,13 @@ def invert_circuit(circuit: Circuit) -> Circuit:
 
 
 def vswap(circuit: Circuit) -> Circuit:
-    """Interchange every V with V+ and vice versa.
+    """Interchange every V with V+ and vice versa: each gate becomes its
+    inverse, in place.
 
     For a circuit realizing a Boolean function the realized function is
     unchanged, and the cost is unchanged whenever w_v == w_vplus.
     """
-    swap = {"V": "V+", "V+": "V"}
-    gates = tuple(
-        Gate(swap.get(g.kind, g.kind), g.target, g.controls) for g in circuit.gates
-    )
-    return Circuit(gates, circuit.library)
+    return Circuit(tuple(g.inverse() for g in circuit.gates), circuit.library)
 
 
 # --------------------------------------------------------------------------
@@ -511,26 +515,33 @@ def relabel(obj, perm: LinePerm, topology: Topology = FULL_TOPOLOGY):
 # --------------------------------------------------------------------------
 # Gate enumeration
 
+#: One shared Gate object per placed gate, so that gate-keyed lookups of
+#: enumerated gates match by identity before comparing fields.
+_interned_gate = functools.cache(Gate)
+
+
+@functools.cache
 def enumerate_gates(topology: Topology, library: str = "NCV") -> tuple[Gate, ...]:
     """All placeable gates of a library, in canonical order.
 
     Canonical order is NOT by target, then CNOT, V, V+ (or TOF for NCT) each
     by (control(s), target) lexicographic; it fixes tie-breaking everywhere.
     Under the full topology the NCV library has 21 gates, under the a-b/b-c
-    path 15.  TOF placements require all three pairwise interactions.
+    path 15.  TOF placements require all three pairwise interactions.  Built
+    once per (topology, library).
     """
     if library not in ("NCV", "NCT"):
         raise ValueError(f"unknown library {library!r}")
-    gates = [NOT(t) for t in range(N_LINES)]
+    gates = [_interned_gate("NOT", t) for t in range(N_LINES)]
     kinds = ("CNOT", "V", "V+") if library == "NCV" else ("CNOT",)
     for kind in kinds:
         for control in range(N_LINES):
             for target in range(N_LINES):
                 if control != target and topology.allows(control, target):
-                    gates.append(Gate(kind, target, (control,)))
+                    gates.append(_interned_gate(kind, target, (control,)))
     if library == "NCT":
         for c1, c2, target in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            gate = TOF(c1, c2, target)
+            gate = _interned_gate("TOF", target, (c1, c2))
             if topology.allows_gate(gate):
                 gates.append(gate)
     return tuple(gates)
@@ -555,8 +566,6 @@ class RankTables(NamedTuple):
     codes: np.ndarray
     #: (rank, j) -> rank of the image under LINE_PERMUTATIONS[j]
     relabeled: np.ndarray
-    #: rank -> rank of the inverse function
-    inverse: np.ndarray
 
     def ranks_of_codes(self, codes: np.ndarray) -> np.ndarray:
         """Ranks of functions given by their 24-bit codes."""
@@ -592,10 +601,7 @@ def rank_tables() -> RankTables:
         for row in range(N_ROWS):
             image[:, rp[row]] = rp[outputs[:, row]]
         relabeled[:, j] = np.searchsorted(codes, _codes(image))
-    for out in range(N_ROWS):
-        image[:, out] = (outputs == out).argmax(axis=1)
-    inverse = np.searchsorted(codes, _codes(image)).astype(np.int32)
-    tables = RankTables(outputs, codes, relabeled, inverse)
+    tables = RankTables(outputs, codes, relabeled)
     for arr in tables:
         arr.setflags(write=False)
     return tables

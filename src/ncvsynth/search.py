@@ -22,43 +22,38 @@ state break by (parent settle index, gate enumeration index) - the order a
 scalar queue-based search would consider them - and within a bucket states
 settle in packed-key order, which makes every witness reproducible.
 
-Optional search reductions (all individually toggleable):
+Search reductions (each can be switched off):
 
 1. never extend a path with a gate whose (controls, target) placement equals
    the placement of the gate that produced the node (two such gates compose
    to the identity or to one gate on that placement; the search turns this
    off for weights under which that gate can cost more than the two, such
    as w_cnot > 2 w_v);
-2. never apply a controlled-V+ to a fully Boolean state (a V+ opening a
-   quantum excursion can always be traded for a V by interchanging V and V+
-   inside the excursion, at equal cost only when V and V+ weigh the same;
-   otherwise the search turns this off);
-3. search one state per orbit under the topology's line symmetries, and
-   record every line relabeling of each settled function at the same cost;
-4. (off by default) on recording a function, record its inverse too, with
-   the reversed/inverted witness.
+2. search one state per orbit of a cost-preserving symmetry group, and
+   record every line relabeling of each settled function at the same cost.
 
-Reduction (3) is the orbit search.  Relabeling the lines of a circuit by a
-symmetry of the topology relabels the quaternary state it reaches and keeps
-its cost (every gate weight must be invariant under the symmetries, else
-ValueError), so the search settles only canonical states: the least packed
-key among a state's images.  Each settled state stores, beside its
-predecessor and gate id, the id sigma of the symmetry that took the raw key
+The group of (2) is the topology's line symmetries (the weights must be
+invariant under them, else ValueError), times V <-> V+ conjugation when the
+library has V gates and each weighs the same as the V+ gate on its
+placement.  Relabeling a circuit's lines relabels the quaternary state it
+reaches; interchanging V and V+ (``vswap``) conjugates it, level v becoming
+-v mod 4, which fixes every Boolean state.  The search settles only
+canonical states, the least packed key among a state's images.  Each
+settled state stores, beside its predecessor and gate id, the sigma id
+(line permutation + 6 x conjugation) of the symmetry that took the raw key
 (the gate applied to the predecessor's canonical key) to the canonical one;
 the canonical state's last gate, which reduction (1) looks at, is then
 sigma(gate).  States visited, and ``SearchOptions.max_states``, count these
-orbit representatives.  Without reduction (3) the only symmetry is the
-identity and every state is its own representative.
+orbit representatives.  Without (2) every state is its own representative.
 
 Functions are handled by rank (their lexicographic index in 0..40319, see
 :func:`~ncvsynth.model.rank_tables`).  Each drained bucket decodes its
 settled Boolean keys to ranks in one batch and records, per state in
 packed-key order: its own function, then its image under each non-identity
-symmetry in ``line_symmetries()`` order, then (with reduction 4) its inverse
-and the inverse's images.  The first record of a rank wins, exactly as a
-function-at-a-time loop in that order would decide.  Records are parallel
-arrays by rank: primary and secondary cost, settle index, line permutation
-and an inverted flag.
+line symmetry in ``line_symmetries()`` order.  The first record of a rank
+wins, exactly as a function-at-a-time loop in that order would decide.
+Records are parallel arrays by rank: primary and secondary cost, settle
+index and line permutation.
 
 When the search ends, one vectorized walk over the predecessor array
 extracts the gate-id path of every settle index that a record uses,
@@ -67,16 +62,12 @@ sigma_n o ... o sigma_j applied to the gate stored at state j, so every
 path realizes its canonical state's function.  The per-state arrays are
 then dropped.
 
-A witness is its path, reversed for an inverted record, with every gate id
-mapped through the record's line relabeling by one uint8 (perm x gate id)
-map per gate list.  An inverted record needs no other map: inverting a
-circuit inverts each gate (V <-> V+), and the V/V+ interchange that keeps
-the inverse witness at the source's cost undoes it, so
-``vswap(invert_circuit(c))`` is ``c`` reversed.  ``witness_paths`` applies
-this to every settled function at once, on first use, and keeps the
-resulting gate-id matrix in rank order; ``witness`` reads one row of it, and
-bulk consumers (the JSONL writer, ``analysis.compare``) read the whole
-matrix without building a Circuit per function.
+A witness is its path with every gate id mapped through the record's line
+relabeling, by one uint8 (sigma x gate id) map per gate list.
+``witness_paths`` applies this to every settled function at once, on first
+use, and keeps the resulting gate-id matrix in rank order; ``witness`` reads
+one row of it, and bulk consumers (the JSONL writer, ``analysis.compare``)
+read the whole matrix without building a Circuit per function.
 """
 
 from __future__ import annotations
@@ -124,22 +115,19 @@ class SearchOptions:
     """Pruning toggles and resource ceilings for one search run."""
 
     no_repeat_placement: bool = True   # reduction (1)
-    skip_leading_vplus: bool = True    # reduction (2)
-    settle_relabelings: bool = True    # reduction (3)
-    settle_inverses: bool = False      # reduction (4)
+    settle_relabelings: bool = True    # reduction (2)
     max_cost: int | None = None
-    max_states: int | None = None      # counts orbit representatives (see 3)
+    max_states: int | None = None      # counts orbit representatives (see 2)
 
 
 @dataclass(frozen=True)
 class FunctionRecord:
     """How one function's witness is rebuilt: a settled path of gate ids,
-    then an optional inversion and an optional line relabeling."""
+    then an optional line relabeling."""
 
     cost: int
     gate_ids: tuple[int, ...]
     line_perm: LinePerm | None = None
-    inverted: bool = False
 
 
 class _Records(NamedTuple):
@@ -149,7 +137,6 @@ class _Records(NamedTuple):
     secondary: np.ndarray  # int64 secondary cost; 0 under a plain metric
     path_row: np.ndarray   # int32 row of ``paths``; -1 where no witness is held
     perm_id: np.ndarray    # int8 index into LINE_PERMUTATIONS (0 = identity)
-    inverted: np.ndarray   # bool
     paths: np.ndarray      # uint8 gate-id paths from the root, padded per row
     lengths: np.ndarray    # int32 length of each row's path
 
@@ -171,8 +158,8 @@ class SynthesisTable:
 
     Functions are stored by rank; the tuple-keyed methods convert at the
     boundary, and the array methods list the settled functions in rank
-    order.  A witness is a settled gate-id path, reversed for an inverted
-    record, with each id mapped through the record's line relabeling.
+    order.  A witness is a settled gate-id path with each id mapped through
+    the record's line relabeling.
     """
 
     def __init__(
@@ -212,7 +199,6 @@ class SynthesisTable:
             np.zeros(N_FUNCTIONS, dtype=np.int64),
             np.full(N_FUNCTIONS, -1, dtype=np.int32),
             np.zeros(N_FUNCTIONS, dtype=np.int8),
-            np.zeros(N_FUNCTIONS, dtype=bool),
             np.zeros((0, 0), dtype=np.uint8),
             np.zeros(0, dtype=np.int32),
         )
@@ -288,7 +274,6 @@ class SynthesisTable:
             int(self._records.cost[rank]),
             tuple(self._path(rank).tolist()),
             LINE_PERMUTATIONS[perm_id] if perm_id else None,
-            bool(self._records.inverted[rank]),
         )
 
     def witness(self, func: Sequence[int]) -> Circuit:
@@ -311,13 +296,9 @@ class SynthesisTable:
             if (rows < 0).any():
                 raise UnknownState("the table holds costs alone, no witnesses")
             lengths = rec.lengths[rows]
-            col = np.arange(rec.paths.shape[1], dtype=np.int32)
-            pad = col >= lengths[:, None]
-            src = np.where(rec.inverted[ranks, None], lengths[:, None] - 1 - col, col)
-            src[pad] = 0
             relabel = _relabel_table(self.gate_list)
-            ids = relabel[rec.perm_id[ranks, None], rec.paths[rows[:, None], src]]
-            ids[pad] = len(self.gate_list)
+            ids = relabel[rec.perm_id[ranks, None], rec.paths[rows]]
+            ids[np.arange(ids.shape[1]) >= lengths[:, None]] = len(self.gate_list)
             paths = WitnessPaths(ranks, rec.cost[ranks], ids, lengths)
             for arr in paths:
                 arr.setflags(write=False)
@@ -353,7 +334,7 @@ def _shifted(x: np.ndarray, delta: int) -> np.ndarray:
 class _VGate:
     """One library gate compiled to vectorized packed-key arithmetic."""
 
-    __slots__ = ("gid", "gate", "weight", "placement_id", "control_flags", "is_vplus")
+    __slots__ = ("gid", "gate", "weight", "placement_id", "control_flags")
 
     def __init__(self, gid: int, gate: Gate, weight: Cost, placement_id: int) -> None:
         self.gid = gid
@@ -364,7 +345,6 @@ class _VGate:
         for c in gate.controls:
             mask |= _FLAG[c]
         self.control_flags = _U64(mask)
-        self.is_vplus = gate.kind == "V+"
 
     def apply(self, keys: np.ndarray) -> np.ndarray:
         g = self.gate
@@ -439,15 +419,20 @@ def _assert_projection_permutation(keys: np.ndarray) -> None:
 
 
 # --------------------------------------------------------------------------
-# Line symmetries of packed states
+# Symmetries of packed states
+
+#: Sigma ids: LINE_PERMUTATIONS index, plus _N_PERMS after V <-> V+ conjugation.
+_N_PERMS = len(LINE_PERMUTATIONS)
+
 
 class _Orbits(NamedTuple):
-    """The line symmetries of one search as lookup tables."""
+    """The symmetries of one search as lookup tables."""
 
-    perm_ids: np.ndarray  # int8 LINE_PERMUTATIONS ids of the non-identity symmetries
+    perm_ids: np.ndarray  # int8 LINE_PERMUTATIONS ids of the non-identity line symmetries
     images: np.ndarray    # uint64 (symmetry, key word, word value): bits of the image
-    compose: np.ndarray   # int8 (a, b): id of LINE_PERMUTATIONS[a] after [b]
-    relabel: np.ndarray   # uint8 (perm, gate id): id of the gate's image; 255 if
+    conj: bool            # whether the group holds conjugation (times each of the above)
+    compose: np.ndarray   # int8 (a, b): sigma id of sigma a after sigma b
+    relabel: np.ndarray   # uint8 (sigma, gate id): id of the gate's image; 255 if
                           # none, and for the root's gate id 255
 
 
@@ -476,43 +461,62 @@ def _image_tables(symmetries: tuple[LinePerm, ...]) -> tuple[np.ndarray, np.ndar
 
 @functools.cache
 def _relabel_table(gates: tuple[Gate, ...]) -> np.ndarray:
-    """uint8 (perm, gate id): the id of the gate's image under
-    LINE_PERMUTATIONS[perm], or 255 where the image is not in the list (the
+    """uint8 (sigma, gate id): the id of the gate's image under sigma (for
+    sigma >= _N_PERMS, V and V+ interchanged, then the line map of
+    sigma - _N_PERMS), or 255 where the image is not in the list (the
     topology forbids it), and for the root's gate id 255.  Built once per
     gate list, read-only."""
     gate_id = {g: i for i, g in enumerate(gates)}
-    relabel = np.full((len(LINE_PERMUTATIONS), 256), 255, dtype=np.uint8)
-    for pid, perm in enumerate(LINE_PERMUTATIONS):
+    relabel = np.full((2 * _N_PERMS, 256), 255, dtype=np.uint8)
+    for sid in range(2 * _N_PERMS):
+        perm = LINE_PERMUTATIONS[sid % _N_PERMS]
         for i, g in enumerate(gates):
+            if sid >= _N_PERMS:
+                g = g.inverse()  # V <-> V+; every other kind is self-inverse
             image = Gate(g.kind, perm[g.target], tuple(perm[c] for c in g.controls))
-            relabel[pid, i] = gate_id.get(image, 255)
+            relabel[sid, i] = gate_id.get(image, 255)
     relabel.setflags(write=False)
     return relabel
 
 
 @functools.cache
-def _orbit_tables(gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...]) -> _Orbits:
-    """Built on first use per gate list and symmetry set."""
-    compose = np.array(
+def _orbit_tables(
+    gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...], conj: bool
+) -> _Orbits:
+    """Built on first use per gate list, line symmetry set and ``conj``."""
+    after = np.array(
         [[LINE_PERMUTATIONS.index(tuple(a[l] for l in b)) for b in LINE_PERMUTATIONS]
          for a in LINE_PERMUTATIONS],
         dtype=np.int8,
     )
-    return _Orbits(*_image_tables(symmetries), compose, _relabel_table(gates))
+    # Conjugation commutes with every line map, and two conjugations cancel.
+    compose = np.block([[after, after + _N_PERMS], [after + _N_PERMS, after]])
+    return _Orbits(*_image_tables(symmetries), conj, compose, _relabel_table(gates))
 
 
 def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
-    """The least image of each key under the symmetries, and the
-    LINE_PERMUTATIONS id of the first symmetry giving it (0 for the key)."""
+    """The least image of each key under the symmetries, and the sigma id of
+    the first symmetry giving it (0 for the key).  Each line image x, the key
+    included, is followed by its conjugate x ^ ((x & flags) << 1), which
+    maps every level v to -v mod 4."""
     words = keys.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
     least, sigma = keys, np.zeros(len(keys), dtype=np.int8)
-    for pid, table in zip(orbits.perm_ids.tolist(), orbits.images):
-        image = table[0].take(words[:, 0])
-        image |= table[1].take(words[:, 1])
-        image |= table[2].take(words[:, 2])
-        moved = image < least
-        least = np.where(moved, image, least)
-        sigma[moved] = pid
+
+    def offer(image: np.ndarray, sid: int) -> None:
+        nonlocal least
+        sigma[image < least] = sid
+        least = np.minimum(least, image)
+
+    for pid, table in [(0, None), *zip(orbits.perm_ids.tolist(), orbits.images)]:
+        if table is None:
+            image = keys
+        else:
+            image = table[0].take(words[:, 0])
+            image |= table[1].take(words[:, 1])
+            image |= table[2].take(words[:, 2])
+            offer(image, pid)
+        if orbits.conj:
+            offer(image ^ ((image & _ALL_FLAGS) << _U64(1)), pid + _N_PERMS)
     return least, sigma
 
 
@@ -533,9 +537,16 @@ def _run_search(
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     if not options.settle_relabelings:
         symmetries = LINE_PERMUTATIONS[:1]
-    orbits = _orbit_tables(tuple(gates), tuple(symmetries))
+    gates = tuple(gates)
     n_gates = len(gates)
     pairs = np.array(weights)
+    # Conjugation joins the group where it moves some gate and keeps every cost.
+    conj = (
+        options.settle_relabelings
+        and any(g.kind == "V" for g in gates)
+        and bool((pairs[_relabel_table(gates)[_N_PERMS, :n_gates]] == pairs).all())
+    )
+    orbits = _orbit_tables(gates, tuple(symmetries), conj)
     if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
     vgates = _vector_gates(gates, weights)
@@ -555,18 +566,13 @@ def _run_search(
     secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
     state_of = np.full(N_FUNCTIONS, -1, dtype=np.int32)
     perm_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
-    inverted_of = np.zeros(N_FUNCTIONS, dtype=bool)
     remaining = N_FUNCTIONS
 
     # Candidate columns per settled function, in recording order: the
-    # function, its non-identity relabelings in line_symmetries() order, then
-    # (with reduction (4)) its inverse and the inverse's relabelings.
+    # function, then its non-identity relabelings in line_symmetries() order.
+    # Conjugation fixes every function and adds no column.
     sym_ids = orbits.perm_ids.tolist()
     col_perm = np.array([0, *sym_ids], dtype=np.int8)
-    col_inverted = np.zeros(len(col_perm), dtype=bool)
-    if options.settle_inverses:
-        col_perm = np.concatenate([col_perm, col_perm])
-        col_inverted = np.repeat([False, True], len(sym_ids) + 1)
     width = len(col_perm)
 
     def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
@@ -574,11 +580,9 @@ def _run_search(
         with all their candidate symmetries; the first record of a function
         wins."""
         nonlocal remaining
-        parts = [funcs[:, None], ranks.relabeled[funcs[:, None], sym_ids]]
-        if options.settle_inverses:
-            inv = ranks.inverse[funcs]
-            parts += [inv[:, None], ranks.relabeled[inv[:, None], sym_ids]]
-        candidates = np.concatenate(parts, axis=1).ravel()
+        candidates = np.concatenate(
+            [funcs[:, None], ranks.relabeled[funcs[:, None], sym_ids]], axis=1
+        ).ravel()
         uniq, first = np.unique(candidates, return_index=True)
         fresh = cost_of[uniq] < 0
         new, first = uniq[fresh], first[fresh]
@@ -586,7 +590,6 @@ def _run_search(
         cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]
         perm_of[new] = col_perm[col]
-        inverted_of[new] = col_inverted[col]
         remaining -= len(new)
 
     def done() -> bool:
@@ -608,7 +611,7 @@ def _run_search(
             np.concatenate(sigma_parts), orbits,
         )
         records = _Records(
-            cost_of, secondary_of, path_row, perm_of, inverted_of, paths, lengths
+            cost_of, secondary_of, path_row, perm_of, paths, lengths
         )
         return records, total
 
@@ -627,7 +630,6 @@ def _run_search(
     def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
         """Enqueue the fresh canonical successors of settled states, one
         batch per gate weight."""
-        is_boolean = (keys & _ALL_FLAGS) == _U64(0)
         for weight, group in groups.items():
             raw, preds, gids = [], [], []
             for vg in group:
@@ -637,8 +639,6 @@ def _run_search(
                 if options.no_repeat_placement:
                     m = plc != np.uint8(vg.placement_id)
                     mask = m if mask is None else mask & m
-                if options.skip_leading_vplus and vg.is_vplus:
-                    mask = ~is_boolean if mask is None else mask & ~is_boolean
                 src_keys, src_gidx = (keys, gidx) if mask is None else (keys[mask], gidx[mask])
                 if len(src_keys):
                     raw.append(vg.apply(src_keys))
@@ -756,7 +756,8 @@ _V_POWER = {"V": 1, "CNOT": 2, "V+": 3}
 def _effective_options(
     options: SearchOptions, gates: Sequence[Gate], weights: Sequence[Cost]
 ) -> SearchOptions:
-    """Switch off the reductions that the gate weights make unsound."""
+    """Switch off the repeated-placement reduction where the gate weights
+    make it unsound."""
     weight_of = {g.kind: w for g, w in zip(gates, weights)}
     power = {_V_POWER[k]: w for k, w in weight_of.items() if k in _V_POWER}
     # (1): two gates on one placement compose to the identity or, on a
@@ -768,9 +769,6 @@ def _effective_options(
         for b, wb in power.items()
     ):
         options = replace(options, no_repeat_placement=False)
-    # (2) trades a V+ for a V, which keeps the cost only if they weigh the same.
-    if options.skip_leading_vplus and weight_of.get("V") != weight_of.get("V+"):
-        options = replace(options, skip_leading_vplus=False)
     return options
 
 
@@ -790,7 +788,7 @@ def settle_all(
     from ``secondary`` (0 without it), so each witness is, among the
     ``metric``-optimal circuits, one of least ``secondary`` cost.
     ``weights`` overrides the per-gate pairs (used by the NCT cost modes);
-    with reduction (3) on they must be invariant under the topology's line
+    with reduction (2) on they must be invariant under the topology's line
     symmetries (ValueError otherwise), which weights by gate kind are.  The
     table's ``states_visited`` counts the orbit representatives settled.
     """

@@ -28,13 +28,6 @@ def ncv111_path():
 
 
 @pytest.fixture(scope="session")
-def ncv111_full_inverses():
-    return nv.settle_all(
-        nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions(settle_inverses=True)
-    )
-
-
-@pytest.fixture(scope="session")
 def ncv111_lex012():
     return nv.settle_all(nv.NCV_111, secondary=nv.NCV_012)
 

@@ -142,9 +142,7 @@ def test_criterion_7b_exhaustive_oracle_agrees(ncv111_full):
 def test_criterion_7c_pruning_rules_preserve_optimality(ncv111_full, ncv111_path):
     toggles = {
         "repeated-placement off": SearchOptions(no_repeat_placement=False),
-        "leading-V+ off": SearchOptions(skip_leading_vplus=False),
         "relabel settling off": SearchOptions(settle_relabelings=False),
-        "inverse settling on": SearchOptions(settle_inverses=True),
     }
     for topology, base in ((nv.FULL_TOPOLOGY, ncv111_full), (nv.PATH_TOPOLOGY, ncv111_path)):
         for name, options in toggles.items():
@@ -152,8 +150,9 @@ def test_criterion_7c_pruning_rules_preserve_optimality(ncv111_full, ncv111_path
             same = table.costs == dict(base.costs)
             check("7c", f"{topology.slug}: {name} leaves all optimal costs unchanged", same)
             if name == "relabel settling off":
-                # one state per orbit: 6 symmetries on full, 2 on the path
-                factor = 5 if topology == nv.FULL_TOPOLOGY else 1.9
+                # one state per orbit: 6 line symmetries on full, 2 on the
+                # path, each also with V/V+ conjugation (about 1.96x)
+                factor = 11 if topology == nv.FULL_TOPOLOGY else 3.8
                 check("7c", f"{topology.slug}: the orbit search visits at least "
                       f"{factor}x fewer states ({table.states_visited} against "
                       f"{base.states_visited})",

@@ -46,6 +46,16 @@ def test_unknown_command_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("flag", ["--no-prune-vplus", "--prune-inverse"])
+@pytest.mark.parametrize(
+    "command", [["synth", "--function", "0,1,2,3,4,5,6,7"], ["synth-all"]]
+)
+def test_retired_reduction_flags_exit_2(capsys, command, flag):
+    code, _, err = run(capsys, *command, flag)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}\n" in err and "Traceback" not in err
+
+
 def test_custom_metric_matches_preset(capsys):
     code, out, _ = run(
         capsys, "synth", "--metric", "custom:1,5,5", "--function", "0,1,2,3,4,5,7,6"

@@ -68,29 +68,24 @@ def _witness_from_record(table, func):
     rec = table.record(func)
     gates = enumerate_gates(table.topology, table.library)
     circuit = nv.Circuit(tuple(gates[i] for i in rec.gate_ids), table.library)
-    if rec.inverted:
-        circuit = nv.vswap(nv.invert_circuit(circuit))
     if rec.line_perm is not None:
         circuit = nv.relabel_circuit(circuit, rec.line_perm, table.topology)
     return circuit
 
 
-@pytest.mark.parametrize("name", ["ncv111_full_inverses", "ncv111_path"])
+@pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
 def test_every_witness_is_optimal_legal_and_matches_its_record(name, request):
     table = request.getfixturevalue(name)
     witnesses = [(f, table.witness(f)) for f in table.functions()]
     assert len(witnesses) == nv.N_FUNCTIONS
     assert nv.verify_witnesses(witnesses, topology=table.topology) == (nv.N_FUNCTIONS, None)
-    kinds = {"inverted": 0, "relabeled": 0}
+    relabeled = 0
     for func, circuit in witnesses:
         assert nv.circuit_cost(circuit, table.metric) == table.cost_of(func)
         assert all(table.topology.allows_gate(g) for g in circuit)
         assert circuit == _witness_from_record(table, func)
-        rec = table.record(func)
-        kinds["inverted"] += rec.inverted
-        kinds["relabeled"] += rec.line_perm is not None
-    assert kinds["relabeled"] > 0
-    assert (kinds["inverted"] > 0) == table.options.settle_inverses
+        relabeled += table.record(func).line_perm is not None
+    assert relabeled > 0
 
 
 def test_cost_only_table_has_no_witnesses(ncv111_full):
@@ -107,9 +102,7 @@ def test_cost_only_table_has_no_witnesses(ncv111_full):
         nv.SynthesisTable.from_costs({}, nv.NCV_111).cost_of(TOF_FUNC)
 
 
-@pytest.mark.parametrize(
-    "name", ["nct_gc", "ncv111_full", "ncv111_path", "ncv111_full_inverses"]
-)
+@pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
 def test_witness_paths_row_by_row_equal_witness(name, request):
     table = request.getfixturevalue(name)
     paths = table.witness_paths()
@@ -126,24 +119,24 @@ def test_witness_paths_row_by_row_equal_witness(name, request):
 
 @pytest.mark.parametrize("library", ["NCV", "NCT"])
 @pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
-def test_inverted_records_share_the_plain_gate_map(topology, library):
-    """vswap(invert_circuit(c)) is c reversed, so the single (perm x gate id)
-    map serves inverted records too; perms outside the topology's symmetries
-    map some gate to 255."""
+def test_relabel_table_maps_gates_like_relabel_circuit(topology, library):
+    """Row sigma of the (sigma x gate id) map is relabel_circuit by
+    LINE_PERMUTATIONS[sigma % 6], after vswap for sigma >= 6; perms outside
+    the topology's symmetries map some gate to 255."""
     gates = enumerate_gates(topology, library)
     relabel = search._relabel_table(gates)
+    assert relabel.shape[0] == 2 * len(LINE_PERMUTATIONS)
     plain = nv.Circuit(gates, library)
-    inverted = nv.Circuit(nv.vswap(nv.invert_circuit(plain)).gates[::-1], library)
-    for pid, perm in enumerate(LINE_PERMUTATIONS):
-        ids = relabel[pid, :len(gates)].tolist()
+    for sid, ids in enumerate(relabel[:, :len(gates)].tolist()):
+        perm = LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)]
+        source = nv.vswap(plain) if sid >= len(LINE_PERMUTATIONS) else plain
         if perm in topology.line_symmetries():
             mapped = tuple(gates[i] for i in ids)
-            assert mapped == nv.relabel_circuit(plain, perm, topology).gates
-            assert mapped == nv.relabel_circuit(inverted, perm, topology).gates
+            assert mapped == nv.relabel_circuit(source, perm, topology).gates
         else:
             assert 255 in ids
             with pytest.raises(nv.TopologyViolation):
-                nv.relabel_circuit(plain, perm, topology)
+                nv.relabel_circuit(source, perm, topology)
 
 
 def test_determinism():
@@ -223,16 +216,23 @@ def test_disconnected_topology_rejected():
 
 
 def test_unequal_v_weights_stay_optimal():
-    # V+ cheaper than V: the leading-V+ reduction must disable itself, or the
-    # vswapped Toffoli realization (cost 6) would be missed.
+    # V+ cheaper than V: interchanging V and V+ changes costs, so the orbit
+    # group must leave conjugation out; the vswapped Toffoli realization
+    # costs 6.
     metric = CostMetric(1, 1, 2, 1)
     cost, circuit = nv.synthesize_one(TOF_FUNC, metric)
-    explicit = nv.synthesize_one(
-        TOF_FUNC, metric, options=SearchOptions(skip_leading_vplus=False)
+    plain = nv.synthesize_one(
+        TOF_FUNC, metric, options=SearchOptions(settle_relabelings=False)
     )
-    assert cost == explicit[0] == 6
+    assert cost == plain[0] == 6
     assert nv.circuit_cost(circuit, metric) == cost
     assert nv.check_realizes(circuit, TOF_FUNC)
+    # V+ dearer than V, over the whole table: conjugation stays out, and
+    # the orbit search equals the search without any symmetry.
+    metric = CostMetric(1, 1, 1, 2)
+    table = nv.settle_all(metric)
+    plain = nv.settle_all(metric, options=SearchOptions(settle_relabelings=False))
+    assert np.array_equal(table.cost_array(), plain.cost_array())
 
 
 def test_repeat_placement_reduction_yields_to_cheap_v_pairs():
@@ -282,25 +282,40 @@ def _relabeled_state(state, perm):
     return CircuitState(tuple(map(tuple, out)))
 
 
+def _conjugated_state(state):
+    """Scalar reference: every level v becomes -v mod 4."""
+    return CircuitState(tuple(tuple(-v % 4 for v in row) for row in state.rows))
+
+
+def _sigma_image(state, sigma):
+    """The image of a state under sigma: conjugation for sigma >= 6, then the
+    line map LINE_PERMUTATIONS[sigma % 6]."""
+    if sigma >= len(LINE_PERMUTATIONS):
+        state = _conjugated_state(state)
+    return _relabeled_state(state, LINE_PERMUTATIONS[sigma % len(LINE_PERMUTATIONS)])
+
+
 @pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
 def test_canonical_key_is_shared_by_every_image(topology):
     rng = np.random.default_rng(11)
     symmetries = topology.line_symmetries()
-    orbits = search._orbit_tables(enumerate_gates(topology, "NCV"), symmetries)
+    orbits = search._orbit_tables(enumerate_gates(topology, "NCV"), symmetries, True)
+    group = [(perm, conj) for conj in (False, True) for perm in symmetries]
     for n_gates in list(range(12)) * 4:
         circuit = nv.random_legal_circuit(rng, n_gates, topology)
         state = apply_circuit(CircuitState.identity(), circuit)
-        images = [_relabeled_state(state, perm) for perm in symmetries]
-        for perm, image in zip(symmetries, images):
-            moved = nv.relabel_circuit(circuit, perm, topology)
+        images = []
+        for perm, conj in group:
+            image = _relabeled_state(_conjugated_state(state) if conj else state, perm)
+            moved = nv.relabel_circuit(nv.vswap(circuit) if conj else circuit, perm, topology)
             assert apply_circuit(CircuitState.identity(), moved) == image
+            images.append(image)
         keys = np.array([image.pack() for image in images], dtype=np.uint64)
         canonical, sigma = search._canonical(keys, orbits)
         assert canonical.tolist() == [int(keys.min())] * len(keys)
-        for key, perm_id, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
-            assert LINE_PERMUTATIONS[perm_id] in symmetries
-            moved = _relabeled_state(CircuitState.unpack(key), LINE_PERMUTATIONS[perm_id])
-            assert moved.pack() == least
+        for key, sid, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
+            assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
+            assert _sigma_image(CircuitState.unpack(key), sid).pack() == least
 
 
 # --------------------------------------------------------------------------
