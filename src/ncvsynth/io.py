@@ -88,11 +88,25 @@ def parse_function(text: str) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 # Tables
 
+#: Rows per formatted block of the table and report writers: big enough to
+#: amortize per-call work, small enough that no block's Python strings add
+#: to peak memory.
+_BLOCK = 4096
+
+#: A (function, cost) CSV row as ``csv.writer`` writes it: the function
+#: field holds commas, so it is quoted.
+_TABLE_ROW = '"%s,%s,%s,%s,%s,%s,%s,%s",%s\n'
+
+
 def write_table_csv(costs: Mapping, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["function", "cost"])
-    for func in sorted(costs):
-        writer.writerow([format_function(func), costs[func]])
+    """Header ``function,cost``, then one row per function in sorted order,
+    written block by block."""
+    stream.write("function,cost\n")
+    items = sorted(costs.items())
+    for start in range(0, len(items), _BLOCK):
+        stream.write("".join([
+            _TABLE_ROW % (*func, cost) for func, cost in items[start:start + _BLOCK]
+        ]))
 
 
 def table_csv_text(costs: Mapping) -> str:
@@ -117,11 +131,6 @@ def read_table_csv(stream) -> dict[tuple[int, ...], int]:
     return costs
 
 
-#: Rows per formatted block of ``write_table_jsonl``: big enough to amortize
-#: numpy calls, small enough that no block's Python strings add to peak memory.
-_JSONL_BLOCK = 4096
-
-
 def write_table_jsonl(table: SynthesisTable, stream) -> None:
     """One ``json.dumps(record, sort_keys=True)`` line per settled function
     in rank order, with record {function, cost, circuit}, written block by
@@ -131,8 +140,8 @@ def write_table_jsonl(table: SynthesisTable, stream) -> None:
         [json.dumps(f"{g}\n")[1:-1] for g in table.gate_list] + [""], dtype=object
     )
     outputs = rank_tables().outputs
-    for start in range(0, len(paths.ranks), _JSONL_BLOCK):
-        block = slice(start, start + _JSONL_BLOCK)
+    for start in range(0, len(paths.ranks), _BLOCK):
+        block = slice(start, start + _BLOCK)
         funcs = outputs[paths.ranks[block]].tolist()
         circuits = gate_text[paths.gate_ids[block]].tolist()
         costs = paths.cost[block].tolist()
@@ -204,12 +213,18 @@ def comparison_text(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COMPARISON_ROW = '"%s,%s,%s,%s,%s,%s,%s,%s",%s,%s,%s,%s,%s\n'
+
+
 def write_comparison_csv(report: ComparisonReport, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        ["function", "nct_gc", "nct_sub_cost", "nct_sub_min", "nct_sub_max", "ncv_opt_cost"]
-    )
-    for func, gc, sub, sub_min, sub_max, ncv in report.rows:
-        writer.writerow([format_function(func), gc, sub, sub_min, sub_max, ncv])
+    """The report's rows as CSV, written block by block like
+    ``write_table_csv``, then its summary lines."""
+    stream.write("function,nct_gc,nct_sub_cost,nct_sub_min,nct_sub_max,ncv_opt_cost\n")
+    rows = report.rows
+    for start in range(0, len(rows), _BLOCK):
+        stream.write("".join([
+            _COMPARISON_ROW % (*func, gc, sub, sub_min, sub_max, ncv)
+            for func, gc, sub, sub_min, sub_max, ncv in rows[start:start + _BLOCK]
+        ]))
     for line in report.summary_lines():
         stream.write(line + "\n")

@@ -21,8 +21,11 @@ keeps the model closed over these four values.
 
 from __future__ import annotations
 
+import array
+import bisect
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -86,8 +89,8 @@ class Gate:
         if self.target in self.controls or len(set(self.controls)) != len(self.controls):
             raise ValueError("control and target lines must be distinct")
         object.__setattr__(self, "controls", tuple(sorted(self.controls)))
-        # Hashed once, from ints alone (the same in every process): the
-        # oracle looks every gate of every witness up by hash.
+        # Hashed once, from ints alone (the same in every process), for the
+        # gate-keyed dicts that look gates up by value.
         key = (GATE_KINDS.index(self.kind), self.target, self.controls)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -367,8 +370,14 @@ _ROW_SET = frozenset(range(N_ROWS))
 
 
 def validate_permutation(values: Sequence[int]) -> tuple[int, ...]:
-    """Return ``values`` as a tuple, or raise InvalidFunction."""
-    perm = tuple(map(int, values))
+    """Return ``values`` as a tuple of ints, or raise InvalidFunction.
+
+    Entries must be integers (Python or numpy, through ``operator.index``):
+    ``7.9`` or ``"7"`` is not taken for 7."""
+    try:
+        perm = tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidFunction(f"not a permutation of 0..7: {values!r}") from None
     if len(perm) != N_ROWS or set(perm) != _ROW_SET:
         raise InvalidFunction(f"not a permutation of 0..7: {values!r}")
     return perm
@@ -607,15 +616,31 @@ def rank_tables() -> RankTables:
     return tables
 
 
-_FACTORIALS = (5040, 720, 120, 24, 6, 2, 1)
+@functools.cache
+def _byte_codes() -> array.array:
+    """``int.from_bytes(bytes(func))`` of every function, in rank order
+    (ascending), as 64-bit array entries (315 KiB), built on first use."""
+    return array.array("Q", rank_tables().outputs.view(">u8").astype(np.uint64).tobytes())
 
 
 def function_rank(func: Sequence[int]) -> int:
-    """Rank of a function in 0..40319; InvalidFunction for a non-permutation."""
-    rank = 0
-    unused = (1 << N_ROWS) - 1
-    for out, weight in zip(validate_permutation(func), _FACTORIALS):
-        bit = 1 << out
-        rank += weight * (unused & (bit - 1)).bit_count()
-        unused ^= bit
+    """Rank of a function in 0..40319; InvalidFunction for anything that
+    ``validate_permutation`` rejects.
+
+    The 8 outputs, as bytes, form a big-endian code whose order is the
+    lexicographic order of the functions, so the rank is the code's position
+    among the codes of all functions."""
+    values = func
+    try:
+        if type(values) is not tuple:
+            # bytes() of an ndarray (or any buffer) copies its memory, not its values
+            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        data = bytes(values)
+    except (TypeError, ValueError):
+        data = b""
+    codes = _byte_codes()
+    code = int.from_bytes(data)
+    rank = bisect.bisect_left(codes, code)
+    if len(data) != N_ROWS or rank == N_FUNCTIONS or codes[rank] != code:
+        raise InvalidFunction(f"not a permutation of 0..7: {func!r}")
     return rank

@@ -4,16 +4,26 @@ Every circuit the synthesis emits can be certified here: gates are expanded
 to full 8x8 complex matrices, multiplied out in order, and compared entrywise
 against the 0/1 permutation matrix of the claimed function.  No global-phase
 quotient is needed; the NOT/CNOT/V/V+/TOF gate set realizes Boolean functions
-exactly, so the tolerance only absorbs floating-point rounding.
+exactly.
+
+The batch oracle ``verify_witnesses`` is exact.  Every gate unitary has
+entries in Z[i][1/2], and doubling V and V+ makes them Gaussian integers
+(the ring argument of Giles & Selinger, PRA 2013), so a circuit with k V/V+
+gates passes iff its scaled product equals 2^k times the permutation matrix,
+with every entry an integer that complex128 holds exactly.  It multiplies
+each distinct circuit prefix once.  The single-circuit checks
+``check_realizes`` and ``first_mismatch`` (the CLI's ``verify --tol``) and
+``check_model_consistency`` compare unscaled products within a tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IllegalCircuit, QuantumControl
+from .errors import IllegalCircuit, InternalError, QuantumControl, TopologyViolation
 from .model import (
     Circuit,
     CircuitState,
@@ -28,6 +38,9 @@ from .model import (
 )
 
 DEFAULT_TOL = 1e-9
+#: Most V/V+ gates in a circuit that ``verify_witnesses`` certifies: every
+#: partial sum of its scaled products then stays below 2^53.
+MAX_EXACT_V_GATES = 48
 
 #: The controlled-V target transformation: a square root of NOT.
 V_MATRIX = (1 + 1j) / 2 * np.array([[1, -1j], [-1j, 1]])
@@ -138,47 +151,134 @@ def check_model_consistency(circuit: Circuit, tol: float = DEFAULT_TOL) -> bool:
 # --------------------------------------------------------------------------
 # Batch verification and random regression circuits
 
+@functools.cache
+def _gate_index(topology: Topology) -> tuple[dict[Gate, int], np.ndarray, np.ndarray]:
+    """The topology's NCV+NCT gates by id, each gate's ``gate_unitary`` scaled
+    to Gaussian-integer entries, and whether that doubled it (V and V+; one
+    more False entry stands for padding)."""
+    gates = dict.fromkeys(enumerate_gates(topology, "NCV") + enumerate_gates(topology, "NCT"))
+    doubled = np.array([g.kind in ("V", "V+") for g in gates] + [False])
+    mats = np.stack([gate_unitary(g) for g in gates])
+    mats[doubled[:-1]] *= 2
+    if not np.array_equal(mats, mats.round()):
+        raise InternalError("internal error: a scaled gate unitary left Z[i]")
+    mats.setflags(write=False)
+    return {g: i for i, g in enumerate(gates)}, mats, doubled
+
+
+def _function_array(funcs: list) -> np.ndarray:
+    """``funcs`` as an (n, 8) int64 array, each row checked as by
+    ``validate_permutation`` (which raises for the first bad one)."""
+    try:
+        arr = np.array(funcs)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iu" or arr.shape != (len(funcs), N_ROWS):
+        arr = np.array([validate_permutation(f) for f in funcs], dtype=np.int64)
+    arr = arr.astype(np.int64, copy=False)
+    bad = np.flatnonzero((np.sort(arr, axis=1) != np.arange(N_ROWS)).any(axis=1))
+    if len(bad):
+        validate_permutation(funcs[bad[0]])
+    return arr
+
+
 def verify_witnesses(
     witnesses: Iterable[tuple[Sequence[int], Circuit]],
-    tol: float = DEFAULT_TOL,
     topology: Topology = FULL_TOPOLOGY,
 ) -> tuple[int, tuple[int, ...] | None]:
-    """Check many (function, circuit) pairs; all unitary math is batched.
+    """Check many (function, circuit) pairs exactly, in one batch.
 
-    Returns (number checked, first failing function or None).  Circuits are
-    grouped by length and folded as stacked 8x8 matrix products, which keeps
-    the full 40,320-witness check to a few seconds.
+    Returns (number checked, first failing function or None), where the
+    first failure is the shortest failing circuit, then the earliest given.
+    Every function is validated (InvalidFunction) and every gate must be a
+    gate of ``topology`` (TopologyViolation) before any product is taken.
+    There is no tolerance (see ``_first_failure``); a circuit with more
+    than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.
     """
-    ncv = enumerate_gates(topology, "NCV")
-    nct = enumerate_gates(topology, "NCT")
-    index = {g: i for i, g in enumerate(ncv)}
-    for g in nct:
-        index.setdefault(g, len(index))
-    mats = np.stack([gate_unitary(g) for g, _ in sorted(index.items(), key=lambda kv: kv[1])])
-
-    by_len: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
-    checked = 0
+    index, mats, doubled = _gate_index(topology)
+    funcs: list = []
+    circuits: list[Circuit] = []
+    flat: list[int | None] = []
+    # The enumerated gates are shared objects (see enumerate_gates), so the
+    # gates are first looked up by identity, which spares a Python-level
+    # Gate.__hash__ call per gate; any other gate is looked up by value.
+    by_id = {id(g): i for g, i in index.items()}.get
     for func, circuit in witnesses:
-        func = validate_permutation(func)
-        by_len.setdefault(len(circuit), []).append(
-            (func, [index[g] for g in circuit])
+        funcs.append(func)
+        circuits.append(circuit)
+        flat += map(by_id, map(id, circuit.gates))
+    if not funcs:
+        return 0, None
+    if None in flat:
+        flat = [index.get(g) for circuit in circuits for g in circuit.gates]
+        if None in flat:
+            func, gate = next((f, g) for f, circuit in zip(funcs, circuits)
+                              for g in circuit.gates if g not in index)
+            raise TopologyViolation(
+                f"{gate} is not a gate of the {topology.slug} topology "
+                f"(in the circuit for {func!r})"
+            )
+    lengths = np.fromiter(map(len, circuits), dtype=np.int64, count=len(circuits))
+    ids = np.full((len(circuits), int(lengths.max())), len(mats), dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat
+    funcs_array = _function_array(funcs)
+    n_doubled = doubled[ids].sum(axis=1)
+    if n_doubled.max() > MAX_EXACT_V_GATES:
+        raise ValueError(
+            f"a circuit with {n_doubled.max()} V/V+ gates is past the exact range "
+            f"of verify_witnesses ({MAX_EXACT_V_GATES}); use check_realizes"
         )
-        checked += 1
-    for length, group in sorted(by_len.items()):
-        funcs = np.array([f for f, _ in group])
-        acc = np.broadcast_to(np.eye(N_ROWS, dtype=complex), (len(group), N_ROWS, N_ROWS)).copy()
-        if length:
-            ids = np.array([ids for _, ids in group])
-            for step in range(length):
-                acc = np.matmul(mats[ids[:, step]], acc)
-        targets = np.zeros_like(acc)
-        rows = np.repeat(np.arange(len(group)), N_ROWS)
-        targets[rows, funcs.ravel(), np.tile(np.arange(N_ROWS), len(group))] = 1.0
-        errs = np.abs(acc - targets).reshape(len(group), -1).max(axis=1)
-        bad = np.nonzero(errs > tol)[0]
-        if len(bad):
-            return checked, tuple(int(v) for v in funcs[bad[0]])
-    return checked, None
+    bad = _first_failure(funcs_array, ids, lengths, mats, np.ldexp(1.0, n_doubled))
+    return len(funcs), None if bad is None else validate_permutation(funcs[bad])
+
+
+def _first_failure(
+    funcs: np.ndarray, ids: np.ndarray, lengths: np.ndarray,
+    mats: np.ndarray, scale: np.ndarray,
+) -> int | None:
+    """Index of the shortest, then first, row whose circuit does not realize
+    its function, or None.
+
+    Row i's circuit is ``ids[i, :lengths[i]]``, ids into ``mats``: the gate
+    unitaries scaled so that every entry is a Gaussian integer (V and V+
+    doubled).  A product with k doubled gates is 2^k times a unitary, so its
+    entries are Gaussian integers of modulus at most 2^k, which complex128
+    holds exactly.  Row i passes iff its product equals ``scale[i]`` = 2^k
+    times its permutation matrix.
+
+    The circuits are multiplied out depth by depth, each distinct prefix
+    once: the (prefix, gate) pairs of depth d are made unique, sorted by
+    gate, and each gate's unitary multiplies the matrices of all prefixes it
+    extends in one product.  Only one depth's matrices are kept, laid out as
+    (row, prefix, column).  A row is checked at its last depth.
+    """
+    cols = np.arange(N_ROWS)
+    prefix = np.zeros(len(funcs), dtype=np.int64)   # each row's prefix at this depth
+    products = np.eye(N_ROWS, dtype=complex)[:, None, :]
+    for depth in range(ids.shape[1] + 1):
+        if depth:
+            live = np.flatnonzero(lengths >= depth)
+            pairs, inverse = np.unique(
+                ids[live, depth - 1] * products.shape[1] + prefix[live], return_inverse=True
+            )
+            gate, parent = np.divmod(pairs, products.shape[1])
+            starts = np.flatnonzero(np.diff(gate, prepend=-1))
+            step = np.empty((N_ROWS, len(pairs) * N_ROWS), dtype=complex)
+            for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+                extended = np.take(products, parent[a:b], axis=1).reshape(N_ROWS, -1)
+                np.matmul(mats[gate[a]], extended, out=step[:, a * N_ROWS:b * N_ROWS])
+            products = step.reshape(N_ROWS, len(pairs), N_ROWS)
+            prefix[live] = inverse
+        ending = np.flatnonzero(lengths == depth)
+        if len(ending):
+            got = np.take(products, prefix[ending], axis=1)
+            hits = got[funcs[ending], np.arange(len(ending))[:, None], cols]
+            ok = (hits == scale[ending, None]).all(axis=1) & (
+                np.count_nonzero(got, axis=(0, 2)) == N_ROWS
+            )
+            if not ok.all():
+                return int(ending[np.argmin(ok)])
+    return None
 
 
 def random_legal_circuit(

@@ -117,14 +117,14 @@ def test_criterion_7a_all_witnesses_pass_unitary_oracle(
     }
     for name, table in tables.items():
         witnesses = ((f, table.witness(f)) for f in table.functions())
-        checked, offender = nv.verify_witnesses(witnesses, tol=1e-9)
-        check("7a", f"all {checked} witnesses of {name} pass at tol 1e-9",
+        checked, offender = nv.verify_witnesses(witnesses)
+        check("7a", f"all {checked} witnesses of {name} pass exactly",
               checked == nv.N_FUNCTIONS and offender is None)
     # substituted NCT witnesses realize the same functions
     sample = list(nct_gc.functions())[::1009]
     substituted = ((f, toffoli_substitute(nct_gc.witness(f))) for f in sample)
-    checked, offender = nv.verify_witnesses(substituted, tol=1e-9)
-    check("7a", f"substituted NCT witnesses pass ({checked} sampled)",
+    checked, offender = nv.verify_witnesses(substituted)
+    check("7a", f"substituted NCT witnesses pass exactly ({checked} sampled)",
           offender is None)
 
 

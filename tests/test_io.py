@@ -1,5 +1,6 @@
 """Serialization round trips for circuits, functions, tables, and reports."""
 
+import csv
 import hashlib
 import io as stdio
 import json
@@ -125,6 +126,30 @@ def test_jsonl_matches_record_by_record_formatting(ncv111_path):
             "circuit": nio.format_circuit(ncv111_path.witness(func)),
         }
         assert line == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
+    """Block-wise writing gives the bytes csv.writer gives, none dropped at a
+    block boundary."""
+    expected = stdio.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["function", "cost"])
+    for func in sorted(ncv111_path.costs):
+        writer.writerow([nio.format_function(func), ncv111_path.costs[func]])
+    assert nio.table_csv_text(ncv111_path.costs) == expected.getvalue()
+
+    expected = stdio.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(
+        ["function", "nct_gc", "nct_sub_cost", "nct_sub_min", "nct_sub_max", "ncv_opt_cost"]
+    )
+    for func, *costs in comparison_111.rows:
+        writer.writerow([nio.format_function(func), *costs])
+    for line in comparison_111.summary_lines():
+        expected.write(line + "\n")
+    buf = stdio.StringIO()
+    nio.write_comparison_csv(comparison_111, buf)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def test_histogram_csv_and_text(ncv111_full):

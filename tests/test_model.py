@@ -205,10 +205,55 @@ def test_rank_tables_match_scalar_algebra():
             assert functions[tables.relabeled[rank, j]] == relabel_function(func, perm)
 
 
+def lehmer_rank(func):
+    """Lexicographic rank of a permutation by its Lehmer code."""
+    rank = 0
+    for i, out in enumerate(func):
+        rank = rank * (8 - i) + sum(1 for later in func[i + 1:] if later < out)
+    return rank
+
+
+def test_function_rank_equals_the_lehmer_rank():
+    for func in itertools.permutations(range(8)):
+        assert nv.model.function_rank(func) == lehmer_rank(func)
+
+
+NOT_PERMUTATIONS = [
+    (0, 1, 2, 3, 4, 5, 6),
+    (1, 2, 3, 4, 5, 6, 7),
+    (0, 1, 2, 3, 4, 5, 6, 7, 0),
+    (0, 0, 1, 2, 3, 4, 5, 6, 7),
+    (0, 0, 1, 2, 3, 4, 5, 6),
+    (0, 1, 2, 3, 4, 5, 6, 8),
+    (0, 1, 2, 3, 4, 5, 6, 256),
+    (0, 1, 2, 3, 4, 5, 6, 7.0),
+    (0, 1, 2, 3, 4, 5, 6, 7.9),
+    (0, 1, 2, 3, 4, 5, 6, "7"),
+    "01234567",
+    np.arange(8, dtype=float),
+    np.arange(8).reshape(2, 4),
+    None,
+]
+
+
 def test_function_rank_rejects_non_permutations():
-    with pytest.raises(nv.InvalidFunction):
-        nv.model.function_rank((0, 0, 1, 2, 3, 4, 5, 6))
+    """Wrong lengths (a 7- or 9-tuple must not alias an 8-byte code),
+    duplicates, out-of-range values, floats and strings."""
+    for bad in NOT_PERMUTATIONS:
+        with pytest.raises(nv.InvalidFunction):
+            nv.model.function_rank(bad)
+        with pytest.raises(nv.InvalidFunction):
+            nv.model.validate_permutation(bad)
+
+
+def test_function_rank_accepts_integer_sequences_of_any_kind():
+    tof = [0, 1, 2, 3, 4, 5, 7, 6]
+    rank = nv.model.function_rank(tuple(tof))
+    for func in (tof, np.array(tof), np.array(tof, dtype=np.uint8),
+                 tuple(np.array(tof)), bytes(tof), iter(tof)):
+        assert nv.model.function_rank(func) == rank
     assert nv.model.function_rank(np.arange(8)) == 0
+    assert nv.model.validate_permutation(np.array(tof, dtype=np.int32)) == tuple(tof)
 
 
 def test_relabel_function_examples():

@@ -2,11 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncvsynth as nv
-from ncvsynth import CNOT, Circuit, IllegalCircuit, NOT, TOF, V, VPLUS
-from ncvsynth.model import FULL_TOPOLOGY, enumerate_gates
-from ncvsynth.nct import toffoli_decomposition
+from ncvsynth import (
+    CNOT,
+    Circuit,
+    IllegalCircuit,
+    InvalidFunction,
+    NOT,
+    PATH_TOPOLOGY,
+    TOF,
+    TopologyViolation,
+    V,
+    VPLUS,
+)
+from ncvsynth.model import FULL_TOPOLOGY, enumerate_gates, validate_permutation
+from ncvsynth.nct import toffoli_decomposition, toffoli_substitute
 from ncvsynth.verify import (
     check_model_consistency,
     check_realizes,
@@ -100,3 +113,200 @@ def test_circuit_unitary_order():
     circuit = Circuit((NOT(0), CNOT(0, 1)))
     expected = gate_unitary(CNOT(0, 1)) @ gate_unitary(NOT(0))
     assert np.allclose(circuit_unitary(circuit), expected)
+
+
+# --------------------------------------------------------------------------
+# The exact batch oracle against a float reference
+
+def reference_verify(witnesses, tol=1e-9):
+    """The float oracle that ``verify_witnesses`` replaced: circuits grouped
+    by length, folded as stacked unitary products, compared within ``tol``."""
+    unitaries = {}
+    by_len = {}
+    checked = 0
+    for func, circuit in witnesses:
+        for g in circuit:
+            if g not in unitaries:
+                unitaries[g] = gate_unitary(g)
+        by_len.setdefault(len(circuit), []).append((validate_permutation(func), circuit))
+        checked += 1
+    for length, group in sorted(by_len.items()):
+        acc = np.broadcast_to(np.eye(8, dtype=complex), (len(group), 8, 8)).copy()
+        for step in range(length):
+            acc = np.matmul(np.stack([unitaries[c.gates[step]] for _, c in group]), acc)
+        targets = np.stack([permutation_matrix(f) for f, _ in group])
+        errs = np.abs(acc - targets).reshape(len(group), -1).max(axis=1)
+        bad = np.flatnonzero(errs > tol)
+        if len(bad):
+            return checked, group[bad[0]][0]
+    return checked, None
+
+
+def _swap_one_v(circuit):
+    """Invert the first V or V+ gate; an NCT circuit is Toffoli-substituted
+    first, so that it has one."""
+    gates = list(toffoli_substitute(circuit) if circuit.library == "NCT" else circuit)
+    i = next(i for i, g in enumerate(gates) if g.kind in ("V", "V+"))
+    gates[i] = gates[i].inverse()
+    return Circuit(tuple(gates))
+
+
+def _swap_adjacent(circuit):
+    """Swap the first two adjacent gates that do not commute."""
+    gates = list(circuit)
+    for i in range(len(gates) - 1):
+        a, b = gate_unitary(gates[i]), gate_unitary(gates[i + 1])
+        if not np.allclose(a @ b, b @ a):
+            gates[i], gates[i + 1] = gates[i + 1], gates[i]
+            return Circuit(tuple(gates), circuit.library)
+    raise AssertionError(f"no adjacent non-commuting gates in {circuit}")
+
+
+MUTATIONS = {
+    "drop": lambda c: Circuit(c.gates[:2] + c.gates[3:], c.library),
+    "vswap": _swap_one_v,
+    "swap-adjacent": _swap_adjacent,
+    "not": lambda c: Circuit(
+        c.gates[:1] + (NOT(0) if c.gates[1] != NOT(0) else NOT(1),) + c.gates[2:], c.library
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def table_witnesses(ncv111_full, ncv111_path, nct_gc):
+    """Every witness of three tables, and the float reference's verdict on
+    each table (which every mutation below changes in one row only)."""
+    out = {}
+    for name, table in (("ncv111_full", ncv111_full), ("ncv111_path", ncv111_path),
+                        ("nct_gc", nct_gc)):
+        witnesses = [(f, table.witness(f)) for f in table.functions()]
+        assert reference_verify(witnesses) == (nv.N_FUNCTIONS, None)
+        out[name] = witnesses
+    return out
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path", "nct_gc"])
+def test_mutated_row_gets_the_float_reference_verdict(table_witnesses, name, mutation):
+    witnesses = list(table_witnesses[name])
+    rng = np.random.default_rng(sorted(MUTATIONS).index(mutation))
+    deep = [i for i, (_, c) in enumerate(witnesses)
+            if len(c) >= 4 and any(g.kind in ("V", "V+", "TOF") for g in c)]
+    row = deep[int(rng.integers(len(deep)))]
+    func, circuit = witnesses[row]
+    witnesses[row] = (func, MUTATIONS[mutation](circuit))
+    assert witnesses[row][1] != circuit
+    # Every other row passes both oracles, so the whole-table verdict is the
+    # mutated row's own.
+    expected = (nv.N_FUNCTIONS, reference_verify([witnesses[row]])[1])
+    assert expected[1] == func
+    assert verify_witnesses(witnesses) == expected
+
+
+def test_shortest_failure_is_reported_first():
+    good = (TOF_FUNC, Circuit(toffoli_decomposition(0, 1, 2)))
+    long_bad = (TOF_FUNC, Circuit(toffoli_decomposition(0, 1, 2)[1:]))
+    short_bad = ((4, 5, 6, 7, 0, 1, 2, 3), Circuit((NOT(1),)))
+    short_bad_later = ((0, 1, 2, 3, 4, 5, 6, 7), Circuit((NOT(2),)))
+    assert verify_witnesses([good, long_bad, short_bad, short_bad_later]) == (4, short_bad[0])
+    assert verify_witnesses([good, long_bad]) == (2, TOF_FUNC)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(0, 12), min_size=1, max_size=10),
+    topology=st.sampled_from([FULL_TOPOLOGY, PATH_TOPOLOGY]),
+)
+def test_random_batches_agree_with_check_realizes(seed, lengths, topology):
+    """Random legal circuits and some of their prefixes, each claiming its
+    own function (when it has one) or a random one: the verdict is the first
+    pair, by (length, order), that check_realizes rejects."""
+    rng = np.random.default_rng(seed)
+    circuits = []
+    for n_gates in lengths:
+        circuit = random_legal_circuit(rng, n_gates, topology)
+        circuits += [circuit, Circuit(circuit.gates[:int(rng.integers(n_gates + 1))])]
+    batch = []
+    for circuit in circuits:
+        state = nv.apply_circuit(nv.CircuitState.identity(), circuit)
+        if state.is_boolean and rng.random() < 0.7:
+            func = state.permutation()
+        else:
+            func = tuple(rng.permutation(8).tolist())
+        batch.append((func, circuit))
+    failing = [(len(c), i) for i, (f, c) in enumerate(batch) if not check_realizes(c, f)]
+    expected = batch[min(failing)[1]][0] if failing else None
+    assert verify_witnesses(batch, topology=topology) == (len(batch), expected)
+
+
+def test_scaled_gate_matrices_are_twice_the_v_unitaries():
+    """Verdicts cannot see V and V+ traded in every gate at once (conjugation
+    fixes a permutation matrix), so the scaled matrices are checked here."""
+    index, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
+    assert len(index) == len(mats) == len(doubled) - 1 and not doubled[-1]
+    for gate, i in index.items():
+        factor = 2 if gate.kind in ("V", "V+") else 1
+        assert doubled[i] == (factor == 2)
+        assert np.array_equal(mats[i], factor * gate_unitary(gate))
+
+
+def test_verify_witnesses_edge_cases():
+    assert verify_witnesses([]) == (0, None)
+    assert verify_witnesses(iter([])) == (0, None)
+    identity = tuple(range(8))
+    empty = Circuit(())
+    assert verify_witnesses([(identity, empty)]) == (1, None)
+    assert verify_witnesses([(identity, empty), (TOF_FUNC, empty)]) == (2, TOF_FUNC)
+    pairs = ((f, Circuit((NOT(0),))) for f in [(4, 5, 6, 7, 0, 1, 2, 3)] * 3)
+    assert verify_witnesses(pairs) == (3, None)
+    # numpy functions, reported back as tuples
+    assert verify_witnesses([(np.arange(8), empty), (np.array(TOF_FUNC), empty)]) == (
+        2, TOF_FUNC
+    )
+
+
+def test_verify_witnesses_rejects_gates_outside_the_topology():
+    circuit = Circuit((NOT(0), CNOT(0, 2)))
+    func = nv.realized_function(circuit)
+    assert verify_witnesses([(func, circuit)]) == (1, None)
+    with pytest.raises(TopologyViolation, match=r"CNOT a c .*path.*" + str(func)[1:-1]):
+        verify_witnesses([(func, circuit)], topology=PATH_TOPOLOGY)
+    with pytest.raises(TopologyViolation, match="TOF a b c"):
+        verify_witnesses([(TOF_FUNC, Circuit((TOF(0, 1, 2),), "NCT"))], topology=PATH_TOPOLOGY)
+
+
+def test_verify_witnesses_refuses_circuits_past_the_exact_range():
+    limit = nv.verify.MAX_EXACT_V_GATES
+    ok = Circuit((V(0, 1),) * (limit - limit % 4))
+    assert verify_witnesses([(tuple(range(8)), ok)]) == (1, None)
+    with pytest.raises(ValueError, match="exact range"):
+        verify_witnesses([(tuple(range(8)), Circuit((V(0, 1),) * (limit + 1)))])
+
+
+BAD_FUNCTIONS = [
+    (0, 1, 2, 3, 4, 5, 6),
+    (0, 1, 2, 3, 4, 5, 6, 7, 0),
+    (0, 0, 1, 2, 3, 4, 5, 6),
+    (0, 1, 2, 3, 4, 5, 6, 8),
+    (-1, 1, 2, 3, 4, 5, 6, 7),
+    (0, 1, 2, 3, 4, 5, 6, 7.9),
+    (0, 1, 2, 3, 4, 5, 6, 7.0),
+    (0, 1, 2, 3, 4, 5, 6, "7"),
+    np.arange(8, dtype=float),
+    "01234567",
+    7,
+]
+
+
+@pytest.mark.parametrize("bad", BAD_FUNCTIONS, ids=repr)
+def test_invalid_functions_are_rejected_alike(bad):
+    """validate_permutation, function_rank and the batch oracle's
+    vectorized check reject the same inputs."""
+    with pytest.raises(InvalidFunction):
+        validate_permutation(bad)
+    with pytest.raises(InvalidFunction):
+        nv.model.function_rank(bad)
+    good = [(tuple(range(8)), Circuit(()))] * 3
+    with pytest.raises(InvalidFunction):
+        verify_witnesses(good + [(bad, Circuit(()))])
