@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import ComparisonReport, CostHistogram
 from .errors import CircuitParseError
-from .model import Circuit, Gate, LINE_NAMES, rank_tables, validate_permutation
+from .model import Circuit, Gate, LINE_NAMES, N_ROWS, rank_tables, validate_permutation
 from .search import SynthesisTable
 
 _ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
@@ -77,6 +77,11 @@ def format_function(func) -> str:
     return ",".join(str(v) for v in func)
 
 
+#: A function as a CSV field, as ``csv.writer`` writes it: the outputs are
+#: joined by commas, so the field is quoted.
+_FUNCTION_FIELD = '"' + ",".join(["%s"] * N_ROWS) + '"'
+
+
 def parse_function(text: str) -> tuple[int, ...]:
     try:
         values = [int(v) for v in text.strip().split(",")]
@@ -93,9 +98,8 @@ def parse_function(text: str) -> tuple[int, ...]:
 #: to peak memory.
 _BLOCK = 4096
 
-#: A (function, cost) CSV row as ``csv.writer`` writes it: the function
-#: field holds commas, so it is quoted.
-_TABLE_ROW = '"%s,%s,%s,%s,%s,%s,%s,%s",%s\n'
+#: A (function, cost) CSV row as ``csv.writer`` writes it.
+_TABLE_ROW = _FUNCTION_FIELD + ",%s\n"
 
 
 def write_table_csv(costs: Mapping, stream) -> None:
@@ -213,7 +217,7 @@ def comparison_text(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COMPARISON_ROW = '"%s,%s,%s,%s,%s,%s,%s,%s",%s,%s,%s,%s,%s\n'
+_COMPARISON_ROW = _FUNCTION_FIELD + ",%s,%s,%s,%s,%s\n"
 
 
 def write_comparison_csv(report: ComparisonReport, stream) -> None:

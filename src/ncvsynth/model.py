@@ -618,8 +618,8 @@ def rank_tables() -> RankTables:
 
 @functools.cache
 def _byte_codes() -> array.array:
-    """``int.from_bytes(bytes(func))`` of every function, in rank order
-    (ascending), as 64-bit array entries (315 KiB), built on first use."""
+    """``int.from_bytes(bytes(func), "big")`` of every function, in rank
+    order (ascending), as 64-bit array entries (315 KiB), built on first use."""
     return array.array("Q", rank_tables().outputs.view(">u8").astype(np.uint64).tobytes())
 
 
@@ -639,7 +639,7 @@ def function_rank(func: Sequence[int]) -> int:
     except (TypeError, ValueError):
         data = b""
     codes = _byte_codes()
-    code = int.from_bytes(data)
+    code = int.from_bytes(data, "big")
     rank = bisect.bisect_left(codes, code)
     if len(data) != N_ROWS or rank == N_FUNCTIONS or codes[rank] != code:
         raise InvalidFunction(f"not a permutation of 0..7: {func!r}")

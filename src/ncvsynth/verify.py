@@ -199,25 +199,19 @@ def verify_witnesses(
     funcs: list = []
     circuits: list[Circuit] = []
     flat: list[int | None] = []
-    # The enumerated gates are shared objects (see enumerate_gates), so the
-    # gates are first looked up by identity, which spares a Python-level
-    # Gate.__hash__ call per gate; any other gate is looked up by value.
-    by_id = {id(g): i for g, i in index.items()}.get
     for func, circuit in witnesses:
         funcs.append(func)
         circuits.append(circuit)
-        flat += map(by_id, map(id, circuit.gates))
+        flat += map(index.get, circuit.gates)
     if not funcs:
         return 0, None
     if None in flat:
-        flat = [index.get(g) for circuit in circuits for g in circuit.gates]
-        if None in flat:
-            func, gate = next((f, g) for f, circuit in zip(funcs, circuits)
-                              for g in circuit.gates if g not in index)
-            raise TopologyViolation(
-                f"{gate} is not a gate of the {topology.slug} topology "
-                f"(in the circuit for {func!r})"
-            )
+        func, gate = next((f, g) for f, circuit in zip(funcs, circuits)
+                          for g in circuit.gates if g not in index)
+        raise TopologyViolation(
+            f"{gate} is not a gate of the {topology.slug} topology "
+            f"(in the circuit for {func!r})"
+        )
     lengths = np.fromiter(map(len, circuits), dtype=np.int64, count=len(circuits))
     ids = np.full((len(circuits), int(lengths.max())), len(mats), dtype=np.int64)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat
