@@ -68,7 +68,6 @@ from .nct import (
     toffoli_substitute,
 )
 from .search import (
-    FunctionRecord,
     N_FUNCTIONS,
     SearchOptions,
     SynthesisTable,

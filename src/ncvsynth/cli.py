@@ -1,9 +1,14 @@
 """Command line interface: synth, synth-all, compare, verify, stats.
 
-Completed NCV cost tables are cached as CSV under ``./.ncv-cache`` (one file
-per metric/topology slug) so repeated invocations reuse them; pass
-``--no-cache`` to recompute.  NCT tables settle in a fraction of a second
-and are never cached.
+Completed NCV tables are cached under ``./.ncv-cache``, one ``.npz`` per
+metric/topology slug.  A file holds the table's rank arrays (cost,
+secondary cost, witness gate ids and lengths) and a spec string: the
+library, every gate's weight pair, the topology's line pairs, both
+reduction flags and the cache format version.  A file that cannot be read
+whole, or whose spec differs from the run's, is a miss: the table is
+settled again and the file rewritten.  Pass ``--no-cache`` to neither read
+nor write it.  NCT tables settle in a fraction of a second and are never
+cached.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
 3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
@@ -13,8 +18,11 @@ failed internal consistency check: a bug in ncvsynth, not in the input).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from dataclasses import dataclass, field
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +35,7 @@ from .errors import (
     InvalidFunction,
     NcvSynthError,
 )
-from .model import CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology
+from .model import N_FUNCTIONS, CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology, enumerate_gates
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -39,25 +47,6 @@ EXIT_IO = 5
 EXIT_INTERNAL = 6
 
 DEFAULT_CACHE_DIR = Path(".ncv-cache")
-
-
-@dataclass
-class RunConfig:
-    """One invocation's worth of settings, decoded from argv."""
-
-    command: str
-    metric: CostMetric | None = None
-    topology: Topology = FULL_TOPOLOGY
-    function_text: str | None = None
-    circuit_path: Path | None = None
-    out_path: Path | None = None
-    circuits_path: Path | None = None
-    table_path: Path | None = None
-    tol: float = 1e-9
-    cache_dir: Path = DEFAULT_CACHE_DIR
-    use_cache: bool = True
-    options: search.SearchOptions = field(default_factory=search.SearchOptions)
-    seed: int | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,39 +102,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, seed=args.seed)
-    if args.command in ("synth", "synth-all", "compare"):
-        config.metric = CostMetric.parse(args.metric)
-    if args.command in ("synth", "synth-all"):
-        config.topology = TOPOLOGIES[args.topology]
-        config.options = search.SearchOptions(
-            no_repeat_placement=not args.no_prune_repeat,
-            settle_relabelings=not args.no_prune_relabel,
-            max_cost=args.max_cost,
-            max_states=args.max_states,
-        )
-    if args.command == "synth":
-        config.function_text = args.function
-    if args.command == "synth-all":
-        config.out_path = args.out
-        config.circuits_path = args.circuits
-    if args.command == "compare":
-        config.out_path = args.out
-    if args.command in ("synth-all", "compare"):
-        config.cache_dir = args.cache_dir
-        config.use_cache = not args.no_cache
-    if args.command == "verify":
-        config.circuit_path = args.circuit
-        config.function_text = args.function
-        config.tol = args.tol
-    if args.command == "stats":
-        config.table_path = args.table
-    return config
+def _search_options(args: argparse.Namespace) -> search.SearchOptions:
+    return search.SearchOptions(
+        no_repeat_placement=not args.no_prune_repeat,
+        settle_relabelings=not args.no_prune_relabel,
+        max_cost=args.max_cost,
+        max_states=args.max_states,
+    )
 
 
 # --------------------------------------------------------------------------
 # Table cache
+
+CACHE_FORMAT = 1
+
+
+def cache_entry(
+    cache_dir: Path, metric: CostMetric, topology: Topology, options: search.SearchOptions
+) -> tuple[Path, str]:
+    """The cache file of an NCV table and the spec it must hold: everything
+    the table's costs and witnesses depend on."""
+    spec = json.dumps({
+        "format": CACHE_FORMAT,
+        "library": "NCV",
+        "weights": [[str(g), metric.weight(g), 0] for g in enumerate_gates(topology, "NCV")],
+        "topology": sorted(topology.pairs),
+        "no_repeat_placement": options.no_repeat_placement,
+        "settle_relabelings": options.settle_relabelings,
+    })
+    return cache_dir / f"{metric.slug}_{topology.slug}.npz", spec
+
+
+def read_cached_table(
+    path: Path, spec: str, metric: CostMetric, topology: Topology
+) -> search.SynthesisTable | None:
+    """The complete table stored at ``path``, or None if the file is
+    missing, cannot be read whole, or holds another spec.  Every member's
+    CRC is checked first: a flipped bit in an array header could otherwise
+    shrink the array so that reading it stops short of the check."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if data.zip.testzip() is not None:
+                return None
+            arrays = {name: data[name] for name in data.files}
+        if str(arrays["spec"]) != spec:
+            return None
+        cost, secondary, gate_ids, lengths = (
+            arrays[name] for name in ("cost", "secondary", "gate_ids", "lengths")
+        )
+    # RuntimeError: a flipped flag or compression method in the zip directory
+    except (OSError, EOFError, RuntimeError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+    if any(len(arr) != N_FUNCTIONS for arr in (cost, secondary, gate_ids, lengths)):
+        return None
+    paths = search.WitnessPaths(np.arange(N_FUNCTIONS), cost, gate_ids, lengths)
+    gates = enumerate_gates(topology, "NCV")
+    return search.SynthesisTable(metric, topology, "NCV", gates, paths, secondary)
+
+
+def write_cached_table(path: Path, spec: str, table: search.SynthesisTable) -> None:
+    """Store a complete table's arrays at ``path``: written to a temporary
+    file in the same directory, then moved over ``path`` in one step."""
+    paths = table.witness_paths()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh, spec=np.array(spec), cost=paths.cost,
+                secondary=table.secondary_array(), gate_ids=paths.gate_ids,
+                lengths=paths.lengths,
+            )
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
 
 def cached_ncv_table(
     metric: CostMetric,
@@ -153,92 +184,83 @@ def cached_ncv_table(
     cache_dir: Path,
     use_cache: bool,
     options: search.SearchOptions | None = None,
-    need_witnesses: bool = False,
-):
-    """Return (costs, table or None), reusing the CSV cache when allowed.
-
-    A cached CSV serves cost-only consumers; witness consumers always
-    rebuild (witnesses are deterministic, so cache and recomputation agree).
-    """
-    csv_path = cache_dir / f"{metric.slug}_{topology.slug}.csv"
-    if use_cache and not need_witnesses and csv_path.is_file():
-        with csv_path.open("r", newline="") as fh:
-            costs = io.read_table_csv(fh)
-        if len(costs) == search.N_FUNCTIONS:
-            return costs, None
+) -> search.SynthesisTable:
+    """The complete NCV table, read from the cache when its file holds this
+    run's spec, else settled (and, with ``use_cache``, written there)."""
+    options = options or search.SearchOptions()
+    path, spec = cache_entry(cache_dir, metric, topology, options)
+    if use_cache:
+        table = read_cached_table(path, spec, metric, topology)
+        if table is not None:
+            return table
     table = search.settle_all(metric, topology, options)
     if use_cache:
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        with csv_path.open("w", newline="") as fh:
-            io.write_table_csv(table.costs, fh)
-    return table.costs, table
+        write_cached_table(path, spec, table)
+    return table
 
 
 # --------------------------------------------------------------------------
 # Commands
 
-def cmd_synth(config: RunConfig) -> int:
-    func = io.parse_function(config.function_text)
-    cost, circuit = search.synthesize_one(
-        func, config.metric, config.topology, config.options
-    )
+def cmd_synth(args: argparse.Namespace) -> int:
+    metric = CostMetric.parse(args.metric)
+    topology = TOPOLOGIES[args.topology]
+    options = _search_options(args)
+    func = io.parse_function(args.function)
+    cost, circuit = search.synthesize_one(func, metric, topology, options)
     print(f"function: {io.format_function(func)}")
-    print(f"metric: {config.metric.slug}  topology: {config.topology.slug}")
+    print(f"metric: {metric.slug}  topology: {topology.slug}")
     print(f"optimal cost: {cost}")
     sys.stdout.write(io.format_circuit(circuit))
     return EXIT_OK
 
 
-def cmd_synth_all(config: RunConfig) -> int:
-    need_witnesses = config.circuits_path is not None
-    costs, table = cached_ncv_table(
-        config.metric, config.topology, config.cache_dir, config.use_cache,
-        config.options, need_witnesses,
+def cmd_synth_all(args: argparse.Namespace) -> int:
+    metric = CostMetric.parse(args.metric)
+    topology = TOPOLOGIES[args.topology]
+    table = cached_ncv_table(
+        metric, topology, args.cache_dir, not args.no_cache, _search_options(args)
     )
-    hist = analysis.CostHistogram.from_costs(costs)
-    print(f"metric: {config.metric.slug}  topology: {config.topology.slug}")
-    sys.stdout.write(io.histogram_text(hist))
-    if config.out_path is not None:
-        with config.out_path.open("w", newline="") as fh:
-            io.write_table_csv(costs, fh)
-        print(f"table written to {config.out_path}")
-    if config.circuits_path is not None:
-        with config.circuits_path.open("w") as fh:
+    print(f"metric: {metric.slug}  topology: {topology.slug}")
+    sys.stdout.write(io.histogram_text(analysis.histogram(table)))
+    if args.out is not None:
+        with args.out.open("w", newline="") as fh:
+            io.write_table_csv(table.costs, fh)
+        print(f"table written to {args.out}")
+    if args.circuits is not None:
+        with args.circuits.open("w") as fh:
             io.write_table_jsonl(table, fh)
-        print(f"witness circuits written to {config.circuits_path}")
+        print(f"witness circuits written to {args.circuits}")
     return EXIT_OK
 
 
-def cmd_compare(config: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
+    metric = CostMetric.parse(args.metric)
     nct_table = nct.settle_all_nct()
-    ncv_costs, ncv_table = cached_ncv_table(
-        config.metric, FULL_TOPOLOGY, config.cache_dir, config.use_cache
-    )
-    if ncv_table is None:
-        ncv_table = search.SynthesisTable.from_costs(ncv_costs, config.metric)
-    report = analysis.compare(nct_table, ncv_table, config.metric)
+    ncv_table = cached_ncv_table(metric, FULL_TOPOLOGY, args.cache_dir, not args.no_cache)
+    report = analysis.compare(nct_table, ncv_table, metric)
     sys.stdout.write(io.comparison_text(report))
     for line in report.summary_lines():
         print(line)
-    if config.out_path is not None:
-        with config.out_path.open("w", newline="") as fh:
+    if args.out is not None:
+        with args.out.open("w", newline="") as fh:
             io.write_comparison_csv(report, fh)
-        print(f"comparison written to {config.out_path}")
+        print(f"comparison written to {args.out}")
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = config.circuit_path.read_text()
+        text = args.circuit.read_text()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     circuit = io.parse_circuit(text)
-    func = io.parse_function(config.function_text)
-    if check_realizes(circuit, func, config.tol):
-        print(f"ok: circuit realizes {io.format_function(func)} (tol {config.tol:g})")
+    func = io.parse_function(args.function)
+    if check_realizes(circuit, func, args.tol):
+        print(f"ok: circuit realizes {io.format_function(func)} (tol {args.tol:g})")
         return EXIT_OK
-    row, col, got, expected = first_mismatch(circuit, func, config.tol)
+    row, col, got, expected = first_mismatch(circuit, func, args.tol)
     print(
         f"FAIL: unitary entry ({row},{col}) is {got:.6g}, expected {expected:.6g}",
         file=sys.stderr,
@@ -246,9 +268,9 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_FAIL
 
 
-def cmd_stats(config: RunConfig) -> int:
+def cmd_stats(args: argparse.Namespace) -> int:
     try:
-        with config.table_path.open("r", newline="") as fh:
+        with args.table.open("r", newline="") as fh:
             costs = io.read_table_csv(fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -274,11 +296,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        config = _config_from(args)
-        if config.seed is not None:
-            print(f"seed: {config.seed}")
-            np.random.seed(config.seed)
-        return _COMMANDS[config.command](config)
+        if args.seed is not None:
+            print(f"seed: {args.seed}")
+            np.random.seed(args.seed)
+        return _COMMANDS[args.command](args)
     except InvalidFunction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FUNCTION

@@ -51,23 +51,24 @@ Functions are handled by rank (their lexicographic index in 0..40319, see
 settled Boolean keys to ranks in one batch and records, per state in
 packed-key order: its own function, then its image under each non-identity
 line symmetry in ``line_symmetries()`` order.  The first record of a rank
-wins, exactly as a function-at-a-time loop in that order would decide.
-Records are parallel arrays by rank: primary and secondary cost, settle
-index and line permutation.
+wins, exactly as a function-at-a-time loop in that order would decide.  Per
+rank the search keeps primary and secondary cost, settle index and line
+permutation.
 
 When the search ends, one vectorized walk over the predecessor array
-extracts the gate-id path of every settle index that a record uses,
+extracts the gate-id path of every settle index that a function uses,
 composing the sigmas along the way: the j-th gate of a path to state n is
 sigma_n o ... o sigma_j applied to the gate stored at state j, so every
-path realizes its canonical state's function.  The per-state arrays are
-then dropped.
+path realizes its canonical state's function.  Each function's witness is
+then its state's path with every gate id mapped through the function's
+line relabeling, by one uint8 (sigma x gate id) map per gate list, and the
+per-state arrays are dropped.
 
-A witness is its path with every gate id mapped through the record's line
-relabeling, by one uint8 (sigma x gate id) map per gate list.
-``witness_paths`` applies this to every settled function at once, on first
-use, and keeps the resulting gate-id matrix in rank order; ``witness`` reads
-one row of it, and bulk consumers (the JSONL writer, ``analysis.compare``)
-read the whole matrix without building a Circuit per function.
+A table is its arrays in rank order: the ``witness_paths`` (ranks, primary
+cost, padded gate-id matrix, lengths) and the secondary costs.  ``witness``
+reads one row of the matrix; bulk consumers (the JSONL writer,
+``analysis.compare``, the CLI's cache) read the whole matrix without
+building a Circuit per function.
 """
 
 from __future__ import annotations
@@ -120,27 +121,6 @@ class SearchOptions:
     max_states: int | None = None      # counts orbit representatives (see 2)
 
 
-@dataclass(frozen=True)
-class FunctionRecord:
-    """How one function's witness is rebuilt: a settled path of gate ids,
-    then an optional line relabeling."""
-
-    cost: int
-    gate_ids: tuple[int, ...]
-    line_perm: LinePerm | None = None
-
-
-class _Records(NamedTuple):
-    """Per-function records as parallel arrays indexed by function rank."""
-
-    cost: np.ndarray       # int64 primary cost; -1 where never settled
-    secondary: np.ndarray  # int64 secondary cost; 0 under a plain metric
-    path_row: np.ndarray   # int32 row of ``paths``; -1 where no witness is held
-    perm_id: np.ndarray    # int8 index into LINE_PERMUTATIONS (0 = identity)
-    paths: np.ndarray      # uint8 gate-id paths from the root, padded per row
-    lengths: np.ndarray    # int32 length of each row's path
-
-
 class WitnessPaths(NamedTuple):
     """Every settled function's cost and witness, one row per function in
     rank order.  Row i's witness is ``gate_ids[i, :lengths[i]]`` indexing the
@@ -156,10 +136,11 @@ class WitnessPaths(NamedTuple):
 class SynthesisTable:
     """Optimal cost and one witness circuit per settled reversible function.
 
-    Functions are stored by rank; the tuple-keyed methods convert at the
-    boundary, and the array methods list the settled functions in rank
-    order.  A witness is a settled gate-id path with each id mapped through
-    the record's line relabeling.
+    The table is its arrays in rank order: the settled functions'
+    ``witness_paths`` and, row for row, their secondary costs.  The
+    tuple-keyed methods convert a function to its row at the boundary.
+    ``states_visited`` counts the states the search settled (0 for a table
+    read back from stored arrays).
     """
 
     def __init__(
@@ -168,48 +149,26 @@ class SynthesisTable:
         topology: Topology,
         library: str,
         gate_list: tuple[Gate, ...],
-        records: _Records,
-        options: SearchOptions,
+        paths: WitnessPaths,
+        secondary: np.ndarray,
         mode: str = "metric",
         states_visited: int = 0,
     ) -> None:
         self.metric = metric
         self.topology = topology
         self.library = library
-        self.options = options
         self.mode = mode
         self.states_visited = states_visited
         self.gate_list = gate_list
-        self._records = records
-        self._settled = np.flatnonzero(records.cost >= 0)
-        self._settled.setflags(write=False)
-        self._witness_paths: WitnessPaths | None = None
+        for arr in (*paths, secondary):
+            arr.setflags(write=False)
+        self._paths = paths
+        self._secondary = secondary
         self._costs: dict[tuple[int, ...], int] | None = None
-
-    @classmethod
-    def from_costs(
-        cls, costs: Mapping[tuple[int, ...], int], metric: CostMetric
-    ) -> "SynthesisTable":
-        """A full-topology NCV table of costs alone; ``witness``,
-        ``witness_paths`` and ``record`` raise UnknownState."""
-        cost = np.full(N_FUNCTIONS, -1, dtype=np.int64)
-        cost[[function_rank(f) for f in costs]] = list(costs.values())
-        records = _Records(
-            cost,
-            np.zeros(N_FUNCTIONS, dtype=np.int64),
-            np.full(N_FUNCTIONS, -1, dtype=np.int32),
-            np.zeros(N_FUNCTIONS, dtype=np.int8),
-            np.zeros((0, 0), dtype=np.uint8),
-            np.zeros(0, dtype=np.int32),
-        )
-        return cls(
-            metric, FULL_TOPOLOGY, "NCV", enumerate_gates(FULL_TOPOLOGY, "NCV"),
-            records, SearchOptions(),
-        )
 
     @property
     def settled_count(self) -> int:
-        return len(self._settled)
+        return len(self._paths.ranks)
 
     @property
     def complete(self) -> bool:
@@ -220,14 +179,14 @@ class SynthesisTable:
 
     def __contains__(self, func) -> bool:
         try:
-            rank = function_rank(func)
-        except (InvalidFunction, TypeError, ValueError):
+            self._row(func)
+        except (InvalidFunction, UnknownState, TypeError, ValueError):
             return False
-        return bool(self._records.cost[rank] >= 0)
+        return True
 
     def functions(self) -> Iterator[tuple[int, ...]]:
         """Settled functions in lexicographic order (the serialization order)."""
-        return map(tuple, rank_tables().outputs[self._settled].tolist())
+        return map(tuple, rank_tables().outputs[self._paths.ranks].tolist())
 
     @property
     def costs(self) -> Mapping[tuple[int, ...], int]:
@@ -237,73 +196,44 @@ class SynthesisTable:
 
     def cost_array(self) -> np.ndarray:
         """``cost_of`` every settled function, in rank order."""
-        return self._records.cost[self._settled]
+        return self._paths.cost
 
     def secondary_array(self) -> np.ndarray:
         """``secondary_of`` every settled function, in rank order."""
-        return self._records.secondary[self._settled]
+        return self._secondary
 
-    def _rank(self, func: Sequence[int]) -> int:
+    def _row(self, func: Sequence[int]) -> int:
         rank = function_rank(func)
-        if self._records.cost[rank] < 0:
+        if self.complete:
+            return rank
+        ranks = self._paths.ranks
+        row = int(ranks.searchsorted(rank))
+        if row == len(ranks) or ranks[row] != rank:
             raise UnknownState(f"function {rank_tables().function(rank)} was never settled")
-        return rank
-
-    def _path(self, rank: int) -> np.ndarray:
-        rec = self._records
-        row = int(rec.path_row[rank])
-        if row < 0:
-            raise UnknownState(
-                f"the table holds no witness for {rank_tables().function(rank)}"
-            )
-        return rec.paths[row, :rec.lengths[row]]
+        return row
 
     def cost_of(self, func: Sequence[int]) -> int:
-        return int(self._records.cost[self._rank(func)])
+        return int(self._paths.cost[self._row(func)])
 
     def secondary_of(self, func: Sequence[int]) -> int:
         """The witness's secondary cost: under ``settle_all``'s ``secondary``
         metric, or by the second components of pair weights; 0 for a table
         settled under a single metric."""
-        return int(self._records.secondary[self._rank(func)])
-
-    def record(self, func: Sequence[int]) -> FunctionRecord:
-        rank = self._rank(func)
-        perm_id = int(self._records.perm_id[rank])
-        return FunctionRecord(
-            int(self._records.cost[rank]),
-            tuple(self._path(rank).tolist()),
-            LINE_PERMUTATIONS[perm_id] if perm_id else None,
-        )
+        return int(self._secondary[self._row(func)])
 
     def witness(self, func: Sequence[int]) -> Circuit:
         """Materialize the stored optimal circuit for one function: its row
         of ``witness_paths``."""
-        rank = self._rank(func)
-        paths = self.witness_paths()
-        row = rank if self.complete else int(self._settled.searchsorted(rank))
+        row = self._row(func)
+        paths = self._paths
         gates = self.gate_list
         ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
         return Circuit(tuple([gates[i] for i in ids]), self.library)
 
     def witness_paths(self) -> WitnessPaths:
-        """The witness of every settled function as gate ids, in rank order.
-        Built on first use (hundredths of a second) and kept, read-only."""
-        if self._witness_paths is None:
-            rec = self._records
-            ranks = self._settled
-            rows = rec.path_row[ranks]
-            if (rows < 0).any():
-                raise UnknownState("the table holds costs alone, no witnesses")
-            lengths = rec.lengths[rows]
-            relabel = _relabel_table(self.gate_list)
-            ids = relabel[rec.perm_id[ranks, None], rec.paths[rows]]
-            ids[np.arange(ids.shape[1]) >= lengths[:, None]] = len(self.gate_list)
-            paths = WitnessPaths(ranks, rec.cost[ranks], ids, lengths)
-            for arr in paths:
-                arr.setflags(write=False)
-            self._witness_paths = paths
-        return self._witness_paths
+        """The witness of every settled function as gate ids, in rank order
+        (read-only)."""
+        return self._paths
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return zip(self.functions(), self.cost_array().tolist())
@@ -529,10 +459,11 @@ def _run_search(
     symmetries: Sequence[LinePerm],
     options: SearchOptions,
     targets: np.ndarray | None = None,
-) -> tuple[_Records, int]:
+) -> tuple[WitnessPaths, np.ndarray, int]:
     """Core settle loop; stops once every function (or every target rank) is
-    recorded.  Returns the records (of the targets alone, if given) and the
-    number of (canonical) states settled."""
+    recorded.  Returns the witness paths and secondary costs of the settled
+    functions (the targets alone, if given) and the number of (canonical)
+    states settled."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     if not options.settle_relabelings:
@@ -597,23 +528,19 @@ def _run_search(
             return bool((cost_of[targets] >= 0).all())
         return remaining == 0
 
-    def result() -> tuple[_Records, int]:
+    def result() -> tuple[WitnessPaths, np.ndarray, int]:
+        held = np.flatnonzero(cost_of >= 0)
         if targets is not None:
-            keep = np.zeros(N_FUNCTIONS, dtype=bool)
-            keep[targets] = True
-            cost_of[~keep] = -1
-        held = cost_of >= 0
+            held = held[np.isin(held, targets)]
         states, rows = np.unique(state_of[held], return_inverse=True)
-        path_row = np.full(N_FUNCTIONS, -1, dtype=np.int32)
-        path_row[held] = rows
         paths, lengths = _extract_paths(
             states, np.concatenate(pred_parts), np.concatenate(gate_parts),
             np.concatenate(sigma_parts), orbits,
         )
-        records = _Records(
-            cost_of, secondary_of, path_row, perm_of, paths, lengths
-        )
-        return records, total
+        lengths = lengths[rows]
+        ids = orbits.relabel[perm_of[held, None], paths[rows]]
+        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
+        return WitnessPaths(held, cost_of[held], ids, lengths), secondary_of[held], total
 
     record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
     if done():
@@ -801,10 +728,12 @@ def settle_all(
             (metric.weight(g), secondary.weight(g) if secondary else 0) for g in gates
         ]
     options = _effective_options(options, gates, weights)
-    records, total = _run_search(gates, weights, topology.line_symmetries(), options)
+    paths, secondary, total = _run_search(
+        gates, weights, topology.line_symmetries(), options
+    )
     table = SynthesisTable(
-        metric, topology, library, gates, records,
-        options, mode=mode, states_visited=total,
+        metric, topology, library, gates, paths, secondary,
+        mode=mode, states_visited=total,
     )
     if not table.complete:
         raise InternalError("internal error: search ended with unsettled functions")
@@ -825,12 +754,12 @@ def synthesize_one(
     gates = enumerate_gates(topology, "NCV")
     weights = [(metric.weight(g), 0) for g in gates]
     options = _effective_options(options, gates, weights)
-    records, total = _run_search(
+    paths, secondary, total = _run_search(
         gates, weights, topology.line_symmetries(), options,
         targets=np.array([target]),
     )
     table = SynthesisTable(
-        metric, topology, "NCV", gates, records, options, states_visited=total,
+        metric, topology, "NCV", gates, paths, secondary, states_visited=total,
     )
     return table.cost_of(func), table.witness(func)
 

@@ -4,7 +4,7 @@
 import pytest
 
 import ncvsynth as nv
-from ncvsynth import io as nio
+from ncvsynth import cli
 
 
 @pytest.fixture(scope="session")
@@ -49,10 +49,10 @@ def comparison_012(nct_gc, ncv012_full):
 
 @pytest.fixture(scope="session")
 def warm_cache_dir(tmp_path_factory, ncv111_full, ncv012_full):
-    """Cache directory pre-seeded with session tables, for CLI tests."""
+    """Cache directory pre-seeded with session tables through the CLI's own
+    cache writer, for CLI tests."""
     cache = tmp_path_factory.mktemp("ncv-cache")
     for table in (ncv111_full, ncv012_full):
-        path = cache / f"{table.metric.slug}_{table.topology.slug}.csv"
-        with path.open("w", newline="") as fh:
-            nio.write_table_csv(table.costs, fh)
+        path, spec = cli.cache_entry(cache, table.metric, table.topology, nv.SearchOptions())
+        cli.write_cached_table(path, spec, table)
     return cache

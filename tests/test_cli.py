@@ -1,8 +1,15 @@
 """Command line behavior, exit codes, and cache correctness."""
 
+import contextlib
+import io as stdio
+import os
+import zipfile
+
+import numpy as np
 import pytest
 
 import ncvsynth as nv
+from ncvsynth import cli, search
 from ncvsynth import io as nio
 from ncvsynth.cli import main
 from ncvsynth.nct import toffoli_decomposition
@@ -127,8 +134,8 @@ def test_stats_missing_file_exits_5(tmp_path, capsys):
     assert run(capsys, "stats", str(tmp_path / "none.csv"))[0] == 5
 
 
-def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir, ncv111_full):
-    """A cached table must equal a freshly computed one bit-for-bit."""
+def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir):
+    """A cached table must give the output of a fresh computation bit-for-bit."""
     cached_out = tmp_path / "cached.csv"
     code, out, _ = run(
         capsys, "synth-all", "--metric", "ncv-111",
@@ -143,8 +150,202 @@ def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir, ncv
     )
     assert code == 0
     assert cached_out.read_bytes() == fresh_out.read_bytes()
-    cache_file = warm_cache_dir / "ncv-111_full.csv"
-    assert cache_file.read_bytes() == fresh_out.read_bytes()
+
+
+def _no_settle(*args, **kwargs):
+    raise AssertionError("a warm run settled an NCV table")
+
+
+@pytest.mark.parametrize("metric, topology", [("ncv-012", "full"), ("ncv-111", "path")])
+def test_synth_all_warm_run_matches_cold_run(tmp_path, capsys, monkeypatch, metric, topology):
+    out, circuits = tmp_path / "table.csv", tmp_path / "circuits.jsonl"
+    argv = [
+        "synth-all", "--metric", metric, "--topology", topology,
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(out), "--circuits", str(circuits),
+    ]
+    outputs = []
+    for _ in ("cold", "warm"):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        outputs.append((stdout, out.read_bytes(), circuits.read_bytes()))
+        monkeypatch.setattr(search, "settle_all", _no_settle)
+    assert outputs[0] == outputs[1]
+
+
+def test_compare_warm_run_matches_cold_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--metric", "ncv-012", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    outputs = []
+    for _ in ("cold", "warm"):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, err
+        outputs.append((stdout, out.read_bytes()))
+        monkeypatch.setattr(search, "settle_all", _no_settle)
+    assert outputs[0] == outputs[1]
+
+
+# --------------------------------------------------------------------------
+# A cache file that is corrupt, truncated, empty or of another spec is a miss
+
+def _synth_all(metric, *flags):
+    """Exit code, stdout and ``--out`` bytes of a synth-all run in the
+    current directory, with ``cache`` as the cache directory."""
+    buf = stdio.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["synth-all", "--metric", metric, "--cache-dir", "cache",
+                     "--out", "table.csv", *flags])
+    with open("table.csv", "rb") as fh:
+        return code, buf.getvalue(), fh.read()
+
+
+@pytest.fixture(scope="module")
+def no_cache_runs(tmp_path_factory):
+    """The outputs of a real --no-cache synth-all, by metric (set up before
+    ``settled`` replaces the settle)."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("no-cache"))
+    try:
+        return {metric: _synth_all(metric, "--no-cache") for metric in ("ncv-111", "ncv-155")}
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture
+def settled(monkeypatch, ncv111_full, ncv155_full):
+    """Log the CLI's NCV settles and serve them from the session tables."""
+    tables = {t.metric.slug: t for t in (ncv111_full, ncv155_full)}
+    calls = []
+
+    def settle_all(metric, topology, options):
+        calls.append(metric.slug)
+        return tables[metric.slug]
+
+    monkeypatch.setattr(search, "settle_all", settle_all)
+    return calls
+
+
+def _flip(offset):
+    def corrupt(data):
+        data = bytearray(data)
+        data[offset % len(data)] ^= 0x10
+        return bytes(data)
+    return corrupt
+
+
+def _shrink_gate_ids_shape(data):
+    """Clear one bit of the gate-id matrix's width in its array header, so
+    the header claims fewer bytes than the member holds and a reader that
+    stops there never reaches the member's CRC."""
+    units = data.index(b"), }", data.index(b"gate_ids.npy")) - 1
+    data = bytearray(data)
+    data[units] &= ~(1 << ((data[units] - ord("0")).bit_length() - 1))
+    return bytes(data)
+
+
+CORRUPTIONS = {
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[:len(data) // 2],
+    "cut-before-end-record": lambda data: data[:-1],
+    "table-csv-text": lambda data: b"function,cost\n0,1,2\nx\n",
+    "flip-member-name": _flip(30),
+    "flip-spec": _flip(200),
+    "flip-cost-data": _flip(40_000),
+    "flip-gate-ids-data": _flip(900_000),
+    "flip-central-directory": _flip(-400),
+    "flip-end-record": _flip(-10),
+    "shrink-gate-ids-shape": _shrink_gate_ids_shape,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_cache_file_is_recomputed(
+    tmp_path, monkeypatch, ncv111_full, no_cache_runs, settled, corruption
+):
+    expected = no_cache_runs["ncv-111"]
+    monkeypatch.chdir(tmp_path)
+    path, spec = cli.cache_entry(tmp_path / "cache", nv.NCV_111, nv.FULL_TOPOLOGY,
+                                 nv.SearchOptions())
+    cli.write_cached_table(path, spec, ncv111_full)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY) is None
+
+    assert _synth_all("ncv-111") == expected
+    assert settled == ["ncv-111"]
+    rewritten = cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY)
+    assert rewritten is not None
+    assert all(map(np.array_equal, rewritten.witness_paths(), ncv111_full.witness_paths()))
+
+
+def test_bit_flips_across_a_cache_file_never_serve_other_arrays(tmp_path, ncv111_full):
+    """Flips in every member's zip and array headers, the zip directory at
+    the end, and a spread of data offsets.  Each is a miss, or lands in a
+    field the reader does not use (such as a local header's date) and
+    serves the written table unchanged."""
+    path, spec = cli.cache_entry(tmp_path, nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    cli.write_cached_table(path, spec, ncv111_full)
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as zf:
+        starts = [info.header_offset for info in zf.infolist()]
+    offsets = {o for start in starts for o in range(start, start + 160, 3)}
+    offsets |= set(range(len(data) - 700, len(data), 5))
+    offsets |= set(np.random.default_rng(0).integers(0, len(data), 40).tolist())
+    bad = tmp_path / "bad.npz"
+    for offset in sorted(offsets):
+        bad.write_bytes(_flip(offset)(data))
+        table = cli.read_cached_table(bad, spec, nv.NCV_111, nv.FULL_TOPOLOGY)
+        if table is not None:
+            assert all(map(np.array_equal, table.witness_paths(), ncv111_full.witness_paths()))
+            assert np.array_equal(table.secondary_array(), ncv111_full.secondary_array())
+
+
+def test_cache_file_of_another_metric_is_recomputed(
+    tmp_path, monkeypatch, ncv111_full, ncv155_full, no_cache_runs, settled
+):
+    expected = no_cache_runs["ncv-155"]
+    monkeypatch.chdir(tmp_path)
+    path, spec = cli.cache_entry(tmp_path / "cache", nv.NCV_111, nv.FULL_TOPOLOGY,
+                                 nv.SearchOptions())
+    cli.write_cached_table(path, spec, ncv111_full)
+    path_155, spec_155 = cli.cache_entry(tmp_path / "cache", nv.NCV_155, nv.FULL_TOPOLOGY,
+                                         nv.SearchOptions())
+    path.replace(path_155)
+
+    assert _synth_all("ncv-155") == expected
+    assert settled == ["ncv-155"]
+    assert cli.read_cached_table(path_155, spec_155, nv.NCV_155, nv.FULL_TOPOLOGY) is not None
+
+
+def test_cache_file_of_other_reductions_is_recomputed(
+    tmp_path, monkeypatch, no_cache_runs, settled
+):
+    """--no-prune-relabel gives other witnesses, so its file is no hit for a
+    default run, and the default run's file is no hit for it."""
+    expected = no_cache_runs["ncv-111"]
+    monkeypatch.chdir(tmp_path)
+    assert _synth_all("ncv-111", "--no-prune-relabel")[0] == 0
+    assert _synth_all("ncv-111") == expected
+    assert _synth_all("ncv-111", "--no-prune-relabel")[0] == 0
+    assert _synth_all("ncv-111") == expected
+    assert settled == ["ncv-111"] * 4
+    assert _synth_all("ncv-111") == expected
+    assert settled == ["ncv-111"] * 4
+
+
+def test_compare_recomputes_a_table_csv_in_place_of_its_cache_file(
+    tmp_path, capsys, monkeypatch, settled
+):
+    """A short CSV made a warm ``compare`` exit 2 (bad table row) when the
+    cache held CSV tables; any file that is not a whole cache file is a miss."""
+    path, _ = cli.cache_entry(tmp_path / "cache", nv.NCV_111, nv.FULL_TOPOLOGY,
+                              nv.SearchOptions())
+    path.parent.mkdir()
+    path.write_text("function,cost\n0,1,2\nx\n")
+    argv = ["compare", "--metric", "ncv-111", "--cache-dir", str(tmp_path / "cache")]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0, err
+    assert settled == ["ncv-111"]
+    assert (code, stdout, err) == run(capsys, *argv, "--no-cache")
 
 
 def test_synth_all_writes_circuits(tmp_path, capsys):

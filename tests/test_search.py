@@ -19,6 +19,7 @@ from ncvsynth.model import (
     CircuitState,
     apply_circuit,
     enumerate_gates,
+    function_rank,
     row_permutation,
 )
 
@@ -63,43 +64,36 @@ def test_synthesize_one_matches_full_table(ncv111_full, ncv111_path):
             assert circuit == table.witness(func)
 
 
-def _witness_from_record(table, func):
-    """The witness rebuilt gate by gate from its record, as documented."""
-    rec = table.record(func)
-    gates = enumerate_gates(table.topology, table.library)
-    circuit = nv.Circuit(tuple(gates[i] for i in rec.gate_ids), table.library)
-    if rec.line_perm is not None:
-        circuit = nv.relabel_circuit(circuit, rec.line_perm, table.topology)
-    return circuit
-
-
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
-def test_every_witness_is_optimal_legal_and_matches_its_record(name, request):
+def test_every_witness_is_optimal_and_legal(name, request):
     table = request.getfixturevalue(name)
     witnesses = [(f, table.witness(f)) for f in table.functions()]
     assert len(witnesses) == nv.N_FUNCTIONS
     assert nv.verify_witnesses(witnesses, topology=table.topology) == (nv.N_FUNCTIONS, None)
-    relabeled = 0
     for func, circuit in witnesses:
         assert nv.circuit_cost(circuit, table.metric) == table.cost_of(func)
         assert all(table.topology.allows_gate(g) for g in circuit)
-        assert circuit == _witness_from_record(table, func)
-        relabeled += table.record(func).line_perm is not None
-    assert relabeled > 0
 
 
-def test_cost_only_table_has_no_witnesses(ncv111_full):
-    table = nv.SynthesisTable.from_costs(ncv111_full.costs, nv.NCV_111)
-    assert table.complete and table.costs == ncv111_full.costs
-    assert table.cost_of(TOF_FUNC) == 5
+def test_table_of_some_rows_serves_those_alone(ncv111_full):
+    """A table is its rank arrays: two rows of a full table make a table of
+    two functions, and any other function is unknown to it."""
+    paths = ncv111_full.witness_paths()
+    ranks = np.array([function_rank(TOF_FUNC), function_rank(PERES_FUNC)])
+    rows = nv.WitnessPaths(ranks, *(a[ranks] for a in paths[1:]))
+    table = nv.SynthesisTable(
+        nv.NCV_111, nv.FULL_TOPOLOGY, "NCV", ncv111_full.gate_list, rows,
+        ncv111_full.secondary_array()[ranks],
+    )
+    assert len(table) == 2 and not table.complete
+    assert list(table.functions()) == [TOF_FUNC, PERES_FUNC]
+    assert TOF_FUNC in table and tuple(range(8)) not in table
+    assert table.cost_of(TOF_FUNC) == 5 and table.cost_of(PERES_FUNC) == 4
+    assert table.witness(TOF_FUNC) == ncv111_full.witness(TOF_FUNC)
     with pytest.raises(UnknownState):
-        table.witness(TOF_FUNC)
+        table.cost_of(tuple(range(8)))
     with pytest.raises(UnknownState):
-        table.record(TOF_FUNC)
-    with pytest.raises(UnknownState):
-        table.witness_paths()
-    with pytest.raises(UnknownState):
-        nv.SynthesisTable.from_costs({}, nv.NCV_111).cost_of(TOF_FUNC)
+        table.witness((7, 6, 5, 4, 3, 2, 1, 0))
 
 
 @pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
@@ -353,5 +347,3 @@ def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
         assert nv.circuit_cost(witness, nv.NCV_012) == table.secondary_of(func)
     assert table.secondary_array().tolist() == [table.secondary_of(f) for f in table.functions()]
     assert not ncv111_full.secondary_array().any()
-    cost_only = nv.SynthesisTable.from_costs(ncv111_full.costs, nv.NCV_111)
-    assert cost_only.secondary_of(TOF_FUNC) == 0
