@@ -7,8 +7,9 @@ library, every gate's weight pair, the topology's line pairs, both
 reduction flags and the cache format version.  A file that cannot be read
 whole, or whose spec differs from the run's, is a miss: the table is
 settled again and the file rewritten.  Pass ``--no-cache`` to neither read
-nor write it.  NCT tables settle in a fraction of a second and are never
-cached.
+nor write it.  A run with ``--max-cost`` or ``--max-states`` reads no
+cache file (it may write one), so its budget acts alike cold and warm.
+NCT tables settle in a fraction of a second and are never cached.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
 3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
@@ -186,10 +187,13 @@ def cached_ncv_table(
     options: search.SearchOptions | None = None,
 ) -> search.SynthesisTable:
     """The complete NCV table, read from the cache when its file holds this
-    run's spec, else settled (and, with ``use_cache``, written there)."""
+    run's spec, else settled (and, with ``use_cache``, written there).  A
+    run with a budget (``max_cost`` or ``max_states``) reads no cache file,
+    so that the budget acts alike cold and warm; a table it settles
+    completely is still written."""
     options = options or search.SearchOptions()
     path, spec = cache_entry(cache_dir, metric, topology, options)
-    if use_cache:
+    if use_cache and options.max_cost is None and options.max_states is None:
         table = read_cached_table(path, spec, metric, topology)
         if table is not None:
             return table

@@ -19,6 +19,7 @@ identically.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
 import json
 from typing import Mapping
@@ -37,7 +38,10 @@ def format_gate(gate: Gate) -> str:
     return str(gate)
 
 
+@functools.lru_cache(maxsize=256)
 def parse_gate(text: str) -> Gate:
+    """The gate a line of circuit text names; each distinct text is parsed
+    once (gates are immutable, so callers share the instance)."""
     parts = text.split()
     kind = parts[0].upper()
     if kind not in _ARITY:

@@ -151,6 +151,15 @@ class Circuit:
             if g.kind not in allowed:
                 raise ValueError(f"{g.kind} gate is not in the {self.library} library")
 
+    @classmethod
+    def _trusted(cls, gates: tuple[Gate, ...], library: str) -> "Circuit":
+        """A circuit of gates already known to be in ``library``, built
+        without the per-gate check of ``__post_init__``."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "gates", gates)
+        object.__setattr__(circuit, "library", library)
+        return circuit
+
     def __len__(self) -> int:
         return len(self.gates)
 

@@ -16,11 +16,27 @@ weight, and a gate of primary weight 0 may not.  Weights below (0, 0) are
 rejected with ValueError.
 
 Expansion is vectorized with numpy: each bucket's candidates are produced
-per-gate as uint64 batches, deduplicated, and filtered against the settled
-set with sorted-array searches.  Ties between equal-cost paths to the same
-state break by (parent settle index, gate enumeration index) - the order a
-scalar queue-based search would consider them - and within a bucket states
-settle in packed-key order, which makes every witness reproducible.
+per-gate as uint64 batches, filtered against a window of the settled states
+with sorted-array searches, and put in (parent settle index, gate
+enumeration index) order by a stable sort.  Batches join their bucket in
+settle order, so a stable sort of a drained bucket by key puts first, among
+equal-cost paths to a state, the one a scalar queue-based search would
+consider first; that path wins, and within a bucket states settle in
+packed-key order, which makes every witness reproducible.
+
+The window holds the keys of the states settled at cost ``cost - span`` or
+more, where ``span`` is the heaviest gate weight (pairs subtract
+componentwise and compare lexicographically); states below it are dropped
+from the probe on each new bucket.  That misses no settled state a
+candidate can meet.  A state's settled cost is its distance from the
+identity: Dijkstra settles distances, and reduction (1) below preserves
+every state's distance under the weights ``_effective_options`` leaves it
+on for.  The gate list holds the inverse of each of its gates (ValueError
+otherwise), and the symmetries of reduction (2) map gates to gates of equal
+weight, so the search graph is undirected: if a candidate g(p) of a state p
+settled at cost c was itself settled, at cost d, then c <= d + w(g^-1), so
+d >= c - span.  The probe at the candidate's own bucket, of cost c + w(g),
+catches the states settled after it was made, whose costs are at least c.
 
 Search reductions (each can be switched off):
 
@@ -154,6 +170,7 @@ class SynthesisTable:
         mode: str = "metric",
         states_visited: int = 0,
     ) -> None:
+        Circuit(gate_list, library)  # ValueError unless every gate is in the library
         self.metric = metric
         self.topology = topology
         self.library = library
@@ -228,7 +245,7 @@ class SynthesisTable:
         paths = self._paths
         gates = self.gate_list
         ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
-        return Circuit(tuple([gates[i] for i in ids]), self.library)
+        return Circuit._trusted(tuple([gates[i] for i in ids]), self.library)
 
     def witness_paths(self) -> WitnessPaths:
         """The witness of every settled function as gate ids, in rank order
@@ -466,9 +483,11 @@ def _run_search(
     states settled."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
+    gates = tuple(gates)
+    if not {g.inverse() for g in gates} <= set(gates):
+        raise ValueError("the gate list must hold the inverse of each of its gates")
     if not options.settle_relabelings:
         symmetries = LINE_PERMUTATIONS[:1]
-    gates = tuple(gates)
     n_gates = len(gates)
     pairs = np.array(weights)
     # Conjugation joins the group where it moves some gate and keeps every cost.
@@ -491,7 +510,11 @@ def _run_search(
     gate_parts = [np.array([255], dtype=np.uint8)]
     sigma_parts = [np.zeros(1, dtype=np.int8)]
     total = 1
-    sorted_keys = root.copy()
+    # The settled states a candidate can meet (see the module docstring):
+    # each drain's new keys with its bucket cost, and their sorted union.
+    span = max(weights)
+    window: list[tuple[Cost, np.ndarray]] = [((0, 0), root)]
+    window_keys = root
 
     cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
     secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
@@ -550,13 +573,13 @@ def _run_search(
     heap: list[Cost] = []
 
     def fresh_mask(keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(sorted_keys, keys)
-        pos[pos >= len(sorted_keys)] = len(sorted_keys) - 1
-        return sorted_keys[pos] != keys
+        pos = np.searchsorted(window_keys, keys)
+        pos[pos >= len(window_keys)] = len(window_keys) - 1
+        return window_keys[pos] != keys
 
     def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
         """Enqueue the fresh canonical successors of settled states, one
-        batch per gate weight."""
+        batch per gate weight, in (parent settle index, gate id) order."""
         for weight, group in groups.items():
             raw, preds, gids = [], [], []
             for vg in group:
@@ -574,16 +597,19 @@ def _run_search(
             if not raw:
                 continue
             new_keys, sigma = _canonical(np.concatenate(raw), orbits)
-            fresh = fresh_mask(new_keys)
-            if not fresh.any():
+            fresh = np.flatnonzero(fresh_mask(new_keys))
+            if not len(fresh):
                 continue
+            # Each gate's run is in parent order; a stable sort merges them.
+            preds = np.concatenate(preds)[fresh]
+            order = np.argsort(preds, kind="stable")
+            take = fresh[order]
             new_cost = (cost[0] + weight[0], cost[1] + weight[1])
             if new_cost not in buckets:
                 buckets[new_cost] = []
                 heapq.heappush(heap, new_cost)
             buckets[new_cost].append((
-                new_keys[fresh], np.concatenate(preds)[fresh],
-                np.concatenate(gids)[fresh], sigma[fresh],
+                new_keys[take], preds[order], np.concatenate(gids)[take], sigma[take],
             ))
 
     placement_of_gate = np.array([vg.placement_id for vg in vgates], dtype=np.uint8)
@@ -597,12 +623,17 @@ def _run_search(
                 f"cost ceiling {options.max_cost} reached with "
                 f"{remaining} function(s) unsettled"
             )
+        floor = (cost[0] - span[0], cost[1] - span[1])
+        if window[0][0] < floor:
+            window = [(c, k) for c, k in window if c >= floor]
+            window_keys = np.sort(np.concatenate([k for _, k in window]))
         while not stop and buckets.get(cost):
             keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
             buckets[cost] = []
-            # Tie-break equal-cost paths by (parent settle index, gate index).
-            tie = preds.astype(np.int64) * n_gates + gids
-            order = np.lexsort((tie, keys))
+            # Batches arrive in settle order, each in (parent settle index,
+            # gate id) order, so a stable sort puts first the tie-break
+            # winner among equal-cost paths to a key.
+            order = np.argsort(keys, kind="stable")
             keys_sorted = keys[order]
             lead = np.empty(len(keys_sorted), dtype=bool)
             if len(lead):
@@ -632,8 +663,9 @@ def _run_search(
                     f"state ceiling {options.max_states} reached with "
                     f"{remaining} function(s) unsettled"
                 )
-            sorted_keys = np.insert(
-                sorted_keys, np.searchsorted(sorted_keys, new_keys), new_keys
+            window.append((cost, new_keys))
+            window_keys = np.insert(
+                window_keys, np.searchsorted(window_keys, new_keys), new_keys
             )
 
             boolean = (new_keys & _ALL_FLAGS) == _U64(0)

@@ -122,6 +122,28 @@ def test_synth_all_budget_exits_4(tmp_path, capsys):
     assert code == 4 and "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "budget, expected",
+    [(["--max-cost", "3"], 4), (["--max-states", "1000"], 4), (["--max-cost", "99"], 0)],
+)
+def test_budget_acts_alike_cold_and_warm(tmp_path, capsys, ncv111_full, budget, expected):
+    """A run with a budget reads no cache file: a complete cached table must
+    not lift a budget that is too small, nor change the output of one that
+    is large enough."""
+    cache, out = tmp_path / "cache", tmp_path / "table.csv"
+    argv = ["synth-all", "--metric", "ncv-111", "--cache-dir", str(cache),
+            "--out", str(out), *budget]
+    outputs = []
+    for _ in ("cold", "warm"):
+        out.unlink(missing_ok=True)
+        code, stdout, err = run(capsys, *argv)
+        outputs.append((code, stdout, err, out.read_bytes() if out.exists() else None))
+        path, spec = cli.cache_entry(cache, nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions())
+        cli.write_cached_table(path, spec, ncv111_full)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == expected
+
+
 def test_stats_roundtrip(tmp_path, capsys, ncv111_full):
     table_file = tmp_path / "t.csv"
     with table_file.open("w", newline="") as fh:

@@ -84,6 +84,10 @@ def test_jsonl_roundtrip(ncv111_full):
     func = (0, 1, 2, 3, 4, 5, 7, 6)
     cost, circuit = records[func]
     assert cost == 5 and nv.realized_function(circuit) == func
+    assert all(
+        records[f] == (ncv111_full.cost_of(f), ncv111_full.witness(f))
+        for f in ncv111_full.functions()
+    )
 
 
 # SHA-256 of outputs that depend on which optimal witness each table holds.

@@ -1,5 +1,8 @@
 """Search engine behavior: landmarks, oracles, budgets, determinism."""
 
+import hashlib
+import io as stdio
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from ncvsynth import (
     SearchOptions,
     UnknownState,
 )
+from ncvsynth import io as nio
 from ncvsynth import search
 from ncvsynth.model import (
     LINE_PERMUTATIONS,
@@ -108,7 +112,20 @@ def test_witness_paths_row_by_row_equal_witness(name, request):
     gates = table.gate_list
     for func, ids, length in zip(functions, paths.gate_ids.tolist(), paths.lengths.tolist()):
         assert set(ids[length:]) <= {len(gates)}
-        assert nv.Circuit(tuple(gates[i] for i in ids[:length]), table.library) == table.witness(func)
+        # witness() skips the per-gate library check; the result must be
+        # the circuit the checked constructor builds.
+        witness = table.witness(func)
+        checked = nv.Circuit(tuple(gates[i] for i in ids[:length]), table.library)
+        assert witness == checked and hash(witness) == hash(checked)
+        assert type(witness.gates) is tuple
+
+
+def test_table_rejects_a_gate_outside_its_library(ncv111_full):
+    with pytest.raises(ValueError):
+        nv.SynthesisTable(
+            nv.NCV_111, nv.FULL_TOPOLOGY, "NCT", ncv111_full.gate_list,
+            ncv111_full.witness_paths(), ncv111_full.secondary_array(),
+        )
 
 
 @pytest.mark.parametrize("library", ["NCV", "NCT"])
@@ -201,6 +218,50 @@ def test_cost_ceiling_raises():
 def test_state_ceiling_raises():
     with pytest.raises(BudgetExceeded):
         nv.settle_all(nv.NCV_111, options=SearchOptions(max_states=1000))
+
+
+def test_gate_list_without_inverses_rejected():
+    # The settled-state window rests on every gate's inverse being a gate.
+    gates = [g for g in enumerate_gates(nv.FULL_TOPOLOGY, "NCV") if g.kind != "V+"]
+    with pytest.raises(ValueError, match="inverse"):
+        search._run_search(
+            gates, [(1, 0)] * len(gates), nv.FULL_TOPOLOGY.line_symmetries(),
+            SearchOptions(),
+        )
+
+
+# states_visited and the SHA-256 of write_table_jsonl, for searches that
+# stress the settled-state window: ncv-012 has a zero-weight NOT (several
+# drains per bucket), ncv-155 a span of 5, custom:1,3,1 switches reduction
+# (1) off, and NCT lex-max pairs carry negative secondaries.  A window too
+# narrow to hold every settled state a candidate can meet settles some
+# states again, which shows as more states.
+WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
+    "ncv-111/full": ("ncv111_full", 389_026,
+                     "14ceb06726d8d6fec3b2169d78c6cb92ebdee028cd59716c595daf6fcadc3902"),
+    "ncv-111/path": ("ncv111_path", 972_976,
+                     "4fc99703a221aa32a7d9ad022211a159dea07a2884e616ed0445bc149481365f"),
+    "ncv-012/full": ("ncv012_full", 382_588,
+                     "e311b5dd639337232e92602c10f88ea6290153a9f2d622be0d99bc72dfaae624"),
+    "ncv-155/path": (lambda: nv.settle_all(nv.NCV_155, nv.PATH_TOPOLOGY), 966_568,
+                     "3980687a208efa5b2fa10755e2a41549407d9267c3d04387bfa9f9a0766c778e"),
+    "custom:1,3,1/full": (lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")), 407_284,
+                          "fb1e2ae906d18867c460aeb3a3aaffdf7112ac287bba4bf6ec7e6f0868fe7d6e"),
+    "nct-lex-max/custom:1,300,300": (
+        lambda: nv.settle_all_nct("lex-max", CostMetric.parse("custom:1,300,300")), 6_828,
+        "bcfe45a9f8adcff03754172b22a11349508eb8fdb33e141537133356cb09fa5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_TABLES))
+def test_window_settles_each_state_once(name, request):
+    settle, states, digest = WINDOW_TABLES[name]
+    table = request.getfixturevalue(settle) if isinstance(settle, str) else settle()
+    buf = stdio.StringIO()
+    nio.write_table_jsonl(table, buf)
+    assert table.states_visited == states
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_disconnected_topology_rejected():
