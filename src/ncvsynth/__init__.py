@@ -36,7 +36,6 @@ from .model import (
     CostMetric,
     FULL_TOPOLOGY,
     Gate,
-    IDENTITY_FUNCTION,
     METRICS,
     NCV_012,
     NCV_111,

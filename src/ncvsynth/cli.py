@@ -36,7 +36,7 @@ from .errors import (
     InvalidFunction,
     NcvSynthError,
 )
-from .model import N_FUNCTIONS, CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology, enumerate_gates
+from .model import CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology, enumerate_gates
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -137,10 +137,11 @@ def cache_entry(
 def read_cached_table(
     path: Path, spec: str, metric: CostMetric, topology: Topology
 ) -> search.SynthesisTable | None:
-    """The complete table stored at ``path``, or None if the file is
-    missing, cannot be read whole, or holds another spec.  Every member's
-    CRC is checked first: a flipped bit in an array header could otherwise
-    shrink the array so that reading it stops short of the check."""
+    """The table stored at ``path``, or None if the file is missing, cannot
+    be read whole, holds another spec, or holds arrays that are not a table
+    (``SynthesisTable`` raises ValueError).  Every member's CRC is checked
+    first: a flipped bit in an array header could otherwise shrink the
+    array so that reading it stops short of the check."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if data.zip.testzip() is not None:
@@ -148,21 +149,16 @@ def read_cached_table(
             arrays = {name: data[name] for name in data.files}
         if str(arrays["spec"]) != spec:
             return None
-        cost, secondary, gate_ids, lengths = (
-            arrays[name] for name in ("cost", "secondary", "gate_ids", "lengths")
-        )
+        paths = search.WitnessPaths(*(arrays[name] for name in ("cost", "gate_ids", "lengths")))
+        gates = enumerate_gates(topology, "NCV")
+        return search.SynthesisTable(metric, topology, "NCV", gates, paths, arrays["secondary"])
     # RuntimeError: a flipped flag or compression method in the zip directory
     except (OSError, EOFError, RuntimeError, ValueError, KeyError, zipfile.BadZipFile):
         return None
-    if any(len(arr) != N_FUNCTIONS for arr in (cost, secondary, gate_ids, lengths)):
-        return None
-    paths = search.WitnessPaths(np.arange(N_FUNCTIONS), cost, gate_ids, lengths)
-    gates = enumerate_gates(topology, "NCV")
-    return search.SynthesisTable(metric, topology, "NCV", gates, paths, secondary)
 
 
 def write_cached_table(path: Path, spec: str, table: search.SynthesisTable) -> None:
-    """Store a complete table's arrays at ``path``: written to a temporary
+    """Store a table's arrays at ``path``: written to a temporary
     file in the same directory, then moved over ``path`` in one step."""
     paths = table.witness_paths()
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -186,7 +182,7 @@ def cached_ncv_table(
     use_cache: bool,
     options: search.SearchOptions | None = None,
 ) -> search.SynthesisTable:
-    """The complete NCV table, read from the cache when its file holds this
+    """The NCV table, read from the cache when its file holds this
     run's spec, else settled (and, with ``use_cache``, written there).  A
     run with a budget (``max_cost`` or ``max_states``) reads no cache file,
     so that the budget acts alike cold and warm; a table it settles
@@ -254,12 +250,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        text = args.circuit.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    circuit = io.parse_circuit(text)
+    circuit = io.parse_circuit(args.circuit.read_text())
     func = io.parse_function(args.function)
     if check_realizes(circuit, func, args.tol):
         print(f"ok: circuit realizes {io.format_function(func)} (tol {args.tol:g})")
@@ -273,12 +264,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        with args.table.open("r", newline="") as fh:
-            costs = io.read_table_csv(fh)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with args.table.open("r", newline="") as fh:
+        costs = io.read_table_csv(fh)
     hist = analysis.CostHistogram.from_costs(costs, expect_total=None)
     sys.stdout.write(io.histogram_text(hist))
     return EXIT_OK

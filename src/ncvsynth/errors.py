@@ -27,11 +27,12 @@ class BudgetExceeded(NcvSynthError):
 
 
 class UnknownState(NcvSynthError):
-    """Circuit reconstruction was requested for a state never settled."""
+    """Circuit reconstruction was requested for a state whose witness is not
+    kept (a non-Boolean search state)."""
 
 
 class IncompleteTable(NcvSynthError):
-    """An operation requires a complete synthesis table (40,320 entries)."""
+    """A cost mapping does not cover all 40,320 functions."""
 
 
 class MetricMismatch(NcvSynthError):

@@ -34,10 +34,6 @@ from .search import SynthesisTable
 _ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
 
 
-def format_gate(gate: Gate) -> str:
-    return str(gate)
-
-
 @functools.lru_cache(maxsize=256)
 def parse_gate(text: str) -> Gate:
     """The gate a line of circuit text names; each distinct text is parsed
@@ -140,17 +136,17 @@ def read_table_csv(stream) -> dict[tuple[int, ...], int]:
 
 
 def write_table_jsonl(table: SynthesisTable, stream) -> None:
-    """One ``json.dumps(record, sort_keys=True)`` line per settled function
-    in rank order, with record {function, cost, circuit}, written block by
+    """One ``json.dumps(record, sort_keys=True)`` line per function in rank
+    order, with record {function, cost, circuit}, written block by
     block from the table's witness paths and each gate's escaped text."""
     paths = table.witness_paths()
     gate_text = np.array(
         [json.dumps(f"{g}\n")[1:-1] for g in table.gate_list] + [""], dtype=object
     )
     outputs = rank_tables().outputs
-    for start in range(0, len(paths.ranks), _BLOCK):
+    for start in range(0, len(outputs), _BLOCK):
         block = slice(start, start + _BLOCK)
-        funcs = outputs[paths.ranks[block]].tolist()
+        funcs = outputs[block].tolist()
         circuits = gate_text[paths.gate_ids[block]].tolist()
         costs = paths.cost[block].tolist()
         stream.write("".join([

@@ -166,12 +166,6 @@ class Circuit:
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 
-    def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
-
     def __str__(self) -> str:
         return "; ".join(str(g) for g in self.gates) if self.gates else "(empty)"
 
@@ -400,9 +394,6 @@ def invert_function(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-IDENTITY_FUNCTION = tuple(range(N_ROWS))
-
-
 # --------------------------------------------------------------------------
 # Gate application
 
@@ -580,25 +571,17 @@ class RankTables(NamedTuple):
 
     #: (rank, row) -> output of that row, uint8
     outputs: np.ndarray
-    #: rank -> 24-bit code sum(out[i] << 3 * (7 - i)), strictly ascending
+    #: rank -> the 8 outputs read as a big-endian uint64, strictly ascending
     codes: np.ndarray
     #: (rank, j) -> rank of the image under LINE_PERMUTATIONS[j]
     relabeled: np.ndarray
 
     def ranks_of_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Ranks of functions given by their 24-bit codes."""
+        """Ranks of functions given by their uint64 codes."""
         return np.searchsorted(self.codes, codes).astype(np.int32)
 
     def function(self, rank: int) -> tuple[int, ...]:
         return tuple(self.outputs[rank].tolist())
-
-
-def _codes(outputs: np.ndarray) -> np.ndarray:
-    """24-bit codes of uint8 output rows."""
-    codes = np.zeros(len(outputs), dtype=np.int32)
-    for column in outputs.T:
-        codes = (codes << 3) | column
-    return codes
 
 
 @functools.cache
@@ -611,14 +594,14 @@ def rank_tables() -> RankTables:
         itertools.chain.from_iterable(itertools.permutations(range(N_ROWS))),
         dtype=np.uint8, count=N_FUNCTIONS * N_ROWS,
     ).reshape(N_FUNCTIONS, N_ROWS)
-    codes = _codes(outputs)
+    codes = outputs.view(">u8")[:, 0].astype(np.uint64)
     relabeled = np.empty((N_FUNCTIONS, len(LINE_PERMUTATIONS)), dtype=np.int32)
     image = np.empty_like(outputs)
     for j, perm in enumerate(LINE_PERMUTATIONS):
         rp = np.array(_ROW_PERMS[perm][0], dtype=np.uint8)
         for row in range(N_ROWS):
             image[:, rp[row]] = rp[outputs[:, row]]
-        relabeled[:, j] = np.searchsorted(codes, _codes(image))
+        relabeled[:, j] = np.searchsorted(codes, image.view(">u8")[:, 0])
     tables = RankTables(outputs, codes, relabeled)
     for arr in tables:
         arr.setflags(write=False)
@@ -627,9 +610,10 @@ def rank_tables() -> RankTables:
 
 @functools.cache
 def _byte_codes() -> array.array:
-    """``int.from_bytes(bytes(func), "big")`` of every function, in rank
-    order (ascending), as 64-bit array entries (315 KiB), built on first use."""
-    return array.array("Q", rank_tables().outputs.view(">u8").astype(np.uint64).tobytes())
+    """``rank_tables().codes``, which are ``int.from_bytes(bytes(func), "big")``
+    of every function in rank order (ascending), as 64-bit array entries
+    (315 KiB) for ``bisect``, built on first use."""
+    return array.array("Q", rank_tables().codes.tobytes())
 
 
 def function_rank(func: Sequence[int]) -> int:

@@ -80,11 +80,13 @@ then its state's path with every gate id mapped through the function's
 line relabeling, by one uint8 (sigma x gate id) map per gate list, and the
 per-state arrays are dropped.
 
-A table is its arrays in rank order: the ``witness_paths`` (ranks, primary
-cost, padded gate-id matrix, lengths) and the secondary costs.  ``witness``
-reads one row of the matrix; bulk consumers (the JSONL writer,
-``analysis.compare``, the CLI's cache) read the whole matrix without
-building a Circuit per function.
+A table holds every function: row i of each of its arrays is the function
+of rank i.  The arrays are the ``witness_paths`` (primary cost, padded
+gate-id matrix, lengths) and the secondary costs.  ``witness`` reads one row
+of the matrix; bulk consumers (the JSONL writer, ``analysis.compare``, the
+CLI's cache) read the whole matrix without building a Circuit per function.
+``synthesize_one`` builds no table: it reads its circuit from the one row
+the search returns for its target.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     InternalError,
-    InvalidFunction,
     QuantumControl,
     UnknownState,
 )
@@ -138,25 +139,36 @@ class SearchOptions:
 
 
 class WitnessPaths(NamedTuple):
-    """Every settled function's cost and witness, one row per function in
-    rank order.  Row i's witness is ``gate_ids[i, :lengths[i]]`` indexing the
-    table's ``gate_list``; the rest of the row holds ``len(gate_list)``, so a
-    lookup table with one extra entry (weight 0, empty text) ignores it."""
+    """Functions' costs and witnesses, one row per function: in a table, row
+    i is the function of rank i.  Row i's witness is
+    ``gate_ids[i, :lengths[i]]`` indexing the table's ``gate_list``; the
+    rest of the row holds ``len(gate_list)``, so a lookup table with one
+    extra entry (weight 0, empty text) ignores it."""
 
-    ranks: np.ndarray     # int64 function ranks, ascending
     cost: np.ndarray      # int64 primary cost
     gate_ids: np.ndarray  # uint8 (function, position)
     lengths: np.ndarray   # int32 witness length
 
 
-class SynthesisTable:
-    """Optimal cost and one witness circuit per settled reversible function.
+def _row_circuit(
+    paths: WitnessPaths, row: int, gates: tuple[Gate, ...], library: str
+) -> Circuit:
+    """The witness stored in one row of ``paths`` (its gates are from
+    ``gates``, which are in ``library``)."""
+    ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
+    return Circuit._trusted(tuple([gates[i] for i in ids]), library)
 
-    The table is its arrays in rank order: the settled functions'
-    ``witness_paths`` and, row for row, their secondary costs.  The
-    tuple-keyed methods convert a function to its row at the boundary.
-    ``states_visited`` counts the states the search settled (0 for a table
-    read back from stored arrays).
+
+class SynthesisTable:
+    """Optimal cost and one witness circuit for each of the 40,320
+    reversible functions.
+
+    The table is its arrays, row i for the function of rank i: the
+    ``witness_paths`` and, row for row, the secondary costs.  ValueError
+    unless each array has ``N_FUNCTIONS`` rows.  The tuple-keyed methods
+    convert a function to its rank at the boundary.  ``states_visited``
+    counts the states the search settled (0 for a table read back from
+    stored arrays).
     """
 
     def __init__(
@@ -171,6 +183,8 @@ class SynthesisTable:
         states_visited: int = 0,
     ) -> None:
         Circuit(gate_list, library)  # ValueError unless every gate is in the library
+        if any(np.shape(arr)[:1] != (N_FUNCTIONS,) for arr in (*paths, secondary)):
+            raise ValueError(f"a table holds {N_FUNCTIONS} rows, one per function")
         self.metric = metric
         self.topology = topology
         self.library = library
@@ -183,27 +197,9 @@ class SynthesisTable:
         self._secondary = secondary
         self._costs: dict[tuple[int, ...], int] | None = None
 
-    @property
-    def settled_count(self) -> int:
-        return len(self._paths.ranks)
-
-    @property
-    def complete(self) -> bool:
-        return self.settled_count == N_FUNCTIONS
-
-    def __len__(self) -> int:
-        return self.settled_count
-
-    def __contains__(self, func) -> bool:
-        try:
-            self._row(func)
-        except (InvalidFunction, UnknownState, TypeError, ValueError):
-            return False
-        return True
-
     def functions(self) -> Iterator[tuple[int, ...]]:
-        """Settled functions in lexicographic order (the serialization order)."""
-        return map(tuple, rank_tables().outputs[self._paths.ranks].tolist())
+        """Every function in rank order (the serialization order)."""
+        return map(tuple, rank_tables().outputs.tolist())
 
     @property
     def costs(self) -> Mapping[tuple[int, ...], int]:
@@ -212,43 +208,29 @@ class SynthesisTable:
         return self._costs
 
     def cost_array(self) -> np.ndarray:
-        """``cost_of`` every settled function, in rank order."""
+        """``cost_of`` every function, in rank order."""
         return self._paths.cost
 
     def secondary_array(self) -> np.ndarray:
-        """``secondary_of`` every settled function, in rank order."""
+        """``secondary_of`` every function, in rank order."""
         return self._secondary
 
-    def _row(self, func: Sequence[int]) -> int:
-        rank = function_rank(func)
-        if self.complete:
-            return rank
-        ranks = self._paths.ranks
-        row = int(ranks.searchsorted(rank))
-        if row == len(ranks) or ranks[row] != rank:
-            raise UnknownState(f"function {rank_tables().function(rank)} was never settled")
-        return row
-
     def cost_of(self, func: Sequence[int]) -> int:
-        return int(self._paths.cost[self._row(func)])
+        return int(self._paths.cost[function_rank(func)])
 
     def secondary_of(self, func: Sequence[int]) -> int:
         """The witness's secondary cost: under ``settle_all``'s ``secondary``
         metric, or by the second components of pair weights; 0 for a table
         settled under a single metric."""
-        return int(self._secondary[self._row(func)])
+        return int(self._secondary[function_rank(func)])
 
     def witness(self, func: Sequence[int]) -> Circuit:
         """Materialize the stored optimal circuit for one function: its row
         of ``witness_paths``."""
-        row = self._row(func)
-        paths = self._paths
-        gates = self.gate_list
-        ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
-        return Circuit._trusted(tuple([gates[i] for i in ids]), self.library)
+        return _row_circuit(self._paths, function_rank(func), self.gate_list, self.library)
 
     def witness_paths(self) -> WitnessPaths:
-        """The witness of every settled function as gate ids, in rank order
+        """The witness of every function as gate ids, in rank order
         (read-only)."""
         return self._paths
 
@@ -343,8 +325,8 @@ def _ranks_of(keys: np.ndarray) -> np.ndarray:
             | ((keys >> _U64(sb)) & one) << one
             | ((keys >> _U64(sc)) & one)
         )
-        code = (code << _U64(3)) | out
-    return rank_tables().ranks_of_codes(code.astype(np.int32))
+        code = (code << _U64(8)) | out
+    return rank_tables().ranks_of_codes(code)
 
 
 def _assert_projection_permutation(keys: np.ndarray) -> None:
@@ -478,9 +460,9 @@ def _run_search(
     targets: np.ndarray | None = None,
 ) -> tuple[WitnessPaths, np.ndarray, int]:
     """Core settle loop; stops once every function (or every target rank) is
-    recorded.  Returns the witness paths and secondary costs of the settled
-    functions (the targets alone, if given) and the number of (canonical)
-    states settled."""
+    recorded.  Returns the witness paths and secondary costs of every
+    function in rank order (of the targets in the order given, if given)
+    and the number of (canonical) states settled."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     gates = tuple(gates)
@@ -552,9 +534,9 @@ def _run_search(
         return remaining == 0
 
     def result() -> tuple[WitnessPaths, np.ndarray, int]:
-        held = np.flatnonzero(cost_of >= 0)
-        if targets is not None:
-            held = held[np.isin(held, targets)]
+        if not done():
+            raise InternalError("internal error: search ended with unsettled functions")
+        held = np.arange(N_FUNCTIONS) if targets is None else targets
         states, rows = np.unique(state_of[held], return_inverse=True)
         paths, lengths = _extract_paths(
             states, np.concatenate(pred_parts), np.concatenate(gate_parts),
@@ -563,7 +545,7 @@ def _run_search(
         lengths = lengths[rows]
         ids = orbits.relabel[perm_of[held, None], paths[rows]]
         ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
-        return WitnessPaths(held, cost_of[held], ids, lengths), secondary_of[held], total
+        return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], total
 
     record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
     if done():
@@ -763,13 +745,10 @@ def settle_all(
     paths, secondary, total = _run_search(
         gates, weights, topology.line_symmetries(), options
     )
-    table = SynthesisTable(
+    return SynthesisTable(
         metric, topology, library, gates, paths, secondary,
         mode=mode, states_visited=total,
     )
-    if not table.complete:
-        raise InternalError("internal error: search ended with unsettled functions")
-    return table
 
 
 def synthesize_one(
@@ -786,14 +765,11 @@ def synthesize_one(
     gates = enumerate_gates(topology, "NCV")
     weights = [(metric.weight(g), 0) for g in gates]
     options = _effective_options(options, gates, weights)
-    paths, secondary, total = _run_search(
+    paths, _, _ = _run_search(
         gates, weights, topology.line_symmetries(), options,
         targets=np.array([target]),
     )
-    table = SynthesisTable(
-        metric, topology, "NCV", gates, paths, secondary, states_visited=total,
-    )
-    return table.cost_of(func), table.witness(func)
+    return int(paths.cost[0]), _row_circuit(paths, 0, gates, "NCV")
 
 
 def reconstruct_circuit(table: SynthesisTable, state_key: int) -> Circuit:
@@ -806,10 +782,7 @@ def reconstruct_circuit(table: SynthesisTable, state_key: int) -> Circuit:
     state = CircuitState.unpack(state_key)
     if not state.is_boolean:
         raise UnknownState("key does not denote a settled Boolean state")
-    func = state.permutation()
-    if func not in table:
-        raise UnknownState(f"function {func} was never settled")
-    return table.witness(func)
+    return table.witness(state.permutation())
 
 
 def exhaustive_oracle(

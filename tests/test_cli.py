@@ -321,6 +321,21 @@ def test_bit_flips_across_a_cache_file_never_serve_other_arrays(tmp_path, ncv111
             assert np.array_equal(table.secondary_array(), ncv111_full.secondary_array())
 
 
+@pytest.mark.parametrize("rows", ["one-short", "scalar"])
+def test_cache_file_of_other_row_count_is_a_miss(tmp_path, ncv111_full, rows):
+    """A well-formed file of this run's spec whose cost array lacks a row,
+    or is a single number, holds no table."""
+    path, spec = cli.cache_entry(tmp_path, nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    paths = ncv111_full.witness_paths()
+    np.savez(
+        path, spec=np.array(spec),
+        cost=paths.cost[:-1] if rows == "one-short" else paths.cost[0],
+        secondary=ncv111_full.secondary_array(), gate_ids=paths.gate_ids,
+        lengths=paths.lengths,
+    )
+    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY) is None
+
+
 def test_cache_file_of_another_metric_is_recomputed(
     tmp_path, monkeypatch, ncv111_full, ncv155_full, no_cache_runs, settled
 ):

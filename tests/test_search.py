@@ -24,6 +24,7 @@ from ncvsynth.model import (
     apply_circuit,
     enumerate_gates,
     function_rank,
+    rank_tables,
     row_permutation,
 )
 
@@ -61,8 +62,10 @@ def test_witnesses_fold_to_their_functions(ncv111_full):
 
 
 def test_synthesize_one_matches_full_table(ncv111_full, ncv111_path):
+    rng = np.random.default_rng(2005)
     for table in (ncv111_full, ncv111_path):
-        for func in (TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7)):
+        randoms = [tuple(rng.permutation(8).tolist()) for _ in range(6)]
+        for func in (TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7), *randoms):
             cost, circuit = nv.synthesize_one(func, nv.NCV_111, table.topology)
             assert cost == table.cost_of(func)
             assert circuit == table.witness(func)
@@ -79,25 +82,16 @@ def test_every_witness_is_optimal_and_legal(name, request):
         assert all(table.topology.allows_gate(g) for g in circuit)
 
 
-def test_table_of_some_rows_serves_those_alone(ncv111_full):
-    """A table is its rank arrays: two rows of a full table make a table of
-    two functions, and any other function is unknown to it."""
+def test_table_of_some_rows_rejected(ncv111_full):
+    """A table holds every function: two rows of a full table are no table."""
     paths = ncv111_full.witness_paths()
     ranks = np.array([function_rank(TOF_FUNC), function_rank(PERES_FUNC)])
-    rows = nv.WitnessPaths(ranks, *(a[ranks] for a in paths[1:]))
-    table = nv.SynthesisTable(
-        nv.NCV_111, nv.FULL_TOPOLOGY, "NCV", ncv111_full.gate_list, rows,
-        ncv111_full.secondary_array()[ranks],
-    )
-    assert len(table) == 2 and not table.complete
-    assert list(table.functions()) == [TOF_FUNC, PERES_FUNC]
-    assert TOF_FUNC in table and tuple(range(8)) not in table
-    assert table.cost_of(TOF_FUNC) == 5 and table.cost_of(PERES_FUNC) == 4
-    assert table.witness(TOF_FUNC) == ncv111_full.witness(TOF_FUNC)
-    with pytest.raises(UnknownState):
-        table.cost_of(tuple(range(8)))
-    with pytest.raises(UnknownState):
-        table.witness((7, 6, 5, 4, 3, 2, 1, 0))
+    with pytest.raises(ValueError):
+        nv.SynthesisTable(
+            nv.NCV_111, nv.FULL_TOPOLOGY, "NCV", ncv111_full.gate_list,
+            nv.WitnessPaths(*(a[ranks] for a in paths)),
+            ncv111_full.secondary_array()[ranks],
+        )
 
 
 @pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
@@ -105,7 +99,9 @@ def test_witness_paths_row_by_row_equal_witness(name, request):
     table = request.getfixturevalue(name)
     paths = table.witness_paths()
     functions = list(table.functions())
-    assert paths.ranks.tolist() == list(range(nv.N_FUNCTIONS))
+    assert functions == list(map(tuple, rank_tables().outputs.tolist()))
+    assert [function_rank(f) for f in functions] == list(range(nv.N_FUNCTIONS))
+    assert all(len(a) == nv.N_FUNCTIONS for a in (*paths, table.secondary_array()))
     assert paths.cost.tolist() == [table.cost_of(f) for f in functions]
     assert np.array_equal(paths.cost, table.cost_array())
     assert paths.gate_ids.dtype == np.uint8
@@ -401,7 +397,7 @@ def test_reconstruct_unknown_state(ncv111_full):
 
 def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
     table = ncv111_lex012
-    assert table.complete and table.metric == nv.NCV_111
+    assert len(table.cost_array()) == nv.N_FUNCTIONS and table.metric == nv.NCV_111
     for func in table.functions():
         witness = table.witness(func)
         assert nv.circuit_cost(witness, nv.NCV_111) == table.cost_of(func)
