@@ -22,7 +22,7 @@ import csv
 import functools
 import io as _stdio
 import json
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,13 +103,18 @@ _TABLE_ROW = _FUNCTION_FIELD + ",%s\n"
 
 
 def write_table_csv(costs: Mapping, stream) -> None:
-    """Header ``function,cost``, then one row per function in sorted order,
-    written block by block."""
+    """Header ``function,cost``, then one row per function in sorted order."""
+    write_table_rows(sorted(costs.items()), stream)
+
+
+def write_table_rows(rows: Sequence[tuple[tuple[int, ...], int]], stream) -> None:
+    """Header ``function,cost``, then the (function, cost) rows in the order
+    given, written block by block: ``write_table_csv`` of a table's costs
+    when given ``list(table.items())``, which is already sorted."""
     stream.write("function,cost\n")
-    items = sorted(costs.items())
-    for start in range(0, len(items), _BLOCK):
+    for start in range(0, len(rows), _BLOCK):
         stream.write("".join([
-            _TABLE_ROW % (*func, cost) for func, cost in items[start:start + _BLOCK]
+            _TABLE_ROW % (*func, cost) for func, cost in rows[start:start + _BLOCK]
         ]))
 
 

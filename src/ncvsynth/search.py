@@ -38,6 +38,21 @@ settled at cost c was itself settled, at cost d, then c <= d + w(g^-1), so
 d >= c - span.  The probe at the candidate's own bucket, of cost c + w(g),
 catches the states settled after it was made, whose costs are at least c.
 
+Parallel expansion: a frontier of more than ``_CHUNK`` parents is expanded
+in fixed chunks of that many consecutive parents, shared by the searching
+thread and, where the process may use a second CPU, one worker thread (the
+numpy kernels release the GIL).  A chunk makes one batch per gate weight, in
+(parent settle index, gate id) order, and only the searching thread adds
+batches to the buckets, in chunk order.  Every parent of a chunk precedes
+every parent of the next, so the batches a bucket receives from one
+expansion join into the batch an unsplit expansion would make: witnesses,
+costs and states visited do not depend on the chunk size or the number of
+threads.  The worker reads only its chunk, the window's sorted keys (an array
+the search replaces, never mutates, and does not replace while chunks run)
+and the read-only orbit and gate tables.  The worker starts at a search's
+first split and stops when the search returns, so none outlives it (a
+process forked later starts its own).
+
 Search reductions (each can be switched off):
 
 1. never extend a path with a gate whose (controls, target) placement equals
@@ -93,14 +108,19 @@ from __future__ import annotations
 
 import functools
 import heapq
+import os
+import threading
+from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
     InternalError,
+    InvalidFunction,
     QuantumControl,
     UnknownState,
 )
@@ -150,6 +170,19 @@ class WitnessPaths(NamedTuple):
     lengths: np.ndarray   # int32 witness length
 
 
+def _check_gate_ids(paths: WitnessPaths, n_gates: int) -> None:
+    """ValueError unless each row of ``paths.gate_ids`` holds ``lengths[i]``
+    gate ids below ``n_gates`` and then only the padding ``n_gates``."""
+    ids, lengths = np.asarray(paths.gate_ids), np.asarray(paths.lengths)
+    if ids.ndim != 2 or lengths.ndim != 1 or {ids.dtype.kind, lengths.dtype.kind} - {"i", "u"}:
+        raise ValueError("gate ids must be an integer matrix and lengths an integer vector")
+    if ((lengths < 0) | (lengths > ids.shape[1])).any():
+        raise ValueError(f"a witness length is outside 0..{ids.shape[1]}")
+    inside = np.arange(ids.shape[1]) < lengths[:, None]
+    if ((ids < 0) | (ids >= n_gates))[inside].any() or (ids[~inside] != n_gates).any():
+        raise ValueError(f"gate ids must be below {n_gates}, padded with {n_gates}")
+
+
 def _row_circuit(
     paths: WitnessPaths, row: int, gates: tuple[Gate, ...], library: str
 ) -> Circuit:
@@ -165,10 +198,11 @@ class SynthesisTable:
 
     The table is its arrays, row i for the function of rank i: the
     ``witness_paths`` and, row for row, the secondary costs.  ValueError
-    unless each array has ``N_FUNCTIONS`` rows.  The tuple-keyed methods
-    convert a function to its rank at the boundary.  ``states_visited``
-    counts the states the search settled (0 for a table read back from
-    stored arrays).
+    unless each array has ``N_FUNCTIONS`` rows and each row of gate ids
+    indexes ``gate_list`` and is padded as ``WitnessPaths`` says.  The
+    tuple-keyed methods convert a function to its rank at the boundary.
+    ``states_visited`` counts the states the search settled (0 for a table
+    read back from stored arrays).
     """
 
     def __init__(
@@ -185,6 +219,7 @@ class SynthesisTable:
         Circuit(gate_list, library)  # ValueError unless every gate is in the library
         if any(np.shape(arr)[:1] != (N_FUNCTIONS,) for arr in (*paths, secondary)):
             raise ValueError(f"a table holds {N_FUNCTIONS} rows, one per function")
+        _check_gate_ids(paths, len(gate_list))
         self.metric = metric
         self.topology = topology
         self.library = library
@@ -195,7 +230,6 @@ class SynthesisTable:
             arr.setflags(write=False)
         self._paths = paths
         self._secondary = secondary
-        self._costs: dict[tuple[int, ...], int] | None = None
 
     def functions(self) -> Iterator[tuple[int, ...]]:
         """Every function in rank order (the serialization order)."""
@@ -203,9 +237,8 @@ class SynthesisTable:
 
     @property
     def costs(self) -> Mapping[tuple[int, ...], int]:
-        if self._costs is None:
-            self._costs = dict(self.items())
-        return self._costs
+        """``cost_of`` as a read-only mapping, iterated in rank order."""
+        return _CostView(self)
 
     def cost_array(self) -> np.ndarray:
         """``cost_of`` every function, in rank order."""
@@ -235,7 +268,37 @@ class SynthesisTable:
         return self._paths
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(function, cost) for every function, in rank order (which is
+        sorted order)."""
         return zip(self.functions(), self.cost_array().tolist())
+
+
+class _CostView(Mapping):
+    """A table's costs as a read-only mapping from function to cost, in
+    rank order (which is sorted order), holding no copy of them.  A lookup
+    ranks its key; ``items`` and ``values`` are iterators over the cost
+    array."""
+
+    def __init__(self, table: SynthesisTable) -> None:
+        self._table = table
+
+    def __getitem__(self, func: Sequence[int]) -> int:
+        try:
+            return self._table.cost_of(func)
+        except InvalidFunction:
+            raise KeyError(func) from None
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return self._table.functions()
+
+    def __len__(self) -> int:
+        return N_FUNCTIONS
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        return self._table.items()
+
+    def values(self) -> Iterator[int]:
+        return iter(self._table.cost_array().tolist())
 
 
 # --------------------------------------------------------------------------
@@ -452,6 +515,62 @@ def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarra
 # --------------------------------------------------------------------------
 # The engine
 
+#: Parents per expansion chunk; a larger frontier is split into chunks of
+#: this many, which the searching thread and the worker share.
+_CHUNK = 8192
+
+
+def _workers() -> int:
+    """Worker threads to expand chunks beside the searching thread: one
+    where this process may use two CPUs or more, else none.  One is the
+    only count measured (on 2 CPUs); each further thread would hold a
+    further chunk's temporaries and malloc arena."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(1, cpus - 1)
+
+
+def _map_shared(
+    pool: ThreadPoolExecutor | None, workers: int, fn: Callable, items: Sequence
+) -> list:
+    """``[fn(x) for x in items]``, computed by the calling thread and up to
+    ``workers`` threads of ``pool``, each taking the next item as it
+    finishes one; with one item or no workers, by the calling thread alone.
+
+    The calling thread takes a share, rather than wait on a pool of one
+    thread per CPU, because each pool thread holds its own malloc arena: on
+    2 CPUs that pool of two raised peak RSS by about 3 MiB (8 ncv-111
+    ``synthesize_one`` calls 70.7 -> 73.6 MiB, an ncv-111/full settle and
+    ``verify_witnesses`` 112.3 -> 115.3 MiB, medians of 3 and 6 processes)
+    at equal settle times."""
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = fn(items[i])
+
+    futures = [pool.submit(drain) for _ in range(min(workers, len(items) - 1))]
+    drain()
+    for future in futures:
+        future.result()
+    return results
+
+
+def _fresh_mask(window_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is absent from the sorted ``window_keys``."""
+    pos = np.searchsorted(window_keys, keys)
+    pos[pos >= len(window_keys)] = len(window_keys) - 1
+    return window_keys[pos] != keys
+
+
 def _run_search(
     gates: Sequence[Gate],
     weights: Sequence[Cost],
@@ -553,15 +672,18 @@ def _run_search(
 
     buckets: dict[Cost, list] = {}
     heap: list[Cost] = []
+    workers = _workers()
+    pool: ThreadPoolExecutor | None = None  # started on the first split
 
-    def fresh_mask(keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(window_keys, keys)
-        pos[pos >= len(window_keys)] = len(window_keys) - 1
-        return window_keys[pos] != keys
-
-    def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
-        """Enqueue the fresh canonical successors of settled states, one
-        batch per gate weight, in (parent settle index, gate id) order."""
+    def expand_chunk(
+        keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
+        window_keys: np.ndarray,
+    ) -> list[tuple[Cost, tuple]]:
+        """The fresh canonical successors of some settled states, as one
+        (cost, batch) pair per gate weight, each batch in (parent settle
+        index, gate id) order.  Runs on any thread: it reads only its
+        arguments and the search's read-only tables."""
+        out = []
         for weight, group in groups.items():
             raw, preds, gids = [], [], []
             for vg in group:
@@ -579,84 +701,104 @@ def _run_search(
             if not raw:
                 continue
             new_keys, sigma = _canonical(np.concatenate(raw), orbits)
-            fresh = np.flatnonzero(fresh_mask(new_keys))
+            fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
             if not len(fresh):
                 continue
             # Each gate's run is in parent order; a stable sort merges them.
             preds = np.concatenate(preds)[fresh]
             order = np.argsort(preds, kind="stable")
             take = fresh[order]
-            new_cost = (cost[0] + weight[0], cost[1] + weight[1])
-            if new_cost not in buckets:
-                buckets[new_cost] = []
-                heapq.heappush(heap, new_cost)
-            buckets[new_cost].append((
+            out.append(((cost[0] + weight[0], cost[1] + weight[1]), (
                 new_keys[take], preds[order], np.concatenate(gids)[take], sigma[take],
-            ))
+            )))
+        return out
+
+    def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
+        """Enqueue the fresh canonical successors of settled states: chunk
+        by chunk of ``_CHUNK`` parents, on this thread and the pool's, each
+        chunk's batches appended in chunk order."""
+        nonlocal pool
+        chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
+
+        def run(chunk: slice) -> list[tuple[Cost, tuple]]:
+            return expand_chunk(keys[chunk], gidx[chunk], plc[chunk], cost, window_keys)
+
+        if pool is None and workers and len(chunks) > 1:
+            pool = ThreadPoolExecutor(workers, "ncvsynth-expand")
+        for batches in _map_shared(pool, workers, run, chunks):
+            for new_cost, batch in batches:
+                if new_cost not in buckets:
+                    buckets[new_cost] = []
+                    heapq.heappush(heap, new_cost)
+                buckets[new_cost].append(batch)
 
     placement_of_gate = np.array([vg.placement_id for vg in vgates], dtype=np.uint8)
-    expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
+    try:
+        expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
 
-    stop = False
-    while heap and not stop:
-        cost = heapq.heappop(heap)
-        if options.max_cost is not None and cost[0] > options.max_cost:
-            raise BudgetExceeded(
-                f"cost ceiling {options.max_cost} reached with "
-                f"{remaining} function(s) unsettled"
-            )
-        floor = (cost[0] - span[0], cost[1] - span[1])
-        if window[0][0] < floor:
-            window = [(c, k) for c, k in window if c >= floor]
-            window_keys = np.sort(np.concatenate([k for _, k in window]))
-        while not stop and buckets.get(cost):
-            keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
-            buckets[cost] = []
-            # Batches arrive in settle order, each in (parent settle index,
-            # gate id) order, so a stable sort puts first the tie-break
-            # winner among equal-cost paths to a key.
-            order = np.argsort(keys, kind="stable")
-            keys_sorted = keys[order]
-            lead = np.empty(len(keys_sorted), dtype=bool)
-            if len(lead):
-                lead[0] = True
-                lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
-            winners = order[lead]
-            unique_keys = keys_sorted[lead]
-            fresh = fresh_mask(unique_keys)
-            new_keys = unique_keys[fresh]
-            if len(new_keys) == 0:
-                continue
-            winners = winners[fresh]
-            new_pred = preds[winners]
-            new_gate = gids[winners]
-            new_sigma = sigmas[winners]
-            # The canonical state's last gate is sigma(gate).
-            new_plc = placement_of_gate[orbits.relabel[new_sigma, new_gate]]
-
-            _assert_projection_permutation(new_keys)
-            gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
-            pred_parts.append(new_pred)
-            gate_parts.append(new_gate)
-            sigma_parts.append(new_sigma)
-            total += len(new_keys)
-            if options.max_states is not None and total > options.max_states:
+        stop = False
+        while heap and not stop:
+            cost = heapq.heappop(heap)
+            if options.max_cost is not None and cost[0] > options.max_cost:
                 raise BudgetExceeded(
-                    f"state ceiling {options.max_states} reached with "
+                    f"cost ceiling {options.max_cost} reached with "
                     f"{remaining} function(s) unsettled"
                 )
-            window.append((cost, new_keys))
-            window_keys = np.insert(
-                window_keys, np.searchsorted(window_keys, new_keys), new_keys
-            )
+            floor = (cost[0] - span[0], cost[1] - span[1])
+            if window[0][0] < floor:
+                window = [(c, k) for c, k in window if c >= floor]
+                window_keys = np.sort(np.concatenate([k for _, k in window]))
+            while not stop and buckets.get(cost):
+                keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
+                buckets[cost] = []
+                # Batches arrive in settle order, each in (parent settle index,
+                # gate id) order, so a stable sort puts first the tie-break
+                # winner among equal-cost paths to a key.
+                order = np.argsort(keys, kind="stable")
+                keys_sorted = keys[order]
+                lead = np.empty(len(keys_sorted), dtype=bool)
+                if len(lead):
+                    lead[0] = True
+                    lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
+                winners = order[lead]
+                unique_keys = keys_sorted[lead]
+                fresh = _fresh_mask(window_keys, unique_keys)
+                new_keys = unique_keys[fresh]
+                if len(new_keys) == 0:
+                    continue
+                winners = winners[fresh]
+                new_pred = preds[winners]
+                new_gate = gids[winners]
+                new_sigma = sigmas[winners]
+                # The canonical state's last gate is sigma(gate).
+                new_plc = placement_of_gate[orbits.relabel[new_sigma, new_gate]]
 
-            boolean = (new_keys & _ALL_FLAGS) == _U64(0)
-            if bool(boolean.any()):
-                record(_ranks_of(new_keys[boolean]), gidx[boolean], cost)
-                stop = done()
-            if not stop:
-                expand(new_keys, gidx, new_plc, cost)
-        buckets.pop(cost, None)
+                _assert_projection_permutation(new_keys)
+                gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
+                pred_parts.append(new_pred)
+                gate_parts.append(new_gate)
+                sigma_parts.append(new_sigma)
+                total += len(new_keys)
+                if options.max_states is not None and total > options.max_states:
+                    raise BudgetExceeded(
+                        f"state ceiling {options.max_states} reached with "
+                        f"{remaining} function(s) unsettled"
+                    )
+                window.append((cost, new_keys))
+                window_keys = np.insert(
+                    window_keys, np.searchsorted(window_keys, new_keys), new_keys
+                )
+
+                boolean = (new_keys & _ALL_FLAGS) == _U64(0)
+                if bool(boolean.any()):
+                    record(_ranks_of(new_keys[boolean]), gidx[boolean], cost)
+                    stop = done()
+                if not stop:
+                    expand(new_keys, gidx, new_plc, cost)
+            buckets.pop(cost, None)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return result()
 

@@ -265,10 +265,10 @@ def _first_failure(
             prefix[live] = inverse
         ending = np.flatnonzero(lengths == depth)
         if len(ending):
-            got = np.take(products, prefix[ending], axis=1)
-            hits = got[funcs[ending], np.arange(len(ending))[:, None], cols]
+            at = prefix[ending]
+            hits = products[funcs[ending], at[:, None], cols]
             ok = (hits == scale[ending, None]).all(axis=1) & (
-                np.count_nonzero(got, axis=(0, 2)) == N_ROWS
+                np.count_nonzero(products, axis=(0, 2))[at] == N_ROWS
             )
             if not ok.all():
                 return int(ending[np.argmin(ok)])

@@ -336,6 +336,32 @@ def test_cache_file_of_other_row_count_is_a_miss(tmp_path, ncv111_full, rows):
     assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY) is None
 
 
+def test_cache_file_of_gate_ids_past_the_gate_list_is_recomputed(tmp_path, capsys, ncv012_full):
+    """A file of this run's spec, with whole CRCs, whose first gate ids are
+    200: writing its circuits ended in an IndexError traceback."""
+    circuits = tmp_path / "circuits.jsonl"
+    argv = ["synth-all", "--metric", "ncv-012", "--circuits", str(circuits), "--cache-dir"]
+    code, cold, err = run(capsys, *argv, str(tmp_path / "cold"))
+    assert code == 0, err
+    cold_circuits = circuits.read_bytes()
+
+    path, spec = cli.cache_entry(tmp_path / "cache", nv.NCV_012, nv.FULL_TOPOLOGY,
+                                 nv.SearchOptions())
+    paths = ncv012_full.witness_paths()
+    gate_ids = paths.gate_ids.copy()
+    gate_ids[:, 0] = 200
+    path.parent.mkdir()
+    np.savez(
+        path, spec=np.array(spec), cost=paths.cost, secondary=ncv012_full.secondary_array(),
+        gate_ids=gate_ids, lengths=paths.lengths,
+    )
+    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is None
+    code, out, err = run(capsys, *argv, str(tmp_path / "cache"))
+    assert code == 0, err
+    assert (out, circuits.read_bytes()) == (cold, cold_circuits)
+    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is not None
+
+
 def test_cache_file_of_another_metric_is_recomputed(
     tmp_path, monkeypatch, ncv111_full, ncv155_full, no_cache_runs, settled
 ):

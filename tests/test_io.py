@@ -141,6 +141,9 @@ def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
     for func in sorted(ncv111_path.costs):
         writer.writerow([nio.format_function(func), ncv111_path.costs[func]])
     assert nio.table_csv_text(ncv111_path.costs) == expected.getvalue()
+    rows = stdio.StringIO()
+    nio.write_table_rows(list(ncv111_path.items()), rows)
+    assert rows.getvalue() == expected.getvalue()
 
     expected = stdio.StringIO()
     writer = csv.writer(expected, lineterminator="\n")

@@ -2,6 +2,11 @@
 
 import hashlib
 import io as stdio
+import multiprocessing
+import os
+import sys
+import threading
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -92,6 +97,51 @@ def test_table_of_some_rows_rejected(ncv111_full):
             nv.WitnessPaths(*(a[ranks] for a in paths)),
             ncv111_full.secondary_array()[ranks],
         )
+
+
+def _corrupt_lengths_past_width(ids, lengths):
+    lengths[5] = ids.shape[1] + 1
+
+
+def _corrupt_negative_length(ids, lengths):
+    lengths[5] = -1
+
+
+def _corrupt_gate_id_past_list(ids, lengths):
+    ids[7, 0] = 200
+
+
+def _corrupt_padding(ids, lengths):
+    ids[9, lengths[9]] = 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_lengths_past_width, _corrupt_negative_length,
+    _corrupt_gate_id_past_list, _corrupt_padding,
+])
+def test_table_rejects_gate_ids_that_are_no_witness(ncv111_full, corrupt):
+    paths = ncv111_full.witness_paths()
+    ids, lengths = paths.gate_ids.copy(), paths.lengths.copy()
+    corrupt(ids, lengths)
+    with pytest.raises(ValueError):
+        nv.SynthesisTable(
+            nv.NCV_111, nv.FULL_TOPOLOGY, "NCV", ncv111_full.gate_list,
+            nv.WitnessPaths(paths.cost, ids, lengths), ncv111_full.secondary_array(),
+        )
+
+
+def test_costs_is_a_read_only_view_in_sorted_order(ncv111_full):
+    costs = ncv111_full.costs
+    assert isinstance(costs, Mapping) and not hasattr(costs, "__setitem__")
+    assert len(costs) == nv.N_FUNCTIONS
+    funcs = list(costs)
+    assert funcs == sorted(funcs) == list(ncv111_full.functions())
+    assert list(costs.values()) == ncv111_full.cost_array().tolist()
+    assert list(costs.items()) == list(zip(funcs, costs.values()))
+    assert costs[TOF_FUNC] == ncv111_full.cost_of(TOF_FUNC) == 5
+    assert TOF_FUNC in costs and (0, 0, 1, 2, 3, 4, 5, 6) not in costs
+    assert costs.get((0, 1)) is None
+    assert costs == dict(costs.items())
 
 
 @pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
@@ -404,3 +454,113 @@ def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
         assert nv.circuit_cost(witness, nv.NCV_012) == table.secondary_of(func)
     assert table.secondary_array().tolist() == [table.secondary_of(f) for f in table.functions()]
     assert not ncv111_full.secondary_array().any()
+
+
+# --------------------------------------------------------------------------
+# Parallel expansion
+
+def _table_arrays(table):
+    return (*table.witness_paths(), table.secondary_array())
+
+
+def _same_table(a, b):
+    return a.states_visited == b.states_visited and all(
+        map(np.array_equal, _table_arrays(a), _table_arrays(b))
+    )
+
+
+def _thread_counts(monkeypatch):
+    """Record ``threading.active_count()`` at every canonicalization, on
+    whichever thread runs it."""
+    counts = []
+    canonical = search._canonical
+
+    def counted(keys, orbits):
+        counts.append(threading.active_count())
+        return canonical(keys, orbits)
+
+    monkeypatch.setattr(search, "_canonical", counted)
+    return counts
+
+
+SPLIT_SETTLES = {  # name: (session fixture, metric, topology)
+    "ncv-012/full": ("ncv012_full", nv.NCV_012, nv.FULL_TOPOLOGY),
+    "ncv-111/path": ("ncv111_path", nv.NCV_111, nv.PATH_TOPOLOGY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_SETTLES))
+def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(
+    name, request, monkeypatch
+):
+    """Chunks of 64 parents on three worker threads, switching threads
+    often: a batch lost or merged out of chunk order would change a
+    witness or ``states_visited``.  ncv-012's zero-weight NOT re-enters the
+    bucket being drained."""
+    fixture, metric, topology = SPLIT_SETTLES[name]
+    default = request.getfixturevalue(fixture)
+    before = threading.active_count()
+    monkeypatch.setattr(search, "_CHUNK", 64)
+    monkeypatch.setattr(search, "_workers", lambda: 3)
+    counts = _thread_counts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        table = nv.settle_all(metric, topology)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _same_table(table, default)
+    assert max(counts) > before and threading.active_count() == before
+
+
+def test_small_chunks_synthesize_the_same_circuits(monkeypatch):
+    rng = np.random.default_rng(2011)
+    funcs = [tuple(rng.permutation(8).tolist()) for _ in range(6)]
+    default = [nv.synthesize_one(f, nv.NCV_111) for f in funcs]
+    monkeypatch.setattr(search, "_CHUNK", 64)
+    assert [nv.synthesize_one(f, nv.NCV_111) for f in funcs] == default
+
+
+def test_one_cpu_starts_no_thread(monkeypatch, ncv111_full):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert search._workers() == 0
+    before = threading.active_count()
+    counts = _thread_counts(monkeypatch)
+    table = nv.settle_all(nv.NCV_111)
+    assert set(counts) == {before}
+    assert _same_table(table, ncv111_full)
+
+
+def test_many_cpus_start_one_worker(monkeypatch):
+    """One worker is the only count measured; more would each add a chunk's
+    temporaries and a malloc arena to peak memory."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert search._workers() == 1
+
+
+def _settle_nct_in_child(expected):
+    """Exit 0 iff a split NCT settle in this process equals ``expected``."""
+    sys.exit(0 if all(map(np.array_equal, _table_arrays(nv.settle_all_nct()), expected)) else 1)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_forked_child_runs_a_split_search(monkeypatch):
+    """The expansion threads end with their search, so a child forked after
+    a split search can split its own."""
+    monkeypatch.setattr(search, "_CHUNK", 64)
+    monkeypatch.setattr(search, "_workers", lambda: 1)
+    expected = _table_arrays(nv.settle_all_nct())
+    child = multiprocessing.get_context("fork").Process(
+        target=_settle_nct_in_child, args=(expected,)
+    )
+    child.start()
+    child.join(timeout=120)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's search did not return")
+    assert child.exitcode == 0
