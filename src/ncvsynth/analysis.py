@@ -14,8 +14,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
-from .model import CostMetric, rank_tables
-from .nct import GATE_COUNT, NctCostModel, settle_all_nct
+from .model import CostMetric, Topology, rank_tables
+from .nct import GATE_COUNT, NctCostModel, mode_label, settle_all_nct
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -178,13 +178,36 @@ class ComparisonReport:
         ]
 
 
+def _lex_table(
+    table: SynthesisTable | None, mode: str, metric: CostMetric, topology: Topology
+) -> SynthesisTable:
+    """``table`` if it is the NCT table of ``mode`` under ``metric`` on
+    ``topology`` (else MetricMismatch); that table settled if ``table`` is
+    None."""
+    if table is None:
+        return settle_all_nct(mode, metric, topology=topology)
+    if (table.library, table.mode, table.metric, table.topology) != (
+        "NCT", mode_label(mode, metric), metric, topology
+    ):
+        raise MetricMismatch(
+            f"comparison needs the NCT {mode} table of {metric.slug} on the "
+            f"{topology.slug} topology"
+        )
+    return table
+
+
 def compare(
-    nct_table: SynthesisTable, ncv_table: SynthesisTable, metric: CostMetric
+    nct_table: SynthesisTable,
+    ncv_table: SynthesisTable,
+    metric: CostMetric,
+    lexmin: SynthesisTable | None = None,
+    lexmax: SynthesisTable | None = None,
 ) -> ComparisonReport:
     """Build the full comparison for one metric.
 
     ``nct_table`` must be the gate-count table (its witnesses are
-    substituted); the lex-min and lex-max NCT tables are settled here.
+    substituted).  ``lexmin`` and ``lexmax`` are the NCT lex-min and lex-max
+    tables of ``metric`` on its topology; each is settled here if not given.
     """
     if ncv_table.metric != metric:
         raise MetricMismatch(
@@ -193,8 +216,8 @@ def compare(
         )
     if nct_table.mode != GATE_COUNT or nct_table.library != "NCT":
         raise MetricMismatch("comparison needs the NCT gate-count table")
-    lexmin = settle_all_nct("lex-min", metric, topology=nct_table.topology)
-    lexmax = settle_all_nct("lex-max", metric, topology=nct_table.topology)
+    lexmin = _lex_table(lexmin, "lex-min", metric, nct_table.topology)
+    lexmax = _lex_table(lexmax, "lex-max", metric, nct_table.topology)
 
     # Array entry i of every table is the function of rank i.
     functions = rank_tables()

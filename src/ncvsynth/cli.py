@@ -1,15 +1,19 @@
 """Command line interface: synth, synth-all, compare, verify, stats.
 
-Completed NCV tables are cached under ``./.ncv-cache``, one ``.npz`` per
-metric/topology slug.  A file holds the table's rank arrays (cost,
-secondary cost, witness gate ids and lengths) and a spec string: the
-library, every gate's weight pair, the topology's line pairs, both
-reduction flags and the cache format version.  A file that cannot be read
-whole, or whose spec differs from the run's, is a miss: the table is
-settled again and the file rewritten.  Pass ``--no-cache`` to neither read
-nor write it.  A run with ``--max-cost`` or ``--max-states`` reads no
-cache file (it may write one), so its budget acts alike cold and warm.
-NCT tables settle in a fraction of a second and are never cached.
+Every complete table a command needs is cached under ``./.ncv-cache``,
+one ``.npz`` per table: ``<metric>_<topology>.npz`` for an NCV table, and
+for ``compare`` also ``nct-gate-count_full.npz`` (shared by every metric)
+and ``nct-lex-min-<metric>_full.npz`` and ``nct-lex-max-<metric>_full.npz``;
+a warm ``compare`` reads those four files and settles no table.  A file
+holds the table's rank arrays (cost, secondary cost, witness gate ids and
+lengths) and a spec string: the library, every gate's weight pair, the
+topology's line pairs, both reduction flags and the cache format version.
+A file that cannot be read whole, whose spec differs from the run's, or
+whose costs are not the summed weights of its witnesses, is a miss: the
+table is settled again and the file rewritten.  Pass ``--no-cache`` to
+neither read nor write it.  A run with ``--max-cost`` or ``--max-states``
+reads no cache file (it may write one), so its budget acts alike cold and
+warm.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
 3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
@@ -36,7 +40,7 @@ from .errors import (
     InvalidFunction,
     NcvSynthError,
 )
-from .model import CostMetric, FULL_TOPOLOGY, TOPOLOGIES, Topology, enumerate_gates
+from .model import CostMetric, FULL_TOPOLOGY, Gate, TOPOLOGIES, Topology, enumerate_gates
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -118,30 +122,59 @@ def _search_options(args: argparse.Namespace) -> search.SearchOptions:
 CACHE_FORMAT = 1
 
 
+def _table_kind(
+    metric: CostMetric | None, topology: Topology, nct_mode: str | None
+) -> tuple[str, tuple[Gate, ...], list[search.Cost], str]:
+    """The library, gate list, per-gate (primary, secondary) weights and mode
+    of the NCV table of ``metric``, or with ``nct_mode`` of the NCT table of
+    that cost mode (``metric`` None for the gate count)."""
+    if nct_mode is None:
+        gates = enumerate_gates(topology, "NCV")
+        return "NCV", gates, [(metric.weight(g), 0) for g in gates], "metric"
+    gates = enumerate_gates(topology, "NCT")
+    weights = nct.nct_weights(nct_mode, metric, gates)
+    return "NCT", gates, weights, nct.mode_label(nct_mode, metric)
+
+
 def cache_entry(
-    cache_dir: Path, metric: CostMetric, topology: Topology, options: search.SearchOptions
+    cache_dir: Path,
+    metric: CostMetric | None,
+    topology: Topology,
+    options: search.SearchOptions,
+    nct_mode: str | None = None,
 ) -> tuple[Path, str]:
-    """The cache file of an NCV table and the spec it must hold: everything
-    the table's costs and witnesses depend on."""
+    """The cache file of a table (see ``_table_kind``) and the spec it must
+    hold: everything the table's costs and witnesses depend on.  An NCT
+    table's weights encode its mode and the metric's substitution costs, so
+    one gate-count file serves every metric."""
+    library, gates, weights, mode = _table_kind(metric, topology, nct_mode)
     spec = json.dumps({
         "format": CACHE_FORMAT,
-        "library": "NCV",
-        "weights": [[str(g), metric.weight(g), 0] for g in enumerate_gates(topology, "NCV")],
+        "library": library,
+        "weights": [[str(g), *w] for g, w in zip(gates, weights)],
         "topology": sorted(topology.pairs),
         "no_repeat_placement": options.no_repeat_placement,
         "settle_relabelings": options.settle_relabelings,
     })
-    return cache_dir / f"{metric.slug}_{topology.slug}.npz", spec
+    name = metric.slug if nct_mode is None else "nct-" + mode.replace(":", "-")
+    return cache_dir / f"{name}_{topology.slug}.npz", spec
 
 
 def read_cached_table(
-    path: Path, spec: str, metric: CostMetric, topology: Topology
+    path: Path,
+    spec: str,
+    metric: CostMetric | None,
+    topology: Topology,
+    nct_mode: str | None = None,
 ) -> search.SynthesisTable | None:
     """The table stored at ``path``, or None if the file is missing, cannot
-    be read whole, holds another spec, or holds arrays that are not a table
-    (``SynthesisTable`` raises ValueError).  Every member's CRC is checked
-    first: a flipped bit in an array header could otherwise shrink the
-    array so that reading it stops short of the check."""
+    be read whole, holds another spec, holds arrays that are not a table
+    (``SynthesisTable`` raises ValueError), or holds a cost or secondary
+    cost other than the summed weights of its row's witness.  Every
+    member's CRC is checked first: a flipped bit in an array header could
+    otherwise shrink the array so that reading it stops short of the
+    check."""
+    library, gates, weights, mode = _table_kind(metric, topology, nct_mode)
     try:
         with np.load(path, allow_pickle=False) as data:
             if data.zip.testzip() is not None:
@@ -150,11 +183,21 @@ def read_cached_table(
         if str(arrays["spec"]) != spec:
             return None
         paths = search.WitnessPaths(*(arrays[name] for name in ("cost", "gate_ids", "lengths")))
-        gates = enumerate_gates(topology, "NCV")
-        return search.SynthesisTable(metric, topology, "NCV", gates, paths, arrays["secondary"])
+        table = search.SynthesisTable(
+            metric, topology, library, gates, paths, arrays["secondary"], mode=mode
+        )
     # RuntimeError: a flipped flag or compression method in the zip directory
     except (OSError, EOFError, RuntimeError, ValueError, KeyError, zipfile.BadZipFile):
         return None
+    # Column i of the transposed ids is row i's witness (summed down the
+    # columns, twice as fast as along the rows); the padding id indexes the
+    # appended weight 0.
+    ids = np.ascontiguousarray(paths.gate_ids.T)
+    pairs = np.array([*weights, (0, 0)], dtype=np.int64)
+    for column, costs in enumerate((paths.cost, table.secondary_array())):
+        if not np.array_equal(pairs[:, column].take(ids).sum(axis=0), costs):
+            return None
+    return table
 
 
 def write_cached_table(path: Path, spec: str, table: search.SynthesisTable) -> None:
@@ -175,25 +218,30 @@ def write_cached_table(path: Path, spec: str, table: search.SynthesisTable) -> N
         Path(tmp).unlink(missing_ok=True)
 
 
-def cached_ncv_table(
-    metric: CostMetric,
+def cached_table(
+    metric: CostMetric | None,
     topology: Topology,
     cache_dir: Path,
     use_cache: bool,
     options: search.SearchOptions | None = None,
+    nct_mode: str | None = None,
 ) -> search.SynthesisTable:
-    """The NCV table, read from the cache when its file holds this
-    run's spec, else settled (and, with ``use_cache``, written there).  A
-    run with a budget (``max_cost`` or ``max_states``) reads no cache file,
-    so that the budget acts alike cold and warm; a table it settles
-    completely is still written."""
+    """The NCV table of ``metric``, or with ``nct_mode`` the NCT table of
+    that cost mode (``metric`` None for the gate count): read from the
+    cache when its file holds this run's spec, else settled (and, with
+    ``use_cache``, written there).  A run with a budget (``max_cost`` or
+    ``max_states``) reads no cache file, so that the budget acts alike cold
+    and warm; a table it settles completely is still written."""
     options = options or search.SearchOptions()
-    path, spec = cache_entry(cache_dir, metric, topology, options)
+    path, spec = cache_entry(cache_dir, metric, topology, options, nct_mode)
     if use_cache and options.max_cost is None and options.max_states is None:
-        table = read_cached_table(path, spec, metric, topology)
+        table = read_cached_table(path, spec, metric, topology, nct_mode)
         if table is not None:
             return table
-    table = search.settle_all(metric, topology, options)
+    if nct_mode is None:
+        table = search.settle_all(metric, topology, options)
+    else:
+        table = nct.settle_all_nct(nct_mode, metric, options, topology)
     if use_cache:
         write_cached_table(path, spec, table)
     return table
@@ -218,7 +266,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_synth_all(args: argparse.Namespace) -> int:
     metric = CostMetric.parse(args.metric)
     topology = TOPOLOGIES[args.topology]
-    table = cached_ncv_table(
+    table = cached_table(
         metric, topology, args.cache_dir, not args.no_cache, _search_options(args)
     )
     print(f"metric: {metric.slug}  topology: {topology.slug}")
@@ -236,9 +284,16 @@ def cmd_synth_all(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     metric = CostMetric.parse(args.metric)
-    nct_table = nct.settle_all_nct()
-    ncv_table = cached_ncv_table(metric, FULL_TOPOLOGY, args.cache_dir, not args.no_cache)
-    report = analysis.compare(nct_table, ncv_table, metric)
+
+    def table(table_metric, nct_mode=None):
+        return cached_table(
+            table_metric, FULL_TOPOLOGY, args.cache_dir, not args.no_cache, nct_mode=nct_mode
+        )
+
+    report = analysis.compare(
+        table(None, nct.GATE_COUNT), table(metric), metric,
+        lexmin=table(metric, "lex-min"), lexmax=table(metric, "lex-max"),
+    )
     sys.stdout.write(io.comparison_text(report))
     for line in report.summary_lines():
         print(line)

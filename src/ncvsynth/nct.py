@@ -87,7 +87,8 @@ class NctCostModel:
 GATE_COUNT = "gate-count"
 
 
-def _nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
+def nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
+    """Each gate's (primary, secondary) weight under the cost mode ``mode``."""
     if mode == GATE_COUNT:
         return [(1, 0)] * len(gates)
     if metric is None:
@@ -100,6 +101,11 @@ def _nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
     raise ValueError(f"unknown NCT cost mode {mode!r}")
 
 
+def mode_label(mode: str, metric: CostMetric | None) -> str:
+    """The ``mode`` of the table ``settle_all_nct(mode, metric)`` returns."""
+    return mode if metric is None else f"{mode}:{metric.slug}"
+
+
 def settle_all_nct(
     mode: str = GATE_COUNT,
     metric: CostMetric | None = None,
@@ -108,10 +114,10 @@ def settle_all_nct(
 ) -> SynthesisTable:
     """Complete optimal NCT table under one of the three cost modes."""
     gates = enumerate_gates(topology, "NCT")
-    weights = _nct_weights(mode, metric, gates)
-    label = mode if metric is None else f"{mode}:{metric.slug}"
+    weights = nct_weights(mode, metric, gates)
     return settle_all(
-        metric, topology, options, library="NCT", weights=weights, mode=label
+        metric, topology, options, library="NCT", weights=weights,
+        mode=mode_label(mode, metric),
     )
 
 

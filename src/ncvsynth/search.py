@@ -19,9 +19,10 @@ Expansion is vectorized with numpy: each bucket's candidates are produced
 per-gate as uint64 batches, filtered against a window of the settled states
 with sorted-array searches, and put in (parent settle index, gate
 enumeration index) order by a stable sort.  Batches join their bucket in
-settle order, so a stable sort of a drained bucket by key puts first, among
-equal-cost paths to a state, the one a scalar queue-based search would
-consider first; that path wins, and within a bucket states settle in
+settle order, so among equal-cost paths to a state, the one a scalar
+queue-based search would consider first is the one of least position in
+the drained bucket; a drain sorts the bucket by key and takes, per key, its
+least position.  That path wins, and within a bucket states settle in
 packed-key order, which makes every witness reproducible.
 
 The window holds the keys of the states settled at cost ``cost - span`` or
@@ -752,16 +753,17 @@ def _run_search(
                 keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
                 buckets[cost] = []
                 # Batches arrive in settle order, each in (parent settle index,
-                # gate id) order, so a stable sort puts first the tie-break
-                # winner among equal-cost paths to a key.
-                order = np.argsort(keys, kind="stable")
+                # gate id) order, so the tie-break winner among equal-cost
+                # paths to a key is its least bucket position.
+                order = np.argsort(keys)
                 keys_sorted = keys[order]
                 lead = np.empty(len(keys_sorted), dtype=bool)
                 if len(lead):
                     lead[0] = True
                     lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
-                winners = order[lead]
-                unique_keys = keys_sorted[lead]
+                starts = np.flatnonzero(lead)
+                winners = np.minimum.reduceat(order, starts)
+                unique_keys = keys_sorted[starts]
                 fresh = _fresh_mask(window_keys, unique_keys)
                 new_keys = unique_keys[fresh]
                 if len(new_keys) == 0:

@@ -38,6 +38,12 @@ def nct_gc():
 
 
 @pytest.fixture(scope="session")
+def nct_lex012():
+    """The NCT lex-min and lex-max tables of ncv-012."""
+    return tuple(nv.settle_all_nct(mode, nv.NCV_012) for mode in ("lex-min", "lex-max"))
+
+
+@pytest.fixture(scope="session")
 def comparison_111(nct_gc, ncv111_full):
     return nv.compare(nct_gc, ncv111_full, nv.NCV_111)
 

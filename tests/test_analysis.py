@@ -122,6 +122,40 @@ def test_compare_requires_matching_metric(nct_gc, ncv111_full):
         nv.compare(nct_gc, ncv111_full, nv.NCV_012)
 
 
+def test_compare_reads_the_lex_tables_it_is_given(
+    monkeypatch, nct_gc, ncv012_full, nct_lex012, comparison_012
+):
+    def no_settle(*args, **kwargs):
+        raise AssertionError("compare settled a lex table it was given")
+
+    monkeypatch.setattr(nv.analysis, "settle_all_nct", no_settle)
+    lexmin, lexmax = nct_lex012
+    report = nv.compare(nct_gc, ncv012_full, nv.NCV_012, lexmin=lexmin, lexmax=lexmax)
+    assert report == comparison_012
+
+
+@pytest.mark.parametrize("kind", ["mode", "metric", "library", "topology"])
+@pytest.mark.parametrize("slot, mode", [("lexmin", "lex-min"), ("lexmax", "lex-max")])
+def test_compare_rejects_a_lex_table_of_another_kind(
+    nct_gc, ncv012_full, nct_lex012, kind, slot, mode
+):
+    """Each lex table must be the NCT table of its mode under the metric, on
+    the gate-count table's topology; here one differs from it in ``kind``."""
+    tables = dict(zip(("lexmin", "lexmax"), nct_lex012))
+    table = tables[slot]
+    tables[slot] = {
+        "mode": lambda: tables["lexmax" if slot == "lexmin" else "lexmin"],
+        "metric": lambda: nv.settle_all_nct(mode, nv.NCV_111),
+        "library": lambda: ncv012_full,
+        "topology": lambda: nv.SynthesisTable(
+            table.metric, nv.PATH_TOPOLOGY, "NCT", table.gate_list, table.witness_paths(),
+            table.secondary_array(), mode=table.mode,
+        ),
+    }[kind]()
+    with pytest.raises(MetricMismatch):
+        nv.compare(nct_gc, ncv012_full, nv.NCV_012, **tables)
+
+
 def test_substituted_cost_column_matches_per_function_reference(nct_gc, comparison_012):
     rows = comparison_012.rows
     assert [f for f, *_ in rows] == list(nct_gc.functions())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ncvsynth as nv
-from ncvsynth import cli, search
+from ncvsynth import cli, nct, search
 from ncvsynth import io as nio
 from ncvsynth.cli import main
 from ncvsynth.nct import toffoli_decomposition
@@ -175,7 +175,7 @@ def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir):
 
 
 def _no_settle(*args, **kwargs):
-    raise AssertionError("a warm run settled an NCV table")
+    raise AssertionError("a warm run settled a table")
 
 
 @pytest.mark.parametrize("metric, topology", [("ncv-012", "full"), ("ncv-111", "path")])
@@ -190,7 +190,7 @@ def test_synth_all_warm_run_matches_cold_run(tmp_path, capsys, monkeypatch, metr
         code, stdout, err = run(capsys, *argv)
         assert code == 0, err
         outputs.append((stdout, out.read_bytes(), circuits.read_bytes()))
-        monkeypatch.setattr(search, "settle_all", _no_settle)
+        monkeypatch.setattr(search, "_run_search", _no_settle)
     assert outputs[0] == outputs[1]
 
 
@@ -203,8 +203,119 @@ def test_compare_warm_run_matches_cold_run(tmp_path, capsys, monkeypatch):
         code, stdout, err = run(capsys, *argv)
         assert code == 0, err
         outputs.append((stdout, out.read_bytes()))
-        monkeypatch.setattr(search, "settle_all", _no_settle)
+        # Every settle, NCV or NCT, runs the engine.
+        monkeypatch.setattr(search, "_run_search", _no_settle)
     assert outputs[0] == outputs[1]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "nct-gate-count_full.npz", "nct-lex-max-ncv-012_full.npz",
+        "nct-lex-min-ncv-012_full.npz", "ncv-012_full.npz",
+    ]
+
+
+def _seed_ncv_tables(cache, *tables):
+    """Write complete NCV tables to ``cache`` through the CLI's writer."""
+    for table in tables:
+        path, spec = cli.cache_entry(cache, table.metric, table.topology, nv.SearchOptions())
+        cli.write_cached_table(path, spec, table)
+
+
+@pytest.fixture
+def nct_settles(monkeypatch):
+    """Log the CLI's NCT settles as (mode, metric slug) pairs."""
+    calls = []
+    settle_all_nct = nct.settle_all_nct
+
+    def logged(mode, metric=None, *args, **kwargs):
+        calls.append((mode, metric and metric.slug))
+        return settle_all_nct(mode, metric, *args, **kwargs)
+
+    monkeypatch.setattr(nct, "settle_all_nct", logged)
+    return calls
+
+
+def test_compare_of_a_second_metric_reuses_the_gate_count_file(
+    tmp_path, capsys, ncv012_full, ncv111_full, nct_settles
+):
+    cache = tmp_path / "cache"
+    _seed_ncv_tables(cache, ncv012_full, ncv111_full)
+    argv = ["compare", "--cache-dir", str(cache), "--metric"]
+    assert run(capsys, *argv, "ncv-012")[0] == 0
+    assert nct_settles == [("gate-count", None), ("lex-min", "ncv-012"), ("lex-max", "ncv-012")]
+    del nct_settles[:]
+    second = run(capsys, *argv, "ncv-111")
+    assert nct_settles == [("lex-min", "ncv-111"), ("lex-max", "ncv-111")]
+    assert second == run(capsys, *argv, "ncv-111", "--no-cache")
+    assert len(list(cache.iterdir())) == 7
+
+
+@pytest.mark.parametrize("holder", ["lex-min of ncv-012", "lex-max of ncv-111"])
+def test_nct_cache_file_of_another_spec_is_a_miss(
+    tmp_path, capsys, ncv111_full, nct_settles, holder
+):
+    """The ncv-111 lex-min file holding another NCT table is recomputed."""
+    cache = tmp_path / "cache"
+    _seed_ncv_tables(cache, ncv111_full)
+    path, spec = cli.cache_entry(cache, nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions(),
+                                 "lex-min")
+    mode, metric = holder.split(" of ")
+    metric = nv.CostMetric.parse(metric)
+    other_path, other_spec = cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY,
+                                             nv.SearchOptions(), mode)
+    cli.write_cached_table(path, other_spec, nv.settle_all_nct(mode, metric))
+    assert other_path != path and other_spec != spec
+    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY, "lex-min") is None
+
+    argv = ["compare", "--metric", "ncv-111", "--cache-dir", str(cache)]
+    del nct_settles[:]
+    assert run(capsys, *argv) == run(capsys, *argv, "--no-cache")
+    assert ("lex-min", "ncv-111") in nct_settles
+    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY, "lex-min") is not None
+
+
+def test_compare_without_cache_writes_no_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, _, err = run(capsys, "compare", "--metric", "ncv-012", "--cache-dir", str(cache),
+                       "--no-cache")
+    assert code == 0, err
+    assert list(cache.iterdir()) == []
+
+
+def _write_plus_one(path, spec, table, name):
+    """Store ``table`` at ``path`` with 1 added to its ``name`` array."""
+    paths = table.witness_paths()
+    arrays = {"cost": paths.cost, "secondary": table.secondary_array()}
+    arrays[name] = arrays[name] + 1
+    np.savez(path, spec=np.array(spec), gate_ids=paths.gate_ids, lengths=paths.lengths,
+             **arrays)
+
+
+@pytest.mark.parametrize("command, nct_mode, name", [
+    ("synth-all", None, "cost"),
+    ("compare", "lex-min", "secondary"),
+    ("compare", "lex-max", "secondary"),
+])
+def test_cache_file_whose_costs_disagree_with_its_witnesses_is_recomputed(
+    tmp_path, capsys, ncv012_full, command, nct_mode, name
+):
+    """A file of the run's spec, with whole CRCs, whose cost (or secondary
+    cost) is its witness's plus one: served, it gave a histogram starting
+    at cost 1."""
+    cache = tmp_path / "cache"
+    _seed_ncv_tables(cache, ncv012_full)
+    argv = [command, "--metric", "ncv-012", "--cache-dir", str(cache)]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0, expected[2]
+    path, spec = cli.cache_entry(cache, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions(),
+                                 nct_mode)
+    table = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    _write_plus_one(path, spec, table, name)
+    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode) is None
+
+    assert run(capsys, *argv) == expected
+    rewritten = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    assert all(map(np.array_equal, rewritten.witness_paths(), table.witness_paths()))
+    assert np.array_equal(rewritten.secondary_array(), table.secondary_array())
 
 
 # --------------------------------------------------------------------------
