@@ -7,7 +7,7 @@ last digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -122,23 +122,35 @@ def _comparison_stats(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Optimal NCT circuits compared against optimal NCV circuits.
 
-    ``nct_sub_cost`` is the metric cost of the deterministic gate-count
-    witness after Toffoli substitution; ``witness`` statistics are computed
-    from it.  ``sub_min``/``sub_max`` bound the substituted cost over *all*
+    Each cost column is a read-only int64 array by rank: entry i is the
+    function of rank i.  ``nct_gc`` is the NCT gate count and
+    ``nct_sub_cost`` the metric cost of the deterministic gate-count witness
+    after Toffoli substitution; ``witness`` statistics are computed from it.
+    ``nct_sub_min``/``nct_sub_max`` bound the substituted cost over *all*
     gate-count-optimal circuits (lexicographic searches), so ``worst_case``
     answers how expensive an optimal NCT circuit can be relative to the NCV
-    optimum, independent of circuit selection.
+    optimum (``ncv_opt_cost``), independent of circuit selection.
     """
 
     metric: CostMetric
-    rows: tuple[tuple[tuple[int, ...], int, int, int, int, int], ...]
+    nct_gc: np.ndarray
+    nct_sub_cost: np.ndarray
+    nct_sub_min: np.ndarray
+    nct_sub_max: np.ndarray
+    ncv_opt_cost: np.ndarray
     witness: ComparisonStats
     worst_case: ComparisonStats
     best_case: ComparisonStats
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComparisonReport):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     # Convenience views mirroring the witness-circuit statistics.
     @property
@@ -243,13 +255,12 @@ def compare(
             "internal error: lexicographic primary disagrees with gate count"
         )
 
-    rows = tuple(zip(
-        map(tuple, functions.outputs.tolist()), gc.tolist(), sub.tolist(),
-        sub_min.tolist(), sub_max.tolist(), y.tolist(),
-    ))
+    columns = [np.array(c, dtype=np.int64) for c in (gc, sub, sub_min, sub_max, y)]
+    for column in columns:
+        column.setflags(write=False)
     return ComparisonReport(
-        metric=metric,
-        rows=rows,
+        metric,
+        *columns,
         witness=_comparison_stats(sub, y, functions.function),
         worst_case=_comparison_stats(sub_max, y, functions.function),
         best_case=_comparison_stats(sub_min, y, functions.function),

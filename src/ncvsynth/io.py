@@ -11,9 +11,14 @@ a b c), with ``#`` starting a comment:
 
 Functions are written as the 8 comma-separated outputs, e.g.
 ``7,6,4,5,2,3,1,0``.  Tables serialize as CSV with columns function,cost
-(and optionally JSONL with one {function, cost, circuit} record per line);
-rows are sorted by function so identical tables serialize byte-for-byte
-identically.
+(and optionally JSONL with one {function, cost, circuit} record per line),
+comparison reports as CSV with the function and five cost columns.  Every
+writer emits its rows in rank order, which is sorted order, so identical
+tables serialize byte-for-byte identically; it formats them block by block
+from rank-ordered arrays and one cached table of the 40,320 function texts
+(built on first use, never at import).  ``read_table_csv`` maps each
+function field to its rank through that table's text→rank map, and
+rejects a function that appears in more than one row.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ import csv
 import functools
 import io as _stdio
 import json
-from typing import Mapping, Sequence
+from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
-from .analysis import ComparisonReport, CostHistogram
+from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
-from .model import Circuit, Gate, LINE_NAMES, N_ROWS, rank_tables, validate_permutation
+from .model import (Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
+                    rank_tables, validate_permutation)
 from .search import SynthesisTable
 
 _ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
@@ -77,11 +84,6 @@ def format_function(func) -> str:
     return ",".join(str(v) for v in func)
 
 
-#: A function as a CSV field, as ``csv.writer`` writes it: the outputs are
-#: joined by commas, so the field is quoted.
-_FUNCTION_FIELD = '"' + ",".join(["%s"] * N_ROWS) + '"'
-
-
 def parse_function(text: str) -> tuple[int, ...]:
     try:
         values = [int(v) for v in text.strip().split(",")]
@@ -98,66 +100,131 @@ def parse_function(text: str) -> tuple[int, ...]:
 #: to peak memory.
 _BLOCK = 4096
 
-#: A (function, cost) CSV row as ``csv.writer`` writes it.
-_TABLE_ROW = _FUNCTION_FIELD + ",%s\n"
+
+@functools.cache
+def _function_texts() -> np.ndarray:
+    """Every function's text (``format_function``), in rank order: a
+    read-only object array of 40,320 strings, built on first use in one pass
+    over the rank tables' outputs (their digits, with commas between)."""
+    outputs = rank_tables().outputs
+    chars = np.full((len(outputs), 2 * N_ROWS - 1), ord(","), dtype=np.uint8)
+    chars[:, ::2] = outputs + ord("0")
+    texts = chars.view(f"S{2 * N_ROWS - 1}")[:, 0].astype(str).astype(object)
+    texts.setflags(write=False)
+    return texts
 
 
-def write_table_csv(costs: Mapping, stream) -> None:
-    """Header ``function,cost``, then one row per function in sorted order."""
-    write_table_rows(sorted(costs.items()), stream)
+@functools.cache
+def _function_ranks() -> dict[str, int]:
+    """Each function text of ``_function_texts`` mapped to its rank, built
+    on first use (only readers need it)."""
+    return dict(zip(_function_texts().tolist(), range(N_FUNCTIONS)))
 
 
-def write_table_rows(rows: Sequence[tuple[tuple[int, ...], int]], stream) -> None:
-    """Header ``function,cost``, then the (function, cost) rows in the order
-    given, written block by block: ``write_table_csv`` of a table's costs
-    when given ``list(table.items())``, which is already sorted."""
+def _ranks_of(funcs: list) -> np.ndarray:
+    """The ranks of ``funcs``, each validated as ``function_rank`` validates
+    it: the bytes of each 8-tuple are its big-endian code, and all the codes
+    are ranked in one vectorized pass.  InvalidFunction for the first that
+    ``function_rank`` rejects."""
+    tables = rank_tables()
+    if all(type(f) is tuple and len(f) == N_ROWS for f in funcs):
+        try:
+            keys = np.frombuffer(b"".join(map(bytes, funcs)), dtype=">u8")
+        except (TypeError, ValueError):  # an entry that is not an int in 0..255
+            keys = None
+        if keys is not None:
+            ranks = np.minimum(tables.ranks_of_codes(keys), N_FUNCTIONS - 1)
+            if (tables.codes[ranks] == keys).all():
+                return ranks
+    return np.array([function_rank(f) for f in funcs], dtype=np.int64)
+
+
+def _write_table(ranks: np.ndarray, costs: np.ndarray, stream) -> None:
+    """Header ``function,cost``, then row i the function of rank
+    ``ranks[i]`` and its cost ``costs[i]``, written block by block."""
     stream.write("function,cost\n")
-    for start in range(0, len(rows), _BLOCK):
+    texts = _function_texts()
+    for start in range(0, len(ranks), _BLOCK):
+        block = slice(start, start + _BLOCK)
         stream.write("".join([
-            _TABLE_ROW % (*func, cost) for func, cost in rows[start:start + _BLOCK]
+            f'"{text}",{cost}\n'
+            for text, cost in zip(texts[ranks[block]].tolist(), costs[block].tolist())
         ]))
 
 
-def table_csv_text(costs: Mapping) -> str:
+def write_table_csv(costs: Mapping | np.ndarray, stream) -> None:
+    """Header ``function,cost``, then one row per function in rank (sorted)
+    order.  ``costs`` maps functions to costs (InvalidFunction for a key
+    that is not a permutation of 0..7), or is an array of every function's
+    cost by rank, such as ``table.cost_array()``."""
+    if isinstance(costs, np.ndarray):
+        if costs.shape != (N_FUNCTIONS,):
+            raise ValueError(f"expected {N_FUNCTIONS} costs by rank, got shape {costs.shape}")
+        _write_table(np.arange(N_FUNCTIONS), costs, stream)
+        return
+    ranks = _ranks_of(list(costs.keys()))
+    order = np.argsort(ranks, kind="stable")
+    _write_table(ranks[order], np.array(list(costs.values()), dtype=object)[order], stream)
+
+
+def table_csv_text(costs: Mapping | np.ndarray) -> str:
     buf = _stdio.StringIO()
     write_table_csv(costs, buf)
     return buf.getvalue()
 
 
 def read_table_csv(stream) -> dict[tuple[int, ...], int]:
+    """The (function, cost) rows of a table CSV, in file order.  Blank rows
+    and rows whose first field starts with ``#`` are skipped.  A function
+    field is looked up in the function-text table; one that is not there
+    verbatim (spaces, say) is parsed.  CircuitParseError for a bad header,
+    a row without an integer cost, an unparsable function or a function
+    that appears twice; InvalidFunction for one that is not a permutation."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["function", "cost"]:
         raise CircuitParseError("table CSV must start with a function,cost header")
-    costs: dict[tuple[int, ...], int] = {}
+    lookup = _function_ranks()
+    ranks: list[int] = []
+    costs: list[int] = []
     for row in reader:
         if not row or row[0].startswith("#"):
             continue
         try:
-            costs[parse_function(row[0])] = int(row[1])
+            cost = int(row[1])
         except (IndexError, ValueError):
             raise CircuitParseError(f"bad table row: {row!r}") from None
-    return costs
+        rank = lookup.get(row[0])
+        if rank is None:
+            rank = function_rank(parse_function(row[0]))
+        ranks.append(rank)
+        costs.append(cost)
+    repeated = np.flatnonzero(np.bincount(ranks, minlength=N_FUNCTIONS) > 1)
+    if len(repeated):
+        text = _function_texts()[repeated[0]]
+        raise CircuitParseError(f"function {text} appears in more than one table row")
+    functions = rank_tables().outputs[ranks].tolist()
+    return dict(zip(map(tuple, functions), costs))
 
 
 def write_table_jsonl(table: SynthesisTable, stream) -> None:
     """One ``json.dumps(record, sort_keys=True)`` line per function in rank
     order, with record {function, cost, circuit}, written block by
-    block from the table's witness paths and each gate's escaped text."""
+    block from the function-text table, the table's witness paths and each
+    gate's escaped text."""
     paths = table.witness_paths()
     gate_text = np.array(
         [json.dumps(f"{g}\n")[1:-1] for g in table.gate_list] + [""], dtype=object
     )
-    outputs = rank_tables().outputs
-    for start in range(0, len(outputs), _BLOCK):
+    texts = _function_texts()
+    for start in range(0, N_FUNCTIONS, _BLOCK):
         block = slice(start, start + _BLOCK)
-        funcs = outputs[block].tolist()
         circuits = gate_text[paths.gate_ids[block]].tolist()
-        costs = paths.cost[block].tolist()
         stream.write("".join([
-            f'{{"circuit": "{"".join(circuit)}", "cost": {cost}, '
-            f'"function": "{format_function(func)}"}}\n'
-            for func, circuit, cost in zip(funcs, circuits, costs)
+            f'{{"circuit": "{"".join(circuit)}", "cost": {cost}, "function": "{text}"}}\n'
+            for text, circuit, cost in zip(
+                texts[block].tolist(), circuits, paths.cost[block].tolist()
+            )
         ]))
 
 
@@ -198,42 +265,33 @@ def histogram_text(hist: CostHistogram) -> str:
 
 def comparison_text(report: ComparisonReport) -> str:
     """Side-by-side cost distributions: gate count, substituted, NCV optimum."""
-    from fractions import Fraction
-
-    from .analysis import render_4dp
-
-    columns = {"nct-gc": {}, "nct-sub": {}, "ncv-opt": {}}
-    for _, gc, sub, _, _, ncv in report.rows:
-        for name, value in (("nct-gc", gc), ("nct-sub", sub), ("ncv-opt", ncv)):
-            columns[name][value] = columns[name].get(value, 0) + 1
-    total = len(report.rows)
-    names = list(columns)
+    names = ("nct-gc", "nct-sub", "ncv-opt")
+    columns = (report.nct_gc, report.nct_sub_cost, report.ncv_opt_cost)
+    top = max(int(column.max()) for column in columns)
+    counts = np.stack([np.bincount(column, minlength=top + 1) for column in columns], axis=1)
     lines = [f"{'cost':>6} " + " ".join(f"{n:>8}" for n in names)]
-    top = max(max(c) for c in columns.values())
-    for cost in range(top + 1):
-        counts = [columns[n].get(cost, 0) for n in names]
-        if any(counts):
-            lines.append(f"{cost:>6} " + " ".join(f"{c:>8}" for c in counts))
-    was = [
-        render_4dp(Fraction(sum(c * n for c, n in columns[name].items()), total))
-        for name in names
-    ]
+    for cost in np.flatnonzero(counts.any(axis=1)).tolist():
+        lines.append(f"{cost:>6} " + " ".join(f"{c:>8}" for c in counts[cost].tolist()))
+    was = [render_4dp(Fraction(int(column.sum()), len(column))) for column in columns]
     lines.append(f"{'WA':>6} " + " ".join(f"{w:>8}" for w in was))
     return "\n".join(lines) + "\n"
 
 
-_COMPARISON_ROW = _FUNCTION_FIELD + ",%s,%s,%s,%s,%s\n"
-
-
 def write_comparison_csv(report: ComparisonReport, stream) -> None:
-    """The report's rows as CSV, written block by block like
-    ``write_table_csv``, then its summary lines."""
+    """One row per function in rank order, its text and the report's five
+    cost columns, written block by block like ``write_table_csv``; then the
+    report's summary lines."""
     stream.write("function,nct_gc,nct_sub_cost,nct_sub_min,nct_sub_max,ncv_opt_cost\n")
-    rows = report.rows
-    for start in range(0, len(rows), _BLOCK):
+    texts = _function_texts()
+    columns = (report.nct_gc, report.nct_sub_cost, report.nct_sub_min,
+               report.nct_sub_max, report.ncv_opt_cost)
+    for start in range(0, N_FUNCTIONS, _BLOCK):
+        block = slice(start, start + _BLOCK)
         stream.write("".join([
-            _COMPARISON_ROW % (*func, gc, sub, sub_min, sub_max, ncv)
-            for func, gc, sub, sub_min, sub_max, ncv in rows[start:start + _BLOCK]
+            f'"{text}",{gc},{sub},{sub_min},{sub_max},{ncv}\n'
+            for text, gc, sub, sub_min, sub_max, ncv in zip(
+                texts[block].tolist(), *(column[block].tolist() for column in columns)
+            )
         ]))
     for line in report.summary_lines():
         stream.write(line + "\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import ncvsynth as nv
 from ncvsynth import SearchOptions
-from ncvsynth.model import LINE_PERMUTATIONS, invert_function, relabel_function
+from ncvsynth.model import LINE_PERMUTATIONS, function_rank, invert_function, relabel_function
 from ncvsynth.nct import toffoli_substitute
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
@@ -61,8 +61,8 @@ def test_criterion_5_comparison_extremes(comparison_111, comparison_012):
     check("5", "NCV-012 worst-case max ratio equals 8",
           c012.max_ratio == Fraction(8))
     witness_func = (7, 6, 4, 5, 2, 3, 1, 0)
-    row = {r[0]: r for r in c012.rows}[witness_func]
-    _, _, _, _, sub_max, ncv_opt = row
+    rank = function_rank(witness_func)
+    sub_max, ncv_opt = int(c012.nct_sub_max[rank]), int(c012.ncv_opt_cost[rank])
     check("5", "witness function [7,6,4,5,2,3,1,0] attains 16/2 = 8",
           ncv_opt == 2 and Fraction(sub_max, ncv_opt) == 8)
     check("5", f"equal-cost count NCV-111 >= 1610 (got {c111.equal_count})",

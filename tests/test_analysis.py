@@ -156,17 +156,24 @@ def test_compare_rejects_a_lex_table_of_another_kind(
         nv.compare(nct_gc, ncv012_full, nv.NCV_012, **tables)
 
 
+def _cost_columns(report):
+    return (report.nct_gc, report.nct_sub_cost, report.nct_sub_min,
+            report.nct_sub_max, report.ncv_opt_cost)
+
+
 def test_substituted_cost_column_matches_per_function_reference(nct_gc, comparison_012):
-    rows = comparison_012.rows
-    assert [f for f, *_ in rows] == list(nct_gc.functions())
-    for func, gc, sub, *_ in rows:
+    columns = _cost_columns(comparison_012)
+    # entry i of every column is the function of rank i, as in the tables
+    assert all(c.shape == (nv.N_FUNCTIONS,) and c.dtype == np.int64 for c in columns)
+    gcs, subs = (c.tolist() for c in columns[:2])
+    for func, gc, sub in zip(nct_gc.functions(), gcs, subs, strict=True):
         assert gc == nct_gc.cost_of(func)
         assert sub == substituted_witness_cost(nct_gc, func, nv.NCV_012)
 
 
 def test_comparison_report_invariants(comparison_111):
     report = comparison_111
-    for func, gc, sub, sub_min, sub_max, ncv_opt in report.rows:
+    for gc, sub, sub_min, sub_max, ncv_opt in zip(*(c.tolist() for c in _cost_columns(report))):
         assert ncv_opt <= sub_min <= sub <= sub_max
     assert report.witness.equal_count <= report.best_case.equal_count
     assert report.best_case.max_ratio <= report.worst_case.max_ratio

@@ -156,6 +156,43 @@ def test_stats_missing_file_exits_5(tmp_path, capsys):
     assert run(capsys, "stats", str(tmp_path / "none.csv"))[0] == 5
 
 
+def _stats(tmp_path, capsys, text):
+    table_file = tmp_path / "t.csv"
+    table_file.write_text("function,cost\n" + text)
+    return run(capsys, "stats", str(table_file))
+
+
+def test_stats_of_a_repeated_function_exits_2(tmp_path, capsys):
+    code, out, err = _stats(tmp_path, capsys, '"0,1,2,3,4,5,6,7",0\n"0,1,2,3,4,5,6,7",3\n')
+    assert (code, out) == (2, "")
+    assert "0,1,2,3,4,5,6,7" in err
+
+
+def test_stats_of_a_non_permutation_exits_3(tmp_path, capsys):
+    code, out, _ = _stats(tmp_path, capsys, '"0,1,2,3,4,5,6,7",0\n"0,0,2,3,4,5,6,7",1\n')
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("row", ['"0,1,2,3,4,5,6,7",x', '"0,1,2,3,4,5,6,7",1.5',
+                                 '"0,1,2,3,4,5,6,7"', '"1,0,2,3,4,5,6,7",'])
+def test_stats_of_a_bad_cost_exits_2(tmp_path, capsys, row):
+    code, out, err = _stats(tmp_path, capsys, row + "\n")
+    assert (code, out) == (2, "") and "bad table row" in err
+
+
+def test_stats_skips_comment_and_blank_rows(tmp_path, capsys):
+    text = '# a comment\n"0,1,2,3,4,5,6,7",0\n\n#"1,0,2,3,4,5,6,7",1\n"1,0,2,3,4,5,6,7",1\n'
+    code, out, _ = _stats(tmp_path, capsys, text)
+    assert code == 0
+    assert out == "  cost    count\n     0        1\n     1        1\n" \
+                  "functions: 2\nweighted average: 0.5000\n"
+
+
+def test_stats_reads_a_function_field_with_spaces(tmp_path, capsys):
+    code, out, _ = _stats(tmp_path, capsys, '" 0, 1,2,3,4,5,6,7",2\n')
+    assert code == 0 and "     2        1\nfunctions: 1\n" in out
+
+
 def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir):
     """A cached table must give the output of a fresh computation bit-for-bit."""
     cached_out = tmp_path / "cached.csv"

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io as stdio
 import json
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, strategies as st
 import ncvsynth as nv
 from ncvsynth import CircuitParseError, InvalidFunction
 from ncvsynth import io as nio
+from ncvsynth.analysis import render_4dp
 
 
 def test_circuit_text_example():
@@ -68,6 +71,35 @@ def test_table_csv_roundtrip():
     assert nio.read_table_csv(stdio.StringIO(text)) == costs
     # deterministic bytes
     assert nio.table_csv_text(dict(reversed(list(costs.items())))) == text
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 0, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6, 7, 8),
+    (0, 1, 2, 3, 4, 5, 6, 263), (0, 1, 2, 3, 4, 5, 6, -1), (1.0, 0, 2, 3, 4, 5, 6, 7),
+    ("0", 1, 2, 3, 4, 5, 6, 7), "0,1,2,3,4,5,6,7", 5,
+])
+def test_table_csv_of_a_key_that_is_not_a_permutation_raises(bad):
+    costs = {tuple(range(8)): 0, bad: 1, (7, 6, 5, 4, 3, 2, 1, 0): 2}
+    with pytest.raises(InvalidFunction):
+        nio.table_csv_text(costs)
+
+
+def test_table_csv_ranks_keys_of_any_integer_type():
+    costs = {(7, 6, 4, 5, 2, 3, 1, 0): 2, tuple(range(8)): 0}
+    numpy_keys = {tuple(np.array(f, dtype=np.uint8)): c for f, c in costs.items()}
+    assert nio.table_csv_text(numpy_keys) == nio.table_csv_text(costs)
+    assert nio.table_csv_text({}) == "function,cost\n"
+
+
+def test_table_csv_of_a_cost_array_needs_every_function():
+    with pytest.raises(ValueError):
+        nio.table_csv_text(np.zeros(nv.N_FUNCTIONS - 1, dtype=np.int64))
+
+
+def test_table_csv_of_a_repeated_function_is_rejected():
+    text = 'function,cost\n"0,1,2,3,4,5,6,7",0\n"1,0,2,3,4,5,6,7",1\n" 0,1,2,3,4,5,6,7",3\n'
+    with pytest.raises(CircuitParseError, match="0,1,2,3,4,5,6,7"):
+        nio.read_table_csv(stdio.StringIO(text))
 
 
 def test_table_csv_bad_header():
@@ -141,8 +173,9 @@ def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
     for func in sorted(ncv111_path.costs):
         writer.writerow([nio.format_function(func), ncv111_path.costs[func]])
     assert nio.table_csv_text(ncv111_path.costs) == expected.getvalue()
+    # synth-all --out writes the table's cost array
     rows = stdio.StringIO()
-    nio.write_table_rows(list(ncv111_path.items()), rows)
+    nio.write_table_csv(ncv111_path.cost_array(), rows)
     assert rows.getvalue() == expected.getvalue()
 
     expected = stdio.StringIO()
@@ -150,7 +183,10 @@ def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
     writer.writerow(
         ["function", "nct_gc", "nct_sub_cost", "nct_sub_min", "nct_sub_max", "ncv_opt_cost"]
     )
-    for func, *costs in comparison_111.rows:
+    report = comparison_111
+    columns = (report.nct_gc, report.nct_sub_cost, report.nct_sub_min,
+               report.nct_sub_max, report.ncv_opt_cost)
+    for func, *costs in zip(ncv111_path.functions(), *(c.tolist() for c in columns)):
         writer.writerow([nio.format_function(func), *costs])
     for line in comparison_111.summary_lines():
         expected.write(line + "\n")
@@ -186,3 +222,17 @@ def test_comparison_text_layout(comparison_111):
     assert lines[1].split() == ["0", "1", "1", "1"]
     assert lines[-1].startswith("    WA")
     assert "5.8655" in lines[-1] and "10.0319" in lines[-1]
+
+
+def test_comparison_text_counts_match_a_per_function_count(comparison_012):
+    """The bincount columns give the per-function counts and the exact
+    weighted averages, none missed at either end of the cost range."""
+    report = comparison_012
+    columns = [c.tolist() for c in (report.nct_gc, report.nct_sub_cost, report.ncv_opt_cost)]
+    counts = [Counter(column) for column in columns]
+    expected = [f"{'cost':>6} {'nct-gc':>8} {'nct-sub':>8} {'ncv-opt':>8}"]
+    for cost in sorted(set().union(*counts)):
+        expected.append(f"{cost:>6} " + " ".join(f"{c[cost]:>8}" for c in counts))
+    was = [render_4dp(Fraction(sum(column), len(column))) for column in columns]
+    expected.append(f"{'WA':>6} " + " ".join(f"{w:>8}" for w in was))
+    assert nio.comparison_text(report) == "\n".join(expected) + "\n"
