@@ -36,7 +36,7 @@ from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
 from .model import (Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
                     rank_tables, validate_permutation)
-from .search import SynthesisTable
+from .search import CostView, SynthesisTable
 
 _ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
 
@@ -156,7 +156,10 @@ def write_table_csv(costs: Mapping | np.ndarray, stream) -> None:
     """Header ``function,cost``, then one row per function in rank (sorted)
     order.  ``costs`` maps functions to costs (InvalidFunction for a key
     that is not a permutation of 0..7), or is an array of every function's
-    cost by rank, such as ``table.cost_array()``."""
+    cost by rank, such as ``table.cost_array()``.  A table's ``costs`` view
+    is written from its cost array."""
+    if isinstance(costs, CostView):
+        costs = costs.cost_array()
     if isinstance(costs, np.ndarray):
         if costs.shape != (N_FUNCTIONS,):
             raise ValueError(f"expected {N_FUNCTIONS} costs by rank, got shape {costs.shape}")

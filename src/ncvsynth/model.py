@@ -170,9 +170,19 @@ class Circuit:
         return "; ".join(str(g) for g in self.gates) if self.gates else "(empty)"
 
 
+#: The largest gate weight a ``CostMetric`` takes.  A cost is a sum of gate
+#: weights, so under the cap any circuit of fewer than 2**31 gates costs less
+#: than 2**63 and fits int64.  Optimal circuits are far shorter: every
+#: function has an NCV circuit of at most 14 gates on the full topology and
+#: 23 on the path (the largest ncv-111 costs), so no optimal NCV cost
+#: exceeds 23 x ``MAX_WEIGHT``.
+MAX_WEIGHT = 2 ** 32
+
+
 @dataclass(frozen=True)
 class CostMetric:
-    """Linear gate-cost metric: weights for NOT, CNOT, V and V+.
+    """Linear gate-cost metric: weights for NOT, CNOT, V and V+, each an
+    integer in 0..``MAX_WEIGHT`` (ValueError otherwise).
 
     The built-in metrics all use w_v == w_vplus, which makes circuit cost
     invariant under inversion and under the global V <-> V+ interchange.
@@ -188,6 +198,8 @@ class CostMetric:
         for w in (self.w_not, self.w_cnot, self.w_v, self.w_vplus):
             if not isinstance(w, int) or w < 0:
                 raise ValueError("metric weights must be nonnegative integers")
+            if w > MAX_WEIGHT:
+                raise ValueError(f"metric weight {w} is above the cap {MAX_WEIGHT}")
 
     def weight(self, gate: Gate) -> int:
         try:

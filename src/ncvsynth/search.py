@@ -15,15 +15,23 @@ than (0, 0): a gate of primary weight >= 1 may carry a negative secondary
 weight, and a gate of primary weight 0 may not.  Weights below (0, 0) are
 rejected with ValueError.
 
-Expansion is vectorized with numpy: each bucket's candidates are produced
-per-gate as uint64 batches, filtered against a window of the settled states
-with sorted-array searches, and put in (parent settle index, gate
+Expansion is vectorized with numpy and shares work per placement: the
+parents a gate may extend (its control lines Boolean, and reduction (1)
+below) and their control bits moved onto the target line are selected once
+per (controls, target) placement, for the CNOT, V and V+ gates on it.  The
+uint64 candidates of every gate weight are canonicalized in one pass and
+probed against a window of the settled states with one sorted-array search,
+then cut into one batch per weight, each put in (parent settle index, gate
 enumeration index) order by a stable sort.  Batches join their bucket in
 settle order, so among equal-cost paths to a state, the one a scalar
 queue-based search would consider first is the one of least position in
 the drained bucket; a drain sorts the bucket by key and takes, per key, its
 least position.  That path wins, and within a bucket states settle in
-packed-key order, which makes every witness reproducible.
+packed-key order, which makes every witness reproducible.  A drain checks
+that each new state's Boolean projection is a permutation and decodes the
+Boolean states to function ranks through two 4096-entry tables indexed by
+the 12 bits of two adjacent rows (four lookups per key): one gives the
+rows' one-hot occupancy, the other their two code bytes.
 
 The window holds the keys of the states settled at cost ``cost - span`` or
 more, where ``span`` is the heaviest gate weight (pairs subtract
@@ -109,6 +117,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import os
 import threading
 from collections.abc import Mapping
@@ -239,7 +248,7 @@ class SynthesisTable:
     @property
     def costs(self) -> Mapping[tuple[int, ...], int]:
         """``cost_of`` as a read-only mapping, iterated in rank order."""
-        return _CostView(self)
+        return CostView(self)
 
     def cost_array(self) -> np.ndarray:
         """``cost_of`` every function, in rank order."""
@@ -274,14 +283,17 @@ class SynthesisTable:
         return zip(self.functions(), self.cost_array().tolist())
 
 
-class _CostView(Mapping):
+class CostView(Mapping):
     """A table's costs as a read-only mapping from function to cost, in
     rank order (which is sorted order), holding no copy of them.  A lookup
     ranks its key; ``items`` and ``values`` are iterators over the cost
-    array."""
+    array, which ``cost_array`` returns."""
 
     def __init__(self, table: SynthesisTable) -> None:
         self._table = table
+
+    def cost_array(self) -> np.ndarray:
+        return self._table.cost_array()
 
     def __getitem__(self, func: Sequence[int]) -> int:
         try:
@@ -318,93 +330,191 @@ def _flag_mask(line: int) -> int:
 _BOOL = tuple(_bool_mask(l) for l in range(N_LINES))
 _FLAG = tuple(_flag_mask(l) for l in range(N_LINES))
 _ALL_FLAGS = _U64(_FLAG[0] | _FLAG[1] | _FLAG[2])
+_ONE = _U64(1)
+_ZERO = _U64(0)
 
 
 def _shifted(x: np.ndarray, delta: int) -> np.ndarray:
     return x << _U64(delta) if delta >= 0 else x >> _U64(-delta)
 
 
-class _VGate:
-    """One library gate compiled to vectorized packed-key arithmetic."""
-
-    __slots__ = ("gid", "gate", "weight", "placement_id", "control_flags")
-
-    def __init__(self, gid: int, gate: Gate, weight: Cost, placement_id: int) -> None:
-        self.gid = gid
-        self.gate = gate
-        self.weight = weight
-        self.placement_id = placement_id
-        mask = 0
-        for c in gate.controls:
-            mask |= _FLAG[c]
-        self.control_flags = _U64(mask)
-
-    def apply(self, keys: np.ndarray) -> np.ndarray:
-        g = self.gate
-        t = g.target
-        if g.kind == "NOT":
-            return keys ^ _U64(_BOOL[t])
-        if g.kind == "CNOT":
-            c = g.controls[0]
-            return keys ^ _shifted(keys & _U64(_BOOL[c]), 2 * (t - c))
-        if g.kind == "TOF":
-            c1, c2 = g.controls
-            s1 = _shifted(keys & _U64(_BOOL[c1]), 2 * (t - c1))
-            s2 = _shifted(keys & _U64(_BOOL[c2]), 2 * (t - c2))
-            return keys ^ (s1 & s2)
-        # V / V+: move the control's Boolean bits onto the target's flag
-        # positions, then add +1 / +3 (mod 4) on the selected 2-bit fields.
-        c = g.controls[0]
-        sel = _shifted(keys & _U64(_BOOL[c]), 2 * (t - c) - 1)
-        if g.kind == "V":
-            return keys ^ sel ^ ((keys & sel) << _U64(1))
-        return keys ^ sel ^ (((keys & sel) ^ sel) << _U64(1))
+#: Keys per block of the work that ``_canonical`` and the row-pair decode do
+#: per key, so that their temporaries are a block's size, not a chunk's.
+#: Measured on an ncv-012 settle (2 CPUs, 3 processes per size): blocks of
+#: 8192 and 16384 keys took 0.94-1.05 and 0.85-0.91 s; 32,768 took
+#: 0.76-0.87 s, as fast as 65,536 or no blocking (0.67-0.94 s), at a traced
+#: peak of 25.7 MiB against their 26.7 MiB.
+_BLOCK = 1 << 15
 
 
-def _vector_gates(gates: Sequence[Gate], weights: Sequence[Cost]) -> list[_VGate]:
-    placements: dict[tuple, int] = {}
-    out = []
-    for gid, (gate, w) in enumerate(zip(gates, weights)):
-        pid = placements.setdefault(gate.placement, len(placements))
-        out.append(_VGate(gid, gate, w, pid))
-    return out
+class _Placement(NamedTuple):
+    """One (controls, target) placement as packed-key arithmetic, shared by
+    the gates on it."""
+
+    pid: np.uint8               # the placement id reduction (1) compares
+    control_flags: np.uint64    # flag bits of the control lines (0 for NOT)
+    target_bool: np.uint64      # Boolean bits of the target line
+    moves: tuple[tuple[np.uint64, int], ...]  # per control: its Boolean bits, and
+                                              # the shift onto the target's flag bits
 
 
+class _Expansion(NamedTuple):
+    """A gate list and its weights compiled for expansion.  Candidates are
+    made gate by gate in candidate order: grouped by weight (groups in order
+    of their first gate), by gate id within a group."""
+
+    placements: tuple[_Placement, ...]
+    steps: tuple[tuple[int, str], ...]  # (placement index, gate kind) in candidate order
+    gate_ids: np.ndarray                # uint8 gate ids in candidate order
+    groups: tuple[tuple[Cost, int], ...]  # (weight, end of its steps) in candidate order
+    placement_of_gate: np.ndarray       # uint8 placement id by gate id
+
+
+@functools.cache
+def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion:
+    """Built once per gate list and weights."""
+    placement_index: dict[tuple, int] = {}
+    placements: list[_Placement] = []
+    by_weight: dict[Cost, list[int]] = {}
+    for gid, (gate, weight) in enumerate(zip(gates, weights)):
+        by_weight.setdefault(weight, []).append(gid)
+        if gate.placement in placement_index:
+            continue
+        placement_index[gate.placement] = len(placements)
+        t = gate.target
+        placements.append(_Placement(
+            np.uint8(len(placements)),
+            _U64(sum(_FLAG[c] for c in gate.controls)),
+            _U64(_BOOL[t]),
+            tuple((_U64(_BOOL[c]), 2 * (t - c) - 1) for c in gate.controls),
+        ))
+    order = [gid for group in by_weight.values() for gid in group]
+    pids = [placement_index[g.placement] for g in gates]
+    gate_ids, placement_of_gate = np.array(order, dtype=np.uint8), np.array(pids, dtype=np.uint8)
+    for arr in (gate_ids, placement_of_gate):
+        arr.setflags(write=False)
+    return _Expansion(
+        tuple(placements),
+        tuple((pids[gid], gates[gid].kind) for gid in order),
+        gate_ids,
+        tuple(zip(by_weight, itertools.accumulate(map(len, by_weight.values())))),
+        placement_of_gate,
+    )
+
+
+def _candidates(
+    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, no_repeat: bool,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every gate's images of the parents it applies to, in candidate order
+    (uint64), the parents' settle indices, and the candidates per gate.  The
+    parents of a placement (every control line Boolean and, with reduction
+    (1), another last placement) and their ``hit`` (the target's flag bit
+    set in each row whose controls are all 1) are found once for its
+    gates."""
+    sources = []
+    for p in plan.placements:
+        mask = (keys & p.control_flags) == _ZERO if p.control_flags else None
+        if no_repeat:
+            other = plc != p.pid
+            mask = other if mask is None else np.logical_and(mask, other, out=mask)
+        src = (keys, gidx) if mask is None else (keys[mask], gidx[mask])
+        hit = None
+        for bits, shift in p.moves:
+            moved = _shifted(src[0] & bits, shift)
+            hit = moved if hit is None else np.bitwise_and(hit, moved, out=hit)
+        sources.append((*src, hit))
+    counts = [len(sources[i][0]) for i, _ in plan.steps]
+    raw = np.empty(sum(counts), dtype=np.uint64)
+    end = 0
+    for (i, kind), n in zip(plan.steps, counts):
+        start, end = end, end + n
+        src_keys, _, hit = sources[i]
+        _apply(kind, plan.placements[i], src_keys, hit, raw[start:end])
+    preds = np.concatenate([sources[i][1] for i, _ in plan.steps])
+    return raw, preds, counts
+
+
+def _apply(kind: str, placement: _Placement, keys: np.ndarray, hit, out: np.ndarray) -> None:
+    """Write the gate's image of each of ``keys`` to ``out``.  NOT flips the
+    target's Boolean bits; CNOT and TOF flip them where ``hit`` is set; V
+    and V+ add 1 and 3 (mod 4) to the target's level there."""
+    if kind == "NOT":
+        np.bitwise_xor(keys, placement.target_bool, out=out)
+        return
+    if kind in ("CNOT", "TOF"):
+        np.left_shift(hit, _ONE, out=out)
+    else:
+        # V: carry from the flag into the Boolean bit where the flag was
+        # set; V+: where it was clear.
+        np.bitwise_and(keys, hit, out=out)
+        if kind == "V+":
+            out ^= hit
+        out <<= _ONE
+        out ^= hit
+    out ^= keys
+
+
+@functools.cache
 def _identity_key() -> int:
     return CircuitState.identity().pack()
 
 
-_OUT_SHIFTS = [
-    tuple(bit_offset(r, l) + 1 for l in range(N_LINES)) for r in range(N_ROWS)
-]
+#: Rows 2i and 2i+1 of a packed key are its bits 12i .. 12i + 11.
+_PAIR_SHIFTS = np.array([0, 12, 24, 36], dtype=np.uint64)
+
+
+@functools.cache
+def _row_pair_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Decode tables indexed by the 12 bits of two adjacent rows: the
+    one-hot occupancy of the rows' two Boolean outputs (uint8), and the two
+    outputs as big-endian code bytes, the first row's high (``>u2``).  An
+    output is 4 x line a's Boolean bit + 2 x line b's + line c's.  Built on
+    first use."""
+    bits = np.arange(1 << 12, dtype=np.uint64)
+    outputs = []
+    for row in (0, 1):
+        out = np.zeros_like(bits)
+        for line in range(N_LINES):
+            out = (out << _ONE) | ((bits >> _U64(bit_offset(row, line) + 1)) & _ONE)
+        outputs.append(out)
+    occupancy = ((_ONE << outputs[0]) | (_ONE << outputs[1])).astype(np.uint8)
+    codes = ((outputs[0] << _U64(8)) | outputs[1]).astype(">u2")
+    for table in (occupancy, codes):
+        table.setflags(write=False)
+    return occupancy, codes
+
+
+def _row_pair_lookup(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(key, i) -> ``table`` entry of the key's rows 2i and 2i+1, looked up
+    block by block of ``_BLOCK`` keys."""
+    out = np.empty((len(keys), len(_PAIR_SHIFTS)), dtype=table.dtype)
+    for start in range(0, len(keys), _BLOCK):
+        pairs = keys[start:start + _BLOCK, None] >> _PAIR_SHIFTS
+        pairs &= _U64(0xFFF)
+        table.take(pairs, out=out[start:start + _BLOCK], mode="clip")
+    return out
+
+
+def _occupancy(keys: np.ndarray) -> np.ndarray:
+    """uint8 one-hot OR of the 8 rows' Boolean outputs of each key."""
+    return np.bitwise_or.reduce(_row_pair_lookup(keys, _row_pair_tables()[0]), axis=1)
+
+
+def _output_codes(keys: np.ndarray) -> np.ndarray:
+    """The 8 rows' Boolean outputs of each key as big-endian bytes, row 0
+    first: the function's code of ``rank_tables().codes``."""
+    codes = _row_pair_lookup(keys, _row_pair_tables()[1])
+    return codes.view(">u8")[:, 0].astype(np.uint64)
 
 
 def _ranks_of(keys: np.ndarray) -> np.ndarray:
     """Rank of the realized function of each (Boolean) packed key."""
-    one = _U64(1)
-    code = np.zeros(len(keys), dtype=np.uint64)
-    for sa, sb, sc in _OUT_SHIFTS:
-        out = (
-            ((keys >> _U64(sa)) & one) << _U64(2)
-            | ((keys >> _U64(sb)) & one) << one
-            | ((keys >> _U64(sc)) & one)
-        )
-        code = (code << _U64(8)) | out
-    return rank_tables().ranks_of_codes(code)
+    return rank_tables().ranks_of_codes(_output_codes(keys))
 
 
 def _assert_projection_permutation(keys: np.ndarray) -> None:
     """Vectorized check that Boolean projections are permutations of 0..7."""
-    occupancy = np.zeros(len(keys), dtype=np.uint64)
-    one = _U64(1)
-    for sa, sb, sc in _OUT_SHIFTS:
-        out = (
-            ((keys >> _U64(sa)) & one) * _U64(4)
-            + ((keys >> _U64(sb)) & one) * _U64(2)
-            + ((keys >> _U64(sc)) & one)
-        )
-        occupancy |= one << out
-    if not bool((occupancy == _U64(0xFF)).all()):
+    if not bool((_occupancy(keys) == 0xFF).all()):
         raise InternalError(
             "internal error: reached a state whose Boolean projection is not "
             "a permutation"
@@ -491,25 +601,31 @@ def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarra
     """The least image of each key under the symmetries, and the sigma id of
     the first symmetry giving it (0 for the key).  Each line image x, the key
     included, is followed by its conjugate x ^ ((x & flags) << 1), which
-    maps every level v to -v mod 4."""
-    words = keys.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
-    least, sigma = keys, np.zeros(len(keys), dtype=np.int8)
-
-    def offer(image: np.ndarray, sid: int) -> None:
-        nonlocal least
-        sigma[image < least] = sid
-        least = np.minimum(least, image)
-
-    for pid, table in [(0, None), *zip(orbits.perm_ids.tolist(), orbits.images)]:
-        if table is None:
-            image = keys
-        else:
-            image = table[0].take(words[:, 0])
-            image |= table[1].take(words[:, 1])
-            image |= table[2].take(words[:, 2])
-            offer(image, pid)
-        if orbits.conj:
-            offer(image ^ ((image & _ALL_FLAGS) << _U64(1)), pid + _N_PERMS)
+    maps every level v to -v mod 4.  Works block by block of ``_BLOCK`` keys,
+    in block-sized buffers."""
+    least = keys.copy()
+    sigma = np.zeros(len(keys), dtype=np.int8)
+    for start in range(0, len(keys), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        x, low, sig = keys[block], least[block], sigma[block]
+        image, part, less = np.empty_like(x), np.empty_like(x), np.empty(len(x), dtype=bool)
+        words = x.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
+        for pid, table in [(0, None), *zip(orbits.perm_ids.tolist(), orbits.images)]:
+            offers = []
+            if table is not None:
+                table[0].take(words[:, 0], out=image, mode="clip")
+                for word in (1, 2):
+                    image |= table[word].take(words[:, word], out=part, mode="clip")
+                offers.append((image, pid))
+            if orbits.conj:
+                line_image = x if table is None else image
+                np.bitwise_and(line_image, _ALL_FLAGS, out=part)
+                np.left_shift(part, _ONE, out=part)
+                offers.append((np.bitwise_xor(part, line_image, out=part), pid + _N_PERMS))
+            for y, sid in offers:
+                np.less(y, low, out=less)
+                np.copyto(sig, np.int8(sid), where=less)
+                np.minimum(low, y, out=low)
     return least, sigma
 
 
@@ -565,11 +681,16 @@ def _map_shared(
     return results
 
 
+@functools.cache
+def _closed_under_inverse(gates: tuple[Gate, ...]) -> bool:
+    """Whether the list holds the inverse of each of its gates."""
+    return {g.inverse() for g in gates} <= set(gates)
+
+
 def _fresh_mask(window_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each key is absent from the sorted ``window_keys``."""
-    pos = np.searchsorted(window_keys, keys)
-    pos[pos >= len(window_keys)] = len(window_keys) - 1
-    return window_keys[pos] != keys
+    found = window_keys.take(np.searchsorted(window_keys, keys), mode="clip")
+    return found != keys
 
 
 def _run_search(
@@ -586,7 +707,7 @@ def _run_search(
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     gates = tuple(gates)
-    if not {g.inverse() for g in gates} <= set(gates):
+    if not _closed_under_inverse(gates):
         raise ValueError("the gate list must hold the inverse of each of its gates")
     if not options.settle_relabelings:
         symmetries = LINE_PERMUTATIONS[:1]
@@ -601,10 +722,7 @@ def _run_search(
     orbits = _orbit_tables(gates, tuple(symmetries), conj)
     if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
-    vgates = _vector_gates(gates, weights)
-    groups: dict[Cost, list[_VGate]] = {}
-    for vg in vgates:
-        groups.setdefault(vg.weight, []).append(vg)
+    plan = _expansion(gates, tuple(weights))
     ranks = rank_tables()
 
     root = np.array([_identity_key()], dtype=np.uint64)
@@ -648,10 +766,14 @@ def _run_search(
         perm_of[new] = col_perm[col]
         remaining -= len(new)
 
-    def done() -> bool:
+    def unsettled() -> int:
+        """Functions (or target ranks) not yet recorded."""
         if targets is not None:
-            return bool((cost_of[targets] >= 0).all())
-        return remaining == 0
+            return int((cost_of[targets] < 0).sum())
+        return remaining
+
+    def done() -> bool:
+        return unsettled() == 0
 
     def result() -> tuple[WitnessPaths, np.ndarray, int]:
         if not done():
@@ -682,35 +804,31 @@ def _run_search(
     ) -> list[tuple[Cost, tuple]]:
         """The fresh canonical successors of some settled states, as one
         (cost, batch) pair per gate weight, each batch in (parent settle
-        index, gate id) order.  Runs on any thread: it reads only its
-        arguments and the search's read-only tables."""
+        index, gate id) order.  Each placement's parents are selected once
+        for all its gates, and the candidates of every weight are
+        canonicalized and probed together.  Runs on any thread: it reads
+        only its arguments and the search's read-only tables."""
+        raw, preds, counts = _candidates(plan, keys, gidx, plc, options.no_repeat_placement)
+        if not len(raw):
+            return []
+        new_keys, sigma = _canonical(raw, orbits)
+        del raw
+        fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
+        gids = np.repeat(plan.gate_ids, counts)
+        # The candidates of each weight are one run of ``fresh``.
+        ends = list(itertools.accumulate(counts))
+        bounds = [0, *np.searchsorted(fresh, [ends[i - 1] for _, i in plan.groups]).tolist()]
         out = []
-        for weight, group in groups.items():
-            raw, preds, gids = [], [], []
-            for vg in group:
-                mask = None
-                if vg.control_flags:
-                    mask = (keys & vg.control_flags) == _U64(0)
-                if options.no_repeat_placement:
-                    m = plc != np.uint8(vg.placement_id)
-                    mask = m if mask is None else mask & m
-                src_keys, src_gidx = (keys, gidx) if mask is None else (keys[mask], gidx[mask])
-                if len(src_keys):
-                    raw.append(vg.apply(src_keys))
-                    preds.append(src_gidx)
-                    gids.append(np.full(len(src_keys), vg.gid, dtype=np.uint8))
-            if not raw:
-                continue
-            new_keys, sigma = _canonical(np.concatenate(raw), orbits)
-            fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
-            if not len(fresh):
+        for (weight, _), lo, hi in zip(plan.groups, bounds, bounds[1:]):
+            if lo == hi:
                 continue
             # Each gate's run is in parent order; a stable sort merges them.
-            preds = np.concatenate(preds)[fresh]
-            order = np.argsort(preds, kind="stable")
-            take = fresh[order]
+            group = fresh[lo:hi]
+            group_preds = preds[group]
+            order = np.argsort(group_preds, kind="stable")
+            take = group[order]
             out.append(((cost[0] + weight[0], cost[1] + weight[1]), (
-                new_keys[take], preds[order], np.concatenate(gids)[take], sigma[take],
+                new_keys[take], group_preds[order], gids[take], sigma[take],
             )))
         return out
 
@@ -733,7 +851,6 @@ def _run_search(
                     heapq.heappush(heap, new_cost)
                 buckets[new_cost].append(batch)
 
-    placement_of_gate = np.array([vg.placement_id for vg in vgates], dtype=np.uint8)
     try:
         expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
 
@@ -743,7 +860,7 @@ def _run_search(
             if options.max_cost is not None and cost[0] > options.max_cost:
                 raise BudgetExceeded(
                     f"cost ceiling {options.max_cost} reached with "
-                    f"{remaining} function(s) unsettled"
+                    f"{unsettled()} function(s) unsettled"
                 )
             floor = (cost[0] - span[0], cost[1] - span[1])
             if window[0][0] < floor:
@@ -773,7 +890,7 @@ def _run_search(
                 new_gate = gids[winners]
                 new_sigma = sigmas[winners]
                 # The canonical state's last gate is sigma(gate).
-                new_plc = placement_of_gate[orbits.relabel[new_sigma, new_gate]]
+                new_plc = plan.placement_of_gate[orbits.relabel[new_sigma, new_gate]]
 
                 _assert_projection_permutation(new_keys)
                 gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
@@ -784,7 +901,7 @@ def _run_search(
                 if options.max_states is not None and total > options.max_states:
                     raise BudgetExceeded(
                         f"state ceiling {options.max_states} reached with "
-                        f"{remaining} function(s) unsettled"
+                        f"{unsettled()} function(s) unsettled"
                     )
                 window.append((cost, new_keys))
                 window_keys = np.insert(

@@ -49,6 +49,20 @@ def test_bad_metric_exits_2(capsys):
     assert code == 2
 
 
+def test_metric_weight_above_the_cap_exits_2(capsys):
+    code, _, err = run(
+        capsys, "synth", "--function", "1,0,3,2,5,4,7,6",
+        "--metric", "custom:99999999999999999999,1,1",
+    )
+    assert code == 2 and "cap" in err and "Traceback" not in err
+
+
+def test_synth_state_budget_counts_only_the_target(capsys):
+    code, _, err = run(capsys, "synth", "--function", "0,1,2,3,4,5,7,6", "--max-states", "0")
+    assert code == 4
+    assert err == "error: state ceiling 0 reached with 1 function(s) unsettled\n"
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -91,6 +91,18 @@ def test_table_csv_ranks_keys_of_any_integer_type():
     assert nio.table_csv_text({}) == "function,cost\n"
 
 
+def test_table_csv_of_a_cost_view_reads_its_cost_array(ncv012_full, monkeypatch):
+    """A table's ``costs`` view is written from its cost array, with no key
+    tuple ranked back, and gives the bytes of a plain mapping."""
+    expected = nio.table_csv_text(dict(ncv012_full.costs.items()))
+
+    def no_ranking(funcs):
+        raise AssertionError("a cost view's keys were ranked")
+
+    monkeypatch.setattr(nio, "_ranks_of", no_ranking)
+    assert nio.table_csv_text(ncv012_full.costs) == expected
+
+
 def test_table_csv_of_a_cost_array_needs_every_function():
     with pytest.raises(ValueError):
         nio.table_csv_text(np.zeros(nv.N_FUNCTIONS - 1, dtype=np.int64))

@@ -309,6 +309,19 @@ def test_metric_parse():
         CostMetric(-1, 0, 0, 0)
 
 
+def test_metric_weights_are_capped():
+    """Under the cap any circuit of fewer than 2**31 gates costs less than
+    2**63, so every cost fits int64."""
+    cap = nv.model.MAX_WEIGHT
+    assert (2 ** 31 - 1) * cap < 2 ** 63
+    assert CostMetric(cap, cap, cap, cap).w_v == cap
+    for weights in [(cap + 1, 1, 1, 1), (1, 1, 1, cap + 1), (1, 2 ** 70, 1, 1)]:
+        with pytest.raises(ValueError, match="cap"):
+            CostMetric(*weights)
+    with pytest.raises(ValueError, match="cap"):
+        CostMetric.parse("custom:99999999999999999999,1,1")
+
+
 def test_metric_slug_separates_unequal_v_weights():
     # the slug names cache files: two metrics must never share one
     assert CostMetric(1, 1, 1, 2).slug == "custom-1-1-1-2"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ncvsynth as nv
 from ncvsynth import (
     BudgetExceeded,
+    InternalError,
     InvalidFunction,
     SearchOptions,
     UnknownState,
@@ -27,6 +28,7 @@ from ncvsynth.model import (
     CostMetric,
     CircuitState,
     apply_circuit,
+    bit_offset,
     enumerate_gates,
     function_rank,
     rank_tables,
@@ -66,14 +68,25 @@ def test_witnesses_fold_to_their_functions(ncv111_full):
         assert nv.circuit_cost(witness, nv.NCV_111) == ncv111_full.cost_of(func)
 
 
-def test_synthesize_one_matches_full_table(ncv111_full, ncv111_path):
+#: Toffoli, negative-control Toffoli, both-negative Toffoli, Peres and a
+#: swap-Toffoli: deep functions whose searches drain many buckets.
+LANDMARK_FUNCS = (
+    TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7), (1, 0, 2, 3, 4, 5, 6, 7), PERES_FUNC,
+    (0, 1, 4, 5, 2, 3, 7, 6),
+)
+
+
+def test_synthesize_one_matches_full_table(request):
+    """A search that stops at its target settles it as the full search does:
+    same cost, same witness."""
     rng = np.random.default_rng(2005)
-    for table in (ncv111_full, ncv111_path):
+    for name in ("ncv111_full", "ncv111_path", "ncv012_full", "ncv155_full"):
+        table = request.getfixturevalue(name)
         randoms = [tuple(rng.permutation(8).tolist()) for _ in range(6)]
-        for func in (TOF_FUNC, (0, 1, 3, 2, 4, 5, 6, 7), *randoms):
-            cost, circuit = nv.synthesize_one(func, nv.NCV_111, table.topology)
-            assert cost == table.cost_of(func)
-            assert circuit == table.witness(func)
+        for func in (*LANDMARK_FUNCS, *randoms):
+            cost, circuit = nv.synthesize_one(func, table.metric, table.topology)
+            assert cost == table.cost_of(func), (name, func)
+            assert circuit == table.witness(func), (name, func)
 
 
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
@@ -293,6 +306,8 @@ WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
                      "3980687a208efa5b2fa10755e2a41549407d9267c3d04387bfa9f9a0766c778e"),
     "custom:1,3,1/full": (lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")), 407_284,
                           "fb1e2ae906d18867c460aeb3a3aaffdf7112ac287bba4bf6ec7e6f0868fe7d6e"),
+    "nct-lex-min/ncv-012": (lambda: nv.settle_all_nct("lex-min", nv.NCV_012), 6_828,
+                            "b013b30a3bf1c6bc7959a18891284ee4510ab7d347eefec2f9659da681ebca1a"),
     "nct-lex-max/custom:1,300,300": (
         lambda: nv.settle_all_nct("lex-max", CostMetric.parse("custom:1,300,300")), 6_828,
         "bcfe45a9f8adcff03754172b22a11349508eb8fdb33e141537133356cb09fa5c",
@@ -417,6 +432,66 @@ def test_canonical_key_is_shared_by_every_image(topology):
         for key, sid, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
             assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
             assert _sigma_image(CircuitState.unpack(key), sid).pack() == least
+
+
+# --------------------------------------------------------------------------
+# Row-pair decode tables
+
+def _reference_outputs(keys):
+    """Per-row reference decode: each row's Boolean output, 4 x line a's
+    Boolean bit + 2 x line b's + line c's, as a uint64 column per row."""
+    one = np.uint64(1)
+    return [
+        ((keys >> np.uint64(bit_offset(row, 0) + 1)) & one) * np.uint64(4)
+        + ((keys >> np.uint64(bit_offset(row, 1) + 1)) & one) * np.uint64(2)
+        + ((keys >> np.uint64(bit_offset(row, 2) + 1)) & one)
+        for row in range(8)
+    ]
+
+
+def _all_boolean_keys():
+    """The Boolean state of every function, in rank order."""
+    outputs = rank_tables().outputs.astype(np.uint64)
+    keys = np.zeros(nv.N_FUNCTIONS, dtype=np.uint64)
+    for row in range(8):
+        for line in range(3):
+            bit = (outputs[:, row] >> np.uint64(2 - line)) & np.uint64(1)
+            keys |= bit << np.uint64(bit_offset(row, line) + 1)
+    return keys
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, (1 << 48) - 1), min_size=1, max_size=300))
+@example([0, (1 << 48) - 1, CircuitState.identity().pack()])
+def test_row_pair_decode_matches_per_row_formula(values):
+    keys = np.array(values, dtype=np.uint64)
+    outputs = _reference_outputs(keys)
+    occupancy = np.zeros(len(keys), dtype=np.uint64)
+    code = np.zeros(len(keys), dtype=np.uint64)
+    for out in outputs:
+        occupancy |= np.uint64(1) << out
+        code = (code << np.uint64(8)) | out
+    assert search._occupancy(keys).tolist() == occupancy.tolist()
+    assert search._output_codes(keys).tolist() == code.tolist()
+
+
+def test_boolean_states_of_every_function_decode_to_their_ranks():
+    keys = _all_boolean_keys()
+    search._assert_projection_permutation(keys)
+    assert np.array_equal(search._ranks_of(keys), np.arange(nv.N_FUNCTIONS))
+
+
+def test_projection_check_rejects_two_rows_with_one_output():
+    """Row 6 repeats row 3's output once its bits are overwritten with row
+    3's; a quantum flag elsewhere does not hide that."""
+    keys = _all_boolean_keys()[[0, 12345, 40319]]
+    row3 = (keys >> np.uint64(bit_offset(3, 0))) & np.uint64(0x3F)
+    clear6 = ~(np.uint64(0x3F) << np.uint64(bit_offset(6, 0)))
+    bad = (keys & clear6) | (row3 << np.uint64(bit_offset(6, 0)))
+    flagged = bad | np.uint64(1)  # a quantum flag on row 0, line a
+    for key in [*bad.tolist(), *flagged.tolist()]:
+        with pytest.raises(InternalError, match="permutation"):
+            search._assert_projection_permutation(np.array([*keys.tolist(), key], dtype=np.uint64))
 
 
 # --------------------------------------------------------------------------
