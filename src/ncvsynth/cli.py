@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exit 4 once the search passes this primary cost")
         p.add_argument("--max-states", type=int, default=None,
                        help="exit 4 once the search settles more states than this "
-                            "(orbit representatives unless --no-prune-relabel)")
+                            "(orbit representatives unless --no-prune-relabel; synth "
+                            "counts its forward and backward searches together)")
 
     p = sub.add_parser("synth", help="synthesize one function")
     add_search_args(p, function_required=True)

@@ -21,10 +21,9 @@ keeps the model closed over these four values.
 
 from __future__ import annotations
 
-import array
-import bisect
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -621,20 +620,35 @@ def rank_tables() -> RankTables:
 
 
 @functools.cache
-def _byte_codes() -> array.array:
-    """``rank_tables().codes``, which are ``int.from_bytes(bytes(func), "big")``
-    of every function in rank order (ascending), as 64-bit array entries
-    (315 KiB) for ``bisect``, built on first use."""
-    return array.array("Q", rank_tables().codes.tobytes())
+def _half_ranks() -> tuple[dict[bytes, tuple[int, int]], dict[bytes, tuple[int, int]]]:
+    """Tables of the 1,680 arrangements of 4 distinct outputs, keyed by their
+    bytes: as the first four outputs of a function and as the last four.
+    Each entry holds that half's share of the rank and the bit mask of its
+    outputs.  Output i adds (its Lehmer digit) x (7 - i)!; the digit counts
+    the smaller outputs after i, which for i < 4 are the smaller ones not
+    before i, so each half's share reads that half only."""
+    weights = [math.factorial(N_ROWS - 1 - i) for i in range(N_ROWS)]
+    head, tail = {}, {}
+    for half in itertools.permutations(range(N_ROWS), N_ROWS // 2):
+        mask = sum(1 << out for out in half)
+        head[bytes(half)] = (sum(
+            (out - sum(prior < out for prior in half[:i])) * weights[i]
+            for i, out in enumerate(half)
+        ), mask)
+        tail[bytes(half)] = (sum(
+            sum(later < out for later in half[i + 1:]) * weights[4 + i]
+            for i, out in enumerate(half)
+        ), mask)
+    return head, tail
 
 
 def function_rank(func: Sequence[int]) -> int:
     """Rank of a function in 0..40319; InvalidFunction for anything that
     ``validate_permutation`` rejects.
 
-    The 8 outputs, as bytes, form a big-endian code whose order is the
-    lexicographic order of the functions, so the rank is the code's position
-    among the codes of all functions."""
+    The 8 outputs, as bytes, are looked up half by half in ``_half_ranks``:
+    a function is valid iff both halves are found and their masks are
+    disjoint, and its rank is the sum of their shares."""
     values = func
     try:
         if type(values) is not tuple:
@@ -643,9 +657,8 @@ def function_rank(func: Sequence[int]) -> int:
         data = bytes(values)
     except (TypeError, ValueError):
         data = b""
-    codes = _byte_codes()
-    code = int.from_bytes(data, "big")
-    rank = bisect.bisect_left(codes, code)
-    if len(data) != N_ROWS or rank == N_FUNCTIONS or codes[rank] != code:
+    head, tail = _half_ranks()
+    first, last = head.get(data[:4]), tail.get(data[4:])
+    if first is None or last is None or first[1] & last[1]:
         raise InvalidFunction(f"not a permutation of 0..7: {func!r}")
-    return rank
+    return first[0] + last[0]

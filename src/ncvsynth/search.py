@@ -111,6 +111,30 @@ of the matrix; bulk consumers (the JSONL writer, ``analysis.compare``, the
 CLI's cache) read the whole matrix without building a Circuit per function.
 ``synthesize_one`` builds no table: it reads its circuit from the one row
 the search returns for its target.
+
+Target search: ``synthesize_one`` runs two such searches on one pool of
+workers, each a stepper that yields after each drain and expands that
+drain's states only when resumed.  The forward one starts at the identity
+and records functions as above.  The backward one starts at the canonical
+key of the target's Boolean state, gives each gate its inverse's weight (so
+a state's backward cost is its cost to the target's orbit) and records
+nothing; reductions (1) and (2) hold for it, as inverting every gate maps
+the weight conditions of both onto themselves.  Each turn goes to the
+search with less work pending: its candidates queued, plus one per gate
+for each state awaiting expansion.  The first state settled by both gives
+the meeting bound U = g_f + g_b, the cost of a circuit through it, and the
+backward search stops.  From then on the forward drain settles a fresh key
+of cost g only if g + h <= U, where h is the key's backward cost or,
+outside the backward ball, the cost of the backward search's last drain
+(every state cheaper than that was settled).  h never exceeds a key's cost
+to the target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of
+a kept state is kept, and as U >= C* (the target's optimal cost) so is
+every state on an optimal path to the target.  A dropped key lies on no
+such path, and the kept states settle in the same drains, in the same
+relative bucket positions and with the same winners as in a forward search
+alone: the target's winners, sigmas, reduction-(1) placements and record,
+and so its witness, are bit-for-bit unchanged.  The target search compares
+primary costs; its secondary weights are 0.
 """
 
 from __future__ import annotations
@@ -160,7 +184,14 @@ Cost = tuple[int, int]
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Pruning toggles and resource ceilings for one search run."""
+    """Pruning toggles and resource ceilings for one search run.
+
+    A run raises BudgetExceeded once it drains a bucket of primary cost
+    above ``max_cost``, or once it has settled more than ``max_states``
+    states.  In ``synthesize_one``'s target search, ``max_states`` counts
+    the states of both searches, and ``max_cost`` caps the backward
+    search's radius as it caps the forward one's; a target of optimal cost
+    at most ``max_cost`` is met before either search passes it."""
 
     no_repeat_placement: bool = True   # reduction (1)
     settle_relabelings: bool = True    # reduction (2)
@@ -649,48 +680,307 @@ def _workers() -> int:
     return min(1, cpus - 1)
 
 
-def _map_shared(
-    pool: ThreadPoolExecutor | None, workers: int, fn: Callable, items: Sequence
-) -> list:
-    """``[fn(x) for x in items]``, computed by the calling thread and up to
-    ``workers`` threads of ``pool``, each taking the next item as it
-    finishes one; with one item or no workers, by the calling thread alone.
-
-    The calling thread takes a share, rather than wait on a pool of one
-    thread per CPU, because each pool thread holds its own malloc arena: on
-    2 CPUs that pool of two raised peak RSS by about 3 MiB (8 ncv-111
-    ``synthesize_one`` calls 70.7 -> 73.6 MiB, an ncv-111/full settle and
-    ``verify_witnesses`` 112.3 -> 115.3 MiB, medians of 3 and 6 processes)
-    at equal settle times."""
-    results = [None] * len(items)
-    indices = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            results[i] = fn(items[i])
-
-    futures = [pool.submit(drain) for _ in range(min(workers, len(items) - 1))]
-    drain()
-    for future in futures:
-        future.result()
-    return results
-
-
 @functools.cache
 def _closed_under_inverse(gates: tuple[Gate, ...]) -> bool:
     """Whether the list holds the inverse of each of its gates."""
     return {g.inverse() for g in gates} <= set(gates)
 
 
+@functools.cache
+def _inverse_ids(gates: tuple[Gate, ...]) -> tuple[int, ...]:
+    """The id of each gate's inverse in a list closed under inverses."""
+    return tuple(map(gates.index, (g.inverse() for g in gates)))
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's position in the sorted ``sorted_keys`` (where it would go,
+    if absent), and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    return at, sorted_keys.take(at, mode="clip") == keys
+
+
 def _fresh_mask(window_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each key is absent from the sorted ``window_keys``."""
-    found = window_keys.take(np.searchsorted(window_keys, keys), mode="clip")
-    return found != keys
+    return ~_find(window_keys, keys)[1]
+
+
+def _union(keys: np.ndarray, new_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the sorted ``keys`` and the sorted ``new_keys``
+    (none of them in ``keys``), and the mask of the union's entries that
+    come from ``keys``.  This is what ``np.insert`` does, without its sort
+    of the already sorted positions and its argument handling: about 2x
+    faster on a few thousand keys, about 10 % on 10^5 and more."""
+    at = np.searchsorted(keys, new_keys)
+    at += np.arange(len(new_keys))
+    union = np.empty(len(keys) + len(new_keys), dtype=keys.dtype)
+    union[at] = new_keys
+    old = np.ones(len(union), dtype=bool)
+    old[at] = False
+    union[old] = keys
+    return union, old
+
+
+class _Pool:
+    """The expansion workers of one search (of both searches of a target
+    search): started at the first split, shut down when the search ends."""
+
+    def __init__(self) -> None:
+        self.workers = _workers()
+        self._pool: ThreadPoolExecutor | None = None
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """``[fn(x) for x in items]``, computed by the calling thread and up
+        to ``workers`` pool threads, each taking the next item as it
+        finishes one; with one item or no workers, by the calling thread
+        alone.
+
+        The calling thread takes a share, rather than wait on a pool of one
+        thread per CPU, because each pool thread holds its own malloc arena:
+        on 2 CPUs that pool of two raised peak RSS by about 3 MiB (8 ncv-111
+        ``synthesize_one`` calls 70.7 -> 73.6 MiB, an ncv-111/full settle and
+        ``verify_witnesses`` 112.3 -> 115.3 MiB, medians of 3 and 6
+        processes) at equal settle times."""
+        if self._pool is None and self.workers and len(items) > 1:
+            self._pool = ThreadPoolExecutor(self.workers, "ncvsynth-expand")
+        results = [None] * len(items)
+        indices = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                results[i] = fn(items[i])
+
+        futures = [self._pool.submit(drain) for _ in range(min(self.workers, len(items) - 1))]
+        drain()
+        for future in futures:
+            future.result()
+        return results
+
+    def __enter__(self) -> _Pool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+#: What a drain settles: its bucket cost, the new keys in packed-key order
+#: and their settle indices.
+_Drain = tuple[Cost, np.ndarray, np.ndarray]
+
+
+class _Search:
+    """The settle loop of one search from ``root``, as a stepper: ``drains``
+    yields after each drain that settles a state, and expands that drain's
+    states only when resumed, so a caller that stops stepping expands
+    nothing more.  ``keep``, where set, is given each drain's cost and fresh
+    keys and returns the mask of those to settle; the others are dropped
+    unsettled.  ``pending`` counts the candidates waiting: those in the
+    buckets, and one per gate for each state of the last drain (the most
+    its expansion on resumption can make)."""
+
+    def __init__(
+        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: Cost,
+        root: int, pool: _Pool,
+    ) -> None:
+        self.plan, self.orbits, self.pool = plan, orbits, pool
+        self.n_gates = len(plan.placement_of_gate)
+        self.no_repeat = options.no_repeat_placement
+        self.span = span
+        self.root = np.array([root], dtype=np.uint64)
+        self.pred_parts = [np.array([-1], dtype=np.int32)]
+        self.gate_parts = [np.array([255], dtype=np.uint8)]
+        self.sigma_parts = [np.zeros(1, dtype=np.int8)]
+        self.total = 1
+        # The settled states a candidate can meet (see the module docstring):
+        # each drain's new keys with its bucket cost, and their sorted union.
+        self.window: list[tuple[Cost, np.ndarray]] = [((0, 0), self.root)]
+        self.window_keys = self.root
+        self.buckets: dict[Cost, list] = {}
+        self.heap: list[Cost] = []
+        self.queued = 0       # candidates in the buckets
+        self.unexpanded = 0   # states of the last drain, expanded on resumption
+        self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
+
+    @property
+    def pending(self) -> int:
+        return self.queued + self.unexpanded * self.n_gates
+
+    def drains(self) -> Iterator[_Drain]:
+        root_plc = np.full(1, 255, dtype=np.uint8)
+        self._expand(self.root, np.zeros(1, dtype=np.int32), root_plc, (0, 0))
+        while self.heap:
+            cost = heapq.heappop(self.heap)
+            floor = (cost[0] - self.span[0], cost[1] - self.span[1])
+            if self.window[0][0] < floor:
+                self.window = [(c, k) for c, k in self.window if c >= floor]
+                self.window_keys = np.sort(np.concatenate([k for _, k in self.window]))
+            while self.buckets.get(cost):
+                settled = self._drain(cost)
+                if settled is not None:
+                    keys, gidx, plc = settled
+                    self.unexpanded = len(keys)
+                    yield cost, keys, gidx
+                    self.unexpanded = 0
+                    self._expand(keys, gidx, plc, cost)
+            self.buckets.pop(cost, None)
+
+    def _drain(self, cost: Cost) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Settle the fresh keys of the bucket's batches: their keys, settle
+        indices and last placements, or None if no key is fresh."""
+        keys, preds, gids, sigmas = map(np.concatenate, zip(*self.buckets[cost]))
+        self.buckets[cost] = []
+        self.queued -= len(keys)
+        # Batches arrive in settle order, each in (parent settle index, gate
+        # id) order, so the tie-break winner among equal-cost paths to a key
+        # is its least bucket position.
+        order = np.argsort(keys)
+        keys_sorted = keys[order]
+        lead = np.empty(len(keys_sorted), dtype=bool)
+        if len(lead):
+            lead[0] = True
+            lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
+        starts = np.flatnonzero(lead)
+        unique_keys = keys_sorted[starts]
+        fresh = np.flatnonzero(_fresh_mask(self.window_keys, unique_keys))
+        if self.keep is not None:
+            fresh = fresh[self.keep(cost, unique_keys[fresh])]
+        if len(fresh) == 0:
+            return None
+        new_keys = unique_keys[fresh]
+        winners = np.minimum.reduceat(order, starts)[fresh]
+        new_gate = gids[winners]
+        new_sigma = sigmas[winners]
+        _assert_projection_permutation(new_keys)
+        gidx = np.arange(self.total, self.total + len(new_keys), dtype=np.int32)
+        self.pred_parts.append(preds[winners])
+        self.gate_parts.append(new_gate)
+        self.sigma_parts.append(new_sigma)
+        self.total += len(new_keys)
+        self.window.append((cost, new_keys))
+        self.window_keys = _union(self.window_keys, new_keys)[0]
+        # The canonical state's last gate is sigma(gate).
+        plc = self.plan.placement_of_gate[self.orbits.relabel[new_sigma, new_gate]]
+        return new_keys, gidx, plc
+
+    def _expand(self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
+        """Enqueue the fresh canonical successors of settled states: chunk
+        by chunk of ``_CHUNK`` parents, on this thread and the pool's, each
+        chunk's batches appended in chunk order."""
+        window_keys = self.window_keys
+
+        def run(chunk: slice) -> list[tuple[Cost, tuple]]:
+            return self._expand_chunk(keys[chunk], gidx[chunk], plc[chunk], cost, window_keys)
+
+        chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
+        for batches in self.pool.map(run, chunks):
+            for new_cost, batch in batches:
+                if new_cost not in self.buckets:
+                    self.buckets[new_cost] = []
+                    heapq.heappush(self.heap, new_cost)
+                self.buckets[new_cost].append(batch)
+                self.queued += len(batch[0])
+
+    def _expand_chunk(
+        self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
+        window_keys: np.ndarray,
+    ) -> list[tuple[Cost, tuple]]:
+        """The fresh canonical successors of some settled states, as one
+        (cost, batch) pair per gate weight, each batch in (parent settle
+        index, gate id) order.  Each placement's parents are selected once
+        for all its gates, and the candidates of every weight are
+        canonicalized and probed together.  Runs on any thread: it reads
+        only its arguments and the search's read-only tables."""
+        plan = self.plan
+        raw, preds, counts = _candidates(plan, keys, gidx, plc, self.no_repeat)
+        if not len(raw):
+            return []
+        new_keys, sigma = _canonical(raw, self.orbits)
+        del raw
+        fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
+        gids = np.repeat(plan.gate_ids, counts)
+        # The candidates of each weight are one run of ``fresh``.
+        ends = list(itertools.accumulate(counts))
+        bounds = [0, *np.searchsorted(fresh, [ends[i - 1] for _, i in plan.groups]).tolist()]
+        out = []
+        for (weight, _), lo, hi in zip(plan.groups, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            # Each gate's run is in parent order; a stable sort merges them.
+            group = fresh[lo:hi]
+            group_preds = preds[group]
+            order = np.argsort(group_preds, kind="stable")
+            take = group[order]
+            out.append(((cost[0] + weight[0], cost[1] + weight[1]), (
+                new_keys[take], group_preds[order], gids[take], sigma[take],
+            )))
+        return out
+
+
+def _met(keys: np.ndarray, costs: np.ndarray, new_keys: np.ndarray, cost: int) -> int | None:
+    """The least cost + ``costs`` of a key both in ``new_keys`` and in the
+    sorted ``keys``, or None if there is none."""
+    at, met = _find(keys, new_keys)
+    return int(costs[at[met]].min()) + cost if met.any() else None
+
+
+def _merged(
+    keys: np.ndarray, costs: np.ndarray, new_keys: np.ndarray, cost: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ``keys`` and their ``costs`` with the sorted ``new_keys``
+    (none of them in ``keys``) added at ``cost``."""
+    union, old = _union(keys, new_keys)
+    union_costs = np.full(len(union), cost)
+    union_costs[old] = costs
+    return union, union_costs
+
+
+def _toward(
+    forward: _Search, backward: _Search, check: Callable[[Cost], None]
+) -> Iterator[_Drain]:
+    """The forward drains of a target search (see "Target search" in the
+    module docstring): the two searches take turns, each turn to the one
+    with less work pending, until a state is settled by both; then
+    the backward search stops and the forward one drops each fresh key that
+    lies on no path to the target of cost at most the meeting bound.
+    ``check`` is given each backward drain's cost (the budgets)."""
+    ahead, behind = forward.drains(), backward.drains()
+    seen = (forward.root, np.zeros(1, dtype=np.int64))   # every forward state
+    back = (backward.root, np.zeros(1, dtype=np.int64))  # every backward state
+    reach = 0  # cost of the backward search's last drain
+    bound = None
+    while bound is None:
+        if backward.pending < forward.pending:
+            drain = next(behind, None)
+            if drain is None:  # nothing left to meet; search forward alone
+                break
+            reach = drain[0][0]
+            check(drain[0])
+            bound = _met(*seen, drain[1], reach)
+            back = _merged(*back, drain[1], reach)
+        else:
+            drain = next(ahead, None)
+            if drain is None:
+                return
+            yield drain
+            bound = _met(*back, drain[1], drain[0][0])
+            seen = _merged(*seen, drain[1], drain[0][0])
+    if bound is not None:
+        back_keys, back_costs = back
+
+        def keep(cost: Cost, keys: np.ndarray) -> np.ndarray:
+            # A key's cost to the target is its backward cost, or at least
+            # ``reach`` if the backward search did not settle it.
+            at, inside = _find(back_keys, keys)
+            rest = np.where(inside, back_costs.take(at, mode="clip"), reach)
+            return rest <= bound - cost[0]
+
+        forward.keep = keep
+    yield from ahead
 
 
 def _run_search(
@@ -698,12 +988,14 @@ def _run_search(
     weights: Sequence[Cost],
     symmetries: Sequence[LinePerm],
     options: SearchOptions,
-    targets: np.ndarray | None = None,
+    target: int | None = None,
 ) -> tuple[WitnessPaths, np.ndarray, int]:
-    """Core settle loop; stops once every function (or every target rank) is
+    """Core settle loop; stops once every function (or the target rank) is
     recorded.  Returns the witness paths and secondary costs of every
-    function in rank order (of the targets in the order given, if given)
-    and the number of (canonical) states settled."""
+    function in rank order (of the target alone, if given) and the number
+    of (canonical) states settled, by both searches of a target search.  A
+    target search compares primary costs only: its secondary weights must
+    be 0."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     gates = tuple(gates)
@@ -722,19 +1014,8 @@ def _run_search(
     orbits = _orbit_tables(gates, tuple(symmetries), conj)
     if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
-    plan = _expansion(gates, tuple(weights))
-    ranks = rank_tables()
-
-    root = np.array([_identity_key()], dtype=np.uint64)
-    pred_parts = [np.array([-1], dtype=np.int32)]
-    gate_parts = [np.array([255], dtype=np.uint8)]
-    sigma_parts = [np.zeros(1, dtype=np.int8)]
-    total = 1
-    # The settled states a candidate can meet (see the module docstring):
-    # each drain's new keys with its bucket cost, and their sorted union.
     span = max(weights)
-    window: list[tuple[Cost, np.ndarray]] = [((0, 0), root)]
-    window_keys = root
+    ranks = rank_tables()
 
     cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
     secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
@@ -767,159 +1048,61 @@ def _run_search(
         remaining -= len(new)
 
     def unsettled() -> int:
-        """Functions (or target ranks) not yet recorded."""
-        if targets is not None:
-            return int((cost_of[targets] < 0).sum())
-        return remaining
+        """Functions (or the target) not yet recorded."""
+        return remaining if target is None else int(cost_of[target] < 0)
 
-    def done() -> bool:
-        return unsettled() == 0
+    searches: list[_Search] = []
 
-    def result() -> tuple[WitnessPaths, np.ndarray, int]:
-        if not done():
-            raise InternalError("internal error: search ended with unsettled functions")
-        held = np.arange(N_FUNCTIONS) if targets is None else targets
-        states, rows = np.unique(state_of[held], return_inverse=True)
-        paths, lengths = _extract_paths(
-            states, np.concatenate(pred_parts), np.concatenate(gate_parts),
-            np.concatenate(sigma_parts), orbits,
-        )
-        lengths = lengths[rows]
-        ids = orbits.relabel[perm_of[held, None], paths[rows]]
-        ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
-        return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], total
+    def check(cost: Cost) -> None:
+        """BudgetExceeded once a drain passes a ceiling of ``options``."""
+        if options.max_cost is not None and cost[0] > options.max_cost:
+            raise BudgetExceeded(
+                f"cost ceiling {options.max_cost} reached with "
+                f"{unsettled()} function(s) unsettled"
+            )
+        states = sum(s.total for s in searches)
+        if options.max_states is not None and states > options.max_states:
+            raise BudgetExceeded(
+                f"state ceiling {options.max_states} reached with "
+                f"{unsettled()} function(s) unsettled"
+            )
 
     record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
-    if done():
-        return result()
+    with _Pool() as pool:
+        forward = _Search(_expansion(gates, tuple(weights)), orbits, options, span,
+                          _identity_key(), pool)
+        searches.append(forward)
+        drains = forward.drains()
+        if target is not None and unsettled():
+            # The backward search walks edges in reverse: gate g costs what
+            # its inverse costs forward.
+            back_weights = tuple(weights[i] for i in _inverse_ids(gates))
+            key = CircuitState.from_permutation(ranks.function(target)).pack()
+            root = int(_canonical(np.array([key], dtype=np.uint64), orbits)[0][0])
+            backward = _Search(_expansion(gates, back_weights), orbits, options, span,
+                               root, pool)
+            searches.append(backward)
+            drains = _toward(forward, backward, check)
+        while unsettled():
+            cost, keys, gidx = next(drains, (None, None, None))
+            if cost is None:
+                raise InternalError("internal error: search ended with unsettled functions")
+            check(cost)
+            boolean = (keys & _ALL_FLAGS) == _U64(0)
+            if bool(boolean.any()):
+                record(_ranks_of(keys[boolean]), gidx[boolean], cost)
 
-    buckets: dict[Cost, list] = {}
-    heap: list[Cost] = []
-    workers = _workers()
-    pool: ThreadPoolExecutor | None = None  # started on the first split
-
-    def expand_chunk(
-        keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
-        window_keys: np.ndarray,
-    ) -> list[tuple[Cost, tuple]]:
-        """The fresh canonical successors of some settled states, as one
-        (cost, batch) pair per gate weight, each batch in (parent settle
-        index, gate id) order.  Each placement's parents are selected once
-        for all its gates, and the candidates of every weight are
-        canonicalized and probed together.  Runs on any thread: it reads
-        only its arguments and the search's read-only tables."""
-        raw, preds, counts = _candidates(plan, keys, gidx, plc, options.no_repeat_placement)
-        if not len(raw):
-            return []
-        new_keys, sigma = _canonical(raw, orbits)
-        del raw
-        fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
-        gids = np.repeat(plan.gate_ids, counts)
-        # The candidates of each weight are one run of ``fresh``.
-        ends = list(itertools.accumulate(counts))
-        bounds = [0, *np.searchsorted(fresh, [ends[i - 1] for _, i in plan.groups]).tolist()]
-        out = []
-        for (weight, _), lo, hi in zip(plan.groups, bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            # Each gate's run is in parent order; a stable sort merges them.
-            group = fresh[lo:hi]
-            group_preds = preds[group]
-            order = np.argsort(group_preds, kind="stable")
-            take = group[order]
-            out.append(((cost[0] + weight[0], cost[1] + weight[1]), (
-                new_keys[take], group_preds[order], gids[take], sigma[take],
-            )))
-        return out
-
-    def expand(keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
-        """Enqueue the fresh canonical successors of settled states: chunk
-        by chunk of ``_CHUNK`` parents, on this thread and the pool's, each
-        chunk's batches appended in chunk order."""
-        nonlocal pool
-        chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
-
-        def run(chunk: slice) -> list[tuple[Cost, tuple]]:
-            return expand_chunk(keys[chunk], gidx[chunk], plc[chunk], cost, window_keys)
-
-        if pool is None and workers and len(chunks) > 1:
-            pool = ThreadPoolExecutor(workers, "ncvsynth-expand")
-        for batches in _map_shared(pool, workers, run, chunks):
-            for new_cost, batch in batches:
-                if new_cost not in buckets:
-                    buckets[new_cost] = []
-                    heapq.heappush(heap, new_cost)
-                buckets[new_cost].append(batch)
-
-    try:
-        expand(root, np.array([0], dtype=np.int32), np.array([255], dtype=np.uint8), (0, 0))
-
-        stop = False
-        while heap and not stop:
-            cost = heapq.heappop(heap)
-            if options.max_cost is not None and cost[0] > options.max_cost:
-                raise BudgetExceeded(
-                    f"cost ceiling {options.max_cost} reached with "
-                    f"{unsettled()} function(s) unsettled"
-                )
-            floor = (cost[0] - span[0], cost[1] - span[1])
-            if window[0][0] < floor:
-                window = [(c, k) for c, k in window if c >= floor]
-                window_keys = np.sort(np.concatenate([k for _, k in window]))
-            while not stop and buckets.get(cost):
-                keys, preds, gids, sigmas = map(np.concatenate, zip(*buckets[cost]))
-                buckets[cost] = []
-                # Batches arrive in settle order, each in (parent settle index,
-                # gate id) order, so the tie-break winner among equal-cost
-                # paths to a key is its least bucket position.
-                order = np.argsort(keys)
-                keys_sorted = keys[order]
-                lead = np.empty(len(keys_sorted), dtype=bool)
-                if len(lead):
-                    lead[0] = True
-                    lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
-                starts = np.flatnonzero(lead)
-                winners = np.minimum.reduceat(order, starts)
-                unique_keys = keys_sorted[starts]
-                fresh = _fresh_mask(window_keys, unique_keys)
-                new_keys = unique_keys[fresh]
-                if len(new_keys) == 0:
-                    continue
-                winners = winners[fresh]
-                new_pred = preds[winners]
-                new_gate = gids[winners]
-                new_sigma = sigmas[winners]
-                # The canonical state's last gate is sigma(gate).
-                new_plc = plan.placement_of_gate[orbits.relabel[new_sigma, new_gate]]
-
-                _assert_projection_permutation(new_keys)
-                gidx = np.arange(total, total + len(new_keys), dtype=np.int32)
-                pred_parts.append(new_pred)
-                gate_parts.append(new_gate)
-                sigma_parts.append(new_sigma)
-                total += len(new_keys)
-                if options.max_states is not None and total > options.max_states:
-                    raise BudgetExceeded(
-                        f"state ceiling {options.max_states} reached with "
-                        f"{unsettled()} function(s) unsettled"
-                    )
-                window.append((cost, new_keys))
-                window_keys = np.insert(
-                    window_keys, np.searchsorted(window_keys, new_keys), new_keys
-                )
-
-                boolean = (new_keys & _ALL_FLAGS) == _U64(0)
-                if bool(boolean.any()):
-                    record(_ranks_of(new_keys[boolean]), gidx[boolean], cost)
-                    stop = done()
-                if not stop:
-                    expand(new_keys, gidx, new_plc, cost)
-            buckets.pop(cost, None)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return result()
+    held = np.arange(N_FUNCTIONS) if target is None else np.array([target])
+    states, rows = np.unique(state_of[held], return_inverse=True)
+    paths, lengths = _extract_paths(
+        states, np.concatenate(forward.pred_parts), np.concatenate(forward.gate_parts),
+        np.concatenate(forward.sigma_parts), orbits,
+    )
+    lengths = lengths[rows]
+    ids = orbits.relabel[perm_of[held, None], paths[rows]]
+    ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
+    states_settled = sum(s.total for s in searches)
+    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], states_settled
 
 
 def _extract_paths(
@@ -1027,8 +1210,7 @@ def synthesize_one(
     weights = [(metric.weight(g), 0) for g in gates]
     options = _effective_options(options, gates, weights)
     paths, _, _ = _run_search(
-        gates, weights, topology.line_symmetries(), options,
-        targets=np.array([target]),
+        gates, weights, topology.line_symmetries(), options, target=target
     )
     return int(paths.cost[0]), _row_circuit(paths, 0, gates, "NCV")
 

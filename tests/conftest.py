@@ -28,6 +28,11 @@ def ncv111_path():
 
 
 @pytest.fixture(scope="session")
+def ncv012_path():
+    return nv.settle_all(nv.NCV_012, nv.PATH_TOPOLOGY)
+
+
+@pytest.fixture(scope="session")
 def ncv111_lex012():
     return nv.settle_all(nv.NCV_111, secondary=nv.NCV_012)
 

@@ -63,6 +63,18 @@ def test_synth_state_budget_counts_only_the_target(capsys):
     assert err == "error: state ceiling 0 reached with 1 function(s) unsettled\n"
 
 
+def test_synth_cost_budget_below_and_at_a_deep_optimum(capsys):
+    """The Toffoli costs 9 on the path: one below, the target search exits
+    4; at 9 it prints the unbudgeted circuit."""
+    args = ("synth", "--function", "0,1,2,3,4,5,7,6", "--topology", "path")
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and "optimal cost: 9" in out
+    assert run(capsys, *args, "--max-cost", "9") == (0, out, "")
+    assert run(capsys, *args, "--max-cost", "8") == (
+        4, "", "error: cost ceiling 8 reached with 1 function(s) unsettled\n"
+    )
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -246,6 +246,22 @@ def test_function_rank_rejects_non_permutations():
             nv.model.validate_permutation(bad)
 
 
+def test_function_rank_by_halves_ranks_every_function_and_rejects_overlaps():
+    """``function_rank`` adds the shares of the first and last four outputs,
+    each from a table of the 1,680 arrangements of 4 distinct outputs; two
+    halves that share an output, each valid alone, are no function."""
+    outputs = nv.model.rank_tables().outputs.tolist()
+    assert [nv.model.function_rank(tuple(f)) for f in outputs] == list(range(nv.N_FUNCTIONS))
+    for head in itertools.permutations(range(8), 4):
+        rest = [v for v in range(8) if v not in head]
+        for tail in (head[::-1], (*rest[:3], head[0]), (head[3], *rest[1:])):
+            with pytest.raises(nv.InvalidFunction):
+                nv.model.function_rank((*head, *tail))
+    for bad in [(0, 1, 2, 3, -1, 5, 6, 7), bytes([0, 1, 2, 3, 4, 5, 6, 8]), b"\x00\x01\x02\x03"]:
+        with pytest.raises(nv.InvalidFunction):
+            nv.model.function_rank(bad)
+
+
 def test_function_rank_accepts_integer_sequences_of_any_kind():
     tof = [0, 1, 2, 3, 4, 5, 7, 6]
     rank = nv.model.function_rank(tuple(tof))

@@ -10,7 +10,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ncvsynth as nv
@@ -78,15 +78,38 @@ LANDMARK_FUNCS = (
 
 def test_synthesize_one_matches_full_table(request):
     """A search that stops at its target settles it as the full search does:
-    same cost, same witness."""
+    same cost, same witness.  On ncv-012/path the zero-weight NOT re-enters
+    buckets and the backward balls of the target search are largest."""
     rng = np.random.default_rng(2005)
-    for name in ("ncv111_full", "ncv111_path", "ncv012_full", "ncv155_full"):
+    for name in ("ncv111_full", "ncv111_path", "ncv012_full", "ncv155_full", "ncv012_path"):
         table = request.getfixturevalue(name)
         randoms = [tuple(rng.permutation(8).tolist()) for _ in range(6)]
         for func in (*LANDMARK_FUNCS, *randoms):
             cost, circuit = nv.synthesize_one(func, table.metric, table.topology)
             assert cost == table.cost_of(func), (name, func)
             assert circuit == table.witness(func), (name, func)
+
+
+# V and V+ weigh differently, so the backward search's weights (each gate's
+# inverse's) differ from the forward ones; NOT is free, and w_cnot > 2 w_v
+# switches reduction (1) off.
+@settings(max_examples=2, deadline=None)
+@given(
+    w_v=st.integers(1, 3),
+    w_vplus=st.integers(1, 3),
+    extra=st.integers(1, 3),
+    path=st.booleans(),
+    funcs=st.lists(st.permutations(range(8)), min_size=4, max_size=4),
+)
+@example(w_v=1, w_vplus=2, extra=1, path=True, funcs=[list(TOF_FUNC), list(PERES_FUNC)])
+def test_target_search_matches_the_table_on_random_metrics(w_v, w_vplus, extra, path, funcs):
+    assume(w_v != w_vplus)
+    metric = CostMetric(0, 2 * w_v + extra, w_v, w_vplus)
+    topology = nv.PATH_TOPOLOGY if path else nv.FULL_TOPOLOGY
+    table = nv.settle_all(metric, topology)
+    for func in map(tuple, funcs):
+        cost, circuit = nv.synthesize_one(func, metric, topology)
+        assert (cost, circuit) == (table.cost_of(func), table.witness(func)), func
 
 
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
@@ -277,6 +300,41 @@ def test_cost_ceiling_raises():
 def test_state_ceiling_raises():
     with pytest.raises(BudgetExceeded):
         nv.settle_all(nv.NCV_111, options=SearchOptions(max_states=1000))
+
+
+def test_target_search_budgets_count_both_searches(monkeypatch):
+    """``max_states`` counts the states of the forward and the backward
+    search; ``max_cost`` stops both at the first drain above it, and a
+    target of that cost is found with the unbudgeted witness."""
+    drained = []  # (forward?, cost) of every drain, in order
+    drains = search._Search.drains
+
+    def spy(self):
+        for drain in drains(self):
+            drained.append((int(self.root[0]) == search._identity_key(), drain[0][0]))
+            yield drain
+
+    monkeypatch.setattr(search._Search, "drains", spy)
+    func, topology = TOF_FUNC, nv.PATH_TOPOLOGY
+    cost, circuit = nv.synthesize_one(func, nv.NCV_111, topology)
+    gates = enumerate_gates(topology, "NCV")
+    _, _, states = search._run_search(
+        gates, [(1, 0)] * len(gates), topology.line_symmetries(), SearchOptions(),
+        target=function_rank(func),
+    )
+    assert cost == 9 and {forward for forward, _ in drained} == {True, False}
+
+    def budgeted(**budget):
+        return nv.synthesize_one(func, nv.NCV_111, topology, SearchOptions(**budget))
+
+    assert budgeted(max_states=states) == budgeted(max_cost=cost) == (cost, circuit)
+    with pytest.raises(BudgetExceeded, match="state ceiling .* 1 function"):
+        budgeted(max_states=states - 1)
+    drained.clear()
+    with pytest.raises(BudgetExceeded, match="cost ceiling 8 reached with 1 function"):
+        budgeted(max_cost=cost - 1)
+    assert {forward for forward, _ in drained} == {True, False}
+    assert max(c for _, c in drained[:-1]) <= cost - 1 < drained[-1][1]
 
 
 def test_gate_list_without_inverses_rejected():
