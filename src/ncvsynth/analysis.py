@@ -7,6 +7,7 @@ last digit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -21,7 +22,9 @@ from .search import N_FUNCTIONS, SynthesisTable
 
 def render_4dp(value: Fraction) -> str:
     """Exact rational rounded (half-even) and rendered to 4 decimals."""
-    return f"{float(round(value, 4)):.4f}"
+    units = round(value * 10_000)
+    whole, frac = divmod(abs(units), 10_000)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:04d}"
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,18 @@ class CostHistogram:
     weighted_average: Fraction
 
     @classmethod
-    def from_costs(cls, costs: Mapping, expect_total: int | None = N_FUNCTIONS) -> "CostHistogram":
-        counts: dict[int, int] = {}
-        for cost in costs.values():
-            counts[cost] = counts.get(cost, 0) + 1
-        total = sum(counts.values())
-        if expect_total is not None and total != expect_total:
-            raise IncompleteTable(f"expected {expect_total} entries, got {total}")
-        wa = Fraction(sum(c * n for c, n in counts.items()), total) if total else Fraction(0)
-        return cls(counts, total, wa)
+    def from_costs(
+        cls, costs: Mapping | np.ndarray, expect_total: int | None = N_FUNCTIONS
+    ) -> "CostHistogram":
+        """The histogram of a mapping's integer values, or of an array of
+        costs.  IncompleteTable unless it counts ``expect_total`` costs;
+        TypeError for a value that is not an integer."""
+        if isinstance(costs, Mapping):
+            values = map(operator.index, costs.values())
+            costs = np.fromiter(values, dtype=np.int64, count=len(costs))
+        if expect_total is not None and len(costs) != expect_total:
+            raise IncompleteTable(f"expected {expect_total} entries, got {len(costs)}")
+        return _count(costs)
 
     def as_row(self, max_cost: int | None = None) -> tuple[int, ...]:
         """Counts for costs 0..max_cost (defaults to the largest seen)."""
@@ -53,15 +59,17 @@ class CostHistogram:
         return render_4dp(self.weighted_average)
 
 
+def _count(costs: np.ndarray) -> CostHistogram:
+    """The histogram of an int64 cost array, negative costs included.  The
+    weighted sum runs over the distinct costs as Python ints, so it cannot
+    wrap as an int64 sum would."""
+    seen, counts = (a.tolist() for a in np.unique(costs, return_counts=True))
+    weighted = sum(c * n for c, n in zip(seen, counts))
+    return CostHistogram(dict(zip(seen, counts)), len(costs), Fraction(weighted, len(costs) or 1))
+
+
 def histogram(table: SynthesisTable) -> CostHistogram:
-    costs = table.cost_array()
-    counts = np.bincount(costs)
-    seen = np.flatnonzero(counts)
-    return CostHistogram(
-        dict(zip(seen.tolist(), counts[seen].tolist())),
-        N_FUNCTIONS,
-        Fraction(int(costs.sum()), N_FUNCTIONS),
-    )
+    return _count(table.cost_array())
 
 
 # --------------------------------------------------------------------------

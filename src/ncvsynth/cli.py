@@ -8,12 +8,12 @@ a warm ``compare`` reads those four files and settles no table.  A file
 holds the table's rank arrays (cost, secondary cost, witness gate ids and
 lengths) and a spec string: the library, every gate's weight pair, the
 topology's line pairs, both reduction flags and the cache format version.
-A file that cannot be read whole, whose spec differs from the run's, or
-whose costs are not the summed weights of its witnesses, is a miss: the
-table is settled again and the file rewritten.  Pass ``--no-cache`` to
-neither read nor write it.  A run with ``--max-cost`` or ``--max-states``
-reads no cache file (it may write one), so its budget acts alike cold and
-warm.
+A file that cannot be read whole, whose spec differs from the run's, whose
+arrays are not of the dtypes it was written with, or whose costs are not
+the summed weights of its witnesses, is a miss: the table is settled again
+and the file rewritten.  Pass ``--no-cache`` to neither read nor write it.
+A run with ``--max-cost`` or ``--max-states`` reads no cache file (it may
+write one), so its budget acts alike cold and warm.
 
 Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
 3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ncvsynth",
         description="Cost-optimal 3-line reversible circuit synthesis",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subroutines (printed when used)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_args(p, function_required=False):
@@ -101,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit file against a function")
     p.add_argument("--circuit", type=Path, required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest entrywise unitary error accepted (finite, >= 0)")
 
     p = sub.add_parser("stats", help="histogram and weighted average of a table CSV")
     p.add_argument("table", type=Path)
@@ -161,6 +160,11 @@ def cache_entry(
     return cache_dir / f"{name}_{topology.slug}.npz", spec
 
 
+#: The dtype of each array of a cache file, as ``write_cached_table`` stores it.
+_CACHED_DTYPES = {"cost": np.int64, "secondary": np.int64, "gate_ids": np.uint8,
+                  "lengths": np.int32}
+
+
 def read_cached_table(
     path: Path,
     spec: str,
@@ -169,7 +173,8 @@ def read_cached_table(
     nct_mode: str | None = None,
 ) -> search.SynthesisTable | None:
     """The table stored at ``path``, or None if the file is missing, cannot
-    be read whole, holds another spec, holds arrays that are not a table
+    be read whole, holds another spec, holds an array of another dtype than
+    ``write_cached_table`` stores, holds arrays that are not a table
     (``SynthesisTable`` raises ValueError), or holds a cost or secondary
     cost other than the summed weights of its row's witness.  Every
     member's CRC is checked first: a flipped bit in an array header could
@@ -181,7 +186,9 @@ def read_cached_table(
             if data.zip.testzip() is not None:
                 return None
             arrays = {name: data[name] for name in data.files}
-        if str(arrays["spec"]) != spec:
+        if str(arrays["spec"]) != spec or any(
+            arrays[name].dtype != dtype for name, dtype in _CACHED_DTYPES.items()
+        ):
             return None
         paths = search.WitnessPaths(*(arrays[name] for name in ("cost", "gate_ids", "lengths")))
         table = search.SynthesisTable(
@@ -306,6 +313,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.tol < np.inf:  # nan accepts no circuit and inf every one
+        raise ValueError(f"--tol must be a finite number >= 0, not {args.tol}")
     circuit = io.parse_circuit(args.circuit.read_text())
     func = io.parse_function(args.function)
     if check_realizes(circuit, func, args.tol):
@@ -321,7 +330,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     with args.table.open("r", newline="") as fh:
-        costs = io.read_table_csv(fh)
+        _, costs = io.read_table_csv(fh)
     hist = analysis.CostHistogram.from_costs(costs, expect_total=None)
     sys.stdout.write(io.histogram_text(hist))
     return EXIT_OK
@@ -343,9 +352,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.seed is not None:
-            print(f"seed: {args.seed}")
-            np.random.seed(args.seed)
         return _COMMANDS[args.command](args)
     except InvalidFunction as exc:
         print(f"error: {exc}", file=sys.stderr)

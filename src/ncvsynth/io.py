@@ -16,9 +16,12 @@ comparison reports as CSV with the function and five cost columns.  Every
 writer emits its rows in rank order, which is sorted order, so identical
 tables serialize byte-for-byte identically; it formats them block by block
 from rank-ordered arrays and one cached table of the 40,320 function texts
-(built on first use, never at import).  ``read_table_csv`` maps each
-function field to its rank through that table's text→rank map, and
-rejects a function that appears in more than one row.
+(built on first use, never at import).  A table crosses this boundary as
+rank arrays only: ``write_table_csv`` takes a cost array by rank (or a
+table's ``costs`` view, written from its cost array), and
+``read_table_csv`` returns the ranks and costs of the rows as int64
+arrays, mapping each function field to its rank through that table's
+text→rank map and rejecting a function that appears in more than one row.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import functools
 import io as _stdio
 import json
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -121,68 +123,41 @@ def _function_ranks() -> dict[str, int]:
     return dict(zip(_function_texts().tolist(), range(N_FUNCTIONS)))
 
 
-def _ranks_of(funcs: list) -> np.ndarray:
-    """The ranks of ``funcs``, each validated as ``function_rank`` validates
-    it: the bytes of each 8-tuple are its big-endian code, and all the codes
-    are ranked in one vectorized pass.  InvalidFunction for the first that
-    ``function_rank`` rejects."""
-    tables = rank_tables()
-    if all(type(f) is tuple and len(f) == N_ROWS for f in funcs):
-        try:
-            keys = np.frombuffer(b"".join(map(bytes, funcs)), dtype=">u8")
-        except (TypeError, ValueError):  # an entry that is not an int in 0..255
-            keys = None
-        if keys is not None:
-            ranks = np.minimum(tables.ranks_of_codes(keys), N_FUNCTIONS - 1)
-            if (tables.codes[ranks] == keys).all():
-                return ranks
-    return np.array([function_rank(f) for f in funcs], dtype=np.int64)
-
-
-def _write_table(ranks: np.ndarray, costs: np.ndarray, stream) -> None:
-    """Header ``function,cost``, then row i the function of rank
-    ``ranks[i]`` and its cost ``costs[i]``, written block by block."""
+def write_table_csv(costs: CostView | np.ndarray, stream) -> None:
+    """Header ``function,cost``, then one row per function in rank (sorted)
+    order, written block by block.  ``costs`` is every function's cost by
+    rank, such as ``table.cost_array()``, or a table's ``costs`` view, which
+    is written from its cost array.  ValueError for any other shape."""
+    if isinstance(costs, CostView):
+        costs = costs.cost_array()
+    costs = np.asarray(costs)
+    if costs.shape != (N_FUNCTIONS,):
+        raise ValueError(f"expected {N_FUNCTIONS} costs by rank, got shape {costs.shape}")
     stream.write("function,cost\n")
     texts = _function_texts()
-    for start in range(0, len(ranks), _BLOCK):
+    for start in range(0, N_FUNCTIONS, _BLOCK):
         block = slice(start, start + _BLOCK)
         stream.write("".join([
             f'"{text}",{cost}\n'
-            for text, cost in zip(texts[ranks[block]].tolist(), costs[block].tolist())
+            for text, cost in zip(texts[block].tolist(), costs[block].tolist())
         ]))
 
 
-def write_table_csv(costs: Mapping | np.ndarray, stream) -> None:
-    """Header ``function,cost``, then one row per function in rank (sorted)
-    order.  ``costs`` maps functions to costs (InvalidFunction for a key
-    that is not a permutation of 0..7), or is an array of every function's
-    cost by rank, such as ``table.cost_array()``.  A table's ``costs`` view
-    is written from its cost array."""
-    if isinstance(costs, CostView):
-        costs = costs.cost_array()
-    if isinstance(costs, np.ndarray):
-        if costs.shape != (N_FUNCTIONS,):
-            raise ValueError(f"expected {N_FUNCTIONS} costs by rank, got shape {costs.shape}")
-        _write_table(np.arange(N_FUNCTIONS), costs, stream)
-        return
-    ranks = _ranks_of(list(costs.keys()))
-    order = np.argsort(ranks, kind="stable")
-    _write_table(ranks[order], np.array(list(costs.values()), dtype=object)[order], stream)
-
-
-def table_csv_text(costs: Mapping | np.ndarray) -> str:
+def table_csv_text(costs: CostView | np.ndarray) -> str:
     buf = _stdio.StringIO()
     write_table_csv(costs, buf)
     return buf.getvalue()
 
 
-def read_table_csv(stream) -> dict[tuple[int, ...], int]:
-    """The (function, cost) rows of a table CSV, in file order.  Blank rows
-    and rows whose first field starts with ``#`` are skipped.  A function
-    field is looked up in the function-text table; one that is not there
-    verbatim (spaces, say) is parsed.  CircuitParseError for a bad header,
-    a row without an integer cost, an unparsable function or a function
-    that appears twice; InvalidFunction for one that is not a permutation."""
+def read_table_csv(stream) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a table CSV as two int64 arrays in file order: each
+    function's rank and its cost.  Blank rows and rows whose first field
+    starts with ``#`` are skipped, so a table may hold any subset of the
+    functions.  A function field is looked up in the function-text table;
+    one that is not there verbatim (spaces, say) is parsed.
+    CircuitParseError for a bad header, a row without an integer cost, a
+    cost outside int64, an unparsable function or a function that appears
+    twice; InvalidFunction for one that is not a permutation."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["function", "cost"]:
@@ -202,12 +177,18 @@ def read_table_csv(stream) -> dict[tuple[int, ...], int]:
             rank = function_rank(parse_function(row[0]))
         ranks.append(rank)
         costs.append(cost)
+    ranks = np.array(ranks, dtype=np.int64)
+    try:
+        costs = np.array(costs, dtype=np.int64)
+    except OverflowError:
+        bound = np.iinfo(np.int64)
+        cost = next(c for c in costs if not bound.min <= c <= bound.max)
+        raise CircuitParseError(f"table cost {cost} is outside the int64 range") from None
     repeated = np.flatnonzero(np.bincount(ranks, minlength=N_FUNCTIONS) > 1)
     if len(repeated):
         text = _function_texts()[repeated[0]]
         raise CircuitParseError(f"function {text} appears in more than one table row")
-    functions = rank_tables().outputs[ranks].tolist()
-    return dict(zip(map(tuple, functions), costs))
+    return ranks, costs
 
 
 def write_table_jsonl(table: SynthesisTable, stream) -> None:

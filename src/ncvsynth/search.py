@@ -308,11 +308,6 @@ class SynthesisTable:
         (read-only)."""
         return self._paths
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(function, cost) for every function, in rank order (which is
-        sorted order)."""
-        return zip(self.functions(), self.cost_array().tolist())
-
 
 class CostView(Mapping):
     """A table's costs as a read-only mapping from function to cost, in
@@ -339,7 +334,7 @@ class CostView(Mapping):
         return N_FUNCTIONS
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return self._table.items()
+        return zip(self._table.functions(), self._table.cost_array().tolist())
 
     def values(self) -> Iterator[int]:
         return iter(self._table.cost_array().tolist())

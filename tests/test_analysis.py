@@ -1,5 +1,6 @@
 """Histograms, weighted averages, and comparison statistics."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,12 @@ def test_partial_histogram_allowed_when_requested():
     assert h.total == 2 and h.weighted_average == Fraction(2)
 
 
+@pytest.mark.parametrize("cost", [1.5, "3", None])
+def test_histogram_of_a_cost_that_is_not_an_integer_raises(cost):
+    with pytest.raises(TypeError):
+        CostHistogram.from_costs({"a": 1, "b": cost}, expect_total=None)
+
+
 def test_histogram_of_complete_table(ncv111_full):
     h = nv.histogram(ncv111_full)
     assert h.total == nv.N_FUNCTIONS
@@ -53,12 +60,36 @@ def test_histogram_of_complete_table(ncv111_full):
 def test_histogram_equals_histogram_of_cost_mapping(name, request):
     table = request.getfixturevalue(name)
     assert nv.histogram(table) == CostHistogram.from_costs(table.costs)
+    # the counting loop as the reference
+    counts = Counter(table.costs.values())
+    total = sum(c * n for c, n in counts.items())
+    assert nv.histogram(table) == CostHistogram(
+        dict(counts), nv.N_FUNCTIONS, Fraction(total, nv.N_FUNCTIONS)
+    )
+
+
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50))
+@example([2**62, 2**62 + 1, 2**62 + 3])
+@example([-3, -3, 5])
+def test_histogram_of_a_cost_array_is_exact(costs):
+    """Negative costs are counted, and the weighted average is exact where
+    an int64 sum of the costs would wrap."""
+    hist = CostHistogram.from_costs(np.array(costs, dtype=np.int64), expect_total=None)
+    assert hist.counts == dict(Counter(costs)) and hist.total == len(costs)
+    assert hist.weighted_average == (Fraction(sum(costs), len(costs)) if costs else 0)
+    assert hist == CostHistogram.from_costs(dict(enumerate(costs)), expect_total=None)
 
 
 def test_render_4dp():
     assert render_4dp(Fraction(1, 3)) == "0.3333"
     assert render_4dp(Fraction(2, 3)) == "0.6667"
     assert render_4dp(Fraction(5, 1)) == "5.0000"
+    assert render_4dp(Fraction(-1, 2)) == "-0.5000"
+    assert render_4dp(Fraction(-1, 30000)) == "0.0000"
+    assert render_4dp(Fraction(1, 20000)) == "0.0000"  # half to even
+    assert render_4dp(Fraction(3, 20000)) == "0.0002"
+    # exact past a float's 53 bits
+    assert render_4dp(Fraction(2**63 + 1, 2)) == "4611686018427387904.5000"
 
 
 def test_compare_costs_self_comparison(ncv111_full):

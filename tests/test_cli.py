@@ -105,6 +105,29 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and out.startswith("ok:")
 
 
+@pytest.mark.parametrize("tol, expected", [
+    ([], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 1e-09)\n"),
+    (["--tol", "0"], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 0)\n"),
+])
+def test_verify_tol_default_and_zero(tmp_path, capsys, tol, expected):
+    circuit_file = tmp_path / "tof.txt"
+    circuit_file.write_text(TOF_TEXT)
+    argv = ["verify", "--circuit", str(circuit_file), *tol, "--function"]
+    assert run(capsys, *argv, "0,1,2,3,4,5,7,6") == (0, expected, "")
+    code, out, err = run(capsys, *argv, "0,1,2,3,4,5,6,7")
+    assert (code, out) == (1, "") and err.startswith("FAIL: unitary entry (6,6) is 0+0j")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
+def test_verify_tol_that_is_not_finite_and_non_negative_exits_2(tmp_path, capsys, tol):
+    """nan ended in a traceback, -1 failed every circuit and inf passed any."""
+    circuit_file = tmp_path / "tof.txt"
+    circuit_file.write_text(TOF_TEXT)
+    code, out, err = run(capsys, "verify", "--circuit", str(circuit_file),
+                         "--function", "0,1,2,3,4,5,6,7", "--tol", tol)
+    assert (code, out) == (2, "") and "--tol" in err and "Traceback" not in err
+
+
 def test_verify_failure_exits_1(tmp_path, capsys):
     circuit_file = tmp_path / "not.txt"
     circuit_file.write_text("NOT a\n")
@@ -217,6 +240,26 @@ def test_stats_skips_comment_and_blank_rows(tmp_path, capsys):
 def test_stats_reads_a_function_field_with_spaces(tmp_path, capsys):
     code, out, _ = _stats(tmp_path, capsys, '" 0, 1,2,3,4,5,6,7",2\n')
     assert code == 0 and "     2        1\nfunctions: 1\n" in out
+
+
+def test_stats_of_a_negative_cost_prints_its_row(tmp_path, capsys):
+    text = '"0,1,2,3,4,5,6,7",-3\n"1,0,2,3,4,5,6,7",5\n"1,0,2,3,4,5,7,6",5\n'
+    assert _stats(tmp_path, capsys, text) == (
+        0, "  cost    count\n    -3        1\n     5        2\n"
+           "functions: 3\nweighted average: 2.3333\n", "")
+
+
+def test_stats_of_a_cost_outside_int64_exits_2(tmp_path, capsys):
+    """It exited 0 with a weighted average rounded through a float."""
+    text = f'"0,1,2,3,4,5,6,7",-3\n"1,0,2,3,4,5,6,7",{10**29}\n'
+    code, out, err = _stats(tmp_path, capsys, text)
+    assert (code, out) == (2, "") and "outside the int64 range" in err
+
+
+def test_stats_weighted_average_is_exact_near_2_to_the_62(tmp_path, capsys):
+    text = f'"0,1,2,3,4,5,6,7",{2**62}\n"1,0,2,3,4,5,6,7",{2**62 + 1}\n'
+    code, out, _ = _stats(tmp_path, capsys, text)
+    assert code == 0 and out.endswith("weighted average: 4611686018427387904.5000\n")
 
 
 def test_synth_all_cache_matches_fresh_run(tmp_path, capsys, warm_cache_dir):
@@ -344,13 +387,38 @@ def test_compare_without_cache_writes_no_file(tmp_path, capsys):
     assert list(cache.iterdir()) == []
 
 
-def _write_plus_one(path, spec, table, name):
-    """Store ``table`` at ``path`` with 1 added to its ``name`` array."""
+def _write_changed(path, spec, table, name, change):
+    """Store ``table`` at ``path`` with ``change`` applied to its ``name``
+    array (an array left out when ``change`` gives None)."""
     paths = table.witness_paths()
-    arrays = {"cost": paths.cost, "secondary": table.secondary_array()}
-    arrays[name] = arrays[name] + 1
-    np.savez(path, spec=np.array(spec), gate_ids=paths.gate_ids, lengths=paths.lengths,
-             **arrays)
+    arrays = {"cost": paths.cost, "secondary": table.secondary_array(),
+              "gate_ids": paths.gate_ids, "lengths": paths.lengths}
+    arrays[name] = change(arrays[name])
+    if arrays[name] is None:
+        del arrays[name]
+    np.savez(path, spec=np.array(spec), **arrays)
+
+
+def _check_changed_file_is_recomputed(tmp_path, capsys, ncv012_full, command, nct_mode,
+                                      name, change):
+    """``command`` on a cache whose ``nct_mode`` file has ``change`` applied
+    to its ``name`` array: the file is a miss, the output is the cold run's,
+    and the file is rewritten with the cold run's arrays."""
+    cache = tmp_path / "cache"
+    _seed_ncv_tables(cache, ncv012_full)
+    argv = [command, "--metric", "ncv-012", "--cache-dir", str(cache)]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0, expected[2]
+    path, spec = cli.cache_entry(cache, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions(),
+                                 nct_mode)
+    table = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    _write_changed(path, spec, table, name, change)
+    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode) is None
+
+    assert run(capsys, *argv) == expected
+    rewritten = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    assert all(map(np.array_equal, rewritten.witness_paths(), table.witness_paths()))
+    assert np.array_equal(rewritten.secondary_array(), table.secondary_array())
 
 
 @pytest.mark.parametrize("command, nct_mode, name", [
@@ -364,21 +432,22 @@ def test_cache_file_whose_costs_disagree_with_its_witnesses_is_recomputed(
     """A file of the run's spec, with whole CRCs, whose cost (or secondary
     cost) is its witness's plus one: served, it gave a histogram starting
     at cost 1."""
-    cache = tmp_path / "cache"
-    _seed_ncv_tables(cache, ncv012_full)
-    argv = [command, "--metric", "ncv-012", "--cache-dir", str(cache)]
-    expected = run(capsys, *argv)
-    assert expected[0] == 0, expected[2]
-    path, spec = cli.cache_entry(cache, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions(),
-                                 nct_mode)
-    table = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
-    _write_plus_one(path, spec, table, name)
-    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode) is None
+    _check_changed_file_is_recomputed(tmp_path, capsys, ncv012_full, command, nct_mode,
+                                      name, lambda a: a + 1)
 
-    assert run(capsys, *argv) == expected
-    rewritten = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
-    assert all(map(np.array_equal, rewritten.witness_paths(), table.witness_paths()))
-    assert np.array_equal(rewritten.secondary_array(), table.secondary_array())
+
+@pytest.mark.parametrize("command, nct_mode, name", [
+    ("synth-all", None, "cost"),
+    ("compare", "lex-min", "secondary"),
+])
+def test_cache_file_of_float_costs_is_recomputed(
+    tmp_path, capsys, ncv012_full, command, nct_mode, name
+):
+    """A file of the run's spec, with whole CRCs, whose cost (or secondary
+    cost) holds the right values as float64: served, synth-all ended in a
+    TypeError from np.bincount and compare in one from Fraction."""
+    _check_changed_file_is_recomputed(tmp_path, capsys, ncv012_full, command, nct_mode,
+                                      name, lambda a: a.astype(np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -510,6 +579,33 @@ def test_cache_file_of_other_row_count_is_a_miss(tmp_path, ncv111_full, rows):
     assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY) is None
 
 
+CACHED_ARRAY_CHANGES = {
+    "float64": lambda a: a.astype(np.float64),
+    "uint64": lambda a: a.astype(np.uint64),
+    "int32": lambda a: a.astype(np.int32),
+    "complex128": lambda a: a.astype(np.complex128),
+    "extra-axis": lambda a: a[..., None],
+    "0-d": lambda a: a.reshape(-1)[0],
+    "dropped": lambda a: None,
+}
+
+
+@pytest.mark.parametrize("change", sorted(CACHED_ARRAY_CHANGES))
+@pytest.mark.parametrize("name", ["cost", "secondary", "gate_ids", "lengths"])
+def test_cache_file_of_another_dtype_or_shape_is_a_miss(tmp_path, ncv012_full, name, change):
+    """A file of this run's spec whose array keeps its values in another
+    dtype or shape, or is left out, is a miss (or, for a change that leaves
+    the array as written, the table exactly): never an error, and never a
+    table of other dtypes."""
+    path, spec = cli.cache_entry(tmp_path, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    _write_changed(path, spec, ncv012_full, name, CACHED_ARRAY_CHANGES[change])
+    table = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY)
+    if table is not None:
+        for got, want in zip((*table.witness_paths(), table.secondary_array()),
+                             (*ncv012_full.witness_paths(), ncv012_full.secondary_array())):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_cache_file_of_gate_ids_past_the_gate_list_is_recomputed(tmp_path, capsys, ncv012_full):
     """A file of this run's spec, with whole CRCs, whose first gate ids are
     200: writing its circuits ended in an IndexError traceback."""
@@ -627,9 +723,9 @@ def test_internal_error_exits_6(capsys, monkeypatch, warm_cache_dir):
     assert code == 6 and "internal error" in err
 
 
-def test_seed_is_printed(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "synth", "--function", "0,1,2,3,4,5,6,7")
-    assert code == 0 and out.startswith("seed: 7")
+def test_seed_option_is_gone(capsys):
+    code, out, err = run(capsys, "--seed", "7", "synth", "--function", "0,1,2,3,4,5,6,7")
+    assert (code, out) == (2, "") and "error" in err
 
 
 def test_compare_with_wide_substitution_costs(tmp_path, capsys):

@@ -65,47 +65,42 @@ def test_parse_function_errors():
 
 
 def test_table_csv_roundtrip():
-    costs = {(7, 6, 4, 5, 2, 3, 1, 0): 2, tuple(range(8)): 0}
+    costs = np.arange(nv.N_FUNCTIONS, dtype=np.int64) % 23 - 3
     text = nio.table_csv_text(costs)
     assert text.startswith("function,cost\n")
-    assert nio.read_table_csv(stdio.StringIO(text)) == costs
-    # deterministic bytes
-    assert nio.table_csv_text(dict(reversed(list(costs.items())))) == text
+    ranks, read = nio.read_table_csv(stdio.StringIO(text))
+    assert ranks.dtype == read.dtype == np.int64
+    assert np.array_equal(ranks, np.arange(nv.N_FUNCTIONS))
+    assert np.array_equal(read, costs)
 
 
-@pytest.mark.parametrize("bad", [
-    (0, 0, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6), (0, 1, 2, 3, 4, 5, 6, 7, 8),
-    (0, 1, 2, 3, 4, 5, 6, 263), (0, 1, 2, 3, 4, 5, 6, -1), (1.0, 0, 2, 3, 4, 5, 6, 7),
-    ("0", 1, 2, 3, 4, 5, 6, 7), "0,1,2,3,4,5,6,7", 5,
-])
-def test_table_csv_of_a_key_that_is_not_a_permutation_raises(bad):
-    costs = {tuple(range(8)): 0, bad: 1, (7, 6, 5, 4, 3, 2, 1, 0): 2}
-    with pytest.raises(InvalidFunction):
-        nio.table_csv_text(costs)
+def test_table_csv_reads_rows_in_file_order_and_partial_tables():
+    text = 'function,cost\n"7,6,5,4,3,2,1,0",4\n# a comment\n"0,1,2,3,4,5,6,7",-2\n'
+    ranks, costs = nio.read_table_csv(stdio.StringIO(text))
+    assert ranks.tolist() == [nv.N_FUNCTIONS - 1, 0] and costs.tolist() == [4, -2]
+    ranks, costs = nio.read_table_csv(stdio.StringIO("function,cost\n"))
+    assert (ranks.tolist(), costs.tolist()) == ([], [])
 
 
-def test_table_csv_ranks_keys_of_any_integer_type():
-    costs = {(7, 6, 4, 5, 2, 3, 1, 0): 2, tuple(range(8)): 0}
-    numpy_keys = {tuple(np.array(f, dtype=np.uint8)): c for f, c in costs.items()}
-    assert nio.table_csv_text(numpy_keys) == nio.table_csv_text(costs)
-    assert nio.table_csv_text({}) == "function,cost\n"
+@pytest.mark.parametrize("cost", [2**63, -(2**63) - 1, 10**30])
+def test_table_csv_of_a_cost_outside_int64_is_rejected(cost):
+    text = f'function,cost\n"0,1,2,3,4,5,6,7",0\n"1,0,2,3,4,5,6,7",{cost}\n'
+    with pytest.raises(CircuitParseError, match=f"{cost} is outside the int64 range"):
+        nio.read_table_csv(stdio.StringIO(text))
 
 
-def test_table_csv_of_a_cost_view_reads_its_cost_array(ncv012_full, monkeypatch):
-    """A table's ``costs`` view is written from its cost array, with no key
-    tuple ranked back, and gives the bytes of a plain mapping."""
-    expected = nio.table_csv_text(dict(ncv012_full.costs.items()))
-
-    def no_ranking(funcs):
-        raise AssertionError("a cost view's keys were ranked")
-
-    monkeypatch.setattr(nio, "_ranks_of", no_ranking)
+def test_table_csv_of_a_cost_view_reads_its_cost_array(ncv012_full):
+    """A table's ``costs`` view is written from its cost array, with the
+    bytes of that array."""
+    expected = nio.table_csv_text(ncv012_full.cost_array())
     assert nio.table_csv_text(ncv012_full.costs) == expected
 
 
 def test_table_csv_of_a_cost_array_needs_every_function():
     with pytest.raises(ValueError):
         nio.table_csv_text(np.zeros(nv.N_FUNCTIONS - 1, dtype=np.int64))
+    with pytest.raises(ValueError):
+        nio.table_csv_text({tuple(range(8)): 0})
 
 
 def test_table_csv_of_a_repeated_function_is_rejected():
