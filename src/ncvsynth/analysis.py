@@ -106,7 +106,10 @@ def _comparison_stats(
     """``compare_costs`` over aligned integer arrays; ``function_of(i)`` names
     entry i.  The ratios are exact, summed once per distinct (x, y) pair, and
     the max-ratio function is the first entry attaining the maximum."""
-    corr = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1])
+    # r is undefined (nan) where a column is constant, as every cost is under
+    # custom:0,0,0; numpy would warn as it divides by the zero deviation.
+    defined = len(x) and x.min() < x.max() and y.min() < y.max()
+    corr = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1]) if defined else float("nan")
     ratio = y != 0
     xs, ys = x[ratio], y[ratio]
     # Each (x, y) pair as one integer, x major, so that a 1-D unique counts them.

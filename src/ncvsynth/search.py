@@ -112,27 +112,36 @@ CLI's cache) read the whole matrix without building a Circuit per function.
 ``synthesize_one`` builds no table: it reads its circuit from the one row
 the search returns for its target.
 
-Target search: ``synthesize_one`` runs two such searches on one pool of
-workers, each a stepper that yields after each drain and expands that
-drain's states only when resumed.  The forward one starts at the identity
-and records functions as above.  The backward one starts at the canonical
-key of the target's Boolean state, gives each gate its inverse's weight (so
-a state's backward cost is its cost to the target's orbit) and records
-nothing; reductions (1) and (2) hold for it, as inverting every gate maps
-the weight conditions of both onto themselves.  Each turn goes to the
-search with less work pending: its candidates queued, plus one per gate
-for each state awaiting expansion.  The first state settled by both gives
-the meeting bound U = g_f + g_b, the cost of a circuit through it, and the
-backward search stops.  From then on the forward drain settles a fresh key
-of cost g only if g + h <= U, where h is the key's backward cost or,
-outside the backward ball, the cost of the backward search's last drain
-(every state cheaper than that was settled).  h never exceeds a key's cost
-to the target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of
-a kept state is kept, and as U >= C* (the target's optimal cost) so is
-every state on an optimal path to the target.  A dropped key lies on no
-such path, and the kept states settle in the same drains, in the same
-relative bucket positions and with the same winners as in a forward search
-alone: the target's winners, sigmas, reduction-(1) placements and record,
+Target search: ``synthesize_one`` runs the search above, a stepper that
+yields after each drain and expands that drain's states only when resumed,
+and prunes it with a ball around the target read off its own settled
+states.  Two facts make the ball exact.  A circuit run from the Boolean
+state of a function T reaches the state s it reaches from the identity
+with its rows moved: row i of the first is row T(i) of s, written s o T.
+And ``vswap`` of a circuit reaches the conjugate conj(s) of the state the
+circuit reaches, every level v becoming -v mod 4.  A gate's inverse weighs
+what ``vswap`` of the gate weighs, so a key k's cost to the target is the
+search's cost of conj(k o T^-1), and the ball of radius c around the
+target's orbit is the set of canonical keys of conj(s o T'), for each
+state s settled at cost at most c and each relabeling T' of T in the
+group, at the cost of s.  Where conjugation is in the group,
+canonicalizing undoes conj; where it is not (V and V+ weigh differently,
+or reduction (2) is off), conj is applied.  After each drain, of cost c,
+the ball takes in its keys' images not yet in it at cost c, so it holds
+every key of cost to the target below c, each at its exact cost.  The
+first drain that settles a key inside the ball gives the meeting bound U =
+c + h, the cost of a circuit through that key; the ball then stops
+growing, and ``reach`` = c.  From then on a drain settles a fresh key of
+cost g only if g + h <= U, where h is the key's ball cost or, outside the
+ball, ``reach`` (every key of cost to the target below it is inside).
+This is a two-sided search whose two radii are equal and whose backward
+half is the forward half's image.  h never exceeds a key's cost to the
+target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of a kept
+state is kept, and as U >= C* (the target's optimal cost) so is every
+state on an optimal path to the target.  A dropped key lies on no such
+path, and the kept states settle in the same drains, in the same relative
+bucket positions and with the same winners as in a search without the
+ball: the target's winners, sigmas, reduction-(1) placements and record,
 and so its witness, are bit-for-bit unchanged.  The target search compares
 primary costs; its secondary weights are 0.
 """
@@ -188,10 +197,9 @@ class SearchOptions:
 
     A run raises BudgetExceeded once it drains a bucket of primary cost
     above ``max_cost``, or once it has settled more than ``max_states``
-    states.  In ``synthesize_one``'s target search, ``max_states`` counts
-    the states of both searches, and ``max_cost`` caps the backward
-    search's radius as it caps the forward one's; a target of optimal cost
-    at most ``max_cost`` is met before either search passes it."""
+    states.  ``synthesize_one``'s target search is one search: a target of
+    optimal cost at most ``max_cost`` is settled before it passes that
+    ceiling, and ``max_states`` counts its states."""
 
     no_repeat_placement: bool = True   # reduction (1)
     settle_relabelings: bool = True    # reduction (2)
@@ -681,12 +689,6 @@ def _closed_under_inverse(gates: tuple[Gate, ...]) -> bool:
     return {g.inverse() for g in gates} <= set(gates)
 
 
-@functools.cache
-def _inverse_ids(gates: tuple[Gate, ...]) -> tuple[int, ...]:
-    """The id of each gate's inverse in a list closed under inverses."""
-    return tuple(map(gates.index, (g.inverse() for g in gates)))
-
-
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each key's position in the sorted ``sorted_keys`` (where it would go,
     if absent), and whether it is there."""
@@ -716,8 +718,8 @@ def _union(keys: np.ndarray, new_keys: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class _Pool:
-    """The expansion workers of one search (of both searches of a target
-    search): started at the first split, shut down when the search ends."""
+    """The expansion workers of one search: started at the first split,
+    shut down when the search ends."""
 
     def __init__(self) -> None:
         self.workers = _workers()
@@ -769,24 +771,21 @@ _Drain = tuple[Cost, np.ndarray, np.ndarray]
 
 
 class _Search:
-    """The settle loop of one search from ``root``, as a stepper: ``drains``
+    """The settle loop of a search from the identity, as a stepper: ``drains``
     yields after each drain that settles a state, and expands that drain's
     states only when resumed, so a caller that stops stepping expands
     nothing more.  ``keep``, where set, is given each drain's cost and fresh
     keys and returns the mask of those to settle; the others are dropped
-    unsettled.  ``pending`` counts the candidates waiting: those in the
-    buckets, and one per gate for each state of the last drain (the most
-    its expansion on resumption can make)."""
+    unsettled."""
 
     def __init__(
         self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: Cost,
-        root: int, pool: _Pool,
+        pool: _Pool,
     ) -> None:
         self.plan, self.orbits, self.pool = plan, orbits, pool
-        self.n_gates = len(plan.placement_of_gate)
         self.no_repeat = options.no_repeat_placement
         self.span = span
-        self.root = np.array([root], dtype=np.uint64)
+        self.root = np.array([_identity_key()], dtype=np.uint64)
         self.pred_parts = [np.array([-1], dtype=np.int32)]
         self.gate_parts = [np.array([255], dtype=np.uint8)]
         self.sigma_parts = [np.zeros(1, dtype=np.int8)]
@@ -797,13 +796,7 @@ class _Search:
         self.window_keys = self.root
         self.buckets: dict[Cost, list] = {}
         self.heap: list[Cost] = []
-        self.queued = 0       # candidates in the buckets
-        self.unexpanded = 0   # states of the last drain, expanded on resumption
         self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
-
-    @property
-    def pending(self) -> int:
-        return self.queued + self.unexpanded * self.n_gates
 
     def drains(self) -> Iterator[_Drain]:
         root_plc = np.full(1, 255, dtype=np.uint8)
@@ -818,9 +811,7 @@ class _Search:
                 settled = self._drain(cost)
                 if settled is not None:
                     keys, gidx, plc = settled
-                    self.unexpanded = len(keys)
                     yield cost, keys, gidx
-                    self.unexpanded = 0
                     self._expand(keys, gidx, plc, cost)
             self.buckets.pop(cost, None)
 
@@ -829,7 +820,6 @@ class _Search:
         indices and last placements, or None if no key is fresh."""
         keys, preds, gids, sigmas = map(np.concatenate, zip(*self.buckets[cost]))
         self.buckets[cost] = []
-        self.queued -= len(keys)
         # Batches arrive in settle order, each in (parent settle index, gate
         # id) order, so the tie-break winner among equal-cost paths to a key
         # is its least bucket position.
@@ -878,7 +868,6 @@ class _Search:
                     self.buckets[new_cost] = []
                     heapq.heappush(self.heap, new_cost)
                 self.buckets[new_cost].append(batch)
-                self.queued += len(batch[0])
 
     def _expand_chunk(
         self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
@@ -934,48 +923,62 @@ def _merged(
     return union, union_costs
 
 
-def _toward(
-    forward: _Search, backward: _Search, check: Callable[[Cost], None]
-) -> Iterator[_Drain]:
-    """The forward drains of a target search (see "Target search" in the
-    module docstring): the two searches take turns, each turn to the one
-    with less work pending, until a state is settled by both; then
-    the backward search stops and the forward one drops each fresh key that
-    lies on no path to the target of cost at most the meeting bound.
-    ``check`` is given each backward drain's cost (the budgets)."""
-    ahead, behind = forward.drains(), backward.drains()
-    seen = (forward.root, np.zeros(1, dtype=np.int64))   # every forward state
-    back = (backward.root, np.zeros(1, dtype=np.int64))  # every backward state
-    reach = 0  # cost of the backward search's last drain
-    bound = None
-    while bound is None:
-        if backward.pending < forward.pending:
-            drain = next(behind, None)
-            if drain is None:  # nothing left to meet; search forward alone
-                break
-            reach = drain[0][0]
-            check(drain[0])
-            bound = _met(*seen, drain[1], reach)
-            back = _merged(*back, drain[1], reach)
-        else:
-            drain = next(ahead, None)
-            if drain is None:
-                return
-            yield drain
-            bound = _met(*back, drain[1], drain[0][0])
-            seen = _merged(*seen, drain[1], drain[0][0])
-    if bound is not None:
-        back_keys, back_costs = back
+#: Bit offset of each of a packed key's rows (six bits each).
+_ROW_SHIFTS = np.arange(0, 6 * N_ROWS, 6, dtype=np.uint64)
 
-        def keep(cost: Cost, keys: np.ndarray) -> np.ndarray:
-            # A key's cost to the target is its backward cost, or at least
-            # ``reach`` if the backward search did not settle it.
-            at, inside = _find(back_keys, keys)
-            rest = np.where(inside, back_costs.take(at, mode="clip"), reach)
-            return rest <= bound - cost[0]
 
-        forward.keep = keep
-    yield from ahead
+def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndarray:
+    """The canonical key of conj(s o T') for each key s and each row order
+    T' (a row of ``orders``): row i of s o T' is row T'(i) of s, and conj,
+    which maps every level v to -v mod 4, is applied where conjugation is
+    not in the group (where it is, canonicalizing undoes it).  Keys are
+    moved block by block of ``_BLOCK // N_ROWS``, so that the (key, order,
+    row) temporaries hold at most ``len(orders) * _BLOCK`` values."""
+    images = np.empty((len(keys), len(orders)), dtype=np.uint64)
+    sources = _ROW_SHIFTS[orders]
+    step = _BLOCK // N_ROWS
+    for start in range(0, len(keys), step):
+        rows = keys[start:start + step, None, None] >> sources
+        rows &= _U64(63)
+        rows <<= _ROW_SHIFTS
+        np.bitwise_or.reduce(rows, axis=2, out=images[start:start + step])
+    images = images.ravel()
+    if not orbits.conj:
+        images ^= (images & _ALL_FLAGS) << _ONE
+    return _canonical(images, orbits)[0]
+
+
+def _toward(search: _Search, orders: np.ndarray) -> Iterator[_Drain]:
+    """The drains of a target search (see "Target search" in the module
+    docstring), whose target's row orders under the group's relabelings are
+    the rows of ``orders``: the ball around the target grows by the images
+    of each drain's keys, at the drain's cost, until a drain settles a key
+    inside it; from then on the search drops each fresh key that lies on no
+    path to the target of cost at most the meeting bound."""
+    drains = search.drains()
+    images = np.unique(_ball_keys(search.root, orders, search.orbits))
+    ball = (images, np.zeros(len(images), dtype=np.int64))
+    for cost, keys, gidx in drains:
+        yield cost, keys, gidx
+        images = np.unique(_ball_keys(keys, orders, search.orbits))
+        ball = _merged(*ball, images[_fresh_mask(ball[0], images)], cost[0])
+        bound = _met(*ball, keys, cost[0])
+        if bound is not None:
+            break
+    else:
+        return
+    ball_keys, ball_costs = ball
+    reach = cost[0]
+
+    def keep(cost: Cost, keys: np.ndarray) -> np.ndarray:
+        # A key's cost to the target is its ball cost, or at least ``reach``
+        # outside the ball.
+        at, inside = _find(ball_keys, keys)
+        rest = np.where(inside, ball_costs.take(at, mode="clip"), reach)
+        return rest <= bound - cost[0]
+
+    search.keep = keep
+    yield from drains
 
 
 def _run_search(
@@ -988,9 +991,8 @@ def _run_search(
     """Core settle loop; stops once every function (or the target rank) is
     recorded.  Returns the witness paths and secondary costs of every
     function in rank order (of the target alone, if given) and the number
-    of (canonical) states settled, by both searches of a target search.  A
-    target search compares primary costs only: its secondary weights must
-    be 0."""
+    of (canonical) states settled.  A target search compares primary costs
+    only: its secondary weights must be 0."""
     if min(weights) < (0, 0):
         raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
     gates = tuple(gates)
@@ -1046,43 +1048,25 @@ def _run_search(
         """Functions (or the target) not yet recorded."""
         return remaining if target is None else int(cost_of[target] < 0)
 
-    searches: list[_Search] = []
-
-    def check(cost: Cost) -> None:
-        """BudgetExceeded once a drain passes a ceiling of ``options``."""
-        if options.max_cost is not None and cost[0] > options.max_cost:
-            raise BudgetExceeded(
-                f"cost ceiling {options.max_cost} reached with "
-                f"{unsettled()} function(s) unsettled"
-            )
-        states = sum(s.total for s in searches)
-        if options.max_states is not None and states > options.max_states:
-            raise BudgetExceeded(
-                f"state ceiling {options.max_states} reached with "
-                f"{unsettled()} function(s) unsettled"
-            )
-
     record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
     with _Pool() as pool:
-        forward = _Search(_expansion(gates, tuple(weights)), orbits, options, span,
-                          _identity_key(), pool)
-        searches.append(forward)
-        drains = forward.drains()
+        search = _Search(_expansion(gates, tuple(weights)), orbits, options, span, pool)
+        drains = search.drains()
         if target is not None and unsettled():
-            # The backward search walks edges in reverse: gate g costs what
-            # its inverse costs forward.
-            back_weights = tuple(weights[i] for i in _inverse_ids(gates))
-            key = CircuitState.from_permutation(ranks.function(target)).pack()
-            root = int(_canonical(np.array([key], dtype=np.uint64), orbits)[0][0])
-            backward = _Search(_expansion(gates, back_weights), orbits, options, span,
-                               root, pool)
-            searches.append(backward)
-            drains = _toward(forward, backward, check)
+            orders = ranks.outputs[ranks.relabeled[target, col_perm]]
+            drains = _toward(search, np.unique(orders, axis=0))
         while unsettled():
             cost, keys, gidx = next(drains, (None, None, None))
             if cost is None:
                 raise InternalError("internal error: search ended with unsettled functions")
-            check(cost)
+            for ceiling, passed, what in (
+                (options.max_cost, cost[0], "cost"), (options.max_states, search.total, "state"),
+            ):
+                if ceiling is not None and passed > ceiling:
+                    raise BudgetExceeded(
+                        f"{what} ceiling {ceiling} reached with "
+                        f"{unsettled()} function(s) unsettled"
+                    )
             boolean = (keys & _ALL_FLAGS) == _U64(0)
             if bool(boolean.any()):
                 record(_ranks_of(keys[boolean]), gidx[boolean], cost)
@@ -1090,14 +1074,13 @@ def _run_search(
     held = np.arange(N_FUNCTIONS) if target is None else np.array([target])
     states, rows = np.unique(state_of[held], return_inverse=True)
     paths, lengths = _extract_paths(
-        states, np.concatenate(forward.pred_parts), np.concatenate(forward.gate_parts),
-        np.concatenate(forward.sigma_parts), orbits,
+        states, np.concatenate(search.pred_parts), np.concatenate(search.gate_parts),
+        np.concatenate(search.sigma_parts), orbits,
     )
     lengths = lengths[rows]
     ids = orbits.relabel[perm_of[held, None], paths[rows]]
     ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
-    states_settled = sum(s.total for s in searches)
-    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], states_settled
+    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], search.total
 
 
 def _extract_paths(

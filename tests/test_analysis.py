@@ -1,5 +1,6 @@
 """Histograms, weighted averages, and comparison statistics."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -134,13 +135,25 @@ def test_compare_costs_matches_fraction_loop(pairs, rng):
         rng.shuffle(keys)  # the Mappings' insertion order must not matter
     xs = {k: pairs[k[0]][0] for k in keys}
     ys = {k: pairs[k[0]][1] for k in keys}
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="raise"):  # a constant column must not divide by 0
         stats = compare_costs(xs, ys)
     corr, average, best, best_func, equal = _reference_compare_costs(xs, ys)
     assert stats.pearson_correlation == pytest.approx(corr, nan_ok=True)
     assert (stats.average_ratio, stats.max_ratio) == (average, best)
     assert stats.max_ratio_function == best_func
     assert stats.equal_count == equal
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_costs_of_constant_costs_is_nan_without_a_warning():
+    """Every cost is 0 under custom:0,0,0, so r is undefined: nan, and
+    numpy's divide warning is not raised."""
+    zeros = {(i,): 0 for i in range(5)}
+    for xs in (zeros, {(i,): i for i in range(5)}):
+        stats = compare_costs(xs, zeros)
+        assert math.isnan(stats.pearson_correlation)
+        assert stats.average_ratio == stats.max_ratio == 0
+    assert math.isnan(compare_costs(zeros, {(i,): i for i in range(5)}).pearson_correlation)
 
 
 def test_compare_costs_mismatched_domains():

@@ -3,6 +3,8 @@
 import contextlib
 import io as stdio
 import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -735,3 +737,18 @@ def test_compare_with_wide_substitution_costs(tmp_path, capsys):
     )
     assert code == 0, err
     assert "#summary metric=custom-1-300-300" in stdout
+
+
+def test_compare_under_an_all_zero_metric_writes_nothing_to_stderr(tmp_path):
+    """Every NCV cost is 0 under custom:0,0,0, so the witness correlation is
+    undefined: the summary says nan, and no numpy warning reaches stderr (a
+    child process, because pytest collects warnings in process)."""
+    src = os.path.dirname(os.path.dirname(nv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ncvsynth", "compare", "--metric", "custom:0,0,0", "--no-cache",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "#summary witness pearson=nan " in done.stdout

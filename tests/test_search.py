@@ -79,7 +79,7 @@ LANDMARK_FUNCS = (
 def test_synthesize_one_matches_full_table(request):
     """A search that stops at its target settles it as the full search does:
     same cost, same witness.  On ncv-012/path the zero-weight NOT re-enters
-    buckets and the backward balls of the target search are largest."""
+    buckets and the balls around the targets are largest."""
     rng = np.random.default_rng(2005)
     for name in ("ncv111_full", "ncv111_path", "ncv012_full", "ncv155_full", "ncv012_path"):
         table = request.getfixturevalue(name)
@@ -90,8 +90,8 @@ def test_synthesize_one_matches_full_table(request):
             assert circuit == table.witness(func), (name, func)
 
 
-# V and V+ weigh differently, so the backward search's weights (each gate's
-# inverse's) differ from the forward ones; NOT is free, and w_cnot > 2 w_v
+# V and V+ weigh differently, so conjugation is out of the group and the
+# target search conjugates its ball's images; NOT is free, and w_cnot > 2 w_v
 # switches reduction (1) off.
 @settings(max_examples=2, deadline=None)
 @given(
@@ -302,16 +302,16 @@ def test_state_ceiling_raises():
         nv.settle_all(nv.NCV_111, options=SearchOptions(max_states=1000))
 
 
-def test_target_search_budgets_count_both_searches(monkeypatch):
-    """``max_states`` counts the states of the forward and the backward
-    search; ``max_cost`` stops both at the first drain above it, and a
-    target of that cost is found with the unbudgeted witness."""
-    drained = []  # (forward?, cost) of every drain, in order
+def test_target_search_budgets_count_its_states(monkeypatch):
+    """``max_states`` counts the states of the target search; ``max_cost``
+    stops it at the first drain above it, and a target of that cost is
+    found with the unbudgeted witness."""
+    drained = []  # the cost of every drain, in order
     drains = search._Search.drains
 
     def spy(self):
         for drain in drains(self):
-            drained.append((int(self.root[0]) == search._identity_key(), drain[0][0]))
+            drained.append(drain[0][0])
             yield drain
 
     monkeypatch.setattr(search._Search, "drains", spy)
@@ -322,7 +322,7 @@ def test_target_search_budgets_count_both_searches(monkeypatch):
         gates, [(1, 0)] * len(gates), topology.line_symmetries(), SearchOptions(),
         target=function_rank(func),
     )
-    assert cost == 9 and {forward for forward, _ in drained} == {True, False}
+    assert cost == 9
 
     def budgeted(**budget):
         return nv.synthesize_one(func, nv.NCV_111, topology, SearchOptions(**budget))
@@ -333,8 +333,30 @@ def test_target_search_budgets_count_both_searches(monkeypatch):
     drained.clear()
     with pytest.raises(BudgetExceeded, match="cost ceiling 8 reached with 1 function"):
         budgeted(max_cost=cost - 1)
-    assert {forward for forward, _ in drained} == {True, False}
-    assert max(c for _, c in drained[:-1]) <= cost - 1 < drained[-1][1]
+    assert max(drained[:-1]) <= cost - 1 < drained[-1]
+
+
+# States the target search settles for the five landmarks under ncv-012,
+# whose NOT is free and whose group holds conjugation.  A key outside the
+# target's ball is at least ``reach`` from the target; a bound one or three
+# units larger keeps every witness tried but drops states the search must
+# settle, and shows as fewer states.
+TARGET_SEARCH_STATES = {"full": 5_346, "path": 21_942}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_SEARCH_STATES))
+def test_target_search_settles_the_pinned_states(name):
+    topology = nv.model.TOPOLOGIES[name]
+    gates = enumerate_gates(topology, "NCV")
+    weights = [(nv.NCV_012.weight(g), 0) for g in gates]
+    options = search._effective_options(SearchOptions(), gates, weights)
+    states = sum(
+        search._run_search(
+            gates, weights, topology.line_symmetries(), options, target=function_rank(func)
+        )[2]
+        for func in LANDMARK_FUNCS
+    )
+    assert states == TARGET_SEARCH_STATES[name]
 
 
 def test_gate_list_without_inverses_rejected():
@@ -407,6 +429,12 @@ def test_unequal_v_weights_stay_optimal():
     table = nv.settle_all(metric)
     plain = nv.settle_all(metric, options=SearchOptions(settle_relabelings=False))
     assert np.array_equal(table.cost_array(), plain.cost_array())
+    # Without a group the target search conjugates its ball's images.
+    rng = np.random.default_rng(17)
+    randoms = [tuple(rng.permutation(8).tolist()) for _ in range(3)]
+    for func in (*LANDMARK_FUNCS, *randoms):
+        one = nv.synthesize_one(func, metric, options=SearchOptions(settle_relabelings=False))
+        assert one == (plain.cost_of(func), plain.witness(func)), func
 
 
 def test_repeat_placement_reduction_yields_to_cheap_v_pairs():
@@ -490,6 +518,27 @@ def test_canonical_key_is_shared_by_every_image(topology):
         for key, sid, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
             assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
             assert _sigma_image(CircuitState.unpack(key), sid).pack() == least
+
+
+# The two facts the target search's ball rests on, on the object model.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.integers(0, 8),
+    path=st.booleans(),
+    target=st.permutations(range(8)),
+)
+def test_a_circuit_moves_a_targets_rows_and_its_vswap_conjugates(seed, n_gates, path, target):
+    """Run from the target T's Boolean state, a circuit reaches the state it
+    reaches from the identity with its rows moved: row i is that state's
+    row T(i).  Its ``vswap`` reaches the conjugate of that state."""
+    topology = nv.PATH_TOPOLOGY if path else nv.FULL_TOPOLOGY
+    circuit = nv.random_legal_circuit(np.random.default_rng(seed), n_gates, topology)
+    reached = apply_circuit(CircuitState.identity(), circuit)
+    moved = apply_circuit(CircuitState.from_permutation(target), circuit)
+    assert moved.rows == tuple(reached.rows[t] for t in target)
+    swapped = apply_circuit(CircuitState.identity(), nv.vswap(circuit))
+    assert swapped == _conjugated_state(reached)
 
 
 # --------------------------------------------------------------------------
