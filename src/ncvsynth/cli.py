@@ -118,7 +118,8 @@ def _search_options(args: argparse.Namespace) -> search.SearchOptions:
 # --------------------------------------------------------------------------
 # Table cache
 
-CACHE_FORMAT = 1
+#: 2 since the witnesses of a metric whose NOT weighs 0 begin with input NOTs.
+CACHE_FORMAT = 2
 
 
 def _table_kind(

@@ -70,39 +70,52 @@ Search reductions (each can be switched off):
    off for weights under which that gate can cost more than the two, such
    as w_cnot > 2 w_v);
 2. search one state per orbit of a cost-preserving symmetry group, and
-   record every line relabeling of each settled function at the same cost.
+   record every image of each settled function under the group's line
+   relabelings and masks at the same cost.
 
 The group of (2) is the topology's line symmetries (the weights must be
 invariant under them, else ValueError), times V <-> V+ conjugation when the
 library has V gates and each weighs the same as the V+ gate on its
-placement.  Relabeling a circuit's lines relabels the quaternary state it
-reaches; interchanging V and V+ (``vswap``) conjugates it, level v becoming
--v mod 4, which fixes every Boolean state.  The search settles only
-canonical states, the least packed key among a state's images.  Each
-settled state stores, beside its predecessor and gate id, the sigma id
-(line permutation + 6 x conjugation) of the symmetry that took the raw key
-(the gate applied to the predecessor's canonical key) to the canonical one;
-the canonical state's last gate, which reduction (1) looks at, is then
-sigma(gate).  States visited, and ``SearchOptions.max_states``, count these
-orbit representatives.  Without (2) every state is its own representative.
+placement, times the 8 input masks when every NOT weighs (0, 0).  Relabeling
+a circuit's lines relabels the quaternary state it reaches; interchanging V
+and V+ (``vswap``) conjugates it, level v becoming -v mod 4, which fixes
+every Boolean state.  A NOT layer N_m at a circuit's input moves row i of
+the state s it reaches to row i ^ m (s o N_m); it commutes with every gate,
+and when NOT is free, costs nothing.  The search settles only canonical
+states.  Without masks a state's canonical key is its least image; with
+them it is the least image whose row 7 holds a row of least class, a row's
+class being its counts of level-0 and level-2 entries, which no symmetry
+changes: for each such row, the mask that moves it to row 7 (fixed by every
+line map), then the line and conjugation images.  Each settled state
+stores, beside its predecessor and gate id, the sigma id (line permutation
++ 6 x conjugation + 12 x mask r, the image being the line and conjugation
+map's image moved by N_r) of the symmetry that took the raw key (the gate
+applied to the predecessor's canonical key) to the canonical one; the
+canonical state's last gate, which reduction (1) looks at, is then
+sigma(gate), as a mask moves no gate.  The root is the identity's canonical
+key.  States visited, and ``SearchOptions.max_states``, count these orbit
+representatives.  Without (2) every state is its own representative.
 
 Functions are handled by rank (their lexicographic index in 0..40319, see
 :func:`~ncvsynth.model.rank_tables`).  Each drained bucket decodes its
 settled Boolean keys to ranks in one batch and records, per state in
 packed-key order: its own function, then its image under each non-identity
-line symmetry in ``line_symmetries()`` order.  The first record of a rank
-wins, exactly as a function-at-a-time loop in that order would decide.  Per
-rank the search keeps primary and secondary cost, settle index and line
-permutation.
+line symmetry in ``line_symmetries()`` order, and with masks these 8 times,
+each composed with N_m for m = 0..7.  The first record of a rank wins,
+exactly as a function-at-a-time loop in that order would decide.  Per rank
+the search keeps primary and secondary cost, settle index and sigma.
 
 When the search ends, one vectorized walk over the predecessor array
 extracts the gate-id path of every settle index that a function uses,
 composing the sigmas along the way: the j-th gate of a path to state n is
-sigma_n o ... o sigma_j applied to the gate stored at state j, so every
-path realizes its canonical state's function.  Each function's witness is
-then its state's path with every gate id mapped through the function's
-line relabeling, by one uint8 (sigma x gate id) map per gate list, and the
-per-state arrays are dropped.
+sigma_n o ... o sigma_j applied to the gate stored at state j, and the
+path, run after the input NOTs of the mask of sigma_n o ... o sigma_0
+(sigma_0 the root's), realizes its canonical state.  Each function's
+witness is then its state's path with every gate id mapped through the
+function's line relabeling, by one uint8 (sigma x gate id) map per gate
+list, after the input NOTs of the mask of the function's sigma o the
+path's: at most 3 NOT gates, of weight 0.  The per-state arrays are then
+dropped.
 
 A table holds every function: row i of each of its arrays is the function
 of rank i.  The arrays are the ``witness_paths`` (primary cost, padded
@@ -126,24 +139,26 @@ target's orbit is the set of canonical keys of conj(s o T'), for each
 state s settled at cost at most c and each relabeling T' of T in the
 group, at the cost of s.  Where conjugation is in the group,
 canonicalizing undoes conj; where it is not (V and V+ weigh differently,
-or reduction (2) is off), conj is applied.  After each drain, of cost c,
-the ball takes in its keys' images not yet in it at cost c, so it holds
-every key of cost to the target below c, each at its exact cost.  The
-first drain that settles a key inside the ball gives the meeting bound U =
-c + h, the cost of a circuit through that key; the ball then stops
-growing, and ``reach`` = c.  From then on a drain settles a fresh key of
-cost g only if g + h <= U, where h is the key's ball cost or, outside the
-ball, ``reach`` (every key of cost to the target below it is inside).
-This is a two-sided search whose two radii are equal and whose backward
-half is the forward half's image.  h never exceeds a key's cost to the
-target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of a kept
-state is kept, and as U >= C* (the target's optimal cost) so is every
+or reduction (2) is off), conj is applied.  With masks, T' also runs over
+the output-masked N_m o T': a settled orbit holds s o N_m, and s o N_m o
+T' = s o (N_m o T'), while an input mask of T' is canonicalized away.
+After each drain, of cost c, the ball takes in its keys' images not yet in
+it at cost c, so it holds every key of cost to the target below c, each at
+its exact cost.  The first drain that settles a key inside the ball gives
+the meeting bound U = c + h, the cost of a circuit through that key; the
+ball then stops growing, and ``reach`` = c.  From then on a drain settles a
+fresh key of cost g only if g + h <= U, where h is the key's ball cost or,
+outside the ball, ``reach`` (every key of cost to the target below it is
+inside).  This is a two-sided search whose two radii are equal and whose
+backward half is the forward half's image.  h never exceeds a key's cost to
+the target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of a
+kept state is kept, and as U >= C* (the target's optimal cost) so is every
 state on an optimal path to the target.  A dropped key lies on no such
 path, and the kept states settle in the same drains, in the same relative
-bucket positions and with the same winners as in a search without the
-ball: the target's winners, sigmas, reduction-(1) placements and record,
-and so its witness, are bit-for-bit unchanged.  The target search compares
-primary costs; its secondary weights are 0.
+bucket positions and with the same winners as in a search without the ball:
+the target's winners, sigmas, reduction-(1) placements and record, and so
+its witness, are bit-for-bit unchanged.  The target search compares primary
+costs; its secondary weights are 0.
 """
 
 from __future__ import annotations
@@ -558,8 +573,10 @@ def _assert_projection_permutation(keys: np.ndarray) -> None:
 # --------------------------------------------------------------------------
 # Symmetries of packed states
 
-#: Sigma ids: LINE_PERMUTATIONS index, plus _N_PERMS after V <-> V+ conjugation.
+#: Sigma ids: LINE_PERMUTATIONS index, plus _N_PERMS after V <-> V+ conjugation,
+#: plus _N_SIDS x the input mask.
 _N_PERMS = len(LINE_PERMUTATIONS)
+_N_SIDS = 2 * _N_PERMS
 
 
 class _Orbits(NamedTuple):
@@ -568,6 +585,7 @@ class _Orbits(NamedTuple):
     perm_ids: np.ndarray  # int8 LINE_PERMUTATIONS ids of the non-identity line symmetries
     images: np.ndarray    # uint64 (symmetry, key word, word value): bits of the image
     conj: bool            # whether the group holds conjugation (times each of the above)
+    masks: bool           # whether it holds the 8 input masks (times each of the above)
     compose: np.ndarray   # int8 (a, b): sigma id of sigma a after sigma b
     relabel: np.ndarray   # uint8 (sigma, gate id): id of the gate's image; 255 if
                           # none, and for the root's gate id 255
@@ -618,9 +636,10 @@ def _relabel_table(gates: tuple[Gate, ...]) -> np.ndarray:
 
 @functools.cache
 def _orbit_tables(
-    gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...], conj: bool
+    gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...], conj: bool, masks: bool
 ) -> _Orbits:
-    """Built on first use per gate list, line symmetry set and ``conj``."""
+    """Built on first use per gate list, line symmetry set, ``conj`` and
+    ``masks``."""
     after = np.array(
         [[LINE_PERMUTATIONS.index(tuple(a[l] for l in b)) for b in LINE_PERMUTATIONS]
          for a in LINE_PERMUTATIONS],
@@ -628,38 +647,125 @@ def _orbit_tables(
     )
     # Conjugation commutes with every line map, and two conjugations cancel.
     compose = np.block([[after, after + _N_PERMS], [after + _N_PERMS, after]])
-    return _Orbits(*_image_tables(symmetries), conj, compose, _relabel_table(gates))
+    relabel = _relabel_table(gates)
+    if masks:
+        # (a, r) o (b, r') = (a o b, rho_a(r') ^ r), where rho_a is the line
+        # map's row permutation; the mask moves no gate.
+        mask, line = np.divmod(np.arange(N_ROWS * _N_SIDS), _N_SIDS)
+        rho = np.array([row_permutation(p) for p in LINE_PERMUTATIONS])[line % _N_PERMS]
+        compose = compose[line[:, None], line] + _N_SIDS * (rho[:, mask] ^ mask[:, None])
+        compose = compose.astype(np.int8)
+        relabel = np.tile(relabel, (N_ROWS, 1))
+    return _Orbits(*_image_tables(symmetries), conj, masks, compose, relabel)
+
+
+def _least_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
+    """Write the least line and conjugation image of each key to ``low``
+    and the sigma id of the first symmetry giving it (0 for the key) to
+    ``sig``.  Each line image y, the key included, is followed by its
+    conjugate y ^ ((y & flags) << 1), which maps every level v to -v mod 4."""
+    np.copyto(low, x)
+    sig.fill(0)
+    image, part, less = np.empty_like(x), np.empty_like(x), np.empty(len(x), dtype=bool)
+    words = x.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
+    for pid, table in [(0, None), *zip(orbits.perm_ids.tolist(), orbits.images)]:
+        offers = []
+        if table is not None:
+            table[0].take(words[:, 0], out=image, mode="clip")
+            for word in (1, 2):
+                image |= table[word].take(words[:, word], out=part, mode="clip")
+            offers.append((image, pid))
+        if orbits.conj:
+            line_image = x if table is None else image
+            np.bitwise_and(line_image, _ALL_FLAGS, out=part)
+            np.left_shift(part, _ONE, out=part)
+            offers.append((np.bitwise_xor(part, line_image, out=part), pid + _N_PERMS))
+        for y, sid in offers:
+            np.less(y, low, out=less)
+            np.copyto(sig, np.int8(sid), where=less)
+            np.minimum(low, y, out=low)
+
+
+@functools.cache
+def _row_class_table() -> np.ndarray:
+    """The classes of two adjacent rows (``<u2``, the first row's in the
+    low byte), indexed by the rows' 12 bits.  A row's class is 4 x its
+    entries not at level 0 + its entries not at level 2; no line map,
+    conjugation or mask changes it.  Measured on an ncv-012 settle, this
+    order leaves 1.27 least-class rows per candidate; the other orders of
+    the two counts leave 1.27-1.95."""
+    bits = np.arange(1 << 12)
+    classes = []
+    for row in (0, 1):
+        levels = [(bits >> bit_offset(row, line)) & 3 for line in range(N_LINES)]
+        classes.append(4 * sum(lv != 0 for lv in levels) + sum(lv != 2 for lv in levels))
+    table = (classes[0] | (classes[1] << 8)).astype("<u2")
+    table.setflags(write=False)
+    return table
+
+
+#: The index of the lowest set bit of each byte value (0 for 0).
+_LOW_BIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
+
+#: (mask bit, its row shift in bits, the bits of the rows whose index lacks it)
+_ROW_SWAPS = tuple(
+    (np.uint8(bit), _U64(6 * bit), _U64(sum(63 << (6 * i) for i in range(N_ROWS) if not i & bit)))
+    for bit in (1, 2, 4)
+)
+
+
+def _xor_rows(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Each key with row i moved from row i ^ m, for the key's mask m: the
+    state its circuit reaches after the input NOT layer N_m."""
+    for bit, shift, rows in _ROW_SWAPS:
+        swapped = (keys & rows) << shift
+        swapped |= (keys >> shift) & rows
+        keys = np.where(masks & bit, swapped, keys)
+    return keys
+
+
+def _mask_canonical(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
+    """``_least_line_image`` under masks too: for each row of least class,
+    the mask that moves it to row 7 (which every line map fixes), then the
+    line and conjugation images; the least of these, and its sigma id."""
+    classes = _row_pair_lookup(x, _row_class_table()).view(np.uint8)
+    least = classes[:, 0].copy()
+    for row in range(1, N_ROWS):
+        np.minimum(least, classes[:, row], out=least)
+    hits = np.zeros(len(x), dtype=np.uint8)  # bit i: row i is of least class
+    for row in range(N_ROWS):
+        hits |= (classes[:, row] == least).view(np.uint8) << np.uint8(row)
+    todo = None
+    while True:
+        masks = _LOW_BIT[hits] ^ np.uint8(N_ROWS - 1)
+        y = _xor_rows(x if todo is None else x[todo], masks)
+        if todo is None:
+            _least_line_image(y, orbits, low, sig)
+            sig[:] = orbits.compose[sig, _N_SIDS * masks]
+        else:
+            y_low, y_sig = np.empty_like(y), np.empty(len(y), dtype=np.int8)
+            _least_line_image(y, orbits, y_low, y_sig)
+            better = y_low < low[todo]
+            low[todo[better]] = y_low[better]
+            sig[todo[better]] = orbits.compose[y_sig[better], _N_SIDS * masks[better]]
+        hits &= hits - np.uint8(1)
+        more = np.flatnonzero(hits)
+        if not len(more):
+            return
+        todo, hits = (more if todo is None else todo[more]), hits[more]
 
 
 def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
-    """The least image of each key under the symmetries, and the sigma id of
-    the first symmetry giving it (0 for the key).  Each line image x, the key
-    included, is followed by its conjugate x ^ ((x & flags) << 1), which
-    maps every level v to -v mod 4.  Works block by block of ``_BLOCK`` keys,
-    in block-sized buffers."""
-    least = keys.copy()
-    sigma = np.zeros(len(keys), dtype=np.int8)
+    """The canonical image of each key and the sigma id of the symmetry
+    giving it: without masks, the least image, from the first symmetry
+    giving it; with masks, the least image whose row 7 holds a row of
+    least class.  Works block by block of ``_BLOCK`` keys."""
+    least = np.empty_like(keys)
+    sigma = np.empty(len(keys), dtype=np.int8)
+    canonicalize = _mask_canonical if orbits.masks else _least_line_image
     for start in range(0, len(keys), _BLOCK):
         block = slice(start, start + _BLOCK)
-        x, low, sig = keys[block], least[block], sigma[block]
-        image, part, less = np.empty_like(x), np.empty_like(x), np.empty(len(x), dtype=bool)
-        words = x.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)
-        for pid, table in [(0, None), *zip(orbits.perm_ids.tolist(), orbits.images)]:
-            offers = []
-            if table is not None:
-                table[0].take(words[:, 0], out=image, mode="clip")
-                for word in (1, 2):
-                    image |= table[word].take(words[:, word], out=part, mode="clip")
-                offers.append((image, pid))
-            if orbits.conj:
-                line_image = x if table is None else image
-                np.bitwise_and(line_image, _ALL_FLAGS, out=part)
-                np.left_shift(part, _ONE, out=part)
-                offers.append((np.bitwise_xor(part, line_image, out=part), pid + _N_PERMS))
-            for y, sid in offers:
-                np.less(y, low, out=less)
-                np.copyto(sig, np.int8(sid), where=less)
-                np.minimum(low, y, out=low)
+        canonicalize(keys[block], orbits, least[block], sigma[block])
     return least, sigma
 
 
@@ -785,10 +891,11 @@ class _Search:
         self.plan, self.orbits, self.pool = plan, orbits, pool
         self.no_repeat = options.no_repeat_placement
         self.span = span
-        self.root = np.array([_identity_key()], dtype=np.uint64)
+        # The root is the identity's canonical key, reached by its sigma.
+        self.root, root_sigma = _canonical(np.array([_identity_key()], dtype=np.uint64), orbits)
         self.pred_parts = [np.array([-1], dtype=np.int32)]
         self.gate_parts = [np.array([255], dtype=np.uint8)]
-        self.sigma_parts = [np.zeros(1, dtype=np.int8)]
+        self.sigma_parts = [root_sigma]
         self.total = 1
         # The settled states a candidate can meet (see the module docstring):
         # each drain's new keys with its bucket cost, and their sorted union.
@@ -950,11 +1057,12 @@ def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndar
 
 def _toward(search: _Search, orders: np.ndarray) -> Iterator[_Drain]:
     """The drains of a target search (see "Target search" in the module
-    docstring), whose target's row orders under the group's relabelings are
-    the rows of ``orders``: the ball around the target grows by the images
-    of each drain's keys, at the drain's cost, until a drain settles a key
-    inside it; from then on the search drops each fresh key that lies on no
-    path to the target of cost at most the meeting bound."""
+    docstring), whose target's row orders under the group's relabelings
+    (and output masks) are the rows of ``orders``: the ball around the
+    target grows by the images of each drain's keys, at the drain's cost,
+    until a drain settles a key inside it; from then on the search drops
+    each fresh key that lies on no path to the target of cost at most the
+    meeting bound."""
     drains = search.drains()
     images = np.unique(_ball_keys(search.root, orders, search.orbits))
     ball = (images, np.zeros(len(images), dtype=np.int64))
@@ -979,6 +1087,24 @@ def _toward(search: _Search, orders: np.ndarray) -> Iterator[_Drain]:
 
     search.keep = keep
     yield from drains
+
+
+@functools.cache
+def _input_masked() -> np.ndarray:
+    """int32 (rank, mask m): the rank of f o N_m, the function i -> f(i ^ m)
+    of the function f of that rank.  Built on first use, read-only."""
+    ranks = rank_tables()
+    table = np.empty((N_FUNCTIONS, N_ROWS), dtype=np.int32)
+    table[:, 0] = np.arange(N_FUNCTIONS)
+    for m in range(1, N_ROWS):
+        low = m & -m
+        if m == low:
+            codes = ranks.outputs[:, np.arange(N_ROWS) ^ m].copy().view(">u8")[:, 0]
+            table[:, m] = ranks.ranks_of_codes(codes.astype(np.uint64))
+        else:  # f o N_m = (f o N_low) o N_(m ^ low)
+            table[:, m] = table[table[:, low], m ^ low]
+    table.setflags(write=False)
+    return table
 
 
 def _run_search(
@@ -1008,7 +1134,14 @@ def _run_search(
         and any(g.kind == "V" for g in gates)
         and bool((pairs[_relabel_table(gates)[_N_PERMS, :n_gates]] == pairs).all())
     )
-    orbits = _orbit_tables(gates, tuple(symmetries), conj)
+    # Input masks join it where every NOT weighs (0, 0): a NOT layer at a
+    # circuit's input then costs nothing and commutes with every gate.
+    not_ids = {g.target: i for i, g in enumerate(gates) if g.kind == "NOT"}
+    masks = (
+        options.settle_relabelings and len(not_ids) == N_LINES
+        and not pairs[list(not_ids.values())].any()
+    )
+    orbits = _orbit_tables(gates, tuple(symmetries), conj, masks)
     if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
     span = max(weights)
@@ -1017,14 +1150,17 @@ def _run_search(
     cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
     secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
     state_of = np.full(N_FUNCTIONS, -1, dtype=np.int32)
-    perm_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
+    sigma_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
     remaining = N_FUNCTIONS
 
-    # Candidate columns per settled function, in recording order: the
-    # function, then its non-identity relabelings in line_symmetries() order.
-    # Conjugation fixes every function and adds no column.
-    sym_ids = orbits.perm_ids.tolist()
-    col_perm = np.array([0, *sym_ids], dtype=np.int8)
+    # Candidate columns per settled function, in recording order: per mask
+    # in the group, 0 first, the function, then its non-identity relabelings
+    # in line_symmetries() order, each then masked.  Conjugation fixes every
+    # function and adds no column.
+    n_masks = N_ROWS if masks else 1
+    col_perm = np.tile(np.array([0, *orbits.perm_ids.tolist()], dtype=np.int8), n_masks)
+    col_mask = np.repeat(np.arange(n_masks, dtype=np.uint8), len(col_perm) // n_masks)
+    col_sigma = col_perm + _N_SIDS * col_mask.astype(np.int8)
     width = len(col_perm)
 
     def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
@@ -1032,28 +1168,30 @@ def _run_search(
         with all their candidate symmetries; the first record of a function
         wins."""
         nonlocal remaining
-        candidates = np.concatenate(
-            [funcs[:, None], ranks.relabeled[funcs[:, None], sym_ids]], axis=1
-        ).ravel()
+        candidates = ranks.relabeled[funcs[:, None], col_perm]
+        if masks:
+            candidates = _input_masked()[candidates, col_mask]
+        candidates = candidates.ravel()
         uniq, first = np.unique(candidates, return_index=True)
         fresh = cost_of[uniq] < 0
         new, first = uniq[fresh], first[fresh]
         row, col = np.divmod(first, width)
         cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]
-        perm_of[new] = col_perm[col]
+        sigma_of[new] = col_sigma[col]
         remaining -= len(new)
 
     def unsettled() -> int:
         """Functions (or the target) not yet recorded."""
         return remaining if target is None else int(cost_of[target] < 0)
 
-    record(np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32), (0, 0))
     with _Pool() as pool:
         search = _Search(_expansion(gates, tuple(weights)), orbits, options, span, pool)
+        record(_ranks_of(search.root), np.zeros(1, dtype=np.int32), (0, 0))
         drains = search.drains()
         if target is not None and unsettled():
-            orders = ranks.outputs[ranks.relabeled[target, col_perm]]
+            # The row orders of N_m o T' for each column's relabeling T'
+            orders = ranks.outputs[ranks.relabeled[target, col_perm]] ^ col_mask[:, None]
             drains = _toward(search, np.unique(orders, axis=0))
         while unsettled():
             cost, keys, gidx = next(drains, (None, None, None))
@@ -1073,24 +1211,29 @@ def _run_search(
 
     held = np.arange(N_FUNCTIONS) if target is None else np.array([target])
     states, rows = np.unique(state_of[held], return_inverse=True)
-    paths, lengths = _extract_paths(
+    paths, lengths, path_sigma = _extract_paths(
         states, np.concatenate(search.pred_parts), np.concatenate(search.gate_parts),
         np.concatenate(search.sigma_parts), orbits,
     )
     lengths = lengths[rows]
-    ids = orbits.relabel[perm_of[held, None], paths[rows]]
+    ids = orbits.relabel[sigma_of[held, None], paths[rows]]
     ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
+    if masks:
+        prefix = orbits.compose[sigma_of[held], path_sigma[rows]] // _N_SIDS
+        nots = np.array([not_ids[line] for line in range(N_LINES)], dtype=np.uint8)
+        ids, lengths = _with_not_prefix(ids, lengths, prefix, nots, n_gates)
     return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], search.total
 
 
 def _extract_paths(
     states: np.ndarray, pred: np.ndarray, gate_ids: np.ndarray,
     sigma: np.ndarray, orbits: _Orbits,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate-id paths from the root to each state, by one pointer walk over
-    all of them: a padded uint8 matrix (a row per state) and the lengths.
-    Each stored gate is mapped through the composition of the sigmas from
-    its own state to the path's end."""
+    all of them: a padded uint8 matrix (a row per state), the lengths, and
+    the composition of each path's sigmas, the root's included.  Each
+    stored gate is mapped through the composition of the sigmas from its
+    own state to the path's end."""
     cur = states.astype(np.int64)
     perm = sigma[cur]
     lengths = np.zeros(len(cur), dtype=np.int32)
@@ -1102,14 +1245,27 @@ def _extract_paths(
         steps.append(np.where(live, orbits.relabel[perm, gate_ids[cur]], 0))
         lengths += live
         cur = np.where(live, pred[cur], 0)
-        perm = orbits.compose[perm, sigma[cur]]
+        perm = np.where(live, orbits.compose[perm, sigma[cur]], perm)
     if not steps:
-        return np.zeros((len(cur), 0), dtype=np.uint8), lengths
+        return np.zeros((len(cur), 0), dtype=np.uint8), lengths, perm
     back = np.stack(steps, axis=1)
     src = lengths[:, None] - 1 - np.arange(back.shape[1])
     paths = np.take_along_axis(back, np.maximum(src, 0), axis=1)
     paths[src < 0] = 0
-    return paths, lengths
+    return paths, lengths, perm
+
+
+def _with_not_prefix(
+    ids: np.ndarray, lengths: np.ndarray, masks: np.ndarray, nots: np.ndarray, pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each witness (a row of ``ids`` padded with ``pad``) after the input
+    NOT layer of its mask: NOT a for mask bit 4, b for 2, c for 1, whose ids
+    are ``nots``."""
+    bits = (masks[:, None] >> np.array([2, 1, 0])) & 1
+    row = np.concatenate([np.where(bits, nots, pad).astype(np.uint8), ids], axis=1)
+    row = np.take_along_axis(row, np.argsort(row == pad, axis=1, kind="stable"), axis=1)
+    lengths = lengths + bits.sum(axis=1, dtype=lengths.dtype)
+    return np.ascontiguousarray(row[:, :lengths.max(initial=0)]), lengths
 
 
 #: Controlled gates as powers of V: V * V = CNOT, V * CNOT = V+, V * V+ = I.

@@ -2,6 +2,7 @@
 
 import contextlib
 import io as stdio
+import json
 import os
 import subprocess
 import sys
@@ -665,6 +666,22 @@ def test_cache_file_of_other_reductions_is_recomputed(
     assert settled == ["ncv-111"] * 4
     assert _synth_all("ncv-111") == expected
     assert settled == ["ncv-111"] * 4
+
+
+def test_cache_file_of_an_older_format_is_recomputed(tmp_path, monkeypatch, ncv012_full):
+    """Format 1 files hold ncv-012 witnesses without the input-NOT prefix: a
+    warm run must not serve other witnesses than a cold one."""
+    calls = []
+    monkeypatch.setattr(search, "settle_all", lambda *a: calls.append(a) or ncv012_full)
+    path, spec = cli.cache_entry(tmp_path, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    old = json.loads(spec)
+    assert old["format"] == cli.CACHE_FORMAT == 2
+    cli.write_cached_table(path, json.dumps({**old, "format": 1}), ncv012_full)
+    table = cli.cached_table(nv.NCV_012, nv.FULL_TOPOLOGY, tmp_path, True)
+    assert len(calls) == 1 and table is ncv012_full
+    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is not None
+    cli.cached_table(nv.NCV_012, nv.FULL_TOPOLOGY, tmp_path, True)
+    assert len(calls) == 1
 
 
 def test_compare_recomputes_a_table_csv_in_place_of_its_cache_file(

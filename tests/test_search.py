@@ -112,6 +112,84 @@ def test_target_search_matches_the_table_on_random_metrics(w_v, w_vplus, extra, 
         assert (cost, circuit) == (table.cost_of(func), table.witness(func)), func
 
 
+def _not_prefix(circuit):
+    """The leading NOT gates of a circuit."""
+    gates = list(circuit)
+    n = next((i for i, g in enumerate(gates) if g.kind != "NOT"), len(gates))
+    return gates[:n]
+
+
+# NOT is free, so the group holds the 8 input masks: each witness begins
+# with the NOT layer of its mask, at most one NOT per line (the root's NOT
+# images are in its orbit, so no path starts with a NOT).
+@settings(max_examples=2, deadline=None)
+@given(
+    w_v=st.integers(1, 3),
+    w_vplus=st.integers(1, 3),
+    w_cnot=st.integers(1, 4),
+    path=st.booleans(),
+    funcs=st.lists(st.permutations(range(8)), min_size=4, max_size=4),
+)
+@example(w_v=1, w_vplus=2, w_cnot=3, path=True, funcs=[list(TOF_FUNC), list(PERES_FUNC)])
+@example(w_v=1, w_vplus=1, w_cnot=4, path=False, funcs=[[7, 6, 5, 4, 3, 2, 1, 0]])
+def test_not_free_witnesses_begin_with_the_input_nots(w_v, w_vplus, w_cnot, path, funcs):
+    metric = CostMetric(0, w_cnot, w_v, w_vplus)
+    topology = nv.PATH_TOPOLOGY if path else nv.FULL_TOPOLOGY
+    table = nv.settle_all(metric, topology)
+    for func in map(tuple, funcs):
+        cost, circuit = nv.synthesize_one(func, metric, topology)
+        assert (cost, circuit) == (table.cost_of(func), table.witness(func)), func
+        prefix = [g.target for g in _not_prefix(circuit)]
+        assert len(prefix) == len(set(prefix)) <= 3, circuit
+        assert nv.check_realizes(circuit, func)
+        assert nv.circuit_cost(circuit, metric) == cost
+
+
+@pytest.mark.parametrize("secondary, not_weight, relabel, masks", [
+    (None, 0, True, True),
+    (nv.NCV_111, 0, True, False),   # NOT weighs (0, 1)
+    (None, 1, True, False),
+    (None, 0, False, False),        # --no-prune-relabel
+])
+def test_input_masks_join_the_group_only_when_every_not_is_free(
+    monkeypatch, secondary, not_weight, relabel, masks
+):
+    seen = []
+    tables = search._orbit_tables
+
+    def spy(*args):
+        seen.append(tables(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(search, "_orbit_tables", spy)
+    options = SearchOptions(settle_relabelings=relabel, max_cost=0)
+    with pytest.raises(BudgetExceeded):
+        nv.settle_all(CostMetric(not_weight, 1, 1, 1), secondary=secondary, options=options)
+    (orbits,) = seen
+    assert orbits.masks is masks
+    assert len(orbits.compose) == (96 if masks else 12)
+
+
+def test_no_drain_at_cost_zero_settles_a_state(monkeypatch):
+    """The root is the identity's canonical key, so the NOT images of the
+    identity, in its orbit, are no fresh states at cost 0 under ncv-012."""
+    settled_at_zero = []
+    drain = search._Search._drain
+
+    def spy(self, cost):
+        settled = drain(self, cost)
+        if cost == (0, 0) and settled is not None:
+            settled_at_zero.append(len(settled[0]))
+        return settled
+
+    monkeypatch.setattr(search._Search, "_drain", spy)
+    for func in [(0, 1, 2, 3, 5, 4, 7, 6), (0, 1, 3, 2, 4, 5, 7, 6), (1, 0, 3, 2, 4, 5, 6, 7)]:
+        assert nv.synthesize_one(func, nv.NCV_012)[0] == 1
+    assert nv.synthesize_one((0, 1, 2, 3, 4, 5, 6, 7), nv.NCV_012)[0] == 0
+    assert nv.settle_all(nv.NCV_012, nv.PATH_TOPOLOGY).states_visited == 118_696
+    assert settled_at_zero == []
+
+
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
 def test_every_witness_is_optimal_and_legal(name, request):
     table = request.getfixturevalue(name)
@@ -337,11 +415,11 @@ def test_target_search_budgets_count_its_states(monkeypatch):
 
 
 # States the target search settles for the five landmarks under ncv-012,
-# whose NOT is free and whose group holds conjugation.  A key outside the
-# target's ball is at least ``reach`` from the target; a bound one or three
-# units larger keeps every witness tried but drops states the search must
-# settle, and shows as fewer states.
-TARGET_SEARCH_STATES = {"full": 5_346, "path": 21_942}
+# whose NOT is free and whose group holds conjugation and the input masks.
+# A key outside the target's ball is at least ``reach`` from the target; a
+# bound one or three units larger keeps every witness tried but drops states
+# the search must settle, and shows as fewer states (718 full, 2,785 path).
+TARGET_SEARCH_STATES = {"full": 760, "path": 3_028}
 
 
 @pytest.mark.parametrize("name", sorted(TARGET_SEARCH_STATES))
@@ -371,17 +449,24 @@ def test_gate_list_without_inverses_rejected():
 
 # states_visited and the SHA-256 of write_table_jsonl, for searches that
 # stress the settled-state window: ncv-012 has a zero-weight NOT (several
-# drains per bucket), ncv-155 a span of 5, custom:1,3,1 switches reduction
-# (1) off, and NCT lex-max pairs carry negative secondaries.  A window too
-# narrow to hold every settled state a candidate can meet settles some
-# states again, which shows as more states.
+# drains per bucket) and input masks in its group, CostMetric(0,3,1,2) the
+# masks without conjugation, ncv-155 a span of 5, custom:1,3,1 switches
+# reduction (1) off, and NCT lex-max pairs carry negative secondaries.  A
+# window too narrow to hold every settled state a candidate can meet settles
+# some states again, which shows as more states.
 WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
     "ncv-111/full": ("ncv111_full", 389_026,
                      "14ceb06726d8d6fec3b2169d78c6cb92ebdee028cd59716c595daf6fcadc3902"),
     "ncv-111/path": ("ncv111_path", 972_976,
                      "4fc99703a221aa32a7d9ad022211a159dea07a2884e616ed0445bc149481365f"),
-    "ncv-012/full": ("ncv012_full", 382_588,
-                     "e311b5dd639337232e92602c10f88ea6290153a9f2d622be0d99bc72dfaae624"),
+    "ncv-012/full": ("ncv012_full", 48_618,
+                     "c51cf023e4bc98681831300ea3ef028f090ee1b8648bbe75284b67d21fba6d74"),
+    "ncv-012/path": ("ncv012_path", 118_696,
+                     "80869dabde60c44ee834b41f778a43a0bee74d880f41d75353b596a4c2a477f8"),
+    "CostMetric(0,3,1,2)/full": (
+        lambda: nv.settle_all(CostMetric(0, 3, 1, 2)), 101_390,
+        "ba84f28698e233378bb64c6001f4f6b2fe5bb3b87d116f93b3fbfb5e611e23c5",
+    ),
     "ncv-155/path": (lambda: nv.settle_all(nv.NCV_155, nv.PATH_TOPOLOGY), 966_568,
                      "3980687a208efa5b2fa10755e2a41549407d9267c3d04387bfa9f9a0766c778e"),
     "custom:1,3,1/full": (lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")), 407_284,
@@ -489,35 +574,74 @@ def _conjugated_state(state):
     return CircuitState(tuple(tuple(-v % 4 for v in row) for row in state.rows))
 
 
+def _masked_state(state, mask):
+    """Scalar reference: row i moves from row i ^ mask, the state after the
+    input NOT layer of ``mask``."""
+    return CircuitState(tuple(state.rows[i ^ mask] for i in range(8)))
+
+
 def _sigma_image(state, sigma):
-    """The image of a state under sigma: conjugation for sigma >= 6, then the
-    line map LINE_PERMUTATIONS[sigma % 6]."""
-    if sigma >= len(LINE_PERMUTATIONS):
+    """The image of a state under sigma: conjugation for sigma % 12 >= 6,
+    then the line map LINE_PERMUTATIONS[sigma % 6], then the mask sigma // 12."""
+    if sigma % 12 >= len(LINE_PERMUTATIONS):
         state = _conjugated_state(state)
-    return _relabeled_state(state, LINE_PERMUTATIONS[sigma % len(LINE_PERMUTATIONS)])
+    state = _relabeled_state(state, LINE_PERMUTATIONS[sigma % len(LINE_PERMUTATIONS)])
+    return _masked_state(state, sigma // 12)
+
+
+def _row_class(row):
+    """4 x the row's entries not at level 0 + its entries not at level 2."""
+    return 4 * sum(v != 0 for v in row) + sum(v != 2 for v in row)
 
 
 @pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
 def test_canonical_key_is_shared_by_every_image(topology):
+    """Every image of a reachable state has one canonical key, which the
+    returned sigma maps the image to: without masks the least image, with
+    them the least image whose row 7 holds a row of least class."""
     rng = np.random.default_rng(11)
     symmetries = topology.line_symmetries()
-    orbits = search._orbit_tables(enumerate_gates(topology, "NCV"), symmetries, True)
-    group = [(perm, conj) for conj in (False, True) for perm in symmetries]
-    for n_gates in list(range(12)) * 4:
-        circuit = nv.random_legal_circuit(rng, n_gates, topology)
-        state = apply_circuit(CircuitState.identity(), circuit)
-        images = []
-        for perm, conj in group:
-            image = _relabeled_state(_conjugated_state(state) if conj else state, perm)
-            moved = nv.relabel_circuit(nv.vswap(circuit) if conj else circuit, perm, topology)
-            assert apply_circuit(CircuitState.identity(), moved) == image
-            images.append(image)
-        keys = np.array([image.pack() for image in images], dtype=np.uint64)
-        canonical, sigma = search._canonical(keys, orbits)
-        assert canonical.tolist() == [int(keys.min())] * len(keys)
-        for key, sid, least in zip(keys.tolist(), sigma.tolist(), canonical.tolist()):
-            assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
-            assert _sigma_image(CircuitState.unpack(key), sid).pack() == least
+    for masks in (False, True):
+        orbits = search._orbit_tables(enumerate_gates(topology, "NCV"), symmetries, True, masks)
+        group = [
+            (perm, conj, mask)
+            for mask in (range(8) if masks else [0])
+            for conj in (False, True) for perm in symmetries
+        ]
+        for n_gates in list(range(12)) * 4:
+            circuit = nv.random_legal_circuit(rng, n_gates, topology)
+            state = apply_circuit(CircuitState.identity(), circuit)
+            images = []
+            for perm, conj, mask in group:
+                image = _masked_state(
+                    _relabeled_state(_conjugated_state(state) if conj else state, perm), mask
+                )
+                nots = tuple(nv.NOT(line) for line in range(3) if mask >> (2 - line) & 1)
+                moved = nv.relabel_circuit(nv.vswap(circuit) if conj else circuit, perm, topology)
+                moved = nv.Circuit(nots + moved.gates)
+                assert apply_circuit(CircuitState.identity(), moved) == image
+                images.append(image)
+            least = min(map(_row_class, state.rows))
+            expected = min(
+                i.pack() for i in images if not masks or _row_class(i.rows[7]) == least
+            )
+            keys = np.array([image.pack() for image in images], dtype=np.uint64)
+            canonical, sigma = search._canonical(keys, orbits)
+            assert canonical.tolist() == [expected] * len(keys)
+            for key, sid in zip(keys.tolist(), sigma.tolist()):
+                assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
+                assert _sigma_image(CircuitState.unpack(key), sid).pack() == expected
+
+
+def test_sigma_ids_compose_like_their_images():
+    """compose[a, b] is the sigma of sigma a after sigma b, masks included."""
+    gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCV")
+    orbits = search._orbit_tables(gates, nv.FULL_TOPOLOGY.line_symmetries(), True, True)
+    state = apply_circuit(CircuitState.identity(), nv.Circuit((nv.V(0, 1), nv.CNOT(2, 0))))
+    for a in range(96):
+        for b in range(0, 96, 5):
+            after = _sigma_image(_sigma_image(state, b), a)
+            assert _sigma_image(state, int(orbits.compose[a, b])) == after
 
 
 # The two facts the target search's ball rests on, on the object model.
