@@ -61,8 +61,8 @@ from .model import (
     vswap,
 )
 from .nct import (
-    NctCostModel,
     settle_all_nct,
+    substituted_weight,
     toffoli_decomposition,
     toffoli_substitute,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
 from .model import CostMetric, Topology, rank_tables
-from .nct import GATE_COUNT, NctCostModel, mode_label, settle_all_nct
+from .nct import GATE_COUNT, settle_all_nct, substituted_weight
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -210,7 +210,7 @@ def _lex_table(
     if table is None:
         return settle_all_nct(mode, metric, topology=topology)
     if (table.library, table.mode, table.metric, table.topology) != (
-        "NCT", mode_label(mode, metric), metric, topology
+        "NCT", mode, metric, topology
     ):
         raise MetricMismatch(
             f"comparison needs the NCT {mode} table of {metric.slug} on the "
@@ -228,9 +228,10 @@ def compare(
 ) -> ComparisonReport:
     """Build the full comparison for one metric.
 
-    ``nct_table`` must be the gate-count table (its witnesses are
-    substituted).  ``lexmin`` and ``lexmax`` are the NCT lex-min and lex-max
-    tables of ``metric`` on its topology; each is settled here if not given.
+    ``nct_table`` must be a gate-count table, settled with any metric or
+    none (its witnesses are substituted).  ``lexmin`` and ``lexmax`` are
+    the NCT lex-min and lex-max tables of ``metric`` on its topology; each
+    is settled here if not given.
     """
     if ncv_table.metric != metric:
         raise MetricMismatch(
@@ -245,8 +246,7 @@ def compare(
     # Array entry i of every table is the function of rank i.
     functions = rank_tables()
     paths = nct_table.witness_paths()
-    cost_model = NctCostModel.for_metric(metric)
-    weights = np.array([cost_model.weight(g) for g in nct_table.gate_list] + [0])
+    weights = np.array([substituted_weight(g, metric) for g in nct_table.gate_list] + [0])
     gc = paths.cost
     sub = weights[paths.gate_ids].sum(axis=1)
     sub_min = lexmin.secondary_array()

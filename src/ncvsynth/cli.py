@@ -15,9 +15,12 @@ and the file rewritten.  Pass ``--no-cache`` to neither read nor write it.
 A run with ``--max-cost`` or ``--max-states`` reads no cache file (it may
 write one), so its budget acts alike cold and warm.
 
-Exit codes: 0 success, 1 verification failure, 2 argument/parse errors,
-3 invalid function, 4 budget exceeded, 5 I/O failure, 6 internal error (a
-failed internal consistency check: a bug in ncvsynth, not in the input).
+Exit codes: 0 success, 1 verification failure (and any other ncvsynth
+error), 2 argument/parse errors, 3 invalid function, 4 budget exceeded, 5
+I/O failure, 6 internal error: a failed internal consistency check, or any
+other exception, printed as ``error: internal error: <TypeName>: <message>``.
+Exit 6 is a bug in ncvsynth, not in the input; no command ends in a
+traceback.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _table_kind(
         return "NCV", gates, [(metric.weight(g), 0) for g in gates], "metric"
     gates = enumerate_gates(topology, "NCT")
     weights = nct.nct_weights(nct_mode, metric, gates)
-    return "NCT", gates, weights, nct.mode_label(nct_mode, metric)
+    return "NCT", gates, weights, nct_mode
 
 
 def cache_entry(
@@ -156,7 +159,10 @@ def cache_entry(
         "no_repeat_placement": options.no_repeat_placement,
         "settle_relabelings": options.settle_relabelings,
     })
-    name = metric.slug if nct_mode is None else "nct-" + mode.replace(":", "-")
+    if nct_mode is None:
+        name = metric.slug
+    else:
+        name = f"nct-{mode}" + (f"-{metric.slug}" if metric is not None else "")
     return cache_dir / f"{name}_{topology.slug}.npz", spec
 
 
@@ -345,6 +351,17 @@ _COMMANDS = {
 }
 
 
+#: Each error type's exit code; the first entry that matches an error wins.
+_EXIT_CODES = (
+    (InvalidFunction, EXIT_BAD_FUNCTION),
+    (BudgetExceeded, EXIT_BUDGET),
+    ((CircuitParseError, ValueError), EXIT_USAGE),
+    (OSError, EXIT_IO),
+    (InternalError, EXIT_INTERNAL),
+    (NcvSynthError, EXIT_FAIL),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -353,24 +370,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except InvalidFunction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FUNCTION
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CircuitParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except NcvSynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -36,11 +36,9 @@ import numpy as np
 
 from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
-from .model import (Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
+from .model import (ARITY, Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
                     rank_tables, validate_permutation)
 from .search import CostView, SynthesisTable
-
-_ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
 
 
 @functools.lru_cache(maxsize=256)
@@ -49,9 +47,9 @@ def parse_gate(text: str) -> Gate:
     once (gates are immutable, so callers share the instance)."""
     parts = text.split()
     kind = parts[0].upper()
-    if kind not in _ARITY:
+    if kind not in ARITY:
         raise CircuitParseError(f"unknown gate kind {parts[0]!r}")
-    if len(parts) != _ARITY[kind] + 2:
+    if len(parts) != ARITY[kind] + 2:
         raise CircuitParseError(f"wrong number of lines for {kind}: {text!r}")
     try:
         lines = tuple(LINE_NAMES.index(p.lower()) for p in parts[1:])

@@ -39,7 +39,9 @@ LINE_NAMES = "abc"
 
 NCV_KINDS = ("NOT", "CNOT", "V", "V+")
 NCT_KINDS = ("NOT", "CNOT", "TOF")
-GATE_KINDS = ("NOT", "CNOT", "V", "V+", "TOF")
+#: Control count of each gate kind, in gate-kind order.
+ARITY = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}
+GATE_KINDS = tuple(ARITY)
 
 #: Additive action of each gate kind on the target level, mod 4.
 KIND_SHIFT = {"NOT": 2, "CNOT": 2, "V": 1, "V+": 3, "TOF": 2}
@@ -79,7 +81,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = {"NOT": 0, "CNOT": 1, "V": 1, "V+": 1, "TOF": 2}[self.kind]
+        arity = ARITY[self.kind]
         if len(self.controls) != arity:
             raise ValueError(f"{self.kind} takes {arity} control(s), got {self.controls}")
         lines = (self.target, *self.controls)

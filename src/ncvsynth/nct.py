@@ -4,7 +4,7 @@ NCT states are purely Boolean, so the same bucket-queue engine settles the
 whole space quickly (12 placed gates: 3 NOT + 6 CNOT + 3 TOF).  Three cost
 modes feed the cross-library comparisons.  Each gives every gate a
 (primary, secondary) weight pair, where w is the gate's substituted cost
-(see :class:`NctCostModel`):
+(see :func:`substituted_weight`):
 
 * ``gate-count``   - weights (1, 0): plain gate count; the table's
                      witnesses are the deterministic first-found optimal
@@ -18,12 +18,12 @@ modes feed the cross-library comparisons.  Each gives every gate a
                      substitution.  ``secondary_of`` is its substituted cost
                      negated.
 
-In every mode ``cost_of`` is the gate count.
+In every mode ``cost_of`` is the gate count.  A table's ``mode`` is its
+cost mode and its ``metric`` the substitution metric it was settled with
+(a gate-count table's weights do not depend on it, and it may be None).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import MetricMismatch
 from .model import (
@@ -63,25 +63,13 @@ def toffoli_substitute(circuit: Circuit) -> Circuit:
     return Circuit(tuple(gates), "NCV")
 
 
-@dataclass(frozen=True)
-class NctCostModel:
-    """Per-gate weights of NCT circuits after substitution into a metric.
-
-    The TOF weight equals the metric cost of the 5-gate decomposition:
-    NCV-111 -> (1, 1, 5), NCV-012 -> (0, 1, 8), NCV-155 -> (1, 5, 25).
-    """
-
-    w_not: int
-    w_cnot: int
-    w_tof: int
-
-    @classmethod
-    def for_metric(cls, metric: CostMetric) -> "NctCostModel":
-        tof = circuit_cost(Circuit(toffoli_decomposition(0, 1, 2)), metric)
-        return cls(metric.w_not, metric.w_cnot, tof)
-
-    def weight(self, gate: Gate) -> int:
-        return {"NOT": self.w_not, "CNOT": self.w_cnot, "TOF": self.w_tof}[gate.kind]
+def substituted_weight(gate: Gate, metric: CostMetric) -> int:
+    """A gate's cost under ``metric`` after Toffoli substitution: a TOF
+    weighs the metric cost of its 5-gate NCV realization (NCV-111: 5,
+    NCV-012: 8, NCV-155: 25), any other gate its own metric weight."""
+    if gate.kind == "TOF":
+        return circuit_cost(Circuit(toffoli_decomposition(*gate.controls, gate.target)), metric)
+    return metric.weight(gate)
 
 
 GATE_COUNT = "gate-count"
@@ -93,17 +81,11 @@ def nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
         return [(1, 0)] * len(gates)
     if metric is None:
         raise MetricMismatch(f"mode {mode!r} needs a substitution metric")
-    sub = NctCostModel.for_metric(metric)
     if mode == "lex-min":
-        return [(1, sub.weight(g)) for g in gates]
+        return [(1, substituted_weight(g, metric)) for g in gates]
     if mode == "lex-max":
-        return [(1, -sub.weight(g)) for g in gates]
+        return [(1, -substituted_weight(g, metric)) for g in gates]
     raise ValueError(f"unknown NCT cost mode {mode!r}")
-
-
-def mode_label(mode: str, metric: CostMetric | None) -> str:
-    """The ``mode`` of the table ``settle_all_nct(mode, metric)`` returns."""
-    return mode if metric is None else f"{mode}:{metric.slug}"
 
 
 def settle_all_nct(
@@ -112,12 +94,12 @@ def settle_all_nct(
     options: SearchOptions | None = None,
     topology: Topology = FULL_TOPOLOGY,
 ) -> SynthesisTable:
-    """Complete optimal NCT table under one of the three cost modes."""
+    """Complete optimal NCT table under one of the three cost modes; the
+    table's ``mode`` is ``mode`` and its ``metric`` is ``metric``."""
     gates = enumerate_gates(topology, "NCT")
     weights = nct_weights(mode, metric, gates)
     return settle_all(
-        metric, topology, options, library="NCT", weights=weights,
-        mode=mode_label(mode, metric),
+        metric, topology, options, library="NCT", weights=weights, mode=mode
     )
 
 

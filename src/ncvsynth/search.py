@@ -29,9 +29,10 @@ the drained bucket; a drain sorts the bucket by key and takes, per key, its
 least position.  That path wins, and within a bucket states settle in
 packed-key order, which makes every witness reproducible.  A drain checks
 that each new state's Boolean projection is a permutation and decodes the
-Boolean states to function ranks through two 4096-entry tables indexed by
-the 12 bits of two adjacent rows (four lookups per key): one gives the
-rows' one-hot occupancy, the other their two code bytes.
+Boolean states to function ranks through 4096-entry tables indexed by the
+12 bits of two adjacent rows (four lookups per key): one gives the rows'
+one-hot occupancy, another their two code bytes (a third gives their
+classes, for the input masks below).
 
 The window holds the keys of the states settled at cost ``cost - span`` or
 more, where ``span`` is the heaviest gate weight (pairs subtract
@@ -39,8 +40,8 @@ componentwise and compare lexicographically); states below it are dropped
 from the probe on each new bucket.  That misses no settled state a
 candidate can meet.  A state's settled cost is its distance from the
 identity: Dijkstra settles distances, and reduction (1) below preserves
-every state's distance under the weights ``_effective_options`` leaves it
-on for.  The gate list holds the inverse of each of its gates (ValueError
+every state's distance under the weights ``_run_search`` leaves it on
+for.  The gate list holds the inverse of each of its gates (ValueError
 otherwise), and the symmetries of reduction (2) map gates to gates of equal
 weight, so the search graph is undirected: if a candidate g(p) of a state p
 settled at cost c was itself settled, at cost d, then c <= d + w(g^-1), so
@@ -513,24 +514,28 @@ _PAIR_SHIFTS = np.array([0, 12, 24, 36], dtype=np.uint64)
 
 
 @functools.cache
-def _row_pair_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Decode tables indexed by the 12 bits of two adjacent rows: the
-    one-hot occupancy of the rows' two Boolean outputs (uint8), and the two
-    outputs as big-endian code bytes, the first row's high (``>u2``).  An
-    output is 4 x line a's Boolean bit + 2 x line b's + line c's.  Built on
-    first use."""
-    bits = np.arange(1 << 12, dtype=np.uint64)
-    outputs = []
-    for row in (0, 1):
-        out = np.zeros_like(bits)
-        for line in range(N_LINES):
-            out = (out << _ONE) | ((bits >> _U64(bit_offset(row, line) + 1)) & _ONE)
-        outputs.append(out)
-    occupancy = ((_ONE << outputs[0]) | (_ONE << outputs[1])).astype(np.uint8)
-    codes = ((outputs[0] << _U64(8)) | outputs[1]).astype(">u2")
-    for table in (occupancy, codes):
+def _row_pair_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode tables indexed by the 12 bits of two adjacent rows, the first
+    row's in the low 6: the one-hot occupancy of the rows' two Boolean
+    outputs (uint8); the two outputs as big-endian code bytes, the first
+    row's high (``>u2``); and the two rows' classes, the first row's in the
+    low byte (``<u2``).  An output is 4 x line a's Boolean bit + 2 x line
+    b's + line c's.  A row's class is 4 x its entries not at level 0 + its
+    entries not at level 2; no line map, conjugation or mask changes it.
+    Measured on an ncv-012 settle, this order leaves 1.27 least-class rows
+    per candidate; the other orders of the two counts leave 1.27-1.95.
+    Built on first use from one pass over the 64 values of a row."""
+    row = np.arange(1 << 6)
+    levels = [(row >> bit_offset(0, line)) & 3 for line in range(N_LINES)]
+    output = sum((lv >> 1) << (N_LINES - 1 - line) for line, lv in enumerate(levels))
+    klass = 4 * sum(lv != 0 for lv in levels) + sum(lv != 2 for lv in levels)
+    second, first = np.divmod(np.arange(1 << 12), 1 << 6)
+    occupancy = ((1 << output[first]) | (1 << output[second])).astype(np.uint8)
+    codes = ((output[first] << 8) | output[second]).astype(">u2")
+    classes = (klass[first] | (klass[second] << 8)).astype("<u2")
+    for table in (occupancy, codes, classes):
         table.setflags(write=False)
-    return occupancy, codes
+    return occupancy, codes, classes
 
 
 def _row_pair_lookup(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -686,24 +691,6 @@ def _least_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.n
             np.minimum(low, y, out=low)
 
 
-@functools.cache
-def _row_class_table() -> np.ndarray:
-    """The classes of two adjacent rows (``<u2``, the first row's in the
-    low byte), indexed by the rows' 12 bits.  A row's class is 4 x its
-    entries not at level 0 + its entries not at level 2; no line map,
-    conjugation or mask changes it.  Measured on an ncv-012 settle, this
-    order leaves 1.27 least-class rows per candidate; the other orders of
-    the two counts leave 1.27-1.95."""
-    bits = np.arange(1 << 12)
-    classes = []
-    for row in (0, 1):
-        levels = [(bits >> bit_offset(row, line)) & 3 for line in range(N_LINES)]
-        classes.append(4 * sum(lv != 0 for lv in levels) + sum(lv != 2 for lv in levels))
-    table = (classes[0] | (classes[1] << 8)).astype("<u2")
-    table.setflags(write=False)
-    return table
-
-
 #: The index of the lowest set bit of each byte value (0 for 0).
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
 
@@ -728,7 +715,7 @@ def _mask_canonical(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.nda
     """``_least_line_image`` under masks too: for each row of least class,
     the mask that moves it to row 7 (which every line map fixes), then the
     line and conjugation images; the least of these, and its sigma id."""
-    classes = _row_pair_lookup(x, _row_class_table()).view(np.uint8)
+    classes = _row_pair_lookup(x, _row_pair_tables()[2]).view(np.uint8)
     least = classes[:, 0].copy()
     for row in range(1, N_ROWS):
         np.minimum(least, classes[:, row], out=least)
@@ -1094,15 +1081,11 @@ def _input_masked() -> np.ndarray:
     """int32 (rank, mask m): the rank of f o N_m, the function i -> f(i ^ m)
     of the function f of that rank.  Built on first use, read-only."""
     ranks = rank_tables()
-    table = np.empty((N_FUNCTIONS, N_ROWS), dtype=np.int32)
-    table[:, 0] = np.arange(N_FUNCTIONS)
-    for m in range(1, N_ROWS):
-        low = m & -m
-        if m == low:
-            codes = ranks.outputs[:, np.arange(N_ROWS) ^ m].copy().view(">u8")[:, 0]
-            table[:, m] = ranks.ranks_of_codes(codes.astype(np.uint64))
-        else:  # f o N_m = (f o N_low) o N_(m ^ low)
-            table[:, m] = table[table[:, low], m ^ low]
+    rows = np.arange(N_ROWS)
+    table = np.stack([
+        ranks.ranks_of_codes(ranks.outputs[:, rows ^ m].copy().view(">u8")[:, 0].astype(np.uint64))
+        for m in range(N_ROWS)
+    ], axis=1)
     table.setflags(write=False)
     return table
 
@@ -1124,6 +1107,7 @@ def _run_search(
     gates = tuple(gates)
     if not _closed_under_inverse(gates):
         raise ValueError("the gate list must hold the inverse of each of its gates")
+    options = _effective_options(options, gates, weights)
     if not options.settle_relabelings:
         symmetries = LINE_PERMUTATIONS[:1]
     n_gates = len(gates)
@@ -1308,18 +1292,24 @@ def settle_all(
     ``metric``-optimal circuits, one of least ``secondary`` cost.
     ``weights`` overrides the per-gate pairs (used by the NCT cost modes);
     with reduction (2) on they must be invariant under the topology's line
-    symmetries (ValueError otherwise), which weights by gate kind are.  The
+    symmetries (ValueError otherwise), which weights by gate kind are.  An
+    NCT library on a topology that places no Toffoli gate is refused with
+    ValueError, as NOT and CNOT reach only the affine functions.  The
     table's ``states_visited`` counts the orbit representatives settled.
     """
     options = options or SearchOptions()
     if not topology.is_connected():
         raise ValueError("topology must be connected for a complete search")
     gates = enumerate_gates(topology, library)
+    if library == "NCT" and not any(g.kind == "TOF" for g in gates):
+        raise ValueError(
+            f"the {topology.slug} topology places no Toffoli gate, and NOT and "
+            "CNOT reach only the affine functions on it"
+        )
     if weights is None:
         weights = [
             (metric.weight(g), secondary.weight(g) if secondary else 0) for g in gates
         ]
-    options = _effective_options(options, gates, weights)
     paths, secondary, total = _run_search(
         gates, weights, topology.line_symmetries(), options
     )
@@ -1342,7 +1332,6 @@ def synthesize_one(
         raise ValueError("topology must be connected")
     gates = enumerate_gates(topology, "NCV")
     weights = [(metric.weight(g), 0) for g in gates]
-    options = _effective_options(options, gates, weights)
     paths, _, _ = _run_search(
         gates, weights, topology.line_symmetries(), options, target=target
     )

@@ -200,6 +200,18 @@ def test_compare_rejects_a_lex_table_of_another_kind(
         nv.compare(nct_gc, ncv012_full, nv.NCV_012, **tables)
 
 
+def test_compare_accepts_a_gate_count_table_settled_with_a_metric(
+    ncv012_full, nct_lex012, comparison_012
+):
+    """A gate-count table's weights are (1, 0) whatever its metric, so one
+    settled with a metric gives the report of the table settled without."""
+    gate_count = nv.settle_all_nct("gate-count", nv.NCV_012)
+    assert (gate_count.mode, gate_count.metric) == ("gate-count", nv.NCV_012)
+    lexmin, lexmax = nct_lex012
+    report = nv.compare(gate_count, ncv012_full, nv.NCV_012, lexmin=lexmin, lexmax=lexmax)
+    assert report == comparison_012
+
+
 def _cost_columns(report):
     return (report.nct_gc, report.nct_sub_cost, report.nct_sub_min,
             report.nct_sub_max, report.ncv_opt_cost)

@@ -10,11 +10,14 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ncvsynth as nv
 from ncvsynth import cli, nct, search
 from ncvsynth import io as nio
 from ncvsynth.cli import main
+from ncvsynth.model import MAX_WEIGHT
 from ncvsynth.nct import toffoli_decomposition
 
 TOF_TEXT = nio.format_circuit(nv.Circuit(toffoli_decomposition(0, 1, 2)))
@@ -742,6 +745,16 @@ def test_internal_error_exits_6(capsys, monkeypatch, warm_cache_dir):
     assert code == 6 and "internal error" in err
 
 
+def test_any_other_exception_exits_6_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def broken_stats(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", broken_stats)
+    code, out, err = run(capsys, "stats", str(tmp_path / "t.csv"))
+    assert (code, out) == (6, "")
+    assert err == "error: internal error: TypeError: unsupported operand\n"
+
+
 def test_seed_option_is_gone(capsys):
     code, out, err = run(capsys, "--seed", "7", "synth", "--function", "0,1,2,3,4,5,6,7")
     assert (code, out) == (2, "") and "error" in err
@@ -769,3 +782,103 @@ def test_compare_under_an_all_zero_metric_writes_nothing_to_stderr(tmp_path):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert "#summary witness pearson=nan " in done.stdout
+
+
+# --------------------------------------------------------------------------
+# Hostile argv: every call ends in a documented exit code 0-5, never in a
+# traceback or in exit 6 (the catch-all for a bug in ncvsynth).  Each call
+# draws at most one hostile field, so that most calls get past the parser.
+
+_INTS = st.one_of(
+    st.integers(-3, 9),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([MAX_WEIGHT - 1, MAX_WEIGHT, MAX_WEIGHT + 1, 2 ** 63, 2 ** 64]),
+).map(str)
+_FUNCTIONS = st.permutations(range(8)).map(lambda f: ",".join(map(str, f)))
+_BAD_FUNCTIONS = st.one_of(
+    st.lists(_INTS, max_size=10).map(",".join),
+    st.text(alphabet="0123456789,- x.", max_size=20),
+)
+_METRICS = st.one_of(
+    st.sampled_from(["ncv-111", "ncv-012", "ncv-155", f"custom:{MAX_WEIGHT},1,1"]),
+    st.lists(st.integers(0, 3).map(str), min_size=3, max_size=3)
+    .map(lambda weights: "custom:" + ",".join(weights)),
+)
+_BAD_METRICS = st.one_of(
+    st.sampled_from(["ncv-999", "", "custom:", f"custom:1,{MAX_WEIGHT + 1},1"]),
+    st.lists(st.one_of(_INTS, st.just("x")), max_size=4)
+    .map(lambda weights: "custom:" + ",".join(weights)),
+)
+_CIRCUITS = st.lists(
+    st.sampled_from(["NOT a", "CNOT a b", "V b c", "V+ c a", "TOF a b c", "# note", ""]),
+    max_size=6,
+).map("\n".join)
+_BAD_CIRCUITS = st.text(alphabet="NOTCVF+abcd #\t\n", max_size=40)
+_TABLES = st.lists(
+    st.tuples(st.one_of(_FUNCTIONS, _BAD_FUNCTIONS), _INTS)
+    .map(lambda row: f'"{row[0]}",{row[1]}'),
+    max_size=4,
+).map(lambda rows: "\n".join(["function,cost", *rows]))
+_BAD_TABLES = st.text(alphabet='0123456789,-"\n functioscx', max_size=60)
+#: Placeholders for the paths of the test's input file, a missing file and
+#: a directory.
+_PATHS = {"file": "<file>", "missing": "<missing>", "directory": "<directory>"}
+
+
+@st.composite
+def _hostile_argv(draw):
+    """(argv, text): a synth, verify or stats call with at most one hostile
+    field, and the text of the file ``<file>``."""
+    command = draw(st.sampled_from(["synth", "verify", "stats"]))
+    fields = {
+        "synth": ["function", "metric", "topology"],
+        "verify": ["path", "circuit", "function", "tol"],
+        "stats": ["path", "table"],
+    }[command]
+    bad = draw(st.sampled_from([None, *fields]))
+
+    def field(name, valid, hostile):
+        return draw(hostile if bad == name else valid)
+
+    if command == "synth":
+        argv = ["synth", "--function", field("function", _FUNCTIONS, _BAD_FUNCTIONS),
+                "--metric", field("metric", _METRICS, _BAD_METRICS),
+                "--topology",
+                field("topology", st.sampled_from(["full", "path"]), st.just("ring")),
+                f"--max-states={draw(st.integers(-(2 ** 70), 50))}"]
+        if draw(st.booleans()):
+            argv.append(f"--max-cost={draw(_INTS)}")
+        argv += draw(st.lists(st.sampled_from(["--no-prune-repeat", "--no-prune-relabel"]),
+                              unique=True))
+        return argv, ""
+    path = field("path", st.just(_PATHS["file"]),
+                 st.sampled_from([_PATHS["missing"], _PATHS["directory"]]))
+    if command == "stats":
+        return ["stats", path], field("table", _TABLES, _BAD_TABLES)
+    argv = ["verify", "--circuit", path,
+            "--function", field("function", _FUNCTIONS, _BAD_FUNCTIONS)]
+    if draw(st.booleans()) or bad == "tol":
+        tol = field("tol", st.sampled_from(["0", "1e-9", "0.5"]),
+                    st.one_of(_INTS, st.sampled_from(["nan", "inf", "-1e-9", "x"])))
+        argv.append(f"--tol={tol}")
+    return argv, field("circuit", _CIRCUITS, _BAD_CIRCUITS)
+
+
+@pytest.fixture(scope="module")
+def hostile_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("hostile")
+    (work / "directory").mkdir()
+    return {placeholder: str(work / name) for name, placeholder in _PATHS.items()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(call=_hostile_argv())
+def test_hostile_calls_exit_0_to_5_without_a_traceback(hostile_paths, call):
+    argv, text = call
+    with open(hostile_paths[_PATHS["file"]], "w") as fh:
+        fh.write(text)
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([hostile_paths.get(arg, arg) for arg in argv])
+    assert 0 <= code <= 5, err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -5,7 +5,7 @@ import pytest
 import ncvsynth as nv
 from ncvsynth import Circuit, NOT, TOF
 from ncvsynth.nct import (
-    NctCostModel,
+    substituted_weight,
     substituted_witness_cost,
     toffoli_decomposition,
     toffoli_substitute,
@@ -21,10 +21,10 @@ WIDE_METRIC = nv.CostMetric.parse("custom:1,300,300")
     [(nv.NCV_111, (1, 1, 5)), (nv.NCV_012, (0, 1, 8)), (nv.NCV_155, (1, 5, 25))],
 )
 def test_cost_model_weights(metric, expected):
-    model = NctCostModel.for_metric(metric)
-    assert (model.w_not, model.w_cnot, model.w_tof) == expected
+    weights = tuple(substituted_weight(g, metric) for g in (NOT(0), nv.CNOT(0, 1), TOF(0, 1, 2)))
+    assert weights == expected
     decomposition = Circuit(toffoli_decomposition(0, 1, 2))
-    assert model.w_tof == nv.circuit_cost(decomposition, metric)
+    assert weights[2] == nv.circuit_cost(decomposition, metric)
 
 
 def test_substitution_realizes_toffoli():
@@ -92,3 +92,14 @@ def test_unknown_mode_rejected():
         nv.settle_all_nct("lex-median", nv.NCV_111)
     with pytest.raises(nv.MetricMismatch):
         nv.settle_all_nct("lex-min", None)
+
+
+def test_nct_library_without_a_toffoli_placement_is_refused():
+    """NOT and CNOT reach only the affine functions, so a search of the NCT
+    library on the path topology, which places no Toffoli gate, could never
+    settle every function."""
+    with pytest.raises(ValueError, match="affine"):
+        nv.settle_all_nct(topology=nv.PATH_TOPOLOGY)
+    gates = nv.enumerate_gates(nv.PATH_TOPOLOGY, "NCT")
+    with pytest.raises(ValueError, match="affine"):
+        nv.settle_all(None, nv.PATH_TOPOLOGY, library="NCT", weights=[(1, 0)] * len(gates))

@@ -427,10 +427,10 @@ def test_target_search_settles_the_pinned_states(name):
     topology = nv.model.TOPOLOGIES[name]
     gates = enumerate_gates(topology, "NCV")
     weights = [(nv.NCV_012.weight(g), 0) for g in gates]
-    options = search._effective_options(SearchOptions(), gates, weights)
     states = sum(
         search._run_search(
-            gates, weights, topology.line_symmetries(), options, target=function_rank(func)
+            gates, weights, topology.line_symmetries(), SearchOptions(),
+            target=function_rank(func),
         )[2]
         for func in LANDMARK_FUNCS
     )
@@ -704,6 +704,19 @@ def test_row_pair_decode_matches_per_row_formula(values):
         code = (code << np.uint64(8)) | out
     assert search._occupancy(keys).tolist() == occupancy.tolist()
     assert search._output_codes(keys).tolist() == code.tolist()
+    classes = search._row_pair_lookup(keys, search._row_pair_tables()[2]).view(np.uint8)
+    rows = [CircuitState.unpack(key).rows for key in values]
+    assert classes.tolist() == [[_row_class(row) for row in key_rows] for key_rows in rows]
+
+
+def test_input_masked_ranks_are_the_masked_functions():
+    """Entry (r, m) is the rank of i -> f(i ^ m) for the function f of rank r."""
+    table = search._input_masked()
+    ranks = np.random.default_rng(5).choice(nv.N_FUNCTIONS, 2_000, replace=False)
+    for rank in ranks.tolist():
+        func = rank_tables().function(rank)
+        expected = [function_rank([func[i ^ m] for i in range(8)]) for m in range(8)]
+        assert table[rank].tolist() == expected
 
 
 def test_boolean_states_of_every_function_decode_to_their_ranks():
