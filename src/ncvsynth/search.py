@@ -45,23 +45,35 @@ for.  The gate list holds the inverse of each of its gates (ValueError
 otherwise), and the symmetries of reduction (2) map gates to gates of equal
 weight, so the search graph is undirected: if a candidate g(p) of a state p
 settled at cost c was itself settled, at cost d, then c <= d + w(g^-1), so
-d >= c - span.  The probe at the candidate's own bucket, of cost c + w(g),
+d >= c - span.  A candidate is probed when it is made, and again at its
+own bucket, of cost c + w(g), if a drain has settled a state since: that
 catches the states settled after it was made, whose costs are at least c.
+A drain whose batches were all made after the latest settle (under
+ncv-111, every drain) skips the probe: the window has since only been
+trimmed, which removes keys, so the probe could find none of them.
 
-Parallel expansion: a frontier of more than ``_CHUNK`` parents is expanded
-in fixed chunks of that many consecutive parents, shared by the searching
-thread and, where the process may use a second CPU, one worker thread (the
-numpy kernels release the GIL).  A chunk makes one batch per gate weight, in
-(parent settle index, gate id) order, and only the searching thread adds
-batches to the buckets, in chunk order.  Every parent of a chunk precedes
-every parent of the next, so the batches a bucket receives from one
-expansion join into the batch an unsplit expansion would make: witnesses,
-costs and states visited do not depend on the chunk size or the number of
-threads.  The worker reads only its chunk, the window's sorted keys (an array
+Parallel expansion and drain: a frontier of more than ``_CHUNK`` parents is
+expanded in fixed chunks of that many consecutive parents, shared by the
+searching thread and, where the process may use a second CPU, one worker
+thread (the numpy kernels release the GIL).  A chunk makes one batch per
+gate weight, in (parent settle index, gate id) order, and only the
+searching thread adds batches to the buckets, in chunk order.  Every parent
+of a chunk precedes every parent of the next, so the batches a bucket
+receives from one expansion join into the batch an unsplit expansion would
+make: witnesses, costs and states visited do not depend on the chunk size
+or the number of threads.  The worker reads only its chunk, the window's sorted keys (an array
 the search replaces, never mutates, and does not replace while chunks run)
 and the read-only orbit and gate tables.  The worker starts at a search's
 first split and stops when the search returns, so none outlives it (a
-process forked later starts its own).
+process forked later starts its own).  A drain of more than ``_CHUNK``
+candidates is cut into one key range per thread, at the window's
+quantiles, so that the bounds depend on the window alone.  Each range, on
+either thread, sorts its candidates, takes each key's least bucket
+position, probes its own slice of the window, and then writes its slice of
+the next window in place: that slice of this window and the range's new
+keys, two sorted runs that a stable sort merges.  The ranges join in key
+order, which is packed-key order, so the states settle with the winners and
+settle indices of an unsplit drain.
 
 Search reductions (each can be switched off):
 
@@ -370,15 +382,9 @@ class CostView(Mapping):
 _U64 = np.uint64
 
 
-def _bool_mask(line: int) -> int:
-    return sum(1 << (bit_offset(r, line) + 1) for r in range(N_ROWS))
-
-def _flag_mask(line: int) -> int:
-    return sum(1 << bit_offset(r, line) for r in range(N_ROWS))
-
-
-_BOOL = tuple(_bool_mask(l) for l in range(N_LINES))
-_FLAG = tuple(_flag_mask(l) for l in range(N_LINES))
+#: Per line, its Boolean bits and its flag bits in every row.
+_BOOL = tuple(sum(1 << (bit_offset(r, l) + 1) for r in range(N_ROWS)) for l in range(N_LINES))
+_FLAG = tuple(sum(1 << bit_offset(r, l) for r in range(N_ROWS)) for l in range(N_LINES))
 _ALL_FLAGS = _U64(_FLAG[0] | _FLAG[1] | _FLAG[2])
 _ONE = _U64(1)
 _ZERO = _U64(0)
@@ -550,8 +556,11 @@ def _row_pair_lookup(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _occupancy(keys: np.ndarray) -> np.ndarray:
-    """uint8 one-hot OR of the 8 rows' Boolean outputs of each key."""
-    return np.bitwise_or.reduce(_row_pair_lookup(keys, _row_pair_tables()[0]), axis=1)
+    """uint8 one-hot OR of the 8 rows' Boolean outputs of each key: its four
+    row pairs' bytes, viewed as one uint32 and folded by two shifts."""
+    folded = _row_pair_lookup(keys, _row_pair_tables()[0]).view(np.uint32)[:, 0]
+    folded |= folded >> 16
+    return (folded | folded >> 8).astype(np.uint8)
 
 
 def _output_codes(keys: np.ndarray) -> np.ndarray:
@@ -760,15 +769,16 @@ def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarra
 # The engine
 
 #: Parents per expansion chunk; a larger frontier is split into chunks of
-#: this many, which the searching thread and the worker share.
+#: this many, which the searching thread and the worker share.  A drain of
+#: more candidates than this is split into key ranges.
 _CHUNK = 8192
 
 
 def _workers() -> int:
-    """Worker threads to expand chunks beside the searching thread: one
-    where this process may use two CPUs or more, else none.  One is the
-    only count measured (on 2 CPUs); each further thread would hold a
-    further chunk's temporaries and malloc arena."""
+    """Worker threads to expand chunks and drain key ranges beside the
+    searching thread: one where this process may use two CPUs or more, else
+    none.  One is the only count measured (on 2 CPUs); each further thread
+    would hold a further chunk's temporaries and malloc arena."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -789,30 +799,18 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return at, sorted_keys.take(at, mode="clip") == keys
 
 
-def _fresh_mask(window_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each key is absent from the sorted ``window_keys``."""
-    return ~_find(window_keys, keys)[1]
-
-
 def _union(keys: np.ndarray, new_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted union of the sorted ``keys`` and the sorted ``new_keys``
     (none of them in ``keys``), and the mask of the union's entries that
-    come from ``keys``.  This is what ``np.insert`` does, without its sort
-    of the already sorted positions and its argument handling: about 2x
-    faster on a few thousand keys, about 10 % on 10^5 and more."""
-    at = np.searchsorted(keys, new_keys)
-    at += np.arange(len(new_keys))
-    union = np.empty(len(keys) + len(new_keys), dtype=keys.dtype)
-    union[at] = new_keys
-    old = np.ones(len(union), dtype=bool)
-    old[at] = False
-    union[old] = keys
-    return union, old
+    come from ``keys``: a stable sort of the two runs, which timsort merges."""
+    both = np.concatenate([keys, new_keys])
+    order = np.argsort(both, kind="stable")
+    return both[order], order < len(keys)
 
 
 class _Pool:
-    """The expansion workers of one search: started at the first split,
-    shut down when the search ends."""
+    """The workers of one search, which expand chunks and drain key ranges:
+    started at the first split, shut down when the search ends."""
 
     def __init__(self) -> None:
         self.workers = _workers()
@@ -830,22 +828,23 @@ class _Pool:
         ``synthesize_one`` calls 70.7 -> 73.6 MiB, an ncv-111/full settle and
         ``verify_witnesses`` 112.3 -> 115.3 MiB, medians of 3 and 6
         processes) at equal settle times."""
-        if self._pool is None and self.workers and len(items) > 1:
-            self._pool = ThreadPoolExecutor(self.workers, "ncvsynth-expand")
+        if not self.workers or len(items) < 2:
+            return [fn(x) for x in items]
+        self._pool = self._pool or ThreadPoolExecutor(self.workers, "ncvsynth-search")
         results = [None] * len(items)
         indices = iter(range(len(items)))
         lock = threading.Lock()
 
-        def drain() -> None:
-            while True:
-                with lock:
-                    i = next(indices, None)
-                if i is None:
-                    return
+        def take() -> int | None:
+            with lock:
+                return next(indices, None)
+
+        def work() -> None:
+            for i in iter(take, None):
                 results[i] = fn(items[i])
 
-        futures = [self._pool.submit(drain) for _ in range(min(self.workers, len(items) - 1))]
-        drain()
+        futures = [self._pool.submit(work) for _ in range(min(self.workers, len(items) - 1))]
+        work()
         for future in futures:
             future.result()
         return results
@@ -872,17 +871,14 @@ class _Search:
     unsettled."""
 
     def __init__(
-        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: Cost,
-        pool: _Pool,
+        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: Cost, pool: _Pool,
     ) -> None:
-        self.plan, self.orbits, self.pool = plan, orbits, pool
+        self.plan, self.orbits, self.pool, self.span = plan, orbits, pool, span
         self.no_repeat = options.no_repeat_placement
-        self.span = span
         # The root is the identity's canonical key, reached by its sigma.
         self.root, root_sigma = _canonical(np.array([_identity_key()], dtype=np.uint64), orbits)
-        self.pred_parts = [np.array([-1], dtype=np.int32)]
-        self.gate_parts = [np.array([255], dtype=np.uint8)]
-        self.sigma_parts = [root_sigma]
+        # Per drain, its states' predecessor settle indices, gate ids and sigmas.
+        self.settled = [(np.array([-1], np.int32), np.array([255], np.uint8), root_sigma)]
         self.total = 1
         # The settled states a candidate can meet (see the module docstring):
         # each drain's new keys with its bucket cost, and their sorted union.
@@ -893,8 +889,7 @@ class _Search:
         self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
 
     def drains(self) -> Iterator[_Drain]:
-        root_plc = np.full(1, 255, dtype=np.uint8)
-        self._expand(self.root, np.zeros(1, dtype=np.int32), root_plc, (0, 0))
+        self._expand(self.root, np.zeros(1, dtype=np.int32), np.full(1, 255, np.uint8), (0, 0))
         while self.heap:
             cost = heapq.heappop(self.heap)
             floor = (cost[0] - self.span[0], cost[1] - self.span[1])
@@ -911,39 +906,70 @@ class _Search:
 
     def _drain(self, cost: Cost) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Settle the fresh keys of the bucket's batches: their keys, settle
-        indices and last placements, or None if no key is fresh."""
-        keys, preds, gids, sigmas = map(np.concatenate, zip(*self.buckets[cost]))
+        indices and last placements, or None if no key is fresh.  A bucket
+        of more than ``_CHUNK`` candidates is cut at the window's quantiles
+        into one key range per thread of the pool; each range settles its
+        keys against its own slice of the window, then merges its new keys
+        into its slice of the next window."""
+        probed, batches = zip(*self.buckets[cost])
         self.buckets[cost] = []
-        # Batches arrive in settle order, each in (parent settle index, gate
-        # id) order, so the tie-break winner among equal-cost paths to a key
-        # is its least bucket position.
-        order = np.argsort(keys)
-        keys_sorted = keys[order]
-        lead = np.empty(len(keys_sorted), dtype=bool)
-        if len(lead):
-            lead[0] = True
-            lead[1:] = keys_sorted[1:] != keys_sorted[:-1]
-        starts = np.flatnonzero(lead)
-        unique_keys = keys_sorted[starts]
-        fresh = np.flatnonzero(_fresh_mask(self.window_keys, unique_keys))
-        if self.keep is not None:
-            fresh = fresh[self.keep(cost, unique_keys[fresh])]
-        if len(fresh) == 0:
+        keys, preds, gids, sigmas = map(np.concatenate, zip(*batches))
+        window = self.window_keys
+        ranges = 1 + self.pool.workers if len(keys) > _CHUNK else 1
+        cuts = [len(window) * i // ranges for i in range(ranges + 1)]
+        edges = [window[c] for c in cuts[1:-1]]
+
+        def settle(i: int) -> tuple[np.ndarray, ...]:
+            # The range's keys: none below its lower edge, the last edge
+            # before it (the first range has none), and none at or above its
+            # upper edge, the first from it on (the last range has none).
+            tests = [keys >= e for e in edges[:i][-1:]] + [keys < e for e in edges[i:][:1]]
+            at = np.flatnonzero(functools.reduce(np.logical_and, tests)) if tests else None
+            part = keys if at is None else keys[at]
+            # Batches arrive in settle order, each in (parent settle index,
+            # gate id) order, so the tie-break winner among equal-cost paths
+            # to a key is its least bucket position.
+            order = np.argsort(part)
+            part = part[order]
+            lead = np.ones(len(part), dtype=bool)
+            np.not_equal(part[1:], part[:-1], out=lead[1:])
+            starts = np.flatnonzero(lead)
+            new, winners = part[starts], np.minimum.reduceat(order, starts)
+            # Each batch was probed when it was made, and only a settle since
+            # then can have put one of its keys in the window.
+            if min(probed) < self.total:
+                fresh = ~_find(window[cuts[i]:cuts[i + 1]], new)[1]
+                new, winners = new[fresh], winners[fresh]
+            if self.keep is not None:
+                kept = self.keep(cost, new)
+                new, winners = new[kept], winners[kept]
+            _assert_projection_permutation(new)
+            winners = winners if at is None else at[winners]
+            return new, preds[winners], gids[winners], sigmas[winners]
+
+        parts = self.pool.map(settle, range(ranges))
+        new_keys, pred, gate, sigma = parts[0] if ranges == 1 else map(np.concatenate, zip(*parts))
+        if not len(new_keys):
             return None
-        new_keys = unique_keys[fresh]
-        winners = np.minimum.reduceat(order, starts)[fresh]
-        new_gate = gids[winners]
-        new_sigma = sigmas[winners]
-        _assert_projection_permutation(new_keys)
+        # Range i's slice of the next window: its slice of this one, then
+        # its new keys, two sorted runs that a stable sort (timsort) merges.
+        merged = np.empty(len(window) + len(new_keys), dtype=np.uint64)
+        sizes = [len(part[0]) for part in parts]
+        ends = [c + n for c, n in zip(cuts, itertools.accumulate([0, *sizes]))]
+
+        def merge(i: int) -> None:
+            out = merged[ends[i]:ends[i + 1]]
+            np.concatenate([window[cuts[i]:cuts[i + 1]], parts[i][0]], out=out)
+            out.sort(kind="stable")
+
+        self.pool.map(merge, range(ranges))
         gidx = np.arange(self.total, self.total + len(new_keys), dtype=np.int32)
-        self.pred_parts.append(preds[winners])
-        self.gate_parts.append(new_gate)
-        self.sigma_parts.append(new_sigma)
+        self.settled.append((pred, gate, sigma))
         self.total += len(new_keys)
         self.window.append((cost, new_keys))
-        self.window_keys = _union(self.window_keys, new_keys)[0]
+        self.window_keys = merged
         # The canonical state's last gate is sigma(gate).
-        plc = self.plan.placement_of_gate[self.orbits.relabel[new_sigma, new_gate]]
+        plc = self.plan.placement_of_gate[self.orbits.relabel[sigma, gate]]
         return new_keys, gidx, plc
 
     def _expand(self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
@@ -959,9 +985,8 @@ class _Search:
         for batches in self.pool.map(run, chunks):
             for new_cost, batch in batches:
                 if new_cost not in self.buckets:
-                    self.buckets[new_cost] = []
                     heapq.heappush(self.heap, new_cost)
-                self.buckets[new_cost].append(batch)
+                self.buckets.setdefault(new_cost, []).append((self.total, batch))
 
     def _expand_chunk(
         self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
@@ -979,7 +1004,7 @@ class _Search:
             return []
         new_keys, sigma = _canonical(raw, self.orbits)
         del raw
-        fresh = np.flatnonzero(_fresh_mask(window_keys, new_keys))
+        fresh = np.flatnonzero(~_find(window_keys, new_keys)[1])
         gids = np.repeat(plan.gate_ids, counts)
         # The candidates of each weight are one run of ``fresh``.
         ends = list(itertools.accumulate(counts))
@@ -1056,7 +1081,7 @@ def _toward(search: _Search, orders: np.ndarray) -> Iterator[_Drain]:
     for cost, keys, gidx in drains:
         yield cost, keys, gidx
         images = np.unique(_ball_keys(keys, orders, search.orbits))
-        ball = _merged(*ball, images[_fresh_mask(ball[0], images)], cost[0])
+        ball = _merged(*ball, images[~_find(ball[0], images)[1]], cost[0])
         bound = _met(*ball, keys, cost[0])
         if bound is not None:
             break
@@ -1196,8 +1221,7 @@ def _run_search(
     held = np.arange(N_FUNCTIONS) if target is None else np.array([target])
     states, rows = np.unique(state_of[held], return_inverse=True)
     paths, lengths, path_sigma = _extract_paths(
-        states, np.concatenate(search.pred_parts), np.concatenate(search.gate_parts),
-        np.concatenate(search.sigma_parts), orbits,
+        states, *map(np.concatenate, zip(*search.settled)), orbits
     )
     lengths = lengths[rows]
     ids = orbits.relabel[sigma_of[held, None], paths[rows]]

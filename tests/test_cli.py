@@ -882,3 +882,99 @@ def test_hostile_calls_exit_0_to_5_without_a_traceback(hostile_paths, call):
         code = main([hostile_paths.get(arg, arg) for arg in argv])
     assert 0 <= code <= 5, err.getvalue()
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# Hostile synth-all and compare calls, on a cache directory prefilled with
+# the session's tables.  A call without a state budget reads its tables
+# from there; a synth-all call with ``--max-states`` (at most 50) reads no
+# cache file and stops within 50 states, so it may draw any metric,
+# reduction flags and cache directory.  No call settles a whole table.
+
+#: The session fixture of each (metric, topology) table in the cache.
+_CACHED = {("ncv-111", "full"): "ncv111_full", ("ncv-111", "path"): "ncv111_path",
+           ("ncv-012", "full"): "ncv012_full", ("ncv-012", "path"): "ncv012_path",
+           ("ncv-155", "full"): "ncv155_full"}
+#: Placeholders of the cache, a new file, and paths where no file can be
+#: written: in a missing directory, under a regular file, and a directory.
+_TABLE_PATHS = {"<cache>": "cache", "<new>": "new.txt", "<in-missing>": "missing/out.txt",
+                "<under-file>": "file/out.txt", "<directory>": "directory"}
+_GOOD_OUT = st.sampled_from([None, "<new>"])
+_BAD_OUT = st.sampled_from(["<in-missing>", "<under-file>", "<directory>"])
+
+
+def _rejected(metric):
+    """Whether the CLI refuses ``metric``: ``_BAD_METRICS`` also draws valid
+    weights such as ``custom:0,0,0``, whose table the cache does not hold."""
+    try:
+        nv.CostMetric.parse(metric)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _hostile_table_argv(draw):
+    """A synth-all or compare call with at most one hostile field."""
+    command = draw(st.sampled_from(["synth-all", "compare"]))
+    outputs = ["out", "circuits"] if command == "synth-all" else ["out"]
+    bad = draw(st.sampled_from([None, "metric", *outputs]))
+    budget = command == "synth-all" and draw(st.booleans())
+    if command == "compare":  # the cache holds the NCT tables of ncv-012
+        metric, topology = "ncv-012", None
+    elif budget:
+        metric, topology = draw(_METRICS), draw(st.sampled_from(["full", "path"]))
+    else:
+        metric, topology = draw(st.sampled_from(sorted(_CACHED)))
+    if bad == "metric":
+        metric = draw(_BAD_METRICS.filter(_rejected))
+    argv = [command, "--metric", metric]
+    argv += ["--topology", topology] if topology else []
+    cache = "<cache>"
+    if budget:
+        cache = draw(st.sampled_from([cache, "<in-missing>", "<under-file>", "<directory>"]))
+    argv += ["--cache-dir", cache]
+    for option in outputs:
+        path = draw(_BAD_OUT if bad == option else _GOOD_OUT)
+        argv += [f"--{option}", path] if path else []
+    if budget:
+        argv.append(f"--max-states={draw(st.integers(-(2 ** 70), 50))}")
+        argv += draw(st.lists(
+            st.sampled_from(["--no-prune-repeat", "--no-prune-relabel", "--no-cache"]), unique=True
+        ))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def table_call_paths(tmp_path_factory, request, nct_gc, nct_lex012):
+    work = tmp_path_factory.mktemp("hostile-tables")
+    (work / "file").write_text("")
+    (work / "directory").mkdir()
+    cache = work / "cache"
+    _seed_ncv_tables(cache, *map(request.getfixturevalue, _CACHED.values()))
+    for mode, metric, table in [(nct.GATE_COUNT, None, nct_gc),
+                                ("lex-min", nv.NCV_012, nct_lex012[0]),
+                                ("lex-max", nv.NCV_012, nct_lex012[1])]:
+        cli.write_cached_table(
+            *cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY, nv.SearchOptions(), mode), table
+        )
+    return {placeholder: str(work / name) for placeholder, name in _TABLE_PATHS.items()}
+
+
+_run_search = search._run_search
+
+
+def _budgeted_search(gates, weights, symmetries, options, target=None):
+    assert options.max_states is not None, "a call settled a table the cache holds"
+    return _run_search(gates, weights, symmetries, options, target)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_hostile_table_argv())
+def test_hostile_table_calls_exit_0_to_5_without_a_traceback(table_call_paths, argv):
+    out, err = stdio.StringIO(), stdio.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_run_search", _budgeted_search)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([table_call_paths.get(arg, arg) for arg in argv])
+    assert 0 <= code <= 5, err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()

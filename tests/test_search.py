@@ -480,14 +480,32 @@ WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
 }
 
 
+def _pin(table):
+    """(states_visited, SHA-256 of write_table_jsonl), as WINDOW_TABLES pins."""
+    buf = stdio.StringIO()
+    nio.write_table_jsonl(table, buf)
+    return table.states_visited, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(WINDOW_TABLES))
 def test_window_settles_each_state_once(name, request):
     settle, states, digest = WINDOW_TABLES[name]
     table = request.getfixturevalue(settle) if isinstance(settle, str) else settle()
-    buf = stdio.StringIO()
-    nio.write_table_jsonl(table, buf)
-    assert table.states_visited == states
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    assert _pin(table) == (states, digest)
+
+
+_KEY_SETS = st.sets(st.integers(0, 2 ** 64 - 1), max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_KEY_SETS, _KEY_SETS)
+@example(set(), {5, 0, 2 ** 64 - 1})
+@example({7, 3}, set())
+def test_union_merges_two_sorted_runs(keys, new_keys):
+    keys, new_keys = (np.array(sorted(s), dtype=np.uint64) for s in (keys, new_keys - keys))
+    union, old = search._union(keys, new_keys)
+    assert union.dtype == np.uint64 and np.array_equal(union, np.union1d(keys, new_keys))
+    assert np.array_equal(old, np.isin(union, keys))
 
 
 def test_disconnected_topology_rejected():
@@ -802,34 +820,51 @@ def _thread_counts(monkeypatch):
     return counts
 
 
-SPLIT_SETTLES = {  # name: (session fixture, metric, topology)
-    "ncv-012/full": ("ncv012_full", nv.NCV_012, nv.FULL_TOPOLOGY),
-    "ncv-111/path": ("ncv111_path", nv.NCV_111, nv.PATH_TOPOLOGY),
+def _drain_ranges(monkeypatch):
+    """Record the number of key ranges of every drain."""
+    ranges = []
+    pool_map = search._Pool.map
+
+    def spy(self, fn, items):
+        if fn.__name__ == "settle":
+            ranges.append(len(items))
+        return pool_map(self, fn, items)
+
+    monkeypatch.setattr(search._Pool, "map", spy)
+    return ranges
+
+
+SPLIT_SETTLES = {  # WINDOW_TABLES name: (metric, topology)
+    "ncv-012/full": (nv.NCV_012, nv.FULL_TOPOLOGY),
+    "ncv-111/path": (nv.NCV_111, nv.PATH_TOPOLOGY),
+    "custom:1,3,1/full": (CostMetric.parse("custom:1,3,1"), nv.FULL_TOPOLOGY),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_SETTLES))
-def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(
-    name, request, monkeypatch
-):
-    """Chunks of 64 parents on three worker threads, switching threads
-    often: a batch lost or merged out of chunk order would change a
-    witness or ``states_visited``.  ncv-012's zero-weight NOT re-enters the
-    bucket being drained."""
-    fixture, metric, topology = SPLIT_SETTLES[name]
-    default = request.getfixturevalue(fixture)
+def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, monkeypatch):
+    """Chunks of 64 parents on three worker threads, and drains of more
+    than 64 candidates cut into four key ranges, switching threads often: a
+    batch lost or merged out of chunk order, or a range's winner, key or
+    window slice lost, would change a witness or ``states_visited``.
+    ncv-012's zero-weight NOT re-enters the bucket being drained, and
+    custom:1,3,1's weights of 1 and 3 fill a bucket from several drains, so
+    that its older batches are probed again."""
+    metric, topology = SPLIT_SETTLES[name]
     before = threading.active_count()
     monkeypatch.setattr(search, "_CHUNK", 64)
     monkeypatch.setattr(search, "_workers", lambda: 3)
     counts = _thread_counts(monkeypatch)
+    ranges = _drain_ranges(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         table = nv.settle_all(metric, topology)
     finally:
         sys.setswitchinterval(interval)
-    assert _same_table(table, default)
+    assert _pin(table) == WINDOW_TABLES[name][1:]
     assert max(counts) > before and threading.active_count() == before
+    assert max(ranges) == 4
 
 
 def test_small_chunks_synthesize_the_same_circuits(monkeypatch):
