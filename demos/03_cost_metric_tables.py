@@ -33,6 +33,6 @@ print("distinct V+V+ totals over all ncv-111 witnesses:", sorted(v_totals))
 # ncv-111 circuits contains circuits optimal under ncv-012 as well.
 lex = nv.settle_all(nv.NCV_111, secondary=nv.NCV_012)
 t012 = nv.settle_all(nv.NCV_012)
-agree = sum(1 for f in lex.functions() if lex.secondary_of(f) == t012.costs[f])
+agree = sum(1 for f in lex.functions() if lex.secondary_of(f) == t012.cost_of(f))
 print(f"functions whose ncv-111-optimal circuit set attains the ncv-012 "
       f"optimum: {agree} / {nv.N_FUNCTIONS}")

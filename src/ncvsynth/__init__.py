@@ -13,7 +13,6 @@ from .analysis import (
     ComparisonStats,
     CostHistogram,
     compare,
-    compare_costs,
     histogram,
 )
 from .errors import (
@@ -27,7 +26,6 @@ from .errors import (
     NcvSynthError,
     QuantumControl,
     TopologyViolation,
-    UnknownState,
 )
 from .model import (
     CNOT,
@@ -42,7 +40,6 @@ from .model import (
     NCV_155,
     NOT,
     PATH_TOPOLOGY,
-    QuaternaryValue,
     TOF,
     TOPOLOGIES,
     Topology,
@@ -55,7 +52,6 @@ from .model import (
     invert_circuit,
     invert_function,
     realized_function,
-    relabel,
     relabel_circuit,
     relabel_function,
     vswap,
@@ -72,7 +68,6 @@ from .search import (
     SynthesisTable,
     WitnessPaths,
     exhaustive_oracle,
-    reconstruct_circuit,
     settle_all,
     synthesize_one,
 )
@@ -82,7 +77,6 @@ from .verify import (
     circuit_unitary,
     gate_unitary,
     permutation_matrix,
-    random_legal_circuit,
     verify_witnesses,
 )
 

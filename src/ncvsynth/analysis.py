@@ -49,11 +49,6 @@ class CostHistogram:
             raise IncompleteTable(f"expected {expect_total} entries, got {len(costs)}")
         return _count(costs)
 
-    def as_row(self, max_cost: int | None = None) -> tuple[int, ...]:
-        """Counts for costs 0..max_cost (defaults to the largest seen)."""
-        top = max(self.counts) if max_cost is None else max_cost
-        return tuple(self.counts.get(c, 0) for c in range(top + 1))
-
     @property
     def weighted_average_text(self) -> str:
         return render_4dp(self.weighted_average)
@@ -69,7 +64,7 @@ def _count(costs: np.ndarray) -> CostHistogram:
 
 
 def histogram(table: SynthesisTable) -> CostHistogram:
-    return _count(table.cost_array())
+    return _count(table.costs)
 
 
 # --------------------------------------------------------------------------
@@ -86,26 +81,15 @@ class ComparisonStats:
     equal_count: int
 
 
-def compare_costs(xs: Mapping, ys: Mapping) -> ComparisonStats:
-    """Pearson correlation, mean/max of x/y (y > 0 only), and #(x == y).
-
-    Functions with y == 0 (the identity, and the free NOT class under a
-    zero-weight NOT metric) are excluded from the ratio statistics.
-    """
-    funcs = sorted(ys)
-    if sorted(xs) != funcs:
-        raise MetricMismatch("cost tables cover different function sets")
-    x = np.array([xs[f] for f in funcs], dtype=np.int64)
-    y = np.array([ys[f] for f in funcs], dtype=np.int64)
-    return _comparison_stats(x, y, funcs.__getitem__)
-
-
 def _comparison_stats(
     x: np.ndarray, y: np.ndarray, function_of: Callable[[int], Sequence]
 ) -> ComparisonStats:
-    """``compare_costs`` over aligned integer arrays; ``function_of(i)`` names
-    entry i.  The ratios are exact, summed once per distinct (x, y) pair, and
-    the max-ratio function is the first entry attaining the maximum."""
+    """Pearson correlation, mean and max of x/y, and #(x == y), over two
+    aligned integer cost arrays; ``function_of(i)`` names entry i.  Entries
+    with y == 0 (the identity, and the free NOT class under a zero-weight
+    NOT metric) are left out of the ratios.  The ratios are exact, summed
+    once per distinct (x, y) pair, and the max-ratio function is the first
+    entry attaining the maximum."""
     # r is undefined (nan) where a column is constant, as every cost is under
     # custom:0,0,0; numpy would warn as it divides by the zero deviation.
     defined = len(x) and x.min() < x.max() and y.min() < y.max()
@@ -251,10 +235,10 @@ def compare(
     sub = weights[paths.gate_ids].sum(axis=1)
     sub_min = lexmin.secondary_array()
     sub_max = -lexmax.secondary_array()
-    y = ncv_table.cost_array()
+    y = ncv_table.costs
 
     inconsistent = (sub_min > sub) | (sub > sub_max) | (sub_min < y)
-    bad = np.flatnonzero(inconsistent | (lexmin.cost_array() != gc))
+    bad = np.flatnonzero(inconsistent | (lexmin.costs != gc))
     if len(bad):
         first = int(bad[0])
         if inconsistent[first]:

@@ -287,7 +287,7 @@ def cmd_synth_all(args: argparse.Namespace) -> int:
     sys.stdout.write(io.histogram_text(analysis.histogram(table)))
     if args.out is not None:
         with args.out.open("w", newline="") as fh:
-            io.write_table_csv(table.cost_array(), fh)
+            io.write_table_csv(table.costs, fh)
         print(f"table written to {args.out}")
     if args.circuits is not None:
         with args.circuits.open("w") as fh:

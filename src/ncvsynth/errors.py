@@ -26,11 +26,6 @@ class BudgetExceeded(NcvSynthError):
     """An optional cost or state-count ceiling was hit before completion."""
 
 
-class UnknownState(NcvSynthError):
-    """Circuit reconstruction was requested for a state whose witness is not
-    kept (a non-Boolean search state)."""
-
-
 class IncompleteTable(NcvSynthError):
     """A cost mapping does not cover all 40,320 functions."""
 

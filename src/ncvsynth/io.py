@@ -17,18 +17,17 @@ writer emits its rows in rank order, which is sorted order, so identical
 tables serialize byte-for-byte identically; it formats them block by block
 from rank-ordered arrays and one cached table of the 40,320 function texts
 (built on first use, never at import).  A table crosses this boundary as
-rank arrays only: ``write_table_csv`` takes a cost array by rank (or a
-table's ``costs`` view, written from its cost array), and
-``read_table_csv`` returns the ranks and costs of the rows as int64
-arrays, mapping each function field to its rank through that table's
-text→rank map and rejecting a function that appears in more than one row.
+rank arrays only: ``write_table_csv`` takes a cost array by rank, such as
+a table's ``costs``, and ``read_table_csv`` returns the ranks and costs of
+the rows as int64 arrays, mapping each function field to its rank through
+that table's text→rank map and rejecting a function that appears in more
+than one row.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io as _stdio
 import json
 from fractions import Fraction
 
@@ -38,7 +37,7 @@ from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
 from .model import (ARITY, Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
                     rank_tables, validate_permutation)
-from .search import CostView, SynthesisTable
+from .search import SynthesisTable
 
 
 @functools.lru_cache(maxsize=256)
@@ -121,13 +120,10 @@ def _function_ranks() -> dict[str, int]:
     return dict(zip(_function_texts().tolist(), range(N_FUNCTIONS)))
 
 
-def write_table_csv(costs: CostView | np.ndarray, stream) -> None:
+def write_table_csv(costs: np.ndarray, stream) -> None:
     """Header ``function,cost``, then one row per function in rank (sorted)
     order, written block by block.  ``costs`` is every function's cost by
-    rank, such as ``table.cost_array()``, or a table's ``costs`` view, which
-    is written from its cost array.  ValueError for any other shape."""
-    if isinstance(costs, CostView):
-        costs = costs.cost_array()
+    rank, such as ``table.costs``.  ValueError for any other shape."""
     costs = np.asarray(costs)
     if costs.shape != (N_FUNCTIONS,):
         raise ValueError(f"expected {N_FUNCTIONS} costs by rank, got shape {costs.shape}")
@@ -139,12 +135,6 @@ def write_table_csv(costs: CostView | np.ndarray, stream) -> None:
             f'"{text}",{cost}\n'
             for text, cost in zip(texts[block].tolist(), costs[block].tolist())
         ]))
-
-
-def table_csv_text(costs: CostView | np.ndarray) -> str:
-    buf = _stdio.StringIO()
-    write_table_csv(costs, buf)
-    return buf.getvalue()
 
 
 def read_table_csv(stream) -> tuple[np.ndarray, np.ndarray]:
@@ -227,13 +217,6 @@ def read_table_jsonl(stream) -> dict[tuple[int, ...], tuple[int, Circuit]]:
 
 # --------------------------------------------------------------------------
 # Histograms and comparisons
-
-def write_histogram_csv(hist: CostHistogram, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["cost", "count"])
-    for cost in sorted(hist.counts):
-        writer.writerow([cost, hist.counts[cost]])
-
 
 def histogram_text(hist: CostHistogram) -> str:
     """Human-readable histogram block with the weighted average."""

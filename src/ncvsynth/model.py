@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,25 +44,6 @@ GATE_KINDS = tuple(ARITY)
 
 #: Additive action of each gate kind on the target level, mod 4.
 KIND_SHIFT = {"NOT": 2, "CNOT": 2, "V": 1, "V+": 3, "TOF": 2}
-
-
-class QuaternaryValue(IntEnum):
-    """The four line values of the restricted model, encoded as Z4 levels."""
-
-    ZERO = 0
-    V = 1
-    ONE = 2
-    V_PLUS = 3
-
-    @property
-    def boolean(self) -> int:
-        """Boolean projection (high bit of the level)."""
-        return self.value >> 1
-
-    @property
-    def quantum_flag(self) -> int:
-        """1 when the value is non-Boolean (low bit of the level)."""
-        return self.value & 1
 
 
 @dataclass(frozen=True)
@@ -342,14 +322,6 @@ class CircuitState:
             rows.append((2 * ((i >> 2) & 1), 2 * ((i >> 1) & 1), 2 * (i & 1)))
         return cls(tuple(rows))
 
-    @classmethod
-    def from_permutation(cls, perm: Sequence[int]) -> "CircuitState":
-        perm = validate_permutation(perm)
-        rows = []
-        for out in perm:
-            rows.append((2 * ((out >> 2) & 1), 2 * ((out >> 1) & 1), 2 * (out & 1)))
-        return cls(tuple(rows))
-
     @property
     def is_boolean(self) -> bool:
         return all(v & 1 == 0 for row in self.rows for v in row)
@@ -525,13 +497,6 @@ def relabel_circuit(
             raise TopologyViolation(f"{new} uses a pair outside {topology.slug}")
         gates.append(new)
     return Circuit(tuple(gates), circuit.library)
-
-
-def relabel(obj, perm: LinePerm, topology: Topology = FULL_TOPOLOGY):
-    """Relabel a Circuit or a function (sequence of 8 outputs) alike."""
-    if isinstance(obj, Circuit):
-        return relabel_circuit(obj, perm, topology)
-    return relabel_function(obj, perm)
 
 
 # --------------------------------------------------------------------------

@@ -101,10 +101,3 @@ def settle_all_nct(
     return settle_all(
         metric, topology, options, library="NCT", weights=weights, mode=mode
     )
-
-
-def substituted_witness_cost(
-    table: SynthesisTable, func, metric: CostMetric
-) -> int:
-    """Metric cost of the table's witness after Toffoli substitution."""
-    return circuit_cost(toffoli_substitute(table.witness(func)), metric)

@@ -132,9 +132,10 @@ dropped.
 
 A table holds every function: row i of each of its arrays is the function
 of rank i.  The arrays are the ``witness_paths`` (primary cost, padded
-gate-id matrix, lengths) and the secondary costs.  ``witness`` reads one row
-of the matrix; bulk consumers (the JSONL writer, ``analysis.compare``, the
-CLI's cache) read the whole matrix without building a Circuit per function.
+gate-id matrix, lengths) and the secondary costs; ``costs`` is the primary
+cost array.  ``witness`` reads one row of the matrix; bulk consumers (the
+JSONL writer, ``analysis.compare``, the CLI's cache) read the whole matrix
+without building a Circuit per function.
 ``synthesize_one`` builds no table: it reads its circuit from the one row
 the search returns for its target.
 
@@ -181,20 +182,13 @@ import heapq
 import itertools
 import os
 import threading
-from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InternalError,
-    InvalidFunction,
-    QuantumControl,
-    UnknownState,
-)
+from .errors import BudgetExceeded, InternalError, QuantumControl
 from .model import (
     Circuit,
     CircuitState,
@@ -313,12 +307,9 @@ class SynthesisTable:
         return map(tuple, rank_tables().outputs.tolist())
 
     @property
-    def costs(self) -> Mapping[tuple[int, ...], int]:
-        """``cost_of`` as a read-only mapping, iterated in rank order."""
-        return CostView(self)
-
-    def cost_array(self) -> np.ndarray:
-        """``cost_of`` every function, in rank order."""
+    def costs(self) -> np.ndarray:
+        """``cost_of`` every function, in rank order: the read-only int64
+        cost array of ``witness_paths``."""
         return self._paths.cost
 
     def secondary_array(self) -> np.ndarray:
@@ -343,37 +334,6 @@ class SynthesisTable:
         """The witness of every function as gate ids, in rank order
         (read-only)."""
         return self._paths
-
-
-class CostView(Mapping):
-    """A table's costs as a read-only mapping from function to cost, in
-    rank order (which is sorted order), holding no copy of them.  A lookup
-    ranks its key; ``items`` and ``values`` are iterators over the cost
-    array, which ``cost_array`` returns."""
-
-    def __init__(self, table: SynthesisTable) -> None:
-        self._table = table
-
-    def cost_array(self) -> np.ndarray:
-        return self._table.cost_array()
-
-    def __getitem__(self, func: Sequence[int]) -> int:
-        try:
-            return self._table.cost_of(func)
-        except InvalidFunction:
-            raise KeyError(func) from None
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return self._table.functions()
-
-    def __len__(self) -> int:
-        return N_FUNCTIONS
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return zip(self._table.functions(), self._table.cost_array().tolist())
-
-    def values(self) -> Iterator[int]:
-        return iter(self._table.cost_array().tolist())
 
 
 # --------------------------------------------------------------------------
@@ -799,15 +759,6 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return at, sorted_keys.take(at, mode="clip") == keys
 
 
-def _union(keys: np.ndarray, new_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of the sorted ``keys`` and the sorted ``new_keys``
-    (none of them in ``keys``), and the mask of the union's entries that
-    come from ``keys``: a stable sort of the two runs, which timsort merges."""
-    both = np.concatenate([keys, new_keys])
-    order = np.argsort(both, kind="stable")
-    return both[order], order < len(keys)
-
-
 class _Pool:
     """The workers of one search, which expand chunks and drain key ranges:
     started at the first split, shut down when the search ends."""
@@ -1035,11 +986,13 @@ def _merged(
     keys: np.ndarray, costs: np.ndarray, new_keys: np.ndarray, cost: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted ``keys`` and their ``costs`` with the sorted ``new_keys``
-    (none of them in ``keys``) added at ``cost``."""
-    union, old = _union(keys, new_keys)
-    union_costs = np.full(len(union), cost)
-    union_costs[old] = costs
-    return union, union_costs
+    (none of them in ``keys``) added at ``cost``: a stable sort of the two
+    runs, which timsort merges."""
+    both = np.concatenate([keys, new_keys])
+    order = np.argsort(both, kind="stable")
+    union_costs = np.full(len(both), cost)
+    union_costs[order < len(keys)] = costs
+    return both[order], union_costs
 
 
 #: Bit offset of each of a packed key's rows (six bits each).
@@ -1360,19 +1313,6 @@ def synthesize_one(
         gates, weights, topology.line_symmetries(), options, target=target
     )
     return int(paths.cost[0]), _row_circuit(paths, 0, gates, "NCV")
-
-
-def reconstruct_circuit(table: SynthesisTable, state_key: int) -> Circuit:
-    """Witness circuit for a settled Boolean state given as a packed key.
-
-    Witnesses are retained per realized function; intermediate non-Boolean
-    search states are released once the table is built, so only Boolean keys
-    can be reconstructed.
-    """
-    state = CircuitState.unpack(state_key)
-    if not state.is_boolean:
-        raise UnknownState("key does not denote a settled Boolean state")
-    return table.witness(state.permutation())
 
 
 def exhaustive_oracle(

@@ -98,15 +98,18 @@ def check_realizes(
     circuit: Circuit, func: Sequence[int], tol: float = DEFAULT_TOL
 ) -> bool:
     """True iff the circuit's unitary equals the function's permutation matrix
-    entrywise within ``tol``."""
-    diff = circuit_unitary(circuit) - permutation_matrix(func)
-    return float(np.max(np.abs(diff))) <= tol
+    entrywise within ``tol`` (see ``first_mismatch``)."""
+    return first_mismatch(circuit, func, tol) is None
 
 
 def first_mismatch(
     circuit: Circuit, func: Sequence[int], tol: float = DEFAULT_TOL
 ) -> tuple[int, int, complex, complex] | None:
-    """First offending matrix entry (row, col, got, expected), or None."""
+    """First offending matrix entry (row, col, got, expected), or None.
+    ValueError unless ``tol`` is a finite number >= 0: nan would accept no
+    circuit and inf every one."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, not {tol}")
     u = circuit_unitary(circuit)
     p = permutation_matrix(func)
     bad = np.argwhere(np.abs(u - p) > tol)
@@ -149,7 +152,7 @@ def check_model_consistency(circuit: Circuit, tol: float = DEFAULT_TOL) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Batch verification and random regression circuits
+# Batch verification
 
 @functools.cache
 def _gate_index(topology: Topology) -> tuple[dict[Gate, int], np.ndarray, np.ndarray]:
@@ -274,26 +277,3 @@ def _first_failure(
                 return int(ending[np.argmin(ok)])
     return None
 
-
-def random_legal_circuit(
-    rng: np.random.Generator,
-    n_gates: int,
-    topology: Topology = FULL_TOPOLOGY,
-) -> Circuit:
-    """Uniform random walk over gates that are applicable at each step.
-
-    Used by the seeded consistency regression; every prefix respects the
-    Boolean-control restriction by construction.
-    """
-    pool = enumerate_gates(topology, "NCV")
-    state = CircuitState.identity()
-    gates = []
-    while len(gates) < n_gates:
-        candidates = []
-        for g in pool:
-            if all(state.rows[r][c] & 1 == 0 for c in g.controls for r in range(N_ROWS)):
-                candidates.append(g)
-        gate = candidates[int(rng.integers(len(candidates)))]
-        state = apply_gate(state, gate)
-        gates.append(gate)
-    return Circuit(tuple(gates))

@@ -1,0 +1,65 @@
+"""Test fixtures and references built on the public API: random legal
+circuits, the Boolean state of a function, a witness's substituted cost and
+a table's CSV text."""
+
+import io as stdio
+
+import numpy as np
+
+from ncvsynth import io as nio
+from ncvsynth.model import (
+    Circuit,
+    CircuitState,
+    CostMetric,
+    FULL_TOPOLOGY,
+    N_ROWS,
+    Topology,
+    apply_gate,
+    circuit_cost,
+    enumerate_gates,
+    validate_permutation,
+)
+from ncvsynth.nct import toffoli_substitute
+
+
+def random_legal_circuit(
+    rng: np.random.Generator,
+    n_gates: int,
+    topology: Topology = FULL_TOPOLOGY,
+) -> Circuit:
+    """Uniform random walk over gates that are applicable at each step.
+
+    Used by the seeded consistency regression; every prefix respects the
+    Boolean-control restriction by construction.
+    """
+    pool = enumerate_gates(topology, "NCV")
+    state = CircuitState.identity()
+    gates = []
+    while len(gates) < n_gates:
+        candidates = []
+        for g in pool:
+            if all(state.rows[r][c] & 1 == 0 for c in g.controls for r in range(N_ROWS)):
+                candidates.append(g)
+        gate = candidates[int(rng.integers(len(candidates)))]
+        state = apply_gate(state, gate)
+        gates.append(gate)
+    return Circuit(tuple(gates))
+
+
+def state_of_permutation(perm) -> CircuitState:
+    """The Boolean state whose row i spells out ``perm[i]``."""
+    rows = []
+    for out in validate_permutation(perm):
+        rows.append((2 * ((out >> 2) & 1), 2 * ((out >> 1) & 1), 2 * (out & 1)))
+    return CircuitState(tuple(rows))
+
+
+def substituted_witness_cost(table, func, metric: CostMetric) -> int:
+    """Metric cost of the table's witness after Toffoli substitution."""
+    return circuit_cost(toffoli_substitute(table.witness(func)), metric)
+
+
+def table_csv_text(costs) -> str:
+    buf = stdio.StringIO()
+    nio.write_table_csv(costs, buf)
+    return buf.getvalue()

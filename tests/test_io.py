@@ -16,6 +16,8 @@ from ncvsynth import CircuitParseError, InvalidFunction
 from ncvsynth import io as nio
 from ncvsynth.analysis import render_4dp
 
+from helpers import random_legal_circuit, table_csv_text
+
 
 def test_circuit_text_example():
     text = "# toffoli realization\nV b c\nCNOT a b\nV+ b c\nCNOT a b\nV a c\n"
@@ -27,7 +29,7 @@ def test_circuit_text_example():
 @pytest.mark.parametrize("seed", range(4))
 def test_circuit_roundtrip_random(seed):
     rng = np.random.default_rng(seed)
-    circuit = nv.random_legal_circuit(rng, int(rng.integers(0, 16)))
+    circuit = random_legal_circuit(rng, int(rng.integers(0, 16)))
     assert nio.parse_circuit(nio.format_circuit(circuit)) == circuit
 
 
@@ -66,7 +68,7 @@ def test_parse_function_errors():
 
 def test_table_csv_roundtrip():
     costs = np.arange(nv.N_FUNCTIONS, dtype=np.int64) % 23 - 3
-    text = nio.table_csv_text(costs)
+    text = table_csv_text(costs)
     assert text.startswith("function,cost\n")
     ranks, read = nio.read_table_csv(stdio.StringIO(text))
     assert ranks.dtype == read.dtype == np.int64
@@ -90,17 +92,17 @@ def test_table_csv_of_a_cost_outside_int64_is_rejected(cost):
 
 
 def test_table_csv_of_a_cost_view_reads_its_cost_array(ncv012_full):
-    """A table's ``costs`` view is written from its cost array, with the
-    bytes of that array."""
-    expected = nio.table_csv_text(ncv012_full.cost_array())
-    assert nio.table_csv_text(ncv012_full.costs) == expected
+    """A table's ``costs`` is its witness paths' cost array, written with
+    the bytes of that array."""
+    expected = table_csv_text(ncv012_full.witness_paths().cost)
+    assert table_csv_text(ncv012_full.costs) == expected
 
 
 def test_table_csv_of_a_cost_array_needs_every_function():
     with pytest.raises(ValueError):
-        nio.table_csv_text(np.zeros(nv.N_FUNCTIONS - 1, dtype=np.int64))
+        table_csv_text(np.zeros(nv.N_FUNCTIONS - 1, dtype=np.int64))
     with pytest.raises(ValueError):
-        nio.table_csv_text({tuple(range(8)): 0})
+        table_csv_text({tuple(range(8)): 0})
 
 
 def test_table_csv_of_a_repeated_function_is_rejected():
@@ -177,13 +179,10 @@ def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
     expected = stdio.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["function", "cost"])
-    for func in sorted(ncv111_path.costs):
-        writer.writerow([nio.format_function(func), ncv111_path.costs[func]])
-    assert nio.table_csv_text(ncv111_path.costs) == expected.getvalue()
+    for func in sorted(ncv111_path.functions()):
+        writer.writerow([nio.format_function(func), ncv111_path.cost_of(func)])
     # synth-all --out writes the table's cost array
-    rows = stdio.StringIO()
-    nio.write_table_csv(ncv111_path.cost_array(), rows)
-    assert rows.getvalue() == expected.getvalue()
+    assert table_csv_text(ncv111_path.costs) == expected.getvalue()
 
     expected = stdio.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -203,11 +202,8 @@ def test_csv_writers_match_csv_writer_row_by_row(ncv111_path, comparison_111):
 
 
 def test_histogram_csv_and_text(ncv111_full):
+    """The histogram text that ``synth-all`` and ``stats`` print."""
     hist = nv.histogram(ncv111_full)
-    buf = stdio.StringIO()
-    nio.write_histogram_csv(hist, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "cost,count" and lines[1] == "0,1"
     text = nio.histogram_text(hist)
     assert "weighted average: 10.0319" in text
     assert "functions: 40320" in text

@@ -25,6 +25,8 @@ from ncvsynth import (
 from ncvsynth.model import Topology, enumerate_gates, relabel_function, row_permutation
 from ncvsynth.nct import toffoli_decomposition
 
+from helpers import random_legal_circuit, state_of_permutation
+
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 
 line_perms = st.permutations(range(3)).map(tuple)
@@ -40,11 +42,6 @@ def fold(gates, state=None):
 
 # --------------------------------------------------------------------------
 # Values and gates
-
-def test_quaternary_encoding():
-    assert [v.boolean for v in nv.QuaternaryValue] == [0, 0, 1, 1]
-    assert [v.quantum_flag for v in nv.QuaternaryValue] == [0, 1, 0, 1]
-
 
 @pytest.mark.parametrize(
     "bad",
@@ -120,7 +117,7 @@ def test_involutions():
 
 @given(functions)
 def test_v_squared_equals_cnot(func):
-    start = CircuitState.from_permutation(func)
+    start = state_of_permutation(func)
     assert fold([V(0, 2), V(0, 2)], start) == fold([CNOT(0, 2)], start)
 
 
@@ -143,7 +140,7 @@ def test_pack_unpack_roundtrip(levels):
 
 @given(functions)
 def test_from_permutation_roundtrip(func):
-    assert CircuitState.from_permutation(func).permutation() == func
+    assert state_of_permutation(func).permutation() == func
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def test_invert_circuit_examples():
 @pytest.mark.parametrize("seed", range(5))
 def test_inverse_composition_is_identity(seed):
     rng = np.random.default_rng(seed)
-    circuit = nv.random_legal_circuit(rng, int(rng.integers(0, 12)))
+    circuit = random_legal_circuit(rng, int(rng.integers(0, 12)))
     state = fold(circuit.gates)
     back = fold(nv.invert_circuit(circuit).gates, state)
     assert back == CircuitState.identity()
@@ -186,7 +183,7 @@ def test_vswap():
 @pytest.mark.parametrize("seed", range(3))
 def test_cost_invariance_under_inversion_and_vswap(metric, seed):
     rng = np.random.default_rng(100 + seed)
-    circuit = nv.random_legal_circuit(rng, int(rng.integers(0, 14)))
+    circuit = random_legal_circuit(rng, int(rng.integers(0, 14)))
     cost = nv.circuit_cost(circuit, metric)
     assert nv.circuit_cost(nv.invert_circuit(circuit), metric) == cost
     assert nv.circuit_cost(nv.vswap(circuit), metric) == cost
@@ -301,8 +298,9 @@ def test_relabel_topology_violation():
 
 
 def test_relabel_dispatch():
-    assert nv.relabel(TOF_FUNC, (2, 1, 0)) == (0, 1, 2, 7, 4, 5, 6, 3)
-    assert nv.relabel(Circuit((NOT(0),)), (2, 1, 0)) == Circuit((NOT(2),))
+    """A function and a circuit, each relabeled by its own function."""
+    assert relabel_function(TOF_FUNC, (2, 1, 0)) == (0, 1, 2, 7, 4, 5, 6, 3)
+    assert nv.relabel_circuit(Circuit((NOT(0),)), (2, 1, 0)) == Circuit((NOT(2),))
 
 
 def test_row_permutation_msb_convention():

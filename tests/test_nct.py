@@ -4,12 +4,9 @@ import pytest
 
 import ncvsynth as nv
 from ncvsynth import Circuit, NOT, TOF
-from ncvsynth.nct import (
-    substituted_weight,
-    substituted_witness_cost,
-    toffoli_decomposition,
-    toffoli_substitute,
-)
+from ncvsynth.nct import substituted_weight, toffoli_decomposition, toffoli_substitute
+
+from helpers import substituted_witness_cost
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 #: Substituted costs far beyond any fixed scalarization base.

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import sys
 import threading
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from ncvsynth import (
     InternalError,
     InvalidFunction,
     SearchOptions,
-    UnknownState,
 )
 from ncvsynth import io as nio
 from ncvsynth import search
@@ -34,6 +32,8 @@ from ncvsynth.model import (
     rank_tables,
     row_permutation,
 )
+
+from helpers import random_legal_circuit, state_of_permutation
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 PERES_FUNC = (0, 1, 2, 3, 6, 7, 5, 4)
@@ -245,17 +245,15 @@ def test_table_rejects_gate_ids_that_are_no_witness(ncv111_full, corrupt):
 
 
 def test_costs_is_a_read_only_view_in_sorted_order(ncv111_full):
+    """``costs`` is the read-only int64 cost array of the witness paths, by
+    rank, and rank order is sorted order."""
     costs = ncv111_full.costs
-    assert isinstance(costs, Mapping) and not hasattr(costs, "__setitem__")
-    assert len(costs) == nv.N_FUNCTIONS
-    funcs = list(costs)
-    assert funcs == sorted(funcs) == list(ncv111_full.functions())
-    assert list(costs.values()) == ncv111_full.cost_array().tolist()
-    assert list(costs.items()) == list(zip(funcs, costs.values()))
-    assert costs[TOF_FUNC] == ncv111_full.cost_of(TOF_FUNC) == 5
-    assert TOF_FUNC in costs and (0, 0, 1, 2, 3, 4, 5, 6) not in costs
-    assert costs.get((0, 1)) is None
-    assert costs == dict(costs.items())
+    assert costs is ncv111_full.witness_paths().cost and not costs.flags.writeable
+    assert costs.dtype == np.int64 and costs.shape == (nv.N_FUNCTIONS,)
+    funcs = list(ncv111_full.functions())
+    assert funcs == sorted(funcs)
+    assert costs.tolist() == [ncv111_full.cost_of(f) for f in funcs]
+    assert costs[function_rank(TOF_FUNC)] == ncv111_full.cost_of(TOF_FUNC) == 5
 
 
 @pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
@@ -267,7 +265,7 @@ def test_witness_paths_row_by_row_equal_witness(name, request):
     assert [function_rank(f) for f in functions] == list(range(nv.N_FUNCTIONS))
     assert all(len(a) == nv.N_FUNCTIONS for a in (*paths, table.secondary_array()))
     assert paths.cost.tolist() == [table.cost_of(f) for f in functions]
-    assert np.array_equal(paths.cost, table.cost_array())
+    assert np.array_equal(paths.cost, table.costs)
     assert paths.gate_ids.dtype == np.uint8
     gates = table.gate_list
     for func, ids, length in zip(functions, paths.gate_ids.tolist(), paths.lengths.tolist()):
@@ -363,7 +361,7 @@ ORACLE_REACH = 3
 def test_engine_agrees_with_oracle_on_random_metrics(w_not, w_cnot, w_v, w_vplus):
     metric = CostMetric(w_not, w_cnot, w_v, w_vplus)
     table = nv.settle_all(metric)
-    reached = {f: c for f, c in table.costs.items() if c <= ORACLE_REACH}
+    reached = {f: c for f, c in zip(table.functions(), table.costs.tolist()) if c <= ORACLE_REACH}
     assert reached == nv.exhaustive_oracle(metric, max_cost=ORACLE_REACH)
 
 
@@ -503,9 +501,11 @@ _KEY_SETS = st.sets(st.integers(0, 2 ** 64 - 1), max_size=40)
 @example({7, 3}, set())
 def test_union_merges_two_sorted_runs(keys, new_keys):
     keys, new_keys = (np.array(sorted(s), dtype=np.uint64) for s in (keys, new_keys - keys))
-    union, old = search._union(keys, new_keys)
+    costs = np.arange(1, len(keys) + 1)
+    union, union_costs = search._merged(keys, costs, new_keys, 0)
     assert union.dtype == np.uint64 and np.array_equal(union, np.union1d(keys, new_keys))
-    assert np.array_equal(old, np.isin(union, keys))
+    old = union_costs != 0
+    assert np.array_equal(old, np.isin(union, keys)) and np.array_equal(union_costs[old], costs)
 
 
 def test_disconnected_topology_rejected():
@@ -531,7 +531,7 @@ def test_unequal_v_weights_stay_optimal():
     metric = CostMetric(1, 1, 1, 2)
     table = nv.settle_all(metric)
     plain = nv.settle_all(metric, options=SearchOptions(settle_relabelings=False))
-    assert np.array_equal(table.cost_array(), plain.cost_array())
+    assert np.array_equal(table.costs, plain.costs)
     # Without a group the target search conjugates its ball's images.
     rng = np.random.default_rng(17)
     randoms = [tuple(rng.permutation(8).tolist()) for _ in range(3)]
@@ -627,7 +627,7 @@ def test_canonical_key_is_shared_by_every_image(topology):
             for conj in (False, True) for perm in symmetries
         ]
         for n_gates in list(range(12)) * 4:
-            circuit = nv.random_legal_circuit(rng, n_gates, topology)
+            circuit = random_legal_circuit(rng, n_gates, topology)
             state = apply_circuit(CircuitState.identity(), circuit)
             images = []
             for perm, conj, mask in group:
@@ -675,9 +675,9 @@ def test_a_circuit_moves_a_targets_rows_and_its_vswap_conjugates(seed, n_gates, 
     reaches from the identity with its rows moved: row i is that state's
     row T(i).  Its ``vswap`` reaches the conjugate of that state."""
     topology = nv.PATH_TOPOLOGY if path else nv.FULL_TOPOLOGY
-    circuit = nv.random_legal_circuit(np.random.default_rng(seed), n_gates, topology)
+    circuit = random_legal_circuit(np.random.default_rng(seed), n_gates, topology)
     reached = apply_circuit(CircuitState.identity(), circuit)
-    moved = apply_circuit(CircuitState.from_permutation(target), circuit)
+    moved = apply_circuit(state_of_permutation(target), circuit)
     assert moved.rows == tuple(reached.rows[t] for t in target)
     swapped = apply_circuit(CircuitState.identity(), nv.vswap(circuit))
     assert swapped == _conjugated_state(reached)
@@ -760,23 +760,16 @@ def test_projection_check_rejects_two_rows_with_one_output():
 # Reconstruction
 
 def test_reconstruct_root_and_single_gate(ncv111_full):
-    root_key = CircuitState.identity().pack()
-    assert len(nv.reconstruct_circuit(ncv111_full, root_key)) == 0
-    not_a = CircuitState.from_permutation((4, 5, 6, 7, 0, 1, 2, 3)).pack()
-    circuit = nv.reconstruct_circuit(ncv111_full, not_a)
+    """The witnesses a table reconstructs from its gate-id rows: none for
+    the identity, and NOT a for the function NOT a realizes."""
+    assert len(ncv111_full.witness(tuple(range(8)))) == 0
+    circuit = ncv111_full.witness((4, 5, 6, 7, 0, 1, 2, 3))
     assert circuit == nv.Circuit((nv.NOT(0),))
 
 
 def test_reconstruct_settled_state_verifies(ncv111_full):
     func = (3, 0, 1, 2, 7, 4, 5, 6)
-    key = CircuitState.from_permutation(func).pack()
-    assert nv.check_realizes(nv.reconstruct_circuit(ncv111_full, key), func)
-
-
-def test_reconstruct_unknown_state(ncv111_full):
-    quantum = nv.apply_gate(CircuitState.identity(), nv.V(0, 1))
-    with pytest.raises(UnknownState):
-        nv.reconstruct_circuit(ncv111_full, quantum.pack())
+    assert nv.check_realizes(ncv111_full.witness(func), func)
 
 
 # --------------------------------------------------------------------------
@@ -784,7 +777,7 @@ def test_reconstruct_unknown_state(ncv111_full):
 
 def test_secondary_metric_costs_each_witness(ncv111_lex012, ncv111_full):
     table = ncv111_lex012
-    assert len(table.cost_array()) == nv.N_FUNCTIONS and table.metric == nv.NCV_111
+    assert len(table.costs) == nv.N_FUNCTIONS and table.metric == nv.NCV_111
     for func in table.functions():
         witness = table.witness(func)
         assert nv.circuit_cost(witness, nv.NCV_111) == table.cost_of(func)

@@ -27,9 +27,10 @@ from ncvsynth.verify import (
     first_mismatch,
     gate_unitary,
     permutation_matrix,
-    random_legal_circuit,
     verify_witnesses,
 )
+
+from helpers import random_legal_circuit
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 
@@ -72,6 +73,17 @@ def test_first_mismatch_reports_entry():
     assert hit is not None
     row, col, got, expected = hit
     assert abs(got - expected) > 0.5
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1])
+def test_a_tolerance_that_is_not_finite_and_non_negative_raises(tol):
+    """nan would accept no circuit and inf every one, so both checks refuse
+    them, as they refuse a negative tolerance."""
+    not_a = Circuit((NOT(0),))
+    with pytest.raises(ValueError, match="tol"):
+        check_realizes(not_a, tuple(range(8)), tol)
+    with pytest.raises(ValueError, match="tol"):
+        first_mismatch(not_a, tuple(range(8)), tol)
 
 
 def test_tof_unitary_matches_permutation():
