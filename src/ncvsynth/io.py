@@ -200,21 +200,6 @@ def write_table_jsonl(table: SynthesisTable, stream) -> None:
         ]))
 
 
-def read_table_jsonl(stream) -> dict[tuple[int, ...], tuple[int, Circuit]]:
-    out: dict[tuple[int, ...], tuple[int, Circuit]] = {}
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            func = parse_function(record["function"])
-            out[func] = (int(record["cost"]), parse_circuit(record["circuit"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CircuitParseError(f"bad JSONL record: {exc}") from None
-    return out
-
-
 # --------------------------------------------------------------------------
 # Histograms and comparisons
 

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -116,39 +116,70 @@ def TOF(control1: int, control2: int, target: int) -> Gate:
     return Gate("TOF", target, (control1, control2))
 
 
-@dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list with a library tag ("NCV" or "NCT")."""
+    """An ordered gate list with a library tag ("NCV" or "NCT").
 
-    gates: tuple[Gate, ...]
-    library: str = "NCV"
+    A circuit is stored as ``codes``, one byte per gate: the gate's index in
+    ``GATES``.  ``gates`` builds the Gate tuple on each access, and
+    iteration maps the codes directly.  Circuits are immutable and compare
+    and hash by (codes, library)."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.library not in ("NCV", "NCT"):
-            raise ValueError(f"unknown library {self.library!r}")
-        allowed = NCV_KINDS if self.library == "NCV" else NCT_KINDS
-        for g in self.gates:
+    __slots__ = ("codes", "library")
+
+    def __init__(self, gates: Iterable[Gate], library: str = "NCV") -> None:
+        gates = tuple(gates)
+        if library not in ("NCV", "NCT"):
+            raise ValueError(f"unknown library {library!r}")
+        allowed = NCV_KINDS if library == "NCV" else NCT_KINDS
+        for g in gates:
             if g.kind not in allowed:
-                raise ValueError(f"{g.kind} gate is not in the {self.library} library")
+                raise ValueError(f"{g.kind} gate is not in the {library} library")
+            if not isinstance(g, Gate):
+                raise TypeError(f"a circuit holds Gate objects, not {g!r}")
+        object.__setattr__(self, "codes", bytes([GATE_CODES[g] for g in gates]))
+        object.__setattr__(self, "library", library)
 
     @classmethod
-    def _trusted(cls, gates: tuple[Gate, ...], library: str) -> "Circuit":
-        """A circuit of gates already known to be in ``library``, built
-        without the per-gate check of ``__post_init__``."""
+    def _of_codes(cls, codes: bytes, library: str) -> "Circuit":
+        """A circuit of gate codes already known to be in ``library``, built
+        without the per-gate check of ``__init__``."""
         circuit = object.__new__(cls)
-        object.__setattr__(circuit, "gates", gates)
+        object.__setattr__(circuit, "codes", codes)
         object.__setattr__(circuit, "library", library)
         return circuit
 
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return tuple(map(GATES.__getitem__, self.codes))
+
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.codes)
 
     def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
+        return map(GATES.__getitem__, self.codes)
 
     def __str__(self) -> str:
-        return "; ".join(str(g) for g in self.gates) if self.gates else "(empty)"
+        return "; ".join(map(str, self)) if self.codes else "(empty)"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(gates={self.gates!r}, library={self.library!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.codes == other.codes and self.library == other.library
+
+    def __hash__(self) -> int:
+        return hash((self.codes, self.library))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.gates, self.library))
 
 
 #: The largest gate weight a ``CostMetric`` takes.  A cost is a sum of gate
@@ -532,6 +563,14 @@ def enumerate_gates(topology: Topology, library: str = "NCV") -> tuple[Gate, ...
             if topology.allows_gate(gate):
                 gates.append(gate)
     return tuple(gates)
+
+
+#: Every gate on three lines, by its ``Circuit`` code: the 21 NCV gates of
+#: the full topology in canonical order, then the 3 Toffolis.
+GATES: tuple[Gate, ...] = (
+    enumerate_gates(FULL_TOPOLOGY, "NCV") + enumerate_gates(FULL_TOPOLOGY, "NCT")[-3:]
+)
+GATE_CODES: dict[Gate, int] = {g: code for code, g in enumerate(GATES)}
 
 
 # --------------------------------------------------------------------------

@@ -133,11 +133,13 @@ dropped.
 A table holds every function: row i of each of its arrays is the function
 of rank i.  The arrays are the ``witness_paths`` (primary cost, padded
 gate-id matrix, lengths) and the secondary costs; ``costs`` is the primary
-cost array.  ``witness`` reads one row of the matrix; bulk consumers (the
-JSONL writer, ``analysis.compare``, the CLI's cache) read the whole matrix
-without building a Circuit per function.
+cost array.  On its first call ``witness`` maps the whole matrix to
+``Circuit`` codes (the gates' indices in ``model.GATES``) by one uint8
+lookup into one buffer, and each call slices its row from that buffer;
+bulk consumers (the JSONL writer, ``analysis.compare``, the CLI's cache)
+read the whole matrix without building a Circuit per function.
 ``synthesize_one`` builds no table: it reads its circuit from the one row
-the search returns for its target.
+the search returns for its target, through the same lookup.
 
 Target search: ``synthesize_one`` runs the search above, a stepper that
 yields after each drain and expands that drain's states only when resumed,
@@ -194,6 +196,7 @@ from .model import (
     CircuitState,
     CostMetric,
     FULL_TOPOLOGY,
+    GATE_CODES,
     Gate,
     LINE_PERMUTATIONS,
     LinePerm,
@@ -254,13 +257,21 @@ def _check_gate_ids(paths: WitnessPaths, n_gates: int) -> None:
         raise ValueError(f"gate ids must be below {n_gates}, padded with {n_gates}")
 
 
-def _row_circuit(
-    paths: WitnessPaths, row: int, gates: tuple[Gate, ...], library: str
-) -> Circuit:
-    """The witness stored in one row of ``paths`` (its gates are from
-    ``gates``, which are in ``library``)."""
-    ids = paths.gate_ids[row, :paths.lengths[row]].tolist()
-    return Circuit._trusted(tuple([gates[i] for i in ids]), library)
+@functools.cache
+def _code_lookup(gate_list: tuple[Gate, ...]) -> np.ndarray:
+    """Each gate id of ``gate_list`` mapped to the gate's ``Circuit`` code
+    (uint8), and the padding id to 255."""
+    lookup = np.array([GATE_CODES[g] for g in gate_list] + [255], dtype=np.uint8)
+    lookup.setflags(write=False)
+    return lookup
+
+
+def _witness_codes(paths: WitnessPaths, gate_list: tuple[Gate, ...]) -> tuple[bytes, int, list[int]]:
+    """The gate-id matrix of ``paths`` as one buffer of ``Circuit`` codes,
+    with its row width and the witness lengths: row i's witness is
+    ``codes[i * width:i * width + lengths[i]]``."""
+    codes = _code_lookup(gate_list)[paths.gate_ids].tobytes()
+    return codes, paths.gate_ids.shape[1], paths.lengths.tolist()
 
 
 class SynthesisTable:
@@ -327,8 +338,15 @@ class SynthesisTable:
 
     def witness(self, func: Sequence[int]) -> Circuit:
         """Materialize the stored optimal circuit for one function: its row
-        of ``witness_paths``."""
-        return _row_circuit(self._paths, function_rank(func), self.gate_list, self.library)
+        of ``witness_paths``, sliced from the table's buffer of codes."""
+        row = function_rank(func)
+        codes, width, lengths = self._codes
+        start = row * width
+        return Circuit._of_codes(codes[start:start + lengths[row]], self.library)
+
+    @functools.cached_property
+    def _codes(self) -> tuple[bytes, int, list[int]]:
+        return _witness_codes(self._paths, self.gate_list)
 
     def witness_paths(self) -> WitnessPaths:
         """The witness of every function as gate ids, in rank order
@@ -1312,7 +1330,16 @@ def synthesize_one(
     paths, _, _ = _run_search(
         gates, weights, topology.line_symmetries(), options, target=target
     )
-    return int(paths.cost[0]), _row_circuit(paths, 0, gates, "NCV")
+    codes, _, lengths = _witness_codes(paths, gates)
+    return int(paths.cost[0]), Circuit._of_codes(codes[:lengths[0]], "NCV")
+
+
+#: Most states ``exhaustive_oracle`` records before it raises
+#: BudgetExceeded: about 200 MiB of them, reached in about 25 s.  On the
+#: full topology ncv-012 records 2,000 states at reach 3, weights (0, 1, 1,
+#: 1) 17,888 and ncv-111 35,447 at reach 5; zero-weight V gates make
+#: millions of states of cost 0.
+ORACLE_MAX_STATES = 200_000
 
 
 def exhaustive_oracle(
@@ -1325,7 +1352,8 @@ def exhaustive_oracle(
     Walks every legal gate sequence of cost <= max_cost with no search
     reductions at all (only state deduplication), using the object-level
     gate semantics rather than the packed-key engine.  Feasible for small
-    ceilings only (roughly max_cost <= 5 under unit weights).
+    ceilings only (roughly max_cost <= 5 under unit weights): past
+    ``ORACLE_MAX_STATES`` recorded states it raises BudgetExceeded.
     """
     gates = enumerate_gates(topology, "NCV")
     weights = [metric.weight(g) for g in gates]
@@ -1359,6 +1387,11 @@ def exhaustive_oracle(
                 best = dist.get(new_key)
                 if best is None or new_cost < best:
                     dist[new_key] = new_cost
+                    if len(dist) > ORACLE_MAX_STATES:
+                        raise BudgetExceeded(
+                            f"exhaustive_oracle recorded more than {ORACLE_MAX_STATES} states "
+                            f"of cost at most {max_cost}"
+                        )
                     entry = (new_key, new_state)
                     if new_cost == cost:
                         queue.append(entry)

@@ -28,6 +28,7 @@ from .model import (
     Circuit,
     CircuitState,
     FULL_TOPOLOGY,
+    GATES,
     Gate,
     N_LINES,
     N_ROWS,
@@ -155,18 +156,21 @@ def check_model_consistency(circuit: Circuit, tol: float = DEFAULT_TOL) -> bool:
 # Batch verification
 
 @functools.cache
-def _gate_index(topology: Topology) -> tuple[dict[Gate, int], np.ndarray, np.ndarray]:
-    """The topology's NCV+NCT gates by id, each gate's ``gate_unitary`` scaled
+def _gate_index(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each ``Circuit`` code's id among the topology's NCV+NCT gates (-1 for
+    a gate outside the topology), each such gate's ``gate_unitary`` scaled
     to Gaussian-integer entries, and whether that doubled it (V and V+; one
     more False entry stands for padding)."""
-    gates = dict.fromkeys(enumerate_gates(topology, "NCV") + enumerate_gates(topology, "NCT"))
+    gates = tuple(dict.fromkeys(enumerate_gates(topology, "NCV") + enumerate_gates(topology, "NCT")))
+    ids = np.array([gates.index(g) if g in gates else -1 for g in GATES], dtype=np.int64)
     doubled = np.array([g.kind in ("V", "V+") for g in gates] + [False])
     mats = np.stack([gate_unitary(g) for g in gates])
     mats[doubled[:-1]] *= 2
     if not np.array_equal(mats, mats.round()):
         raise InternalError("internal error: a scaled gate unitary left Z[i]")
-    mats.setflags(write=False)
-    return {g: i for i, g in enumerate(gates)}, mats, doubled
+    for arr in (ids, mats):
+        arr.setflags(write=False)
+    return ids, mats, doubled
 
 
 def _function_array(funcs: list) -> np.ndarray:
@@ -198,25 +202,26 @@ def verify_witnesses(
     There is no tolerance (see ``_first_failure``); a circuit with more
     than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.
     """
-    index, mats, doubled = _gate_index(topology)
+    id_of_code, mats, doubled = _gate_index(topology)
     funcs: list = []
-    circuits: list[Circuit] = []
-    flat: list[int | None] = []
+    codes: list[bytes] = []
     for func, circuit in witnesses:
         funcs.append(func)
-        circuits.append(circuit)
-        flat += map(index.get, circuit.gates)
+        codes.append(circuit.codes)
     if not funcs:
         return 0, None
-    if None in flat:
-        func, gate = next((f, g) for f, circuit in zip(funcs, circuits)
-                          for g in circuit.gates if g not in index)
+    flat_codes = np.frombuffer(b"".join(codes), dtype=np.uint8)
+    flat = id_of_code[flat_codes]
+    lengths = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
+    outside = np.flatnonzero(flat < 0)
+    if len(outside):
+        at = int(outside[0])
+        row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise TopologyViolation(
-            f"{gate} is not a gate of the {topology.slug} topology "
-            f"(in the circuit for {func!r})"
+            f"{GATES[flat_codes[at]]} is not a gate of the {topology.slug} topology "
+            f"(in the circuit for {funcs[row]!r})"
         )
-    lengths = np.fromiter(map(len, circuits), dtype=np.int64, count=len(circuits))
-    ids = np.full((len(circuits), int(lengths.max())), len(mats), dtype=np.int64)
+    ids = np.full((len(codes), int(lengths.max())), len(mats), dtype=np.int64)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat
     funcs_array = _function_array(funcs)
     n_doubled = doubled[ids].sum(axis=1)
@@ -247,7 +252,9 @@ def _first_failure(
     once: the (prefix, gate) pairs of depth d are made unique, sorted by
     gate, and each gate's unitary multiplies the matrices of all prefixes it
     extends in one product.  Only one depth's matrices are kept, laid out as
-    (row, prefix, column).  A row is checked at its last depth.
+    (row, prefix, column).  A row is checked at its last depth: the entries
+    of its permutation, and the nonzero count of each prefix that ends
+    there, taken once per distinct prefix.
     """
     cols = np.arange(N_ROWS)
     prefix = np.zeros(len(funcs), dtype=np.int64)   # each row's prefix at this depth
@@ -270,8 +277,9 @@ def _first_failure(
         if len(ending):
             at = prefix[ending]
             hits = products[funcs[ending], at[:, None], cols]
+            ends, end_of = np.unique(at, return_inverse=True)
             ok = (hits == scale[ending, None]).all(axis=1) & (
-                np.count_nonzero(products, axis=(0, 2))[at] == N_ROWS
+                np.count_nonzero(products[:, ends], axis=(0, 2))[end_of] == N_ROWS
             )
             if not ok.all():
                 return int(ending[np.argmin(ok)])

@@ -1,12 +1,14 @@
 """Test fixtures and references built on the public API: random legal
-circuits, the Boolean state of a function, a witness's substituted cost and
-a table's CSV text."""
+circuits, the Boolean state of a function, a witness's substituted cost, a
+table's CSV text and a reader of table JSONL."""
 
 import io as stdio
+import json
 
 import numpy as np
 
 from ncvsynth import io as nio
+from ncvsynth.errors import CircuitParseError
 from ncvsynth.model import (
     Circuit,
     CircuitState,
@@ -63,3 +65,20 @@ def table_csv_text(costs) -> str:
     buf = stdio.StringIO()
     nio.write_table_csv(costs, buf)
     return buf.getvalue()
+
+
+def read_table_jsonl(stream) -> dict[tuple[int, ...], tuple[int, Circuit]]:
+    """The records of a table JSONL (``io.write_table_jsonl``), each
+    function mapped to its cost and its parsed circuit."""
+    out: dict[tuple[int, ...], tuple[int, Circuit]] = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            func = nio.parse_function(record["function"])
+            out[func] = (int(record["cost"]), nio.parse_circuit(record["circuit"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise CircuitParseError(f"bad JSONL record: {exc}") from None
+    return out

@@ -20,6 +20,8 @@ from ncvsynth.cli import main
 from ncvsynth.model import MAX_WEIGHT
 from ncvsynth.nct import toffoli_decomposition
 
+from helpers import read_table_jsonl
+
 TOF_TEXT = nio.format_circuit(nv.Circuit(toffoli_decomposition(0, 1, 2)))
 
 
@@ -713,7 +715,7 @@ def test_synth_all_writes_circuits(tmp_path, capsys):
     )
     assert code == 0
     with circuits.open() as fh:
-        records = nio.read_table_jsonl(fh)
+        records = read_table_jsonl(fh)
     assert len(records) == nv.N_FUNCTIONS
     cost, circuit = records[(0, 1, 2, 3, 4, 5, 7, 6)]
     assert cost == 9

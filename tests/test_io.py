@@ -16,7 +16,7 @@ from ncvsynth import CircuitParseError, InvalidFunction
 from ncvsynth import io as nio
 from ncvsynth.analysis import render_4dp
 
-from helpers import random_legal_circuit, table_csv_text
+from helpers import random_legal_circuit, read_table_jsonl, table_csv_text
 
 
 def test_circuit_text_example():
@@ -120,7 +120,7 @@ def test_jsonl_roundtrip(ncv111_full):
     buf = stdio.StringIO()
     nio.write_table_jsonl(ncv111_full, buf)
     buf.seek(0)
-    records = nio.read_table_jsonl(buf)
+    records = read_table_jsonl(buf)
     assert len(records) == nv.N_FUNCTIONS
     func = (0, 1, 2, 3, 4, 5, 7, 6)
     cost, circuit = records[func]
@@ -137,6 +137,11 @@ NCT_GC_JSONL_SHA256 = "c41a08f48827ee160d62bf0286a3f3889672b573fa1f702ed4a70e992
 COMPARISON_CSV_SHA256 = {
     "comparison_111": "c849da58d8df77cc7d8be7179819bd1cf205539d68c6132be7988e60eb1721af",
     "comparison_012": "e1c481507608064b653419da47bedbacfad1412e9053a13e1ced0dfbc02edd60",
+}
+# SHA-256 of every witness's ``str``, one line per function in rank order.
+WITNESS_TEXT_SHA256 = {
+    "ncv111_path": "e3fd68b1d858d6f6d51f4774c20dc2064f8b85dd2b2288428351e27a70f82ab0",
+    "nct_gc": "c4726f1c1647bc85624cdd21266c83d73a0cd009f65aeb5187da50f3287556d0",
 }
 
 
@@ -155,6 +160,13 @@ def test_comparison_csv_digest_is_pinned(name, request):
     buf = stdio.StringIO()
     nio.write_comparison_csv(request.getfixturevalue(name), buf)
     assert _sha256(buf.getvalue()) == COMPARISON_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_TEXT_SHA256))
+def test_witness_text_digest_is_pinned(name, request):
+    table = request.getfixturevalue(name)
+    text = "\n".join(str(table.witness(f)) for f in table.functions())
+    assert _sha256(text) == WITNESS_TEXT_SHA256[name]
 
 
 def test_jsonl_matches_record_by_record_formatting(ncv111_path):

@@ -1,6 +1,10 @@
 """Gate semantics, circuit transforms, and their algebraic properties."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
+import types
 
 import numpy as np
 import pytest
@@ -74,6 +78,71 @@ def test_circuit_library_validation():
     with pytest.raises(ValueError):
         Circuit((V(0, 1),), "NCT")
     Circuit((NOT(0), CNOT(0, 1)), "NCT")  # shared kinds are fine
+
+
+def test_circuit_constructor_errors():
+    with pytest.raises(ValueError, match=r"^unknown library 'XYZ'$"):
+        Circuit((NOT(0),), "XYZ")
+    with pytest.raises(ValueError, match=r"^TOF gate is not in the NCV library$"):
+        Circuit((NOT(0), TOF(0, 1, 2)))
+    with pytest.raises(AttributeError, match="'str' object has no attribute 'kind'"):
+        Circuit(("NOT a",))
+    with pytest.raises(TypeError, match="a circuit holds Gate objects"):
+        Circuit((types.SimpleNamespace(kind="NOT", target=0, controls=()),))
+    with pytest.raises(TypeError, match="not iterable"):
+        Circuit(5)
+
+
+circuits = st.builds(
+    lambda seed, n, topology: random_legal_circuit(np.random.default_rng(seed), n, topology),
+    st.integers(0, 2**32 - 1), st.integers(0, 20), st.sampled_from([FULL_TOPOLOGY, PATH_TOPOLOGY]),
+)
+
+
+@given(circuits, st.sampled_from([TOF(0, 1, 2), TOF(0, 2, 1), TOF(1, 2, 0)]))
+def test_circuit_round_trips_through_its_gates(circuit, toffoli):
+    """A circuit stored as gate codes is the circuit its gates build, and
+    reads back the same gates, length and text; so is its NCT image with
+    a Toffoli after its NOT and CNOT gates."""
+    nct = Circuit(tuple(g for g in circuit if g.kind in ("NOT", "CNOT")) + (toffoli,), "NCT")
+    for c in (circuit, nct):
+        gates = c.gates
+        assert type(gates) is tuple and all(type(g) is Gate for g in gates)
+        assert Circuit(gates, c.library) == c and hash(Circuit(gates, c.library)) == hash(c)
+        assert list(c) == list(gates) and len(c) == len(gates)
+        assert str(c) == ("; ".join(map(str, gates)) or "(empty)")
+    assert nct.gates[-1] == toffoli
+
+
+def test_circuit_repr_is_pinned():
+    assert repr(Circuit((NOT(0), V(1, 2)))) == (
+        "Circuit(gates=(Gate(kind='NOT', target=0, controls=()), "
+        "Gate(kind='V', target=2, controls=(1,))), library='NCV')"
+    )
+    assert repr(Circuit((TOF(1, 0, 2),), "NCT")) == (
+        "Circuit(gates=(Gate(kind='TOF', target=2, controls=(0, 1)),), library='NCT')"
+    )
+    assert Circuit((NOT(0),), "NCT") != Circuit((NOT(0),), "NCV")
+
+
+def test_circuit_is_immutable():
+    circuit = Circuit((NOT(0), CNOT(0, 1)))
+    for name in ("gates", "library", "codes", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circuit, name, ())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del circuit.library
+    assert circuit == Circuit((NOT(0), CNOT(0, 1)))
+
+
+@pytest.mark.parametrize("circuit", [
+    Circuit(()), Circuit((NOT(0), V(1, 2), VPLUS(2, 0))), Circuit((CNOT(0, 1), TOF(0, 1, 2)), "NCT"),
+], ids=str)
+def test_circuit_pickle_and_copy_round_trips(circuit):
+    for back in (pickle.loads(pickle.dumps(circuit)), copy.copy(circuit), copy.deepcopy(circuit)):
+        assert type(back) is Circuit
+        assert back == circuit and hash(back) == hash(circuit)
+        assert back.gates == circuit.gates and back.library == circuit.library
 
 
 # --------------------------------------------------------------------------

@@ -345,6 +345,15 @@ def test_oracle_respects_weights():
     assert by_cost[0] == 8 and by_cost[1] == 48
 
 
+def test_oracle_raises_past_its_state_bound(monkeypatch):
+    """ncv-111 at reach 3 records 1,730 states; under a bound of 1,000 the
+    oracle stops, where an unbounded walk may run out of memory."""
+    monkeypatch.setattr(search, "ORACLE_MAX_STATES", 1000)
+    with pytest.raises(BudgetExceeded, match="more than 1000 states of cost at most 3"):
+        nv.exhaustive_oracle(nv.NCV_111, max_cost=3)
+    assert len(nv.exhaustive_oracle(nv.NCV_111, max_cost=2)) == 1 + 9 + 51
+
+
 ORACLE_REACH = 3
 
 

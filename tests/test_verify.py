@@ -1,5 +1,7 @@
 """Unitary oracle: gate matrices, realization checks, model consistency."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from ncvsynth import (
     V,
     VPLUS,
 )
-from ncvsynth.model import FULL_TOPOLOGY, enumerate_gates, validate_permutation
+from ncvsynth.model import FULL_TOPOLOGY, GATES, enumerate_gates, validate_permutation
 from ncvsynth.nct import toffoli_decomposition, toffoli_substitute
 from ncvsynth.verify import (
     check_model_consistency,
@@ -255,9 +257,13 @@ def test_random_batches_agree_with_check_realizes(seed, lengths, topology):
 def test_scaled_gate_matrices_are_twice_the_v_unitaries():
     """Verdicts cannot see V and V+ traded in every gate at once (conjugation
     fixes a permutation matrix), so the scaled matrices are checked here."""
-    index, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
-    assert len(index) == len(mats) == len(doubled) - 1 and not doubled[-1]
-    for gate, i in index.items():
+    ids, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
+    assert len(ids) == len(GATES) and len(mats) == len(doubled) - 1 and not doubled[-1]
+    assert sorted(ids[ids >= 0].tolist()) == list(range(len(mats)))
+    for gate, i in zip(GATES, ids.tolist()):
+        assert (i >= 0) == PATH_TOPOLOGY.allows_gate(gate)
+        if i < 0:
+            continue
         factor = 2 if gate.kind in ("V", "V+") else 1
         assert doubled[i] == (factor == 2)
         assert np.array_equal(mats[i], factor * gate_unitary(gate))
@@ -286,6 +292,38 @@ def test_verify_witnesses_rejects_gates_outside_the_topology():
         verify_witnesses([(func, circuit)], topology=PATH_TOPOLOGY)
     with pytest.raises(TopologyViolation, match="TOF a b c"):
         verify_witnesses([(TOF_FUNC, Circuit((TOF(0, 1, 2),), "NCT"))], topology=PATH_TOPOLOGY)
+
+
+def test_verify_witnesses_names_an_illegal_gate_inside_a_large_batch(ncv111_path):
+    """A path-illegal gate that opens a circuit in the middle of a table's
+    witnesses, right after an empty circuit, is named with its function; a
+    later one is not."""
+    batch = [(f, ncv111_path.witness(f)) for f in ncv111_path.functions()]
+    assert verify_witnesses(batch, topology=PATH_TOPOLOGY) == (len(batch), None)
+    row = 23456
+    func, circuit = batch[row]
+    batch[row] = (func, Circuit((CNOT(0, 2),) + circuit.gates))
+    batch[row - 1] = (batch[row - 1][0], Circuit(()))
+    later_func, later = batch[row + 5000]
+    batch[row + 5000] = (later_func, Circuit((V(2, 0),) + later.gates))
+    message = f"CNOT a c is not a gate of the path topology (in the circuit for {func!r})"
+    with pytest.raises(TopologyViolation, match=f"^{re.escape(message)}$"):
+        verify_witnesses(batch, topology=PATH_TOPOLOGY)
+    # On the full topology every gate is legal: the batch certifies up to
+    # its changed rows, of which the empty circuit is the shortest.
+    assert verify_witnesses(batch) == (len(batch), batch[row - 1][0])
+
+
+def test_first_failure_rejects_a_product_with_extra_nonzero_entries():
+    """A product whose permutation entries are right but which has another
+    nonzero entry in the same prefix fails (here a 'gate' that is no
+    unitary: the identity plus one entry)."""
+    mats = np.stack([np.eye(8, dtype=complex), np.eye(8, dtype=complex)])
+    mats[1, 0, 1] = 1
+    funcs = np.array([list(range(8))] * 2)
+    ids, lengths, scale = np.array([[0], [1]]), np.array([1, 1]), np.ones(2)
+    assert nv.verify._first_failure(funcs[:1], ids[:1], lengths[:1], mats, scale[:1]) is None
+    assert nv.verify._first_failure(funcs, ids, lengths, mats, scale) == 1
 
 
 def test_verify_witnesses_refuses_circuits_past_the_exact_range():
