@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
-from .model import CostMetric, Topology, rank_tables
+from .model import GATES, CostMetric, Topology, rank_tables
 from .nct import GATE_COUNT, settle_all_nct, substituted_weight
 from .search import N_FUNCTIONS, SynthesisTable
 
@@ -230,7 +230,7 @@ def compare(
     # Array entry i of every table is the function of rank i.
     functions = rank_tables()
     paths = nct_table.witness_paths()
-    weights = np.array([substituted_weight(g, metric) for g in nct_table.gate_list] + [0])
+    weights = np.array([substituted_weight(g, metric) for g in GATES] + [0])
     gc = paths.cost
     sub = weights[paths.gate_ids].sum(axis=1)
     sub_min = lexmin.secondary_array()

@@ -43,7 +43,8 @@ from .errors import (
     InvalidFunction,
     NcvSynthError,
 )
-from .model import CostMetric, FULL_TOPOLOGY, Gate, TOPOLOGIES, Topology, enumerate_gates
+from .model import (CostMetric, FULL_TOPOLOGY, GATE_CODES, GATES, Gate, TOPOLOGIES, Topology,
+                    enumerate_gates)
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -121,8 +122,9 @@ def _search_options(args: argparse.Namespace) -> search.SearchOptions:
 # --------------------------------------------------------------------------
 # Table cache
 
-#: 2 since the witnesses of a metric whose NOT weighs 0 begin with input NOTs.
-CACHE_FORMAT = 2
+#: 3 since gate ids are ``Circuit`` codes: a format-2 file holds positions in
+#: the gate list, which in a path table are codes of other gates.
+CACHE_FORMAT = 3
 
 
 def _table_kind(
@@ -204,10 +206,11 @@ def read_cached_table(
     except (OSError, EOFError, RuntimeError, ValueError, KeyError, zipfile.BadZipFile):
         return None
     # Column i of the transposed ids is row i's witness (summed down the
-    # columns, twice as fast as along the rows); the padding id indexes the
-    # appended weight 0.
+    # columns, twice as fast as along the rows); the padding id, like every
+    # code off the gate list, indexes a weight 0.
     ids = np.ascontiguousarray(paths.gate_ids.T)
-    pairs = np.array([*weights, (0, 0)], dtype=np.int64)
+    pairs = np.zeros((len(GATES) + 1, 2), dtype=np.int64)
+    pairs[[GATE_CODES[g] for g in gates]] = weights
     for column, costs in enumerate((paths.cost, table.secondary_array())):
         if not np.array_equal(pairs[:, column].take(ids).sum(axis=0), costs):
             return None

@@ -35,7 +35,7 @@ import numpy as np
 
 from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
-from .model import (ARITY, Circuit, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
+from .model import (ARITY, Circuit, GATES, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
                     rank_tables, validate_permutation)
 from .search import SynthesisTable
 
@@ -185,9 +185,7 @@ def write_table_jsonl(table: SynthesisTable, stream) -> None:
     block from the function-text table, the table's witness paths and each
     gate's escaped text."""
     paths = table.witness_paths()
-    gate_text = np.array(
-        [json.dumps(f"{g}\n")[1:-1] for g in table.gate_list] + [""], dtype=object
-    )
+    gate_text = np.array([json.dumps(f"{g}\n")[1:-1] for g in GATES] + [""], dtype=object)
     texts = _function_texts()
     for start in range(0, N_FUNCTIONS, _BLOCK):
         block = slice(start, start + _BLOCK)

@@ -125,21 +125,19 @@ sigma_n o ... o sigma_j applied to the gate stored at state j, and the
 path, run after the input NOTs of the mask of sigma_n o ... o sigma_0
 (sigma_0 the root's), realizes its canonical state.  Each function's
 witness is then its state's path with every gate id mapped through the
-function's line relabeling, by one uint8 (sigma x gate id) map per gate
-list, after the input NOTs of the mask of the function's sigma o the
-path's: at most 3 NOT gates, of weight 0.  The per-state arrays are then
-dropped.
+function's line relabeling, by one uint8 (sigma x gate id) map, after the
+input NOTs of the mask of the function's sigma o the path's: at most 3 NOT
+gates, of weight 0.  The per-state arrays are then dropped.
 
-A table holds every function: row i of each of its arrays is the function
-of rank i.  The arrays are the ``witness_paths`` (primary cost, padded
-gate-id matrix, lengths) and the secondary costs; ``costs`` is the primary
-cost array.  On its first call ``witness`` maps the whole matrix to
-``Circuit`` codes (the gates' indices in ``model.GATES``) by one uint8
-lookup into one buffer, and each call slices its row from that buffer;
-bulk consumers (the JSONL writer, ``analysis.compare``, the CLI's cache)
-read the whole matrix without building a Circuit per function.
-``synthesize_one`` builds no table: it reads its circuit from the one row
-the search returns for its target, through the same lookup.
+A gate id is the gate's ``Circuit`` code, its index in ``model.GATES``,
+whatever the gate list.  A table holds every function: row i of each of
+its arrays is the function of rank i.  The arrays are the
+``witness_paths`` (primary cost, padded gate-id matrix, lengths) and the
+secondary costs; ``costs`` is the primary cost array.  ``witness`` slices
+its row from the matrix's bytes, and bulk consumers (the JSONL writer,
+``analysis.compare``, the CLI's cache) read the whole matrix without
+building a Circuit per function.  ``synthesize_one`` builds no table: it
+reads its circuit from the one row the search returns for its target.
 
 Target search: ``synthesize_one`` runs the search above, a stepper that
 yields after each drain and expands that drain's states only when resumed,
@@ -197,6 +195,7 @@ from .model import (
     CostMetric,
     FULL_TOPOLOGY,
     GATE_CODES,
+    GATES,
     Gate,
     LINE_PERMUTATIONS,
     LinePerm,
@@ -235,43 +234,40 @@ class SearchOptions:
 class WitnessPaths(NamedTuple):
     """Functions' costs and witnesses, one row per function: in a table, row
     i is the function of rank i.  Row i's witness is
-    ``gate_ids[i, :lengths[i]]`` indexing the table's ``gate_list``; the
-    rest of the row holds ``len(gate_list)``, so a lookup table with one
-    extra entry (weight 0, empty text) ignores it."""
+    ``gate_ids[i, :lengths[i]]``, the ``Circuit`` codes of its gates (their
+    indices in ``GATES``); the rest of the row holds ``len(GATES)``, so a
+    lookup table over ``GATES`` with one extra entry (weight 0, empty text)
+    ignores it."""
 
     cost: np.ndarray      # int64 primary cost
     gate_ids: np.ndarray  # uint8 (function, position)
     lengths: np.ndarray   # int32 witness length
 
 
-def _check_gate_ids(paths: WitnessPaths, n_gates: int) -> None:
+@functools.cache
+def _codes_of(gates: tuple[Gate, ...]) -> np.ndarray:
+    """The ``Circuit`` code of each gate of ``gates`` (int64, read-only)."""
+    codes = np.array([GATE_CODES[g] for g in gates], dtype=np.int64)
+    codes.setflags(write=False)
+    return codes
+
+
+def _check_gate_ids(paths: WitnessPaths, gate_list: tuple[Gate, ...]) -> None:
     """ValueError unless each row of ``paths.gate_ids`` holds ``lengths[i]``
-    gate ids below ``n_gates`` and then only the padding ``n_gates``."""
+    codes of gates in ``gate_list`` and then only the padding ``len(GATES)``."""
     ids, lengths = np.asarray(paths.gate_ids), np.asarray(paths.lengths)
     if ids.ndim != 2 or lengths.ndim != 1 or {ids.dtype.kind, lengths.dtype.kind} - {"i", "u"}:
         raise ValueError("gate ids must be an integer matrix and lengths an integer vector")
     if ((lengths < 0) | (lengths > ids.shape[1])).any():
         raise ValueError(f"a witness length is outside 0..{ids.shape[1]}")
+    pad = len(GATES)
+    # An id's kind: 1 for a code of the list, 2 for the padding, else 0.
+    kind = np.zeros(pad + 1, dtype=np.uint8)
+    kind[_codes_of(gate_list)] = 1
+    kind[pad] = 2
     inside = np.arange(ids.shape[1]) < lengths[:, None]
-    if ((ids < 0) | (ids >= n_gates))[inside].any() or (ids[~inside] != n_gates).any():
-        raise ValueError(f"gate ids must be below {n_gates}, padded with {n_gates}")
-
-
-@functools.cache
-def _code_lookup(gate_list: tuple[Gate, ...]) -> np.ndarray:
-    """Each gate id of ``gate_list`` mapped to the gate's ``Circuit`` code
-    (uint8), and the padding id to 255."""
-    lookup = np.array([GATE_CODES[g] for g in gate_list] + [255], dtype=np.uint8)
-    lookup.setflags(write=False)
-    return lookup
-
-
-def _witness_codes(paths: WitnessPaths, gate_list: tuple[Gate, ...]) -> tuple[bytes, int, list[int]]:
-    """The gate-id matrix of ``paths`` as one buffer of ``Circuit`` codes,
-    with its row width and the witness lengths: row i's witness is
-    ``codes[i * width:i * width + lengths[i]]``."""
-    codes = _code_lookup(gate_list)[paths.gate_ids].tobytes()
-    return codes, paths.gate_ids.shape[1], paths.lengths.tolist()
+    if ((ids < 0) | (ids > pad)).any() or (kind.take(ids) != 2 - inside.view(np.uint8)).any():
+        raise ValueError(f"gate ids must be codes of the gate list, padded with {pad}")
 
 
 class SynthesisTable:
@@ -281,7 +277,7 @@ class SynthesisTable:
     The table is its arrays, row i for the function of rank i: the
     ``witness_paths`` and, row for row, the secondary costs.  ValueError
     unless each array has ``N_FUNCTIONS`` rows and each row of gate ids
-    indexes ``gate_list`` and is padded as ``WitnessPaths`` says.  The
+    holds codes of gates in ``gate_list``, padded as ``WitnessPaths`` says.  The
     tuple-keyed methods convert a function to its rank at the boundary.
     ``states_visited`` counts the states the search settled (0 for a table
     read back from stored arrays).
@@ -301,7 +297,7 @@ class SynthesisTable:
         Circuit(gate_list, library)  # ValueError unless every gate is in the library
         if any(np.shape(arr)[:1] != (N_FUNCTIONS,) for arr in (*paths, secondary)):
             raise ValueError(f"a table holds {N_FUNCTIONS} rows, one per function")
-        _check_gate_ids(paths, len(gate_list))
+        _check_gate_ids(paths, gate_list)
         self.metric = metric
         self.topology = topology
         self.library = library
@@ -338,7 +334,7 @@ class SynthesisTable:
 
     def witness(self, func: Sequence[int]) -> Circuit:
         """Materialize the stored optimal circuit for one function: its row
-        of ``witness_paths``, sliced from the table's buffer of codes."""
+        of ``witness_paths``, sliced from the bytes of the gate-id matrix."""
         row = function_rank(func)
         codes, width, lengths = self._codes
         start = row * width
@@ -346,7 +342,8 @@ class SynthesisTable:
 
     @functools.cached_property
     def _codes(self) -> tuple[bytes, int, list[int]]:
-        return _witness_codes(self._paths, self.gate_list)
+        ids = self._paths.gate_ids.astype(np.uint8, copy=False)
+        return ids.tobytes(), ids.shape[1], self._paths.lengths.tolist()
 
     def witness_paths(self) -> WitnessPaths:
         """The witness of every function as gate ids, in rank order
@@ -395,13 +392,13 @@ class _Placement(NamedTuple):
 class _Expansion(NamedTuple):
     """A gate list and its weights compiled for expansion.  Candidates are
     made gate by gate in candidate order: grouped by weight (groups in order
-    of their first gate), by gate id within a group."""
+    of their first gate), by position in the gate list within a group."""
 
     placements: tuple[_Placement, ...]
     steps: tuple[tuple[int, str], ...]  # (placement index, gate kind) in candidate order
     gate_ids: np.ndarray                # uint8 gate ids in candidate order
     groups: tuple[tuple[Cost, int], ...]  # (weight, end of its steps) in candidate order
-    placement_of_gate: np.ndarray       # uint8 placement id by gate id
+    placement_of_gate: np.ndarray       # uint8 placement id by gate id (255 off the list)
 
 
 @functools.cache
@@ -424,7 +421,10 @@ def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion
         ))
     order = [gid for group in by_weight.values() for gid in group]
     pids = [placement_index[g.placement] for g in gates]
-    gate_ids, placement_of_gate = np.array(order, dtype=np.uint8), np.array(pids, dtype=np.uint8)
+    codes = _codes_of(gates)
+    gate_ids = codes[order].astype(np.uint8)
+    placement_of_gate = np.full(len(GATES), 255, dtype=np.uint8)
+    placement_of_gate[codes] = pids
     for arr in (gate_ids, placement_of_gate):
         arr.setflags(write=False)
     return _Expansion(
@@ -580,7 +580,7 @@ class _Orbits(NamedTuple):
     masks: bool           # whether it holds the 8 input masks (times each of the above)
     compose: np.ndarray   # int8 (a, b): sigma id of sigma a after sigma b
     relabel: np.ndarray   # uint8 (sigma, gate id): id of the gate's image; 255 if
-                          # none, and for the root's gate id 255
+                          # it is off the list, and for the root's gate id 255
 
 
 @functools.cache
@@ -608,20 +608,21 @@ def _image_tables(symmetries: tuple[LinePerm, ...]) -> tuple[np.ndarray, np.ndar
 
 @functools.cache
 def _relabel_table(gates: tuple[Gate, ...]) -> np.ndarray:
-    """uint8 (sigma, gate id): the id of the gate's image under sigma (for
-    sigma >= _N_PERMS, V and V+ interchanged, then the line map of
-    sigma - _N_PERMS), or 255 where the image is not in the list (the
-    topology forbids it), and for the root's gate id 255.  Built once per
-    gate list, read-only."""
-    gate_id = {g: i for i, g in enumerate(gates)}
+    """uint8 (sigma, gate id): for each gate of ``gates``, the id of its
+    image under sigma (for sigma >= _N_PERMS, V and V+ interchanged, then
+    the line map of sigma - _N_PERMS), or 255 where the image is not in the
+    list (the topology forbids it); 255 for every other id, the root's 255
+    among them.  Built once per gate list, read-only."""
+    listed = set(gates)
     relabel = np.full((2 * _N_PERMS, 256), 255, dtype=np.uint8)
     for sid in range(2 * _N_PERMS):
         perm = LINE_PERMUTATIONS[sid % _N_PERMS]
-        for i, g in enumerate(gates):
+        for g in gates:
+            code = GATE_CODES[g]
             if sid >= _N_PERMS:
                 g = g.inverse()  # V <-> V+; every other kind is self-inverse
             image = Gate(g.kind, perm[g.target], tuple(perm[c] for c in g.controls))
-            relabel[sid, i] = gate_id.get(image, 255)
+            relabel[sid, code] = GATE_CODES[image] if image in listed else 255
     relabel.setflags(write=False)
     return relabel
 
@@ -1106,23 +1107,24 @@ def _run_search(
     options = _effective_options(options, gates, weights)
     if not options.settle_relabelings:
         symmetries = LINE_PERMUTATIONS[:1]
-    n_gates = len(gates)
-    pairs = np.array(weights)
+    codes = _codes_of(gates)
+    pairs = np.zeros((len(GATES), 2), dtype=np.int64)  # weight by gate id
+    pairs[codes] = weights
     # Conjugation joins the group where it moves some gate and keeps every cost.
     conj = (
         options.settle_relabelings
         and any(g.kind == "V" for g in gates)
-        and bool((pairs[_relabel_table(gates)[_N_PERMS, :n_gates]] == pairs).all())
+        and bool((pairs[_relabel_table(gates)[_N_PERMS, codes]] == pairs[codes]).all())
     )
     # Input masks join it where every NOT weighs (0, 0): a NOT layer at a
     # circuit's input then costs nothing and commutes with every gate.
-    not_ids = {g.target: i for i, g in enumerate(gates) if g.kind == "NOT"}
+    not_ids = {g.target: GATE_CODES[g] for g in gates if g.kind == "NOT"}
     masks = (
         options.settle_relabelings and len(not_ids) == N_LINES
         and not pairs[list(not_ids.values())].any()
     )
     orbits = _orbit_tables(gates, tuple(symmetries), conj, masks)
-    if (pairs[orbits.relabel[orbits.perm_ids, :n_gates]] != pairs).any():
+    if (pairs[orbits.relabel[orbits.perm_ids][:, codes]] != pairs[codes]).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
     span = max(weights)
     ranks = rank_tables()
@@ -1196,11 +1198,11 @@ def _run_search(
     )
     lengths = lengths[rows]
     ids = orbits.relabel[sigma_of[held, None], paths[rows]]
-    ids[np.arange(ids.shape[1]) >= lengths[:, None]] = n_gates
+    ids[np.arange(ids.shape[1]) >= lengths[:, None]] = len(GATES)
     if masks:
         prefix = orbits.compose[sigma_of[held], path_sigma[rows]] // _N_SIDS
         nots = np.array([not_ids[line] for line in range(N_LINES)], dtype=np.uint8)
-        ids, lengths = _with_not_prefix(ids, lengths, prefix, nots, n_gates)
+        ids, lengths = _with_not_prefix(ids, lengths, prefix, nots, len(GATES))
     return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], search.total
 
 
@@ -1330,12 +1332,12 @@ def synthesize_one(
     paths, _, _ = _run_search(
         gates, weights, topology.line_symmetries(), options, target=target
     )
-    codes, _, lengths = _witness_codes(paths, gates)
-    return int(paths.cost[0]), Circuit._of_codes(codes[:lengths[0]], "NCV")
+    codes = paths.gate_ids[0, :paths.lengths[0]].tobytes()
+    return int(paths.cost[0]), Circuit._of_codes(codes, "NCV")
 
 
 #: Most states ``exhaustive_oracle`` records before it raises
-#: BudgetExceeded: about 200 MiB of them, reached in about 25 s.  On the
+#: BudgetExceeded: a peak RSS of about 60 MiB, reached in about 20 s.  On the
 #: full topology ncv-012 records 2,000 states at reach 3, weights (0, 1, 1,
 #: 1) 17,888 and ncv-111 35,447 at reach 5; zero-weight V gates make
 #: millions of states of cost 0.
@@ -1357,20 +1359,21 @@ def exhaustive_oracle(
     """
     gates = enumerate_gates(topology, "NCV")
     weights = [metric.weight(g) for g in gates]
-    start = CircuitState.identity()
-    dist: dict[int, int] = {start.pack(): 0}
+    start = CircuitState.identity().pack()
+    dist: dict[int, int] = {start: 0}
     settled: set[int] = set()
-    buckets: dict[int, list] = {0: [(start.pack(), start)]}
+    buckets: dict[int, list[int]] = {0: [start]}
     results: dict[tuple[int, ...], int] = {}
     for cost in range(max_cost + 1):
         queue = buckets.pop(cost, [])
         i = 0
         while i < len(queue):
-            key, state = queue[i]
+            key = queue[i]
             i += 1
             if key in settled or dist.get(key) != cost:
                 continue
             settled.add(key)
+            state = CircuitState.unpack(key)
             if state.is_boolean:
                 results[state.permutation()] = cost
             for gate, w in zip(gates, weights):
@@ -1392,9 +1395,8 @@ def exhaustive_oracle(
                             f"exhaustive_oracle recorded more than {ORACLE_MAX_STATES} states "
                             f"of cost at most {max_cost}"
                         )
-                    entry = (new_key, new_state)
                     if new_cost == cost:
-                        queue.append(entry)
+                        queue.append(new_key)
                     else:
-                        buckets.setdefault(new_cost, []).append(entry)
+                        buckets.setdefault(new_cost, []).append(new_key)
     return results

@@ -34,7 +34,6 @@ from .model import (
     N_ROWS,
     Topology,
     apply_gate,
-    enumerate_gates,
     validate_permutation,
 )
 
@@ -157,20 +156,18 @@ def check_model_consistency(circuit: Circuit, tol: float = DEFAULT_TOL) -> bool:
 
 @functools.cache
 def _gate_index(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each ``Circuit`` code's id among the topology's NCV+NCT gates (-1 for
-    a gate outside the topology), each such gate's ``gate_unitary`` scaled
-    to Gaussian-integer entries, and whether that doubled it (V and V+; one
-    more False entry stands for padding)."""
-    gates = tuple(dict.fromkeys(enumerate_gates(topology, "NCV") + enumerate_gates(topology, "NCT")))
-    ids = np.array([gates.index(g) if g in gates else -1 for g in GATES], dtype=np.int64)
-    doubled = np.array([g.kind in ("V", "V+") for g in gates] + [False])
-    mats = np.stack([gate_unitary(g) for g in gates])
+    """By ``Circuit`` code: whether the topology allows the gate, the gate's
+    ``gate_unitary`` scaled to Gaussian-integer entries, and whether that
+    doubled it (V and V+; one more False entry stands for padding)."""
+    allowed = np.array([topology.allows_gate(g) for g in GATES])
+    doubled = np.array([g.kind in ("V", "V+") for g in GATES] + [False])
+    mats = np.stack([gate_unitary(g) for g in GATES])
     mats[doubled[:-1]] *= 2
     if not np.array_equal(mats, mats.round()):
         raise InternalError("internal error: a scaled gate unitary left Z[i]")
-    for arr in (ids, mats):
+    for arr in (allowed, mats, doubled):
         arr.setflags(write=False)
-    return ids, mats, doubled
+    return allowed, mats, doubled
 
 
 def _function_array(funcs: list) -> np.ndarray:
@@ -202,7 +199,7 @@ def verify_witnesses(
     There is no tolerance (see ``_first_failure``); a circuit with more
     than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.
     """
-    id_of_code, mats, doubled = _gate_index(topology)
+    allowed, mats, doubled = _gate_index(topology)
     funcs: list = []
     codes: list[bytes] = []
     for func, circuit in witnesses:
@@ -210,15 +207,14 @@ def verify_witnesses(
         codes.append(circuit.codes)
     if not funcs:
         return 0, None
-    flat_codes = np.frombuffer(b"".join(codes), dtype=np.uint8)
-    flat = id_of_code[flat_codes]
+    flat = np.frombuffer(b"".join(codes), dtype=np.uint8)
     lengths = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
-    outside = np.flatnonzero(flat < 0)
+    outside = np.flatnonzero(~allowed[flat])
     if len(outside):
         at = int(outside[0])
         row = int(np.searchsorted(np.cumsum(lengths), at, side="right"))
         raise TopologyViolation(
-            f"{GATES[flat_codes[at]]} is not a gate of the {topology.slug} topology "
+            f"{GATES[flat[at]]} is not a gate of the {topology.slug} topology "
             f"(in the circuit for {funcs[row]!r})"
         )
     ids = np.full((len(codes), int(lengths.max())), len(mats), dtype=np.int64)

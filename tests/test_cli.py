@@ -17,7 +17,7 @@ import ncvsynth as nv
 from ncvsynth import cli, nct, search
 from ncvsynth import io as nio
 from ncvsynth.cli import main
-from ncvsynth.model import MAX_WEIGHT
+from ncvsynth.model import GATES, MAX_WEIGHT
 from ncvsynth.nct import toffoli_decomposition
 
 from helpers import read_table_jsonl
@@ -614,30 +614,54 @@ def test_cache_file_of_another_dtype_or_shape_is_a_miss(tmp_path, ncv012_full, n
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_cache_file_of_gate_ids_past_the_gate_list_is_recomputed(tmp_path, capsys, ncv012_full):
-    """A file of this run's spec, with whole CRCs, whose first gate ids are
-    200: writing its circuits ended in an IndexError traceback."""
-    circuits = tmp_path / "circuits.jsonl"
-    argv = ["synth-all", "--metric", "ncv-012", "--circuits", str(circuits), "--cache-dir"]
-    code, cold, err = run(capsys, *argv, str(tmp_path / "cold"))
-    assert code == 0, err
-    cold_circuits = circuits.read_bytes()
+def _first_gates_replaced(table, kind, gate):
+    """The table's gate ids with the first gate of each witness that begins
+    with a ``kind`` gate replaced by ``gate`` (None: every first id by 200)."""
+    ids = table.witness_paths().gate_ids.copy()
+    if gate is None:
+        ids[:, 0] = 200
+    else:
+        first = np.array([g.kind == kind for g in GATES] + [False])[ids[:, 0]]
+        assert first.any()
+        ids[first, 0] = GATES.index(gate)
+    return ids
 
-    path, spec = cli.cache_entry(tmp_path / "cache", nv.NCV_012, nv.FULL_TOPOLOGY,
-                                 nv.SearchOptions())
-    paths = ncv012_full.witness_paths()
-    gate_ids = paths.gate_ids.copy()
-    gate_ids[:, 0] = 200
-    path.parent.mkdir()
-    np.savez(
-        path, spec=np.array(spec), cost=paths.cost, secondary=ncv012_full.secondary_array(),
-        gate_ids=gate_ids, lengths=paths.lengths,
-    )
-    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is None
-    code, out, err = run(capsys, *argv, str(tmp_path / "cache"))
-    assert code == 0, err
-    assert (out, circuits.read_bytes()) == (cold, cold_circuits)
-    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is not None
+
+def test_cache_file_of_gate_ids_past_the_gate_list_is_recomputed(
+    tmp_path, capsys, ncv012_full, ncv111_path
+):
+    """A file of this run's spec, with whole CRCs, whose first gate ids are
+    200: writing its circuits ended in an IndexError traceback.  Ids that
+    are codes of gates off the table's gate list are a miss too: CNOT a c in
+    an ncv-111 path table, and TOF for a NOT in an ncv-012 table, whose
+    costs still sum (NOT weighs 0, and the reader weighs no code off the
+    list)."""
+    cases = [
+        ("ncv-012", "full", ncv012_full, None, None),
+        ("ncv-111", "path", ncv111_path, "CNOT", nv.CNOT(0, 2)),
+        ("ncv-012", "full", ncv012_full, "NOT", nv.TOF(0, 1, 2)),
+    ]
+    for i, (metric, topology, table, kind, gate) in enumerate(cases):
+        circuits = tmp_path / f"circuits{i}.jsonl"
+        argv = ["synth-all", "--metric", metric, "--topology", topology,
+                "--circuits", str(circuits), "--cache-dir"]
+        code, cold, err = run(capsys, *argv, str(tmp_path / f"cold{i}"))
+        assert code == 0, err
+        cold_circuits = circuits.read_bytes()
+
+        cache = tmp_path / f"cache{i}"
+        path, spec = cli.cache_entry(cache, table.metric, table.topology, nv.SearchOptions())
+        paths = table.witness_paths()
+        path.parent.mkdir()
+        np.savez(
+            path, spec=np.array(spec), cost=paths.cost, secondary=table.secondary_array(),
+            gate_ids=_first_gates_replaced(table, kind, gate), lengths=paths.lengths,
+        )
+        assert cli.read_cached_table(path, spec, table.metric, table.topology) is None
+        code, out, err = run(capsys, *argv, str(cache))
+        assert code == 0, err
+        assert (out, circuits.read_bytes()) == (cold, cold_circuits)
+        assert cli.read_cached_table(path, spec, table.metric, table.topology) is not None
 
 
 def test_cache_file_of_another_metric_is_recomputed(
@@ -673,20 +697,46 @@ def test_cache_file_of_other_reductions_is_recomputed(
     assert settled == ["ncv-111"] * 4
 
 
-def test_cache_file_of_an_older_format_is_recomputed(tmp_path, monkeypatch, ncv012_full):
-    """Format 1 files hold ncv-012 witnesses without the input-NOT prefix: a
-    warm run must not serve other witnesses than a cold one."""
-    calls = []
-    monkeypatch.setattr(search, "settle_all", lambda *a: calls.append(a) or ncv012_full)
-    path, spec = cli.cache_entry(tmp_path, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions())
-    old = json.loads(spec)
-    assert old["format"] == cli.CACHE_FORMAT == 2
-    cli.write_cached_table(path, json.dumps({**old, "format": 1}), ncv012_full)
-    table = cli.cached_table(nv.NCV_012, nv.FULL_TOPOLOGY, tmp_path, True)
-    assert len(calls) == 1 and table is ncv012_full
-    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY) is not None
-    cli.cached_table(nv.NCV_012, nv.FULL_TOPOLOGY, tmp_path, True)
-    assert len(calls) == 1
+def _gate_list_positions(table):
+    """The table's gate ids as format 2 stored them: each gate's position in
+    the table's gate list, padded with the list's length."""
+    gates = table.gate_list
+    position = np.full(len(GATES) + 1, len(gates), dtype=np.uint8)
+    position[[GATES.index(g) for g in gates]] = range(len(gates))
+    return position[table.witness_paths().gate_ids]
+
+
+def test_cache_file_of_an_older_format_is_recomputed(
+    tmp_path, monkeypatch, ncv012_full, ncv111_path
+):
+    """Format 1 files hold ncv-012 witnesses without the input-NOT prefix,
+    and format 2 files number gates by their position in the gate list, so
+    a path table's ids are codes of other gates: a warm run must not serve
+    other witnesses than a cold one."""
+    for old_format, table in ((1, ncv012_full), (2, ncv111_path)):
+        calls = []
+        monkeypatch.setattr(search, "settle_all", lambda *a: calls.append(a) or table)
+        cache = tmp_path / f"format{old_format}"
+        path, spec = cli.cache_entry(cache, table.metric, table.topology, nv.SearchOptions())
+        old = json.loads(spec)
+        assert old["format"] == cli.CACHE_FORMAT == 3
+        old_spec = json.dumps({**old, "format": old_format})
+        if old_format == 1:
+            cli.write_cached_table(path, old_spec, table)
+        else:
+            paths = table.witness_paths()
+            ids = _gate_list_positions(table)
+            assert not np.array_equal(ids, paths.gate_ids)
+            cache.mkdir()
+            np.savez(
+                path, spec=np.array(old_spec), cost=paths.cost,
+                secondary=table.secondary_array(), gate_ids=ids, lengths=paths.lengths,
+            )
+        assert cli.cached_table(table.metric, table.topology, cache, True) is table
+        assert len(calls) == 1
+        assert cli.read_cached_table(path, spec, table.metric, table.topology) is not None
+        cli.cached_table(table.metric, table.topology, cache, True)
+        assert len(calls) == 1
 
 
 def test_compare_recomputes_a_table_csv_in_place_of_its_cache_file(

@@ -22,6 +22,7 @@ from ncvsynth import (
 from ncvsynth import io as nio
 from ncvsynth import search
 from ncvsynth.model import (
+    GATES,
     LINE_PERMUTATIONS,
     CostMetric,
     CircuitState,
@@ -225,13 +226,18 @@ def _corrupt_gate_id_past_list(ids, lengths):
     ids[7, 0] = 200
 
 
+def _corrupt_gate_id_off_the_list(ids, lengths):
+    """A Toffoli's code in an NCV table."""
+    ids[7, 0] = GATES.index(nv.TOF(0, 1, 2))
+
+
 def _corrupt_padding(ids, lengths):
     ids[9, lengths[9]] = 0
 
 
 @pytest.mark.parametrize("corrupt", [
     _corrupt_lengths_past_width, _corrupt_negative_length,
-    _corrupt_gate_id_past_list, _corrupt_padding,
+    _corrupt_gate_id_past_list, _corrupt_gate_id_off_the_list, _corrupt_padding,
 ])
 def test_table_rejects_gate_ids_that_are_no_witness(ncv111_full, corrupt):
     paths = ncv111_full.witness_paths()
@@ -267,13 +273,13 @@ def test_witness_paths_row_by_row_equal_witness(name, request):
     assert paths.cost.tolist() == [table.cost_of(f) for f in functions]
     assert np.array_equal(paths.cost, table.costs)
     assert paths.gate_ids.dtype == np.uint8
-    gates = table.gate_list
+    listed = {GATES.index(g) for g in table.gate_list}
     for func, ids, length in zip(functions, paths.gate_ids.tolist(), paths.lengths.tolist()):
-        assert set(ids[length:]) <= {len(gates)}
+        assert set(ids[:length]) <= listed and set(ids[length:]) <= {len(GATES)}
         # witness() skips the per-gate library check; the result must be
-        # the circuit the checked constructor builds.
+        # the circuit the checked constructor builds from the codes.
         witness = table.witness(func)
-        checked = nv.Circuit(tuple(gates[i] for i in ids[:length]), table.library)
+        checked = nv.Circuit(tuple(GATES[i] for i in ids[:length]), table.library)
         assert witness == checked and hash(witness) == hash(checked)
         assert type(witness.gates) is tuple
 
@@ -289,18 +295,21 @@ def test_table_rejects_a_gate_outside_its_library(ncv111_full):
 @pytest.mark.parametrize("library", ["NCV", "NCT"])
 @pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
 def test_relabel_table_maps_gates_like_relabel_circuit(topology, library):
-    """Row sigma of the (sigma x gate id) map is relabel_circuit by
-    LINE_PERMUTATIONS[sigma % 6], after vswap for sigma >= 6; perms outside
-    the topology's symmetries map some gate to 255."""
+    """Row sigma of the (sigma x gate id) map, read at the codes of the gate
+    list, is relabel_circuit by LINE_PERMUTATIONS[sigma % 6], after vswap
+    for sigma >= 6; perms outside the topology's symmetries map some gate to
+    255, and every id that is no code of the list maps to 255."""
     gates = enumerate_gates(topology, library)
+    codes = [GATES.index(g) for g in gates]
     relabel = search._relabel_table(gates)
-    assert relabel.shape[0] == 2 * len(LINE_PERMUTATIONS)
+    assert relabel.shape == (2 * len(LINE_PERMUTATIONS), 256)
+    assert (np.delete(relabel, codes, axis=1) == 255).all()
     plain = nv.Circuit(gates, library)
-    for sid, ids in enumerate(relabel[:, :len(gates)].tolist()):
+    for sid, ids in enumerate(relabel[:, codes].tolist()):
         perm = LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)]
         source = nv.vswap(plain) if sid >= len(LINE_PERMUTATIONS) else plain
         if perm in topology.line_symmetries():
-            mapped = tuple(gates[i] for i in ids)
+            mapped = tuple(GATES[i] for i in ids)
             assert mapped == nv.relabel_circuit(source, perm, topology).gates
         else:
             assert 255 in ids
@@ -352,6 +361,36 @@ def test_oracle_raises_past_its_state_bound(monkeypatch):
     with pytest.raises(BudgetExceeded, match="more than 1000 states of cost at most 3"):
         nv.exhaustive_oracle(nv.NCV_111, max_cost=3)
     assert len(nv.exhaustive_oracle(nv.NCV_111, max_cost=2)) == 1 + 9 + 51
+
+
+#: Histograms that follow from group theory, not from the engine, for
+#: metrics with zero-weight gates: each entry is a part of the histogram.
+#: Every NCV gate but NOT fixes row 000.  Free V and V+ make CNOT (V V) and
+#: the Toffolis built from V free, and these generate the 5,040
+#: permutations that fix 000; one NOT moves 000 anywhere.  Free CNOT
+#: generates GL(3, 2), the 168 linear functions, and with free NOT the
+#: affine group, 1,344 functions.
+ZERO_WEIGHT_COUNTS = [
+    (CostMetric(1, 1, 0, 0), {0: 5040, 1: 35280}),
+    (CostMetric(0, 0, 1, 1), {0: 1344}),
+    (CostMetric(1, 0, 1, 1), {0: 168}),
+]
+
+
+@pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY], ids=["full", "path"])
+@pytest.mark.parametrize("metric, counts", ZERO_WEIGHT_COUNTS, ids=["1100", "0011", "1011"])
+def test_zero_weight_metrics_give_the_group_theory_histograms(metric, counts, topology):
+    """The path topology reaches the same groups: CNOT on a-b and b-c
+    generates GL(3, 2).  Every witness is certified and weighs its cost."""
+    table = nv.settle_all(metric, topology)
+    hist = nv.histogram(table).counts
+    assert {cost: hist.get(cost) for cost in counts} == counts
+    witnesses = [(f, table.witness(f)) for f in table.functions()]
+    assert nv.verify_witnesses(witnesses, topology=topology) == (nv.N_FUNCTIONS, None)
+    weights = np.zeros(len(GATES) + 1, dtype=np.int64)
+    weights[[GATES.index(g) for g in table.gate_list]] = [metric.weight(g) for g in table.gate_list]
+    paths = table.witness_paths()
+    assert np.array_equal(weights[paths.gate_ids].sum(axis=1), table.costs)
 
 
 ORACLE_REACH = 3

@@ -257,16 +257,15 @@ def test_random_batches_agree_with_check_realizes(seed, lengths, topology):
 def test_scaled_gate_matrices_are_twice_the_v_unitaries():
     """Verdicts cannot see V and V+ traded in every gate at once (conjugation
     fixes a permutation matrix), so the scaled matrices are checked here."""
-    ids, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
-    assert len(ids) == len(GATES) and len(mats) == len(doubled) - 1 and not doubled[-1]
-    assert sorted(ids[ids >= 0].tolist()) == list(range(len(mats)))
-    for gate, i in zip(GATES, ids.tolist()):
-        assert (i >= 0) == PATH_TOPOLOGY.allows_gate(gate)
-        if i < 0:
-            continue
+    allowed, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
+    assert len(allowed) == len(mats) == len(doubled) - 1 == len(GATES) and not doubled[-1]
+    path_gates = enumerate_gates(PATH_TOPOLOGY, "NCV") + enumerate_gates(PATH_TOPOLOGY, "NCT")
+    assert {GATES[code] for code in np.flatnonzero(allowed)} == set(path_gates)
+    for code, gate in enumerate(GATES):
+        assert allowed[code] == PATH_TOPOLOGY.allows_gate(gate)
         factor = 2 if gate.kind in ("V", "V+") else 1
-        assert doubled[i] == (factor == 2)
-        assert np.array_equal(mats[i], factor * gate_unitary(gate))
+        assert doubled[code] == (factor == 2)
+        assert np.array_equal(mats[code], factor * gate_unitary(gate))
 
 
 def test_verify_witnesses_edge_cases():
