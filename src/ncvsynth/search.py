@@ -7,13 +7,16 @@ recorded cost, so the first recorded cost of a reversible function is its
 true minimum.  Zero-weight gates re-insert into the current bucket, which is
 processed to exhaustion.
 
-Costs are (primary, secondary) integer pairs, and a heap orders the bucket
-keys lexicographically.  A plain metric gives every gate secondary weight 0;
-a secondary metric, or the NCT modes' negated substitution costs, pick among
-the primary-optimal circuits.  Dijkstra is sound because no gate weighs less
-than (0, 0): a gate of primary weight >= 1 may carry a negative secondary
-weight, and a gate of primary weight 0 may not.  Weights below (0, 0) are
-rejected with ValueError.
+Costs are (primary, secondary) integer pairs, compared lexicographically.
+A plain metric gives every gate secondary weight 0; a secondary metric, or
+the NCT modes' negated substitution costs, pick among the primary-optimal
+circuits.  Dijkstra is sound because no gate weighs less than (0, 0): a gate
+of primary weight >= 1 may carry a negative secondary weight, and a gate of
+primary weight 0 may not.  Weights below (0, 0) are rejected with
+ValueError.  A heap orders the buckets.  A bucket is one (primary,
+secondary) cost, except where every gate has primary weight >= 1 and some
+gate a secondary weight (the NCT lex modes): there a bucket is one primary
+cost, and each of its candidates carries its secondary cost (see below).
 
 Expansion is vectorized with numpy and shares work per placement: the
 parents a gate may extend (its control lines Boolean, and reduction (1)
@@ -34,23 +37,41 @@ Boolean states to function ranks through 4096-entry tables indexed by the
 one-hot occupancy, another their two code bytes (a third gives their
 classes, for the input masks below).
 
-The window holds the keys of the states settled at cost ``cost - span`` or
-more, where ``span`` is the heaviest gate weight (pairs subtract
-componentwise and compare lexicographically); states below it are dropped
-from the probe on each new bucket.  That misses no settled state a
-candidate can meet.  A state's settled cost is its distance from the
-identity: Dijkstra settles distances, and reduction (1) below preserves
-every state's distance under the weights ``_run_search`` leaves it on
-for.  The gate list holds the inverse of each of its gates (ValueError
-otherwise), and the symmetries of reduction (2) map gates to gates of equal
-weight, so the search graph is undirected: if a candidate g(p) of a state p
-settled at cost c was itself settled, at cost d, then c <= d + w(g^-1), so
-d >= c - span.  A candidate is probed when it is made, and again at its
-own bucket, of cost c + w(g), if a drain has settled a state since: that
-catches the states settled after it was made, whose costs are at least c.
+The window holds the keys of the states settled at primary cost ``c -
+span`` or more, where c is the bucket's primary cost and ``span`` the
+heaviest primary gate weight; states below it are dropped from the probe
+on each new bucket.  That misses no settled state a candidate can meet.  A
+state's settled cost is its distance from the identity, and its primary
+part the primary distance: Dijkstra settles distances, and reduction (1)
+below preserves every state's distance under the weights ``_run_search``
+leaves it on for.  The gate list holds the inverse of each of its gates
+(ValueError otherwise), and the symmetries of reduction (2) map gates to
+gates of equal weight, so the search graph is undirected: if a candidate
+g(p) of a state p settled at primary cost c was itself settled, at primary
+cost d, then c <= d + w(g^-1), so d >= c - span.  A candidate is probed
+when it is made, and again at its own bucket, of cost c + w(g), if a drain
+has settled a state since: that catches the states settled after it was
+made, whose costs are at least c.
 A drain whose batches were all made after the latest settle (under
 ncv-111, every drain) skips the probe: the window has since only been
 trimmed, which removes keys, so the probe could find none of them.
+
+A bucket of one primary cost c stands for the (c, s) buckets, s ascending,
+that a (primary, secondary) queue would drain.  Every primary weight is at
+least 1, so no drain at c makes a candidate of cost c: the bucket is
+complete when it is drained, and one drain settles it.  It puts its
+candidates in (secondary, parent settle index, gate candidate order)
+order, the order in which those drains would meet them, before the least
+position per key wins; a key met at several secondary costs is thus
+settled at its least, where each (c, s) drain would have found it in the
+window.  The window, trimmed by primary cost, holds every settled state a
+candidate can meet, as the graph is undirected.  The new keys take settle
+indices in (secondary, key) order, and the drain yields one (c, s) drain
+per secondary cost, so records, budgets and states visited are those of the
+(c, s) drains: a search that stops at the (c, s) drain recording its last
+function does not count the later ones.  A search with a free gate (where
+ncv-012's NOT makes candidates of the cost being drained) or with every
+secondary weight 0 keeps its (primary, secondary) buckets.
 
 Parallel expansion and drain: a frontier of more than ``_CHUNK`` parents is
 expanded in fixed chunks of that many consecutive parents, shared by the
@@ -827,8 +848,8 @@ class _Pool:
             self._pool.shutdown()
 
 
-#: What a drain settles: its bucket cost, the new keys in packed-key order
-#: and their settle indices.
+#: What a drain settles: its (primary, secondary) cost, the new keys in
+#: packed-key order and their settle indices.
 _Drain = tuple[Cost, np.ndarray, np.ndarray]
 
 
@@ -841,49 +862,71 @@ class _Search:
     unsettled."""
 
     def __init__(
-        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: Cost, pool: _Pool,
+        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: int, pool: _Pool,
     ) -> None:
         self.plan, self.orbits, self.pool, self.span = plan, orbits, pool, span
         self.no_repeat = options.no_repeat_placement
+        # A bucket is one primary cost where every gate has primary weight
+        # and some gate secondary weight (see the module docstring).
+        weights = [weight for weight, _ in plan.groups]
+        self.by_primary = min(weights)[0] >= 1 and any(s for _, s in weights)
         # The root is the identity's canonical key, reached by its sigma.
         self.root, root_sigma = _canonical(np.array([_identity_key()], dtype=np.uint64), orbits)
         # Per drain, its states' predecessor settle indices, gate ids and sigmas.
         self.settled = [(np.array([-1], np.int32), np.array([255], np.uint8), root_sigma)]
         self.total = 1
         # The settled states a candidate can meet (see the module docstring):
-        # each drain's new keys with its bucket cost, and their sorted union.
-        self.window: list[tuple[Cost, np.ndarray]] = [((0, 0), self.root)]
+        # each drain's new keys with its primary cost, and their sorted union.
+        self.window: list[tuple[int, np.ndarray]] = [(0, self.root)]
         self.window_keys = self.root
         self.buckets: dict[Cost, list] = {}
         self.heap: list[Cost] = []
         self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
 
     def drains(self) -> Iterator[_Drain]:
-        self._expand(self.root, np.zeros(1, dtype=np.int32), np.full(1, 255, np.uint8), (0, 0))
+        self._expand(
+            self.root, np.zeros(1, dtype=np.int32), np.full(1, 255, np.uint8), (0, 0),
+            np.zeros(1, dtype=np.int64) if self.by_primary else None,
+        )
         while self.heap:
             cost = heapq.heappop(self.heap)
-            floor = (cost[0] - self.span[0], cost[1] - self.span[1])
+            floor = cost[0] - self.span
             if self.window[0][0] < floor:
                 self.window = [(c, k) for c, k in self.window if c >= floor]
                 self.window_keys = np.sort(np.concatenate([k for _, k in self.window]))
             while self.buckets.get(cost):
                 settled = self._drain(cost)
                 if settled is not None:
-                    keys, gidx, plc = settled
-                    yield cost, keys, gidx
-                    self._expand(keys, gidx, plc, cost)
+                    keys, gidx, plc, secondary = settled
+                    if secondary is None:
+                        yield cost, keys, gidx
+                    else:
+                        # One drain per secondary cost, as a (primary,
+                        # secondary) bucket queue would yield them.
+                        cuts = [0, *(np.flatnonzero(np.diff(secondary)) + 1).tolist(), len(keys)]
+                        for lo, hi in zip(cuts, cuts[1:]):
+                            yield (cost[0], int(secondary[lo])), keys[lo:hi], gidx[lo:hi]
+                    self._expand(keys, gidx, plc, cost, secondary)
             self.buckets.pop(cost, None)
 
-    def _drain(self, cost: Cost) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _drain(self, cost: Cost) -> tuple[np.ndarray, ...] | None:
         """Settle the fresh keys of the bucket's batches: their keys, settle
-        indices and last placements, or None if no key is fresh.  A bucket
-        of more than ``_CHUNK`` candidates is cut at the window's quantiles
-        into one key range per thread of the pool; each range settles its
-        keys against its own slice of the window, then merges its new keys
-        into its slice of the next window."""
+        indices, last placements and, in a bucket of one primary cost,
+        secondary costs (else None), in settle order; or None if no key is
+        fresh.  A bucket of more than ``_CHUNK`` candidates is cut at the
+        window's quantiles into one key range per thread of the pool; each
+        range settles its keys against its own slice of the window, then
+        merges its new keys into its slice of the next window."""
         probed, batches = zip(*self.buckets[cost])
         self.buckets[cost] = []
-        keys, preds, gids, sigmas = map(np.concatenate, zip(*batches))
+        columns = list(map(np.concatenate, zip(*batches)))
+        if self.by_primary:
+            # Candidates in (secondary, parent settle index, gate) order: the
+            # order of the (primary, secondary) drains this one stands for.
+            # A stable sort keeps each parent's candidates in gate order.
+            first = np.lexsort((columns[1], columns[4]))
+            columns = [column[first] for column in columns]
+        keys, preds, gids, sigmas = columns[:4]
         window = self.window_keys
         ranges = 1 + self.pool.workers if len(keys) > _CHUNK else 1
         cuts = [len(window) * i // ranges for i in range(ranges + 1)]
@@ -914,11 +957,10 @@ class _Search:
                 kept = self.keep(cost, new)
                 new, winners = new[kept], winners[kept]
             _assert_projection_permutation(new)
-            winners = winners if at is None else at[winners]
-            return new, preds[winners], gids[winners], sigmas[winners]
+            return new, winners if at is None else at[winners]
 
         parts = self.pool.map(settle, range(ranges))
-        new_keys, pred, gate, sigma = parts[0] if ranges == 1 else map(np.concatenate, zip(*parts))
+        new_keys, winners = parts[0] if ranges == 1 else map(np.concatenate, zip(*parts))
         if not len(new_keys):
             return None
         # Range i's slice of the next window: its slice of this one, then
@@ -933,23 +975,37 @@ class _Search:
             out.sort(kind="stable")
 
         self.pool.map(merge, range(ranges))
+        settled = [column[winners] for column in columns[1:]]
+        if self.by_primary:
+            # The new keys take settle indices in (secondary, key) order.
+            order = np.argsort(settled[3], kind="stable")
+            new_keys, *settled = [column[order] for column in (new_keys, *settled)]
+        else:
+            settled.append(None)
+        pred, gate, sigma, secondary = settled
         gidx = np.arange(self.total, self.total + len(new_keys), dtype=np.int32)
         self.settled.append((pred, gate, sigma))
         self.total += len(new_keys)
-        self.window.append((cost, new_keys))
+        self.window.append((cost[0], new_keys))
         self.window_keys = merged
         # The canonical state's last gate is sigma(gate).
         plc = self.plan.placement_of_gate[self.orbits.relabel[sigma, gate]]
-        return new_keys, gidx, plc
+        return new_keys, gidx, plc, secondary
 
-    def _expand(self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost) -> None:
+    def _expand(
+        self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
+        secondary: np.ndarray | None,
+    ) -> None:
         """Enqueue the fresh canonical successors of settled states: chunk
         by chunk of ``_CHUNK`` parents, on this thread and the pool's, each
         chunk's batches appended in chunk order."""
         window_keys = self.window_keys
 
         def run(chunk: slice) -> list[tuple[Cost, tuple]]:
-            return self._expand_chunk(keys[chunk], gidx[chunk], plc[chunk], cost, window_keys)
+            return self._expand_chunk(
+                keys[chunk], gidx[chunk], plc[chunk], cost,
+                None if secondary is None else secondary[chunk], window_keys,
+            )
 
         chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
         for batches in self.pool.map(run, chunks):
@@ -960,14 +1016,16 @@ class _Search:
 
     def _expand_chunk(
         self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
-        window_keys: np.ndarray,
+        secondary: np.ndarray | None, window_keys: np.ndarray,
     ) -> list[tuple[Cost, tuple]]:
         """The fresh canonical successors of some settled states, as one
-        (cost, batch) pair per gate weight, each batch in (parent settle
-        index, gate id) order.  Each placement's parents are selected once
-        for all its gates, and the candidates of every weight are
-        canonicalized and probed together.  Runs on any thread: it reads
-        only its arguments and the search's read-only tables."""
+        (bucket, batch) pair per gate weight, each batch in (parent settle
+        index, gate id) order.  Given the parents' ``secondary`` costs, the
+        bucket is (primary cost, 0) and each candidate carries its secondary
+        cost.  Each placement's parents are selected once for all its gates,
+        and the candidates of every weight are canonicalized and probed
+        together.  Runs on any thread: it reads only its arguments and the
+        search's read-only tables."""
         plan = self.plan
         raw, preds, counts = _candidates(plan, keys, gidx, plc, self.no_repeat)
         if not len(raw):
@@ -988,9 +1046,14 @@ class _Search:
             group_preds = preds[group]
             order = np.argsort(group_preds, kind="stable")
             take = group[order]
-            out.append(((cost[0] + weight[0], cost[1] + weight[1]), (
-                new_keys[take], group_preds[order], gids[take], sigma[take],
-            )))
+            batch = (new_keys[take], group_preds[order], gids[take], sigma[take])
+            if secondary is None:
+                out.append(((cost[0] + weight[0], cost[1] + weight[1]), batch))
+            else:
+                # A chunk's parents have consecutive settle indices.
+                out.append(((cost[0] + weight[0], 0), (
+                    *batch, secondary[batch[1] - gidx[0]] + weight[1],
+                )))
         return out
 
 
@@ -1126,7 +1189,7 @@ def _run_search(
     orbits = _orbit_tables(gates, tuple(symmetries), conj, masks)
     if (pairs[orbits.relabel[orbits.perm_ids][:, codes]] != pairs[codes]).any():
         raise ValueError("gate weights must be invariant under the line symmetries")
-    span = max(weights)
+    span = max(weight[0] for weight in weights)
     ranks = rank_tables()
 
     cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
@@ -1175,12 +1238,17 @@ def _run_search(
             # The row orders of N_m o T' for each column's relabeling T'
             orders = ranks.outputs[ranks.relabeled[target, col_perm]] ^ col_mask[:, None]
             drains = _toward(search, np.unique(orders, axis=0))
+        visited = 1
         while unsettled():
             cost, keys, gidx = next(drains, (None, None, None))
             if cost is None:
                 raise InternalError("internal error: search ended with unsettled functions")
+            # States settled so far: a drain of one primary cost yields its
+            # secondary costs one at a time, and those past the last
+            # function's count for nothing.
+            visited = int(gidx[-1]) + 1
             for ceiling, passed, what in (
-                (options.max_cost, cost[0], "cost"), (options.max_states, search.total, "state"),
+                (options.max_cost, cost[0], "cost"), (options.max_states, visited, "state"),
             ):
                 if ceiling is not None and passed > ceiling:
                     raise BudgetExceeded(
@@ -1203,7 +1271,7 @@ def _run_search(
         prefix = orbits.compose[sigma_of[held], path_sigma[rows]] // _N_SIDS
         nots = np.array([not_ids[line] for line in range(N_LINES)], dtype=np.uint8)
         ids, lengths = _with_not_prefix(ids, lengths, prefix, nots, len(GATES))
-    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], search.total
+    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], visited
 
 
 def _extract_paths(

@@ -75,6 +75,52 @@ def test_wide_lex_witnesses_are_gate_count_optimal(nct_gc, mode, sign):
         )
 
 
+def _lex_oracle(metric):
+    """Each function's (gate count, least substituted cost, greatest
+    substituted cost) over its gate-count-optimal NCT circuits, by a
+    breadth-first pass over the permutations with each NCT gate as a
+    permutation of the rows (line a is row bit 4, c row bit 1): no packed
+    keys and no symmetry."""
+    moves = []
+    for gate in nv.enumerate_gates(nv.FULL_TOPOLOGY, "NCT"):
+        controls = sum(4 >> line for line in gate.controls)
+        perm = tuple(
+            row ^ (4 >> gate.target) if row & controls == controls else row for row in range(8)
+        )
+        assert perm == nv.realized_function(Circuit((gate,), "NCT"))
+        moves.append((perm, substituted_weight(gate, metric)))
+    identity = tuple(range(8))
+    best = {identity: (0, 0, 0)}
+    layer = [identity]
+    while layer:
+        reached = []
+        for func in layer:
+            count, least, greatest = best[func]
+            for perm, weight in moves:
+                after = tuple(perm[row] for row in func)
+                known = best.get(after)
+                if known is None:
+                    best[after] = (count + 1, least + weight, greatest + weight)
+                    reached.append(after)
+                elif known[0] == count + 1:
+                    best[after] = (
+                        count + 1, min(known[1], least + weight), max(known[2], greatest + weight)
+                    )
+        layer = reached
+    return best
+
+
+@pytest.mark.parametrize("metric", [nv.NCV_012, WIDE_METRIC], ids=["ncv-012", "wide"])
+def test_lex_tables_match_a_breadth_first_pass_over_the_permutations(metric):
+    best = _lex_oracle(metric)
+    assert len(best) == nv.N_FUNCTIONS
+    lexmin, lexmax = (nv.settle_all_nct(mode, metric) for mode in ("lex-min", "lex-max"))
+    count, least, greatest = zip(*(best[f] for f in lexmin.functions()))
+    assert lexmin.costs.tolist() == lexmax.costs.tolist() == list(count)
+    assert lexmin.secondary_array().tolist() == list(least)
+    assert (-lexmax.secondary_array()).tolist() == list(greatest)
+
+
 def test_nct_witnesses_fold(nct_gc):
     for func in ((7, 6, 4, 5, 2, 3, 1, 0), (1, 0, 2, 3, 4, 5, 6, 7)):
         witness = nct_gc.witness(func)

@@ -191,6 +191,30 @@ def test_no_drain_at_cost_zero_settles_a_state(monkeypatch):
     assert settled_at_zero == []
 
 
+def test_a_lex_settle_drains_once_per_primary_cost(monkeypatch):
+    """Every NCT gate has primary weight 1, so no drain of a primary cost
+    makes a candidate of that cost, and one drain settles all of its
+    secondary costs.  ncv-111's secondaries are 0 and ncv-012's NOT weighs
+    (0, 1) under an ncv-111 secondary: both drain as (primary, secondary)
+    buckets."""
+    drained = []
+    drain = search._Search._drain
+
+    def spy(self, cost):
+        drained.append(cost)
+        return drain(self, cost)
+
+    monkeypatch.setattr(search._Search, "_drain", spy)
+    nv.settle_all_nct("lex-min", nv.NCV_012)
+    assert len(drained) <= 10 and len({cost[0] for cost in drained}) == len(drained)
+    drained.clear()
+    nv.settle_all(nv.NCV_111)
+    assert len(drained) == 14
+    drained.clear()
+    nv.settle_all(nv.NCV_012, secondary=nv.NCV_111)
+    assert len(drained) == 121
+
+
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
 def test_every_witness_is_optimal_and_legal(name, request):
     table = request.getfixturevalue(name)
@@ -385,12 +409,42 @@ def test_zero_weight_metrics_give_the_group_theory_histograms(metric, counts, to
     table = nv.settle_all(metric, topology)
     hist = nv.histogram(table).counts
     assert {cost: hist.get(cost) for cost in counts} == counts
+    _assert_witnesses_certify_and_weigh_their_costs(table)
+
+
+def _assert_witnesses_certify_and_weigh_their_costs(table):
     witnesses = [(f, table.witness(f)) for f in table.functions()]
-    assert nv.verify_witnesses(witnesses, topology=topology) == (nv.N_FUNCTIONS, None)
+    assert nv.verify_witnesses(witnesses, topology=table.topology) == (nv.N_FUNCTIONS, None)
     weights = np.zeros(len(GATES) + 1, dtype=np.int64)
-    weights[[GATES.index(g) for g in table.gate_list]] = [metric.weight(g) for g in table.gate_list]
+    weights[[GATES.index(g) for g in table.gate_list]] = [
+        table.metric.weight(g) for g in table.gate_list
+    ]
     paths = table.witness_paths()
     assert np.array_equal(weights[paths.gate_ids].sum(axis=1), table.costs)
+
+
+# At least one of CNOT, V and V+ is free.  Without the reductions the search
+# settles 4-5 M states, so each example takes 2-4 s and up to 400 MiB: keep
+# them few.
+@settings(max_examples=3, deadline=None)
+@given(
+    free=st.sampled_from(["CNOT", "V", "V+"]),
+    w_not=st.integers(0, 2),
+    w_cnot=st.integers(0, 3),
+    w_v=st.integers(0, 3),
+    w_vplus=st.integers(0, 3),
+)
+@example(free="V", w_not=0, w_cnot=2, w_v=0, w_vplus=1)
+def test_reductions_keep_every_cost_under_zero_weight_gates(free, w_not, w_cnot, w_v, w_vplus):
+    weights = {"NOT": w_not, "CNOT": w_cnot, "V": w_v, "V+": w_vplus, free: 0}
+    metric = CostMetric(*(weights[kind] for kind in ("NOT", "CNOT", "V", "V+")))
+    reduced = nv.settle_all(metric)
+    unreduced = nv.settle_all(
+        metric, options=SearchOptions(no_repeat_placement=False, settle_relabelings=False)
+    )
+    assert np.array_equal(reduced.costs, unreduced.costs)
+    for table in (reduced, unreduced):
+        _assert_witnesses_certify_and_weigh_their_costs(table)
 
 
 ORACLE_REACH = 3
@@ -493,44 +547,59 @@ def test_gate_list_without_inverses_rejected():
         )
 
 
-# states_visited and the SHA-256 of write_table_jsonl, for searches that
-# stress the settled-state window: ncv-012 has a zero-weight NOT (several
-# drains per bucket) and input masks in its group, CostMetric(0,3,1,2) the
-# masks without conjugation, ncv-155 a span of 5, custom:1,3,1 switches
-# reduction (1) off, and NCT lex-max pairs carry negative secondaries.  A
-# window too narrow to hold every settled state a candidate can meet settles
-# some states again, which shows as more states.
+# states_visited and the SHA-256 of write_table_jsonl and the secondary
+# costs, for searches that stress the settled-state window: ncv-012 has a
+# zero-weight NOT (several drains per bucket) and input masks in its group,
+# CostMetric(0,3,1,2) the masks without conjugation, ncv-155 a span of 5,
+# custom:1,3,1 switches reduction (1) off, and NCT lex-max pairs carry
+# negative secondaries.  ncv-111 with an ncv-012 secondary and the NCT lex
+# modes drain one primary cost at a time (on ncv-111, on split key ranges),
+# while ncv-012 with an ncv-111 secondary, whose NOT weighs (0, 1), drains
+# (primary, secondary) buckets.  A window too narrow to hold every settled
+# state a candidate can meet settles some states again, which shows as more
+# states.
 WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
     "ncv-111/full": ("ncv111_full", 389_026,
-                     "14ceb06726d8d6fec3b2169d78c6cb92ebdee028cd59716c595daf6fcadc3902"),
+                     "29fbd21aa8a6767d16634c9ec555ee9dd471ae11ea2a71b7b5c00e6c901b6664"),
     "ncv-111/path": ("ncv111_path", 972_976,
-                     "4fc99703a221aa32a7d9ad022211a159dea07a2884e616ed0445bc149481365f"),
+                     "db6c0c91a25816408c368e99981e66e0af97648bedf03909efeabd1ee0bbfd62"),
     "ncv-012/full": ("ncv012_full", 48_618,
-                     "c51cf023e4bc98681831300ea3ef028f090ee1b8648bbe75284b67d21fba6d74"),
+                     "275fbb3e586755f7cc72a9a50b953b039421ba1af2a8d3842d09043ab92ef667"),
     "ncv-012/path": ("ncv012_path", 118_696,
-                     "80869dabde60c44ee834b41f778a43a0bee74d880f41d75353b596a4c2a477f8"),
+                     "3b1ac4238a54907a91853ae1e58bca9c2339418f3956fc95aced2f66a40cbb9b"),
     "CostMetric(0,3,1,2)/full": (
         lambda: nv.settle_all(CostMetric(0, 3, 1, 2)), 101_390,
-        "ba84f28698e233378bb64c6001f4f6b2fe5bb3b87d116f93b3fbfb5e611e23c5",
+        "fb42b1b15c5349f2d25b1607df63bd16d43b3de55b4f3f7e2bdd25c77368a4cc",
     ),
     "ncv-155/path": (lambda: nv.settle_all(nv.NCV_155, nv.PATH_TOPOLOGY), 966_568,
-                     "3980687a208efa5b2fa10755e2a41549407d9267c3d04387bfa9f9a0766c778e"),
+                     "c3f970c548463b76c57dfc57c5b9f751985ec0d4af0516f5e020c76afcf4558e"),
     "custom:1,3,1/full": (lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")), 407_284,
-                          "fb1e2ae906d18867c460aeb3a3aaffdf7112ac287bba4bf6ec7e6f0868fe7d6e"),
+                          "56edff948d1c34c4bf11f7a45619ca88fc5e63d8c1413b86f9958a5c3a51323a"),
+    "ncv-111+ncv-012/full": ("ncv111_lex012", 379_232,
+                             "f1997c3b93310c924b20f33768e1be42c619009c6b2c7c3237aea36fb5729ebf"),
+    "ncv-012+ncv-111/full": (
+        lambda: nv.settle_all(nv.NCV_012, secondary=nv.NCV_111), 381_364,
+        "d0a5f001cd563bf429351d7d1cc69b7d0ea801d0baed0d7fbb81e4bb644620f4",
+    ),
     "nct-lex-min/ncv-012": (lambda: nv.settle_all_nct("lex-min", nv.NCV_012), 6_828,
-                            "b013b30a3bf1c6bc7959a18891284ee4510ab7d347eefec2f9659da681ebca1a"),
+                            "c4c4eba15239c1c88bd29626074e6726e7a4aa3f9915617dc5821672f5b275be"),
+    "nct-lex-max/ncv-012": (lambda: nv.settle_all_nct("lex-max", nv.NCV_012), 6_828,
+                            "705540a0e77a722f6b783d8b7664687eaa25ebb7df75468a43d89df3f3a41b3c"),
     "nct-lex-max/custom:1,300,300": (
         lambda: nv.settle_all_nct("lex-max", CostMetric.parse("custom:1,300,300")), 6_828,
-        "bcfe45a9f8adcff03754172b22a11349508eb8fdb33e141537133356cb09fa5c",
+        "daf5c6265050352e996e0645d42e0647ab093f9468506b360212aec30f22ad3e",
     ),
 }
 
 
 def _pin(table):
-    """(states_visited, SHA-256 of write_table_jsonl), as WINDOW_TABLES pins."""
+    """(states_visited, SHA-256 of write_table_jsonl and then of the
+    little-endian int64 secondary costs), as WINDOW_TABLES pins."""
     buf = stdio.StringIO()
     nio.write_table_jsonl(table, buf)
-    return table.states_visited, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256(buf.getvalue().encode())
+    digest.update(table.secondary_array().astype("<i8").tobytes())
+    return table.states_visited, digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_TABLES))
@@ -875,10 +944,11 @@ def _drain_ranges(monkeypatch):
     return ranges
 
 
-SPLIT_SETTLES = {  # WINDOW_TABLES name: (metric, topology)
-    "ncv-012/full": (nv.NCV_012, nv.FULL_TOPOLOGY),
-    "ncv-111/path": (nv.NCV_111, nv.PATH_TOPOLOGY),
-    "custom:1,3,1/full": (CostMetric.parse("custom:1,3,1"), nv.FULL_TOPOLOGY),
+SPLIT_SETTLES = {  # WINDOW_TABLES name: settle
+    "ncv-012/full": lambda: nv.settle_all(nv.NCV_012),
+    "ncv-111/path": lambda: nv.settle_all(nv.NCV_111, nv.PATH_TOPOLOGY),
+    "custom:1,3,1/full": lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")),
+    "nct-lex-max/ncv-012": lambda: nv.settle_all_nct("lex-max", nv.NCV_012),
 }
 
 
@@ -890,8 +960,8 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
     window slice lost, would change a witness or ``states_visited``.
     ncv-012's zero-weight NOT re-enters the bucket being drained, and
     custom:1,3,1's weights of 1 and 3 fill a bucket from several drains, so
-    that its older batches are probed again."""
-    metric, topology = SPLIT_SETTLES[name]
+    that its older batches are probed again.  The NCT lex-max drain of one
+    primary cost reads its parents' secondary costs chunk by chunk."""
     before = threading.active_count()
     monkeypatch.setattr(search, "_CHUNK", 64)
     monkeypatch.setattr(search, "_workers", lambda: 3)
@@ -900,7 +970,7 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        table = nv.settle_all(metric, topology)
+        table = SPLIT_SETTLES[name]()
     finally:
         sys.setswitchinterval(interval)
     assert _pin(table) == WINDOW_TABLES[name][1:]
