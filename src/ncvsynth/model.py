@@ -144,8 +144,8 @@ class Circuit:
         """A circuit of gate codes already known to be in ``library``, built
         without the per-gate check of ``__init__``."""
         circuit = object.__new__(cls)
-        object.__setattr__(circuit, "codes", codes)
-        object.__setattr__(circuit, "library", library)
+        _set_codes(circuit, codes)
+        _set_library(circuit, library)
         return circuit
 
     @property
@@ -180,6 +180,10 @@ class Circuit:
 
     def __reduce__(self) -> tuple:
         return (type(self), (self.gates, self.library))
+
+
+# The slot descriptors' setters, which ``_of_codes`` calls per witness.
+_set_codes, _set_library = Circuit.codes.__set__, Circuit.library.__set__
 
 
 #: The largest gate weight a ``CostMetric`` takes.  A cost is a sum of gate
@@ -648,13 +652,49 @@ def _half_ranks() -> tuple[dict[bytes, tuple[int, int]], dict[bytes, tuple[int, 
     return head, tail
 
 
+class _Interned(NamedTuple):
+    functions: tuple[tuple[int, ...], ...]  # rank -> tuple
+    ranks: dict[tuple[int, ...], int]       # tuple -> rank
+
+
+#: Built by the first ``function_tuples`` call and published in one
+#: assignment, so a reader sees both halves or neither.  A tuple of a build
+#: that lost a race between threads fails ``function_rank``'s identity test
+#: and is ranked the general way.
+_interned: _Interned | None = None
+
+
+def function_tuples() -> tuple[tuple[int, ...], ...]:
+    """Every function as a tuple, in rank order: the process's interned
+    tuples, built on the first call (not at import) and kept from then on.
+    ``function_rank`` ranks these very objects by identity in O(1)."""
+    global _interned
+    interned = _interned
+    if interned is None:
+        functions = tuple(itertools.permutations(range(N_ROWS)))
+        interned = _Interned(functions, dict(zip(functions, range(N_FUNCTIONS))))
+        _interned = interned
+    return interned.functions
+
+
 def function_rank(func: Sequence[int]) -> int:
     """Rank of a function in 0..40319; InvalidFunction for anything that
     ``validate_permutation`` rejects.
 
-    The 8 outputs, as bytes, are looked up half by half in ``_half_ranks``:
+    A tuple of ``function_tuples`` is ranked by identity in O(1): the map
+    finds equal tuples too, such as one ending in ``7.0``, but only the
+    interned object itself passes.  Anything else takes the general path:
+    the 8 outputs, as bytes, are looked up half by half in ``_half_ranks``;
     a function is valid iff both halves are found and their masks are
     disjoint, and its rank is the sum of their shares."""
+    interned = _interned
+    if interned is not None and type(func) is tuple:
+        try:
+            rank = interned.ranks.get(func)
+        except TypeError:  # an unhashable entry
+            rank = None
+        if rank is not None and interned.functions[rank] is func:
+            return rank
     values = func
     try:
         if type(values) is not tuple:

@@ -131,7 +131,11 @@ key.  States visited, and ``SearchOptions.max_states``, count these orbit
 representatives.  Without (2) every state is its own representative.
 
 Functions are handled by rank (their lexicographic index in 0..40319, see
-:func:`~ncvsynth.model.rank_tables`).  Each drained bucket decodes its
+:func:`~ncvsynth.model.rank_tables`).  At the boundary a table's
+``functions()`` yields the process's interned tuples
+(:func:`~ncvsynth.model.function_tuples`), which ``function_rank`` ranks by
+identity in O(1); they and their rank map stay resident from the first
+``functions()`` call on.  Each drained bucket decodes its
 settled Boolean keys to ranks in one batch and records, per state in
 packed-key order: its own function, then its image under each non-identity
 line symmetry in ``line_symmetries()`` order, and with masks these 8 times,
@@ -154,7 +158,8 @@ A gate id is the gate's ``Circuit`` code, its index in ``model.GATES``,
 whatever the gate list.  A table holds every function: row i of each of
 its arrays is the function of rank i.  The arrays are the
 ``witness_paths`` (primary cost, padded gate-id matrix, lengths) and the
-secondary costs; ``costs`` is the primary cost array.  ``witness`` slices
+secondary costs; ``costs`` is the primary cost array.  ``witness`` ranks
+its function (in O(1) for an interned tuple of ``functions()``) and slices
 its row from the matrix's bytes, and bulk consumers (the JSONL writer,
 ``analysis.compare``, the CLI's cache) read the whole matrix without
 building a Circuit per function.  ``synthesize_one`` builds no table: it
@@ -228,12 +233,16 @@ from .model import (
     bit_offset,
     enumerate_gates,
     function_rank,
+    function_tuples,
     rank_tables,
     row_permutation,
 )
 
 #: A (primary, secondary) cost, ordered lexicographically.
 Cost = tuple[int, int]
+
+#: ``Circuit._of_codes``, bound once: ``witness`` calls it per function.
+_circuit_of_codes = Circuit._of_codes
 
 
 @dataclass(frozen=True)
@@ -331,8 +340,10 @@ class SynthesisTable:
         self._secondary = secondary
 
     def functions(self) -> Iterator[tuple[int, ...]]:
-        """Every function in rank order (the serialization order)."""
-        return map(tuple, rank_tables().outputs.tolist())
+        """Every function in rank order (the serialization order): the
+        interned tuples of ``model.function_tuples``, which ``witness`` and
+        the other tuple-keyed methods rank in O(1)."""
+        return iter(function_tuples())
 
     @property
     def costs(self) -> np.ndarray:
@@ -359,7 +370,7 @@ class SynthesisTable:
         row = function_rank(func)
         codes, width, lengths = self._codes
         start = row * width
-        return Circuit._of_codes(codes[start:start + lengths[row]], self.library)
+        return _circuit_of_codes(codes[start:start + lengths[row]], self.library)
 
     @functools.cached_property
     def _codes(self) -> tuple[bytes, int, list[int]]:
@@ -1401,7 +1412,7 @@ def synthesize_one(
         gates, weights, topology.line_symmetries(), options, target=target
     )
     codes = paths.gate_ids[0, :paths.lengths[0]].tobytes()
-    return int(paths.cost[0]), Circuit._of_codes(codes, "NCV")
+    return int(paths.cost[0]), _circuit_of_codes(codes, "NCV")
 
 
 #: Most states ``exhaustive_oracle`` records before it raises

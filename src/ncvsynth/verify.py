@@ -34,6 +34,8 @@ from .model import (
     N_ROWS,
     Topology,
     apply_gate,
+    function_rank,
+    rank_tables,
     validate_permutation,
 )
 
@@ -170,22 +172,6 @@ def _gate_index(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return allowed, mats, doubled
 
 
-def _function_array(funcs: list) -> np.ndarray:
-    """``funcs`` as an (n, 8) int64 array, each row checked as by
-    ``validate_permutation`` (which raises for the first bad one)."""
-    try:
-        arr = np.array(funcs)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.dtype.kind not in "iu" or arr.shape != (len(funcs), N_ROWS):
-        arr = np.array([validate_permutation(f) for f in funcs], dtype=np.int64)
-    arr = arr.astype(np.int64, copy=False)
-    bad = np.flatnonzero((np.sort(arr, axis=1) != np.arange(N_ROWS)).any(axis=1))
-    if len(bad):
-        validate_permutation(funcs[bad[0]])
-    return arr
-
-
 def verify_witnesses(
     witnesses: Iterable[tuple[Sequence[int], Circuit]],
     topology: Topology = FULL_TOPOLOGY,
@@ -200,13 +186,11 @@ def verify_witnesses(
     than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.
     """
     allowed, mats, doubled = _gate_index(topology)
-    funcs: list = []
-    codes: list[bytes] = []
-    for func, circuit in witnesses:
-        funcs.append(func)
-        codes.append(circuit.codes)
-    if not funcs:
+    pairs = list(witnesses)
+    if not pairs:
         return 0, None
+    funcs = [func for func, _ in pairs]
+    codes = [circuit.codes for _, circuit in pairs]
     flat = np.frombuffer(b"".join(codes), dtype=np.uint8)
     lengths = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
     outside = np.flatnonzero(~allowed[flat])
@@ -219,7 +203,8 @@ def verify_witnesses(
         )
     ids = np.full((len(codes), int(lengths.max())), len(mats), dtype=np.int64)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = flat
-    funcs_array = _function_array(funcs)
+    ranks = np.fromiter(map(function_rank, funcs), dtype=np.int64, count=len(funcs))
+    funcs_array = rank_tables().outputs[ranks]
     n_doubled = doubled[ids].sum(axis=1)
     if n_doubled.max() > MAX_EXACT_V_GATES:
         raise ValueError(
@@ -227,7 +212,7 @@ def verify_witnesses(
             f"of verify_witnesses ({MAX_EXACT_V_GATES}); use check_realizes"
         )
     bad = _first_failure(funcs_array, ids, lengths, mats, np.ldexp(1.0, n_doubled))
-    return len(funcs), None if bad is None else validate_permutation(funcs[bad])
+    return len(funcs), None if bad is None else tuple(funcs_array[bad].tolist())
 
 
 def _first_failure(

@@ -295,6 +295,7 @@ NOT_PERMUTATIONS = [
     (0, 1, 2, 3, 4, 5, 6, 7.0),
     (0, 1, 2, 3, 4, 5, 6, 7.9),
     (0, 1, 2, 3, 4, 5, 6, "7"),
+    (0, 1, 2, 3, 4, 5, 6, [7]),
     "01234567",
     np.arange(8, dtype=float),
     np.arange(8).reshape(2, 4),
@@ -326,6 +327,27 @@ def test_function_rank_by_halves_ranks_every_function_and_rejects_overlaps():
     for bad in [(0, 1, 2, 3, -1, 5, 6, 7), bytes([0, 1, 2, 3, 4, 5, 6, 8]), b"\x00\x01\x02\x03"]:
         with pytest.raises(nv.InvalidFunction):
             nv.model.function_rank(bad)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+def test_interned_tuples_change_no_verdict(nct_gc, monkeypatch, built):
+    """Before ``function_tuples`` has built the interned tuples (reset here,
+    as one pytest process shares them) and after, ``function_rank`` and the
+    table's tuple-keyed methods reject the same inputs: the float tuple
+    equals the interned identity and hashes like it, yet is no function.
+    Equal copies, lists and numpy rows rank as the interned tuple does."""
+    functions = nv.model.function_tuples()
+    if not built:
+        monkeypatch.setattr(nv.model, "_interned", None)
+    for bad in NOT_PERMUTATIONS:
+        for call in (nv.model.function_rank, nct_gc.cost_of, nct_gc.secondary_of, nct_gc.witness):
+            with pytest.raises(nv.InvalidFunction):
+                call(bad)
+    for rank in (0, 1, 5039, 23456, nv.N_FUNCTIONS - 1):
+        func = functions[rank]
+        for same in (func, tuple(list(func)), list(func), np.array(func)):
+            assert nv.model.function_rank(same) == rank
+    assert (nv.model._interned is None) is not built
 
 
 def test_function_rank_accepts_integer_sequences_of_any_kind():

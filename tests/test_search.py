@@ -286,6 +286,23 @@ def test_costs_is_a_read_only_view_in_sorted_order(ncv111_full):
     assert costs[function_rank(TOF_FUNC)] == ncv111_full.cost_of(TOF_FUNC) == 5
 
 
+def test_functions_are_the_same_interned_tuples_in_rank_order(ncv111_full, ncv111_path, nct_gc):
+    functions = list(ncv111_full.functions())
+    assert len(functions) == nv.N_FUNCTIONS
+    assert all(type(f) is tuple for f in functions)
+    assert np.array_equal(np.array(functions), rank_tables().outputs)
+    for table in (ncv111_full, ncv111_path, nct_gc):
+        for _ in range(2):
+            assert all(a is b for a, b in zip(table.functions(), functions, strict=True))
+
+
+def test_witness_of_an_equal_copy_or_numpy_row_is_the_same_circuit(ncv111_path):
+    for func in ncv111_path.functions():
+        witness = ncv111_path.witness(func)
+        assert ncv111_path.witness(tuple(list(func))) == witness
+        assert ncv111_path.witness(np.array(func)) == witness
+
+
 @pytest.mark.parametrize("name", ["nct_gc", "ncv111_full", "ncv111_path"])
 def test_witness_paths_row_by_row_equal_witness(name, request):
     table = request.getfixturevalue(name)

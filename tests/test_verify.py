@@ -313,6 +313,28 @@ def test_verify_witnesses_names_an_illegal_gate_inside_a_large_batch(ncv111_path
     assert verify_witnesses(batch) == (len(batch), batch[row - 1][0])
 
 
+FUNCTION_FORMS = {"interned": lambda f: f, "copies": lambda f: tuple(list(f)), "numpy": np.array}
+
+
+@pytest.mark.parametrize("form", sorted(FUNCTION_FORMS))
+def test_verdicts_do_not_depend_on_the_form_of_the_functions(ncv111_path, form):
+    """The interned tuples of ``functions()``, equal copies and numpy rows
+    certify alike, name the same offender (as a tuple) and are rejected
+    with the same text."""
+    functions = list(ncv111_path.functions())
+    batch = [(FUNCTION_FORMS[form](f), ncv111_path.witness(f)) for f in functions]
+    assert verify_witnesses(batch, topology=PATH_TOPOLOGY) == (nv.N_FUNCTIONS, None)
+    row = 31415
+    func, circuit = batch[row]
+    batch[row] = (func, Circuit((NOT(0),) + circuit.gates))
+    checked, offender = verify_witnesses(batch, topology=PATH_TOPOLOGY)
+    assert (checked, offender) == (nv.N_FUNCTIONS, functions[row]) and type(offender) is tuple
+    batch[row] = ((0, 1, 2, 3, 4, 5, 6, 8), circuit)
+    message = "not a permutation of 0..7: (0, 1, 2, 3, 4, 5, 6, 8)"
+    with pytest.raises(InvalidFunction, match=f"^{re.escape(message)}$"):
+        verify_witnesses(batch, topology=PATH_TOPOLOGY)
+
+
 def test_first_failure_rejects_a_product_with_extra_nonzero_entries():
     """A product whose permutation entries are right but which has another
     nonzero entry in the same prefix fails (here a 'gate' that is no
