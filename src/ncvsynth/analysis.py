@@ -7,6 +7,7 @@ last digit.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -15,8 +16,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
-from .model import GATES, CostMetric, Topology, rank_tables
-from .nct import GATE_COUNT, settle_all_nct, substituted_weight
+from .model import GATES, Circuit, CostMetric, Gate, rank_tables, realized_function
+# settle_all_nct is imported here too because the benchmark's tracer wraps it by this name.
+from .nct import GATE_COUNT, settle_all_nct, substituted_weight  # noqa: F401
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -126,9 +128,10 @@ class ComparisonReport:
     ``nct_sub_cost`` the metric cost of the deterministic gate-count witness
     after Toffoli substitution; ``witness`` statistics are computed from it.
     ``nct_sub_min``/``nct_sub_max`` bound the substituted cost over *all*
-    gate-count-optimal circuits (lexicographic searches), so ``worst_case``
-    answers how expensive an optimal NCT circuit can be relative to the NCV
-    optimum (``ncv_opt_cost``), independent of circuit selection.
+    gate-count-optimal circuits (one pass over the gate-count table's
+    layers), so ``worst_case`` answers how expensive an optimal NCT circuit
+    can be relative to the NCV optimum (``ncv_opt_cost``), independent of
+    circuit selection.
     """
 
     metric: CostMetric
@@ -185,37 +188,51 @@ class ComparisonReport:
         ]
 
 
-def _lex_table(
-    table: SynthesisTable | None, mode: str, metric: CostMetric, topology: Topology
-) -> SynthesisTable:
-    """``table`` if it is the NCT table of ``mode`` under ``metric`` on
-    ``topology`` (else MetricMismatch); that table settled if ``table`` is
-    None."""
-    if table is None:
-        return settle_all_nct(mode, metric, topology=topology)
-    if (table.library, table.mode, table.metric, table.topology) != (
-        "NCT", mode, metric, topology
-    ):
-        raise MetricMismatch(
-            f"comparison needs the NCT {mode} table of {metric.slug} on the "
-            f"{topology.slug} topology"
-        )
+@functools.cache
+def _successors(gates: tuple[Gate, ...]) -> np.ndarray:
+    """(rank, gate index) -> rank of the function the gate realizes after
+    the function of that rank: int32, read-only, built once per gate list."""
+    functions = rank_tables()
+    table = np.empty((N_FUNCTIONS, len(gates)), dtype=np.int32)
+    for j, gate in enumerate(gates):
+        perm = np.array(realized_function(Circuit((gate,), "NCT")), dtype=np.uint8)
+        table[:, j] = functions.ranks_of_codes(perm[functions.outputs].view(">u8")[:, 0])
+    table.setflags(write=False)
     return table
 
 
+def _substituted_bounds(
+    nct_table: SynthesisTable, metric: CostMetric
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest substituted cost under ``metric`` over
+    every gate-count-optimal circuit of each function, by rank.  Every
+    prefix of such a circuit is gate-count-optimal, so the bounds at gate
+    count k fold from those at k - 1, along each gate g with gc(g o f) =
+    gc(f) + 1.  A function no such gate reaches keeps a bound past every
+    cost."""
+    gc = nct_table.costs
+    successors = _successors(nct_table.gate_list)
+    weights = np.array([substituted_weight(g, metric) for g in nct_table.gate_list])
+    least = np.where(gc == 0, 0, np.iinfo(np.int64).max)
+    greatest = np.where(gc == 0, 0, np.iinfo(np.int64).min)
+    for k in range(1, int(gc.max(initial=0)) + 1):
+        before = np.flatnonzero(gc == k - 1)
+        after = successors[before]
+        row, gate = np.nonzero(gc[after] == k)
+        reached, source, weight = after[row, gate], before[row], weights[gate]
+        np.minimum.at(least, reached, least[source] + weight)
+        np.maximum.at(greatest, reached, greatest[source] + weight)
+    return least, greatest
+
+
 def compare(
-    nct_table: SynthesisTable,
-    ncv_table: SynthesisTable,
-    metric: CostMetric,
-    lexmin: SynthesisTable | None = None,
-    lexmax: SynthesisTable | None = None,
+    nct_table: SynthesisTable, ncv_table: SynthesisTable, metric: CostMetric
 ) -> ComparisonReport:
     """Build the full comparison for one metric.
 
     ``nct_table`` must be a gate-count table, settled with any metric or
-    none (its witnesses are substituted).  ``lexmin`` and ``lexmax`` are
-    the NCT lex-min and lex-max tables of ``metric`` on its topology; each
-    is settled here if not given.
+    none: its witnesses are substituted, and its gate counts give the
+    bounds over every gate-count-optimal circuit.
     """
     if ncv_table.metric != metric:
         raise MetricMismatch(
@@ -224,8 +241,6 @@ def compare(
         )
     if nct_table.mode != GATE_COUNT or nct_table.library != "NCT":
         raise MetricMismatch("comparison needs the NCT gate-count table")
-    lexmin = _lex_table(lexmin, "lex-min", metric, nct_table.topology)
-    lexmax = _lex_table(lexmax, "lex-max", metric, nct_table.topology)
 
     # Array entry i of every table is the function of rank i.
     functions = rank_tables()
@@ -233,21 +248,14 @@ def compare(
     weights = np.array([substituted_weight(g, metric) for g in GATES] + [0])
     gc = paths.cost
     sub = weights[paths.gate_ids].sum(axis=1)
-    sub_min = lexmin.secondary_array()
-    sub_max = -lexmax.secondary_array()
+    sub_min, sub_max = _substituted_bounds(nct_table, metric)
     y = ncv_table.costs
 
-    inconsistent = (sub_min > sub) | (sub > sub_max) | (sub_min < y)
-    bad = np.flatnonzero(inconsistent | (lexmin.costs != gc))
+    bad = np.flatnonzero((sub_min > sub) | (sub > sub_max) | (sub_min < y))
     if len(bad):
-        first = int(bad[0])
-        if inconsistent[first]:
-            raise InternalError(
-                "internal error: substituted costs inconsistent at "
-                f"{functions.function(first)}"
-            )
         raise InternalError(
-            "internal error: lexicographic primary disagrees with gate count"
+            "internal error: substituted costs inconsistent at "
+            f"{functions.function(int(bad[0]))}"
         )
 
     columns = [np.array(c, dtype=np.int64) for c in (gc, sub, sub_min, sub_max, y)]

@@ -2,9 +2,8 @@
 
 Every complete table a command needs is cached under ``./.ncv-cache``,
 one ``.npz`` per table: ``<metric>_<topology>.npz`` for an NCV table, and
-for ``compare`` also ``nct-gate-count_full.npz`` (shared by every metric)
-and ``nct-lex-min-<metric>_full.npz`` and ``nct-lex-max-<metric>_full.npz``;
-a warm ``compare`` reads those four files and settles no table.  A file
+for ``compare`` also ``nct-gate-count_full.npz`` (shared by every metric);
+a warm ``compare`` reads those two files and settles no table.  A file
 holds the table's rank arrays (cost, secondary cost, witness gate ids and
 lengths) and a spec string: the library, every gate's weight pair, the
 topology's line pairs, both reduction flags and the cache format version.
@@ -128,17 +127,16 @@ CACHE_FORMAT = 3
 
 
 def _table_kind(
-    metric: CostMetric | None, topology: Topology, nct_mode: str | None
+    metric: CostMetric | None, topology: Topology
 ) -> tuple[str, tuple[Gate, ...], list[search.Cost], str]:
     """The library, gate list, per-gate (primary, secondary) weights and mode
-    of the NCV table of ``metric``, or with ``nct_mode`` of the NCT table of
-    that cost mode (``metric`` None for the gate count)."""
-    if nct_mode is None:
+    of the NCV table of ``metric``, or with ``metric`` None of the NCT
+    gate-count table."""
+    if metric is not None:
         gates = enumerate_gates(topology, "NCV")
         return "NCV", gates, [(metric.weight(g), 0) for g in gates], "metric"
     gates = enumerate_gates(topology, "NCT")
-    weights = nct.nct_weights(nct_mode, metric, gates)
-    return "NCT", gates, weights, nct_mode
+    return "NCT", gates, nct.nct_weights(nct.GATE_COUNT, None, gates), nct.GATE_COUNT
 
 
 def cache_entry(
@@ -146,13 +144,12 @@ def cache_entry(
     metric: CostMetric | None,
     topology: Topology,
     options: search.SearchOptions,
-    nct_mode: str | None = None,
 ) -> tuple[Path, str]:
     """The cache file of a table (see ``_table_kind``) and the spec it must
-    hold: everything the table's costs and witnesses depend on.  An NCT
-    table's weights encode its mode and the metric's substitution costs, so
-    one gate-count file serves every metric."""
-    library, gates, weights, mode = _table_kind(metric, topology, nct_mode)
+    hold: everything the table's costs and witnesses depend on.  The NCT
+    gate-count table's weights do not depend on a metric, so one file
+    serves every metric."""
+    library, gates, weights, mode = _table_kind(metric, topology)
     spec = json.dumps({
         "format": CACHE_FORMAT,
         "library": library,
@@ -161,10 +158,7 @@ def cache_entry(
         "no_repeat_placement": options.no_repeat_placement,
         "settle_relabelings": options.settle_relabelings,
     })
-    if nct_mode is None:
-        name = metric.slug
-    else:
-        name = f"nct-{mode}" + (f"-{metric.slug}" if metric is not None else "")
+    name = metric.slug if metric is not None else f"nct-{mode}"
     return cache_dir / f"{name}_{topology.slug}.npz", spec
 
 
@@ -178,7 +172,6 @@ def read_cached_table(
     spec: str,
     metric: CostMetric | None,
     topology: Topology,
-    nct_mode: str | None = None,
 ) -> search.SynthesisTable | None:
     """The table stored at ``path``, or None if the file is missing, cannot
     be read whole, holds another spec, holds an array of another dtype than
@@ -188,7 +181,7 @@ def read_cached_table(
     member's CRC is checked first: a flipped bit in an array header could
     otherwise shrink the array so that reading it stops short of the
     check."""
-    library, gates, weights, mode = _table_kind(metric, topology, nct_mode)
+    library, gates, weights, mode = _table_kind(metric, topology)
     try:
         with np.load(path, allow_pickle=False) as data:
             if data.zip.testzip() is not None:
@@ -241,24 +234,23 @@ def cached_table(
     cache_dir: Path,
     use_cache: bool,
     options: search.SearchOptions | None = None,
-    nct_mode: str | None = None,
 ) -> search.SynthesisTable:
-    """The NCV table of ``metric``, or with ``nct_mode`` the NCT table of
-    that cost mode (``metric`` None for the gate count): read from the
-    cache when its file holds this run's spec, else settled (and, with
-    ``use_cache``, written there).  A run with a budget (``max_cost`` or
-    ``max_states``) reads no cache file, so that the budget acts alike cold
-    and warm; a table it settles completely is still written."""
+    """The NCV table of ``metric``, or with ``metric`` None the NCT
+    gate-count table: read from the cache when its file holds this run's
+    spec, else settled (and, with ``use_cache``, written there).  A run
+    with a budget (``max_cost`` or ``max_states``) reads no cache file, so
+    that the budget acts alike cold and warm; a table it settles completely
+    is still written."""
     options = options or search.SearchOptions()
-    path, spec = cache_entry(cache_dir, metric, topology, options, nct_mode)
+    path, spec = cache_entry(cache_dir, metric, topology, options)
     if use_cache and options.max_cost is None and options.max_states is None:
-        table = read_cached_table(path, spec, metric, topology, nct_mode)
+        table = read_cached_table(path, spec, metric, topology)
         if table is not None:
             return table
-    if nct_mode is None:
+    if metric is not None:
         table = search.settle_all(metric, topology, options)
     else:
-        table = nct.settle_all_nct(nct_mode, metric, options, topology)
+        table = nct.settle_all_nct(nct.GATE_COUNT, None, options, topology)
     if use_cache:
         write_cached_table(path, spec, table)
     return table
@@ -302,15 +294,10 @@ def cmd_synth_all(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     metric = CostMetric.parse(args.metric)
 
-    def table(table_metric, nct_mode=None):
-        return cached_table(
-            table_metric, FULL_TOPOLOGY, args.cache_dir, not args.no_cache, nct_mode=nct_mode
-        )
+    def table(table_metric):
+        return cached_table(table_metric, FULL_TOPOLOGY, args.cache_dir, not args.no_cache)
 
-    report = analysis.compare(
-        table(None, nct.GATE_COUNT), table(metric), metric,
-        lexmin=table(metric, "lex-min"), lexmax=table(metric, "lex-max"),
-    )
+    report = analysis.compare(table(None), table(metric), metric)
     sys.stdout.write(io.comparison_text(report))
     for line in report.summary_lines():
         print(line)

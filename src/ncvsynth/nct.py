@@ -1,24 +1,21 @@
 """Optimal search over the NOT/CNOT/Toffoli library and Toffoli substitution.
 
 NCT states are purely Boolean, so the same bucket-queue engine settles the
-whole space quickly (12 placed gates: 3 NOT + 6 CNOT + 3 TOF).  Three cost
-modes feed the cross-library comparisons.  Each gives every gate a
-(primary, secondary) weight pair, where w is the gate's substituted cost
-(see :func:`substituted_weight`):
+whole space quickly (12 placed gates: 3 NOT + 6 CNOT + 3 TOF).  Two cost
+modes give every gate a (primary, secondary) weight pair, where w is the
+gate's substituted cost (see :func:`substituted_weight`):
 
 * ``gate-count``   - weights (1, 0): plain gate count; the table's
                      witnesses are the deterministic first-found optimal
-                     circuits.
-* ``lex-min``      - weights (1, w): minimize (gate count, substituted NCV
-                     cost); the cheapest-to-substitute optimal circuit per
-                     function.  ``secondary_of`` is its substituted cost.
+                     circuits.  ``analysis.compare`` bounds the substituted
+                     cost of every optimal circuit from this table alone.
 * ``lex-max``      - weights (1, -w): minimize (gate count, -substituted NCV
                      cost); the dearest-to-substitute optimal circuit, i.e.
                      how far off an optimal NCT circuit can be after
                      substitution.  ``secondary_of`` is its substituted cost
                      negated.
 
-In every mode ``cost_of`` is the gate count.  A table's ``mode`` is its
+In both modes ``cost_of`` is the gate count.  A table's ``mode`` is its
 cost mode and its ``metric`` the substitution metric it was settled with
 (a gate-count table's weights do not depend on it, and it may be None).
 """
@@ -81,8 +78,6 @@ def nct_weights(mode: str, metric: CostMetric | None, gates) -> list[Cost]:
         return [(1, 0)] * len(gates)
     if metric is None:
         raise MetricMismatch(f"mode {mode!r} needs a substitution metric")
-    if mode == "lex-min":
-        return [(1, substituted_weight(g, metric)) for g in gates]
     if mode == "lex-max":
         return [(1, -substituted_weight(g, metric)) for g in gates]
     raise ValueError(f"unknown NCT cost mode {mode!r}")
@@ -94,7 +89,7 @@ def settle_all_nct(
     options: SearchOptions | None = None,
     topology: Topology = FULL_TOPOLOGY,
 ) -> SynthesisTable:
-    """Complete optimal NCT table under one of the three cost modes; the
+    """Complete optimal NCT table under one of the two cost modes; the
     table's ``mode`` is ``mode`` and its ``metric`` is ``metric``."""
     gates = enumerate_gates(topology, "NCT")
     weights = nct_weights(mode, metric, gates)

@@ -9,13 +9,13 @@ processed to exhaustion.
 
 Costs are (primary, secondary) integer pairs, compared lexicographically.
 A plain metric gives every gate secondary weight 0; a secondary metric, or
-the NCT modes' negated substitution costs, pick among the primary-optimal
+the NCT lex-max negated substitution costs, pick among the primary-optimal
 circuits.  Dijkstra is sound because no gate weighs less than (0, 0): a gate
 of primary weight >= 1 may carry a negative secondary weight, and a gate of
 primary weight 0 may not.  Weights below (0, 0) are rejected with
 ValueError.  A heap orders the buckets.  A bucket is one (primary,
 secondary) cost, except where every gate has primary weight >= 1 and some
-gate a secondary weight (the NCT lex modes): there a bucket is one primary
+gate a secondary weight (the NCT lex-max mode): there a bucket is one primary
 cost, and each of its candidates carries its secondary cost (see below).
 
 Expansion is vectorized with numpy and shares work per placement: the

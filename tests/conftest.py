@@ -43,9 +43,9 @@ def nct_gc():
 
 
 @pytest.fixture(scope="session")
-def nct_lex012():
-    """The NCT lex-min and lex-max tables of ncv-012."""
-    return tuple(nv.settle_all_nct(mode, nv.NCV_012) for mode in ("lex-min", "lex-max"))
+def nct_lexmax012():
+    """The NCT lex-max table of ncv-012."""
+    return nv.settle_all_nct("lex-max", nv.NCV_012)
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +56,18 @@ def comparison_111(nct_gc, ncv111_full):
 @pytest.fixture(scope="session")
 def comparison_012(nct_gc, ncv012_full):
     return nv.compare(nct_gc, ncv012_full, nv.NCV_012)
+
+
+@pytest.fixture(scope="session")
+def comparison_155(nct_gc, ncv155_full):
+    return nv.compare(nct_gc, ncv155_full, nv.NCV_155)
+
+
+@pytest.fixture(scope="session")
+def comparison_1_300_300(nct_gc):
+    """Substituted Toffoli costs of 1,500 against CNOT costs of 1."""
+    metric = nv.CostMetric.parse("custom:1,300,300")
+    return nv.compare(nct_gc, nv.settle_all(metric), metric)
 
 
 @pytest.fixture(scope="session")

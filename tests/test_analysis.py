@@ -160,50 +160,43 @@ def test_compare_requires_matching_metric(nct_gc, ncv111_full):
         nv.compare(nct_gc, ncv111_full, nv.NCV_012)
 
 
-def test_compare_reads_the_lex_tables_it_is_given(
-    monkeypatch, nct_gc, ncv012_full, nct_lex012, comparison_012
-):
+def test_compare_settles_no_table(monkeypatch, nct_gc, ncv012_full, comparison_012):
+    """The bounds over every gate-count-optimal circuit come from the
+    gate-count table it is given: no NCT table is settled."""
     def no_settle(*args, **kwargs):
-        raise AssertionError("compare settled a lex table it was given")
+        raise AssertionError("compare settled a table")
 
-    monkeypatch.setattr(nv.analysis, "settle_all_nct", no_settle)
-    lexmin, lexmax = nct_lex012
-    report = nv.compare(nct_gc, ncv012_full, nv.NCV_012, lexmin=lexmin, lexmax=lexmax)
-    assert report == comparison_012
+    monkeypatch.setattr(nv.search, "_run_search", no_settle)
+    assert nv.compare(nct_gc, ncv012_full, nv.NCV_012) == comparison_012
 
 
-@pytest.mark.parametrize("kind", ["mode", "metric", "library", "topology"])
-@pytest.mark.parametrize("slot, mode", [("lexmin", "lex-min"), ("lexmax", "lex-max")])
-def test_compare_rejects_a_lex_table_of_another_kind(
-    nct_gc, ncv012_full, nct_lex012, kind, slot, mode
-):
-    """Each lex table must be the NCT table of its mode under the metric, on
-    the gate-count table's topology; here one differs from it in ``kind``."""
-    tables = dict(zip(("lexmin", "lexmax"), nct_lex012))
-    table = tables[slot]
-    tables[slot] = {
-        "mode": lambda: tables["lexmax" if slot == "lexmin" else "lexmin"],
-        "metric": lambda: nv.settle_all_nct(mode, nv.NCV_111),
-        "library": lambda: ncv012_full,
-        "topology": lambda: nv.SynthesisTable(
-            table.metric, nv.PATH_TOPOLOGY, "NCT", table.gate_list, table.witness_paths(),
-            table.secondary_array(), mode=table.mode,
-        ),
-    }[kind]()
-    with pytest.raises(MetricMismatch):
-        nv.compare(nct_gc, ncv012_full, nv.NCV_012, **tables)
+@pytest.mark.parametrize("kind", ["mode", "library"])
+def test_compare_rejects_an_nct_table_of_another_kind(ncv012_full, nct_lexmax012, kind):
+    table = {"mode": nct_lexmax012, "library": ncv012_full}[kind]
+    with pytest.raises(MetricMismatch, match="gate-count"):
+        nv.compare(table, ncv012_full, nv.NCV_012)
 
 
-def test_compare_accepts_a_gate_count_table_settled_with_a_metric(
-    ncv012_full, nct_lex012, comparison_012
-):
+def test_compare_rejects_gate_counts_no_layer_reaches(nct_gc, ncv012_full):
+    """A gate count past every layer leaves the bounds of its function
+    unset: the consistency check refuses it."""
+    paths = nct_gc.witness_paths()
+    cost = paths.cost.copy()
+    cost[nv.model.function_rank((0, 1, 2, 3, 4, 5, 7, 6))] = 20
+    table = nv.SynthesisTable(
+        None, nct_gc.topology, "NCT", nct_gc.gate_list, paths._replace(cost=cost),
+        nct_gc.secondary_array(), mode=nct_gc.mode,
+    )
+    with pytest.raises(nv.InternalError, match="0, 1, 2, 3, 4, 5, 7, 6"):
+        nv.compare(table, ncv012_full, nv.NCV_012)
+
+
+def test_compare_accepts_a_gate_count_table_settled_with_a_metric(ncv012_full, comparison_012):
     """A gate-count table's weights are (1, 0) whatever its metric, so one
     settled with a metric gives the report of the table settled without."""
     gate_count = nv.settle_all_nct("gate-count", nv.NCV_012)
     assert (gate_count.mode, gate_count.metric) == ("gate-count", nv.NCV_012)
-    lexmin, lexmax = nct_lex012
-    report = nv.compare(gate_count, ncv012_full, nv.NCV_012, lexmin=lexmin, lexmax=lexmax)
-    assert report == comparison_012
+    assert nv.compare(gate_count, ncv012_full, nv.NCV_012) == comparison_012
 
 
 def _cost_columns(report):

@@ -321,8 +321,7 @@ def test_compare_warm_run_matches_cold_run(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(search, "_run_search", _no_settle)
     assert outputs[0] == outputs[1]
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-        "nct-gate-count_full.npz", "nct-lex-max-ncv-012_full.npz",
-        "nct-lex-min-ncv-012_full.npz", "ncv-012_full.npz",
+        "nct-gate-count_full.npz", "ncv-012_full.npz",
     ]
 
 
@@ -354,36 +353,55 @@ def test_compare_of_a_second_metric_reuses_the_gate_count_file(
     _seed_ncv_tables(cache, ncv012_full, ncv111_full)
     argv = ["compare", "--cache-dir", str(cache), "--metric"]
     assert run(capsys, *argv, "ncv-012")[0] == 0
-    assert nct_settles == [("gate-count", None), ("lex-min", "ncv-012"), ("lex-max", "ncv-012")]
+    assert nct_settles == [("gate-count", None)]
     del nct_settles[:]
     second = run(capsys, *argv, "ncv-111")
-    assert nct_settles == [("lex-min", "ncv-111"), ("lex-max", "ncv-111")]
+    assert nct_settles == []
     assert second == run(capsys, *argv, "ncv-111", "--no-cache")
-    assert len(list(cache.iterdir())) == 7
+    assert len(list(cache.iterdir())) == 3
 
 
-@pytest.mark.parametrize("holder", ["lex-min of ncv-012", "lex-max of ncv-111"])
+#: The gate-count file's name and spec, as every release since cache format
+#: 3 writes them: a cache directory written by one serves the other warm.
+NCT_GATE_COUNT_FILE = "nct-gate-count_full.npz"
+NCT_GATE_COUNT_SPEC = (
+    '{"format": 3, "library": "NCT", "weights": [["NOT a", 1, 0], ["NOT b", 1, 0], '
+    '["NOT c", 1, 0], ["CNOT a b", 1, 0], ["CNOT a c", 1, 0], ["CNOT b a", 1, 0], '
+    '["CNOT b c", 1, 0], ["CNOT c a", 1, 0], ["CNOT c b", 1, 0], ["TOF a b c", 1, 0], '
+    '["TOF a c b", 1, 0], ["TOF b c a", 1, 0]], "topology": [[0, 1], [0, 2], [1, 2]], '
+    '"no_repeat_placement": true, "settle_relabelings": true}'
+)
+
+
+def test_gate_count_file_keeps_its_name_and_spec(tmp_path):
+    path, spec = cli.cache_entry(tmp_path, None, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    assert (path, spec) == (tmp_path / NCT_GATE_COUNT_FILE, NCT_GATE_COUNT_SPEC)
+
+
+@pytest.mark.parametrize("holder", ["ncv-111", "gate-count without reductions"])
 def test_nct_cache_file_of_another_spec_is_a_miss(
     tmp_path, capsys, ncv111_full, nct_settles, holder
 ):
-    """The ncv-111 lex-min file holding another NCT table is recomputed."""
+    """The gate-count file holding another table, with that table's spec,
+    is recomputed."""
     cache = tmp_path / "cache"
     _seed_ncv_tables(cache, ncv111_full)
-    path, spec = cli.cache_entry(cache, nv.NCV_111, nv.FULL_TOPOLOGY, nv.SearchOptions(),
-                                 "lex-min")
-    mode, metric = holder.split(" of ")
-    metric = nv.CostMetric.parse(metric)
-    other_path, other_spec = cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY,
-                                             nv.SearchOptions(), mode)
-    cli.write_cached_table(path, other_spec, nv.settle_all_nct(mode, metric))
-    assert other_path != path and other_spec != spec
-    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY, "lex-min") is None
+    path, spec = cli.cache_entry(cache, None, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    if holder == "ncv-111":
+        other, metric, options = ncv111_full, nv.NCV_111, nv.SearchOptions()
+    else:
+        options = nv.SearchOptions(no_repeat_placement=False, settle_relabelings=False)
+        other, metric = nv.settle_all_nct(options=options), None
+    _, other_spec = cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY, options)
+    cli.write_cached_table(path, other_spec, other)
+    assert other_spec != spec
+    assert cli.read_cached_table(path, spec, None, nv.FULL_TOPOLOGY) is None
 
     argv = ["compare", "--metric", "ncv-111", "--cache-dir", str(cache)]
     del nct_settles[:]
     assert run(capsys, *argv) == run(capsys, *argv, "--no-cache")
-    assert ("lex-min", "ncv-111") in nct_settles
-    assert cli.read_cached_table(path, spec, nv.NCV_111, nv.FULL_TOPOLOGY, "lex-min") is not None
+    assert ("gate-count", None) in nct_settles
+    assert cli.read_cached_table(path, spec, None, nv.FULL_TOPOLOGY) is not None
 
 
 def test_compare_without_cache_writes_no_file(tmp_path, capsys):
@@ -409,31 +427,32 @@ def _write_changed(path, spec, table, name, change):
 
 def _check_changed_file_is_recomputed(tmp_path, capsys, ncv012_full, command, nct_mode,
                                       name, change):
-    """``command`` on a cache whose ``nct_mode`` file has ``change`` applied
-    to its ``name`` array: the file is a miss, the output is the cold run's,
-    and the file is rewritten with the cold run's arrays."""
+    """``command`` on a cache whose ncv-012 file (with ``nct_mode``, the NCT
+    file of that mode) has ``change`` applied to its ``name`` array: the
+    file is a miss, the output is the cold run's, and the file is rewritten
+    with the cold run's arrays."""
+    metric = None if nct_mode else nv.NCV_012
     cache = tmp_path / "cache"
     _seed_ncv_tables(cache, ncv012_full)
     argv = [command, "--metric", "ncv-012", "--cache-dir", str(cache)]
     expected = run(capsys, *argv)
     assert expected[0] == 0, expected[2]
-    path, spec = cli.cache_entry(cache, nv.NCV_012, nv.FULL_TOPOLOGY, nv.SearchOptions(),
-                                 nct_mode)
-    table = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    path, spec = cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY, nv.SearchOptions())
+    table = cli.read_cached_table(path, spec, metric, nv.FULL_TOPOLOGY)
     _write_changed(path, spec, table, name, change)
-    assert cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode) is None
+    assert cli.read_cached_table(path, spec, metric, nv.FULL_TOPOLOGY) is None
 
     assert run(capsys, *argv) == expected
-    rewritten = cli.read_cached_table(path, spec, nv.NCV_012, nv.FULL_TOPOLOGY, nct_mode)
+    rewritten = cli.read_cached_table(path, spec, metric, nv.FULL_TOPOLOGY)
     assert all(map(np.array_equal, rewritten.witness_paths(), table.witness_paths()))
     assert np.array_equal(rewritten.secondary_array(), table.secondary_array())
 
 
 @pytest.mark.parametrize("command, nct_mode, name", [
     ("synth-all", None, "cost"),
-    ("compare", "lex-min", "secondary"),
-    ("compare", "lex-max", "secondary"),
-])
+    ("compare", "gate-count", "cost"),
+    ("compare", "gate-count", "secondary"),
+], ids=["synth-all-None-cost", "compare-gc-cost", "compare-gc-secondary"])
 def test_cache_file_whose_costs_disagree_with_its_witnesses_is_recomputed(
     tmp_path, capsys, ncv012_full, command, nct_mode, name
 ):
@@ -446,7 +465,7 @@ def test_cache_file_whose_costs_disagree_with_its_witnesses_is_recomputed(
 
 @pytest.mark.parametrize("command, nct_mode, name", [
     ("synth-all", None, "cost"),
-    ("compare", "lex-min", "secondary"),
+    ("compare", "gate-count", "secondary"),
 ])
 def test_cache_file_of_float_costs_is_recomputed(
     tmp_path, capsys, ncv012_full, command, nct_mode, name
@@ -971,7 +990,7 @@ def _hostile_table_argv(draw):
     outputs = ["out", "circuits"] if command == "synth-all" else ["out"]
     bad = draw(st.sampled_from([None, "metric", *outputs]))
     budget = command == "synth-all" and draw(st.booleans())
-    if command == "compare":  # the cache holds the NCT tables of ncv-012
+    if command == "compare":  # the cache holds the NCT gate-count table
         metric, topology = "ncv-012", None
     elif budget:
         metric, topology = draw(_METRICS), draw(st.sampled_from(["full", "path"]))
@@ -997,18 +1016,15 @@ def _hostile_table_argv(draw):
 
 
 @pytest.fixture(scope="module")
-def table_call_paths(tmp_path_factory, request, nct_gc, nct_lex012):
+def table_call_paths(tmp_path_factory, request, nct_gc):
     work = tmp_path_factory.mktemp("hostile-tables")
     (work / "file").write_text("")
     (work / "directory").mkdir()
     cache = work / "cache"
     _seed_ncv_tables(cache, *map(request.getfixturevalue, _CACHED.values()))
-    for mode, metric, table in [(nct.GATE_COUNT, None, nct_gc),
-                                ("lex-min", nv.NCV_012, nct_lex012[0]),
-                                ("lex-max", nv.NCV_012, nct_lex012[1])]:
-        cli.write_cached_table(
-            *cli.cache_entry(cache, metric, nv.FULL_TOPOLOGY, nv.SearchOptions(), mode), table
-        )
+    cli.write_cached_table(
+        *cli.cache_entry(cache, None, nv.FULL_TOPOLOGY, nv.SearchOptions()), nct_gc
+    )
     return {placeholder: str(work / name) for placeholder, name in _TABLE_PATHS.items()}
 
 

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ncvsynth as nv
-from ncvsynth import CircuitParseError, InvalidFunction
+from ncvsynth import CircuitParseError, InvalidFunction, cli
 from ncvsynth import io as nio
 from ncvsynth.analysis import render_4dp
 
 from helpers import random_legal_circuit, read_table_jsonl, table_csv_text
+from test_search import WINDOW_TABLES
 
 
 def test_circuit_text_example():
@@ -137,6 +138,8 @@ NCT_GC_JSONL_SHA256 = "c41a08f48827ee160d62bf0286a3f3889672b573fa1f702ed4a70e992
 COMPARISON_CSV_SHA256 = {
     "comparison_111": "c849da58d8df77cc7d8be7179819bd1cf205539d68c6132be7988e60eb1721af",
     "comparison_012": "e1c481507608064b653419da47bedbacfad1412e9053a13e1ced0dfbc02edd60",
+    "comparison_155": "f6719b973686be8d04535fc3864c97309d6640e5c2da614082acbfc2f5ea0c89",
+    "comparison_1_300_300": "3c07677939b80d8d75c14c668f9fc24f60ddc308d94bdc5915d6ee327d15fdde",
 }
 # SHA-256 of every witness's ``str``, one line per function in rank order.
 WITNESS_TEXT_SHA256 = {
@@ -167,6 +170,29 @@ def test_witness_text_digest_is_pinned(name, request):
     table = request.getfixturevalue(name)
     text = "\n".join(str(table.witness(f)) for f in table.functions())
     assert _sha256(text) == WITNESS_TEXT_SHA256[name]
+
+
+#: SHA-256 of every witness digest pinned above and in ``WINDOW_TABLES``, by
+#: the cache format whose files hold those witnesses.
+PINNED_WITNESSES_OF_CACHE_FORMAT = {
+    3: "714ee6fcb1c0e5d3d36bec247e3fae6e7072f9663b811168b01bc88edc2495e4",
+}
+
+
+def _pinned_witnesses():
+    pins = {f"window {name}": pin[2] for name, pin in WINDOW_TABLES.items()}
+    pins |= {f"text {name}": digest for name, digest in WITNESS_TEXT_SHA256.items()}
+    pins["jsonl nct_gc"] = NCT_GC_JSONL_SHA256
+    return _sha256(json.dumps(pins, sort_keys=True))
+
+
+def test_cache_format_is_raised_with_the_pinned_witnesses():
+    """A cache file stores witnesses, so a change to a pinned witness must
+    raise ``cli.CACHE_FORMAT``: else an older file serves the old witnesses
+    warm, and a warm run's bytes differ from a cold run's.  Record the new
+    digest under the new format.  A pin added or removed with no witness
+    changed is recorded under the same format."""
+    assert PINNED_WITNESSES_OF_CACHE_FORMAT.get(cli.CACHE_FORMAT) == _pinned_witnesses()
 
 
 def test_jsonl_matches_record_by_record_formatting(ncv111_path):

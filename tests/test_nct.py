@@ -1,9 +1,11 @@
-"""NCT search modes and Toffoli substitution."""
+"""NCT search modes, the substituted-cost bounds and Toffoli substitution."""
 
 import pytest
 
 import ncvsynth as nv
 from ncvsynth import Circuit, NOT, TOF
+from ncvsynth.analysis import _substituted_bounds
+from ncvsynth.model import function_rank
 from ncvsynth.nct import substituted_weight, toffoli_decomposition, toffoli_substitute
 
 from helpers import substituted_witness_cost
@@ -55,16 +57,18 @@ def test_witness_substitution_cost(nct_gc):
 
 
 def test_lex_modes_pair_gate_count_with_substituted_cost(nct_gc):
-    lexmin = nv.settle_all_nct("lex-min", nv.NCV_111)
+    """The lex-max table pairs the gate count with the greatest substituted
+    cost, which the gate-count table's bounds also give."""
     lexmax = nv.settle_all_nct("lex-max", nv.NCV_111)
+    least, greatest = _substituted_bounds(nct_gc, nv.NCV_111)
     for func in (tuple(range(8)), TOF_FUNC, (7, 6, 4, 5, 2, 3, 1, 0)):
-        gc = nct_gc.cost_of(func)
-        assert lexmin.cost_of(func) == lexmax.cost_of(func) == gc
-        assert lexmin.secondary_of(func) <= -lexmax.secondary_of(func)
+        rank = function_rank(func)
+        assert lexmax.cost_of(func) == nct_gc.cost_of(func)
+        assert least[rank] <= -lexmax.secondary_of(func) == greatest[rank]
         assert nct_gc.secondary_of(func) == 0
 
 
-@pytest.mark.parametrize("mode,sign", [("lex-min", 1), ("lex-max", -1)])
+@pytest.mark.parametrize("mode,sign", [("lex-max", -1)])
 def test_wide_lex_witnesses_are_gate_count_optimal(nct_gc, mode, sign):
     table = nv.settle_all_nct(mode, WIDE_METRIC)
     for func in table.functions():
@@ -111,13 +115,16 @@ def _lex_oracle(metric):
 
 
 @pytest.mark.parametrize("metric", [nv.NCV_012, WIDE_METRIC], ids=["ncv-012", "wide"])
-def test_lex_tables_match_a_breadth_first_pass_over_the_permutations(metric):
+def test_lex_tables_match_a_breadth_first_pass_over_the_permutations(nct_gc, metric):
+    """The bounds ``compare`` reads from the gate-count table, and the
+    lex-max table, against the plain-Python pass."""
     best = _lex_oracle(metric)
     assert len(best) == nv.N_FUNCTIONS
-    lexmin, lexmax = (nv.settle_all_nct(mode, metric) for mode in ("lex-min", "lex-max"))
-    count, least, greatest = zip(*(best[f] for f in lexmin.functions()))
-    assert lexmin.costs.tolist() == lexmax.costs.tolist() == list(count)
-    assert lexmin.secondary_array().tolist() == list(least)
+    lexmax = nv.settle_all_nct("lex-max", metric)
+    count, least, greatest = zip(*(best[f] for f in nct_gc.functions()))
+    assert nct_gc.costs.tolist() == lexmax.costs.tolist() == list(count)
+    bounds = _substituted_bounds(nct_gc, metric)
+    assert [b.tolist() for b in bounds] == [list(least), list(greatest)]
     assert (-lexmax.secondary_array()).tolist() == list(greatest)
 
 
@@ -131,10 +138,11 @@ def test_nct_witnesses_fold(nct_gc):
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        nv.settle_all_nct("lex-median", nv.NCV_111)
+    for mode in ("lex-median", "lex-min"):
+        with pytest.raises(ValueError, match="unknown NCT cost mode"):
+            nv.settle_all_nct(mode, nv.NCV_111)
     with pytest.raises(nv.MetricMismatch):
-        nv.settle_all_nct("lex-min", None)
+        nv.settle_all_nct("lex-max", None)
 
 
 def test_nct_library_without_a_toffoli_placement_is_refused():
