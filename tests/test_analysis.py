@@ -170,9 +170,30 @@ def test_compare_settles_no_table(monkeypatch, nct_gc, ncv012_full, comparison_0
     assert nv.compare(nct_gc, ncv012_full, nv.NCV_012) == comparison_012
 
 
+def _relabelled(table, mode):
+    return nv.SynthesisTable(
+        table.metric, table.topology, table.library, table.gate_list,
+        table.witness_paths(), table.secondary_array(), mode=mode,
+    )
+
+
 @pytest.mark.parametrize("kind", ["mode", "library"])
-def test_compare_rejects_an_nct_table_of_another_kind(ncv012_full, nct_lexmax012, kind):
-    table = {"mode": nct_lexmax012, "library": ncv012_full}[kind]
+@pytest.mark.parametrize("slot, mode", [("lexmin", "lex-min"), ("lexmax", "lex-max")])
+def test_compare_rejects_a_lex_table_of_another_kind(
+    nct_gc, ncv012_full, nct_lexmax012, kind, slot, mode
+):
+    """compare takes its ``slot`` bound from the gate-count table, so a lex
+    table given in its NCT slot is refused: the lex-max table, or the NCT
+    arrays labelled lex-min as a cache file of the deleted lex-min mode holds
+    (``kind`` "mode").  An NCV table is refused there even when labelled
+    gate-count (``kind`` "library", the same case for both slots)."""
+    table = {
+        "mode": lambda: nct_lexmax012 if mode == "lex-max" else _relabelled(nct_gc, mode),
+        "library": lambda: _relabelled(ncv012_full, "gate-count"),
+    }[kind]()
+    assert (table.mode, table.library) == (
+        (mode, "NCT") if kind == "mode" else ("gate-count", "NCV")
+    )
     with pytest.raises(MetricMismatch, match="gate-count"):
         nv.compare(table, ncv012_full, nv.NCV_012)
 
