@@ -43,7 +43,7 @@ from .errors import (
     NcvSynthError,
 )
 from .model import (CostMetric, FULL_TOPOLOGY, GATE_CODES, GATES, Gate, TOPOLOGIES, Topology,
-                    enumerate_gates)
+                    enumerate_gates, parse_int)
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -55,6 +55,17 @@ EXIT_IO = 5
 EXIT_INTERNAL = 6
 
 DEFAULT_CACHE_DIR = Path(".ncv-cache")
+
+
+def _ceiling(text: str) -> int:
+    """The value of ``--max-cost`` or ``--max-states``: an integer >= 0."""
+    try:
+        value = parse_int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,9 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disable the repeated-placement reduction")
         p.add_argument("--no-prune-relabel", action="store_true",
                        help="search every state, not one per symmetry orbit")
-        p.add_argument("--max-cost", type=int, default=None,
+        p.add_argument("--max-cost", type=_ceiling, default=None,
                        help="exit 4 once the search passes this primary cost")
-        p.add_argument("--max-states", type=int, default=None,
+        p.add_argument("--max-states", type=_ceiling, default=None,
                        help="exit 4 once the search settles more states than this "
                             "(orbit representatives unless --no-prune-relabel)")
 

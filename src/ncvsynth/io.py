@@ -36,7 +36,7 @@ import numpy as np
 from .analysis import ComparisonReport, CostHistogram, render_4dp
 from .errors import CircuitParseError
 from .model import (ARITY, Circuit, GATES, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
-                    rank_tables, validate_permutation)
+                    parse_int, rank_tables, validate_permutation)
 from .search import SynthesisTable
 
 
@@ -85,7 +85,7 @@ def format_function(func) -> str:
 
 def parse_function(text: str) -> tuple[int, ...]:
     try:
-        values = [int(v) for v in text.strip().split(",")]
+        values = [parse_int(v) for v in text.split(",")]
     except ValueError:
         raise CircuitParseError(f"function must be 8 integers: {text!r}") from None
     return validate_permutation(values)
@@ -157,7 +157,7 @@ def read_table_csv(stream) -> tuple[np.ndarray, np.ndarray]:
         if not row or row[0].startswith("#"):
             continue
         try:
-            cost = int(row[1])
+            cost = parse_int(row[1])
         except (IndexError, ValueError):
             raise CircuitParseError(f"bad table row: {row!r}") from None
         rank = lookup.get(row[0])

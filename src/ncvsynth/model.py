@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -194,6 +195,17 @@ _set_codes, _set_library = Circuit.codes.__set__, Circuit.library.__set__
 #: exceeds 23 x ``MAX_WEIGHT``.
 MAX_WEIGHT = 2 ** 32
 
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """The integer that ``text`` writes: an optional sign and ASCII digits,
+    with spaces around them.  ValueError for anything else, such as the
+    ``1_0`` and the digits of other scripts that ``int`` also reads."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
 
 @dataclass(frozen=True)
 class CostMetric:
@@ -252,7 +264,7 @@ class CostMetric:
             if len(parts) != 3:
                 raise ValueError(f"custom metric needs 3 weights, got {text!r}")
             try:
-                x, y, z = (int(p) for p in parts)
+                x, y, z = (parse_int(p) for p in parts)
             except ValueError:
                 raise ValueError(f"bad custom metric weights in {text!r}") from None
             return cls(x, y, z, z)

@@ -98,11 +98,24 @@ settle indices of an unsplit drain.
 
 Search reductions (each can be switched off):
 
-1. never extend a path with a gate whose (controls, target) placement equals
-   the placement of the gate that produced the node (two such gates compose
-   to the identity or to one gate on that placement; the search turns this
-   off for weights under which that gate can cost more than the two, such
-   as w_cnot > 2 w_v);
+1. never extend a state with a gate on the (controls, target) placement of
+   a gate that produced it.  A state keeps the set of these placements (a
+   uint16 bit set): each candidate of its key in the drain that settled
+   it, all of that cost, adds the placement of its gate as the canonical
+   state's last gate (in a bucket of one primary cost, where candidates of
+   several secondary costs meet, the winner's alone).  This skips no
+   candidate that could win.  Say gate h took q to p's key, canonicalized
+   by sigma, so p = sigma(h)(sigma q) and cost(p) = cost(q) + w(h).  A gate
+   g on sigma(h)'s placement composes with sigma(h) to the identity, and
+   g(p) = sigma q, of q's canonical key, which is settled; or to a gate h'
+   on that placement, and g(p) = h'(sigma q), the image under sigma of
+   sigma^-1(h')(q).  q's expansion made that candidate (q skips no gate
+   on h's placement, since it made h) at cost(q) + w(h') <= cost(p) +
+   w(g), the search turning the reduction off for weights under which that
+   fails (such as w_cnot > 2 w_v), and at an earlier bucket position, as q
+   settled before p.
+   Winners, sigmas, settle indices, witnesses and states visited are
+   therefore those of the search without the reduction;
 2. search one state per orbit of a cost-preserving symmetry group, and
    record every image of each settled function under the group's line
    relabelings and masks at the same cost.
@@ -125,10 +138,11 @@ stores, beside its predecessor and gate id, the sigma id (line permutation
 + 6 x conjugation + 12 x mask r, the image being the line and conjugation
 map's image moved by N_r) of the symmetry that took the raw key (the gate
 applied to the predecessor's canonical key) to the canonical one; the
-canonical state's last gate, which reduction (1) looks at, is then
-sigma(gate), as a mask moves no gate.  The root is the identity's canonical
-key.  States visited, and ``SearchOptions.max_states``, count these orbit
-representatives.  Without (2) every state is its own representative.
+canonical state's last gate, whose placement reduction (1) records, is
+then sigma(gate), as a mask moves no gate.  The root is the identity's
+canonical key.  States visited, and ``SearchOptions.max_states``, count
+these orbit representatives.  Without (2) every state is its own
+representative.
 
 Functions are handled by rank (their lexicographic index in 0..40319, see
 :func:`~ncvsynth.model.rank_tables`).  At the boundary a table's
@@ -195,9 +209,10 @@ the target and h(p) <= w(g) + h(g(p)) for every gate, so the winner of a
 kept state is kept, and as U >= C* (the target's optimal cost) so is every
 state on an optimal path to the target.  A dropped key lies on no such
 path, and the kept states settle in the same drains, in the same relative
-bucket positions and with the same winners as in a search without the ball:
-the target's winners, sigmas, reduction-(1) placements and record, and so
-its witness, are bit-for-bit unchanged.  The target search compares primary
+bucket positions and with the same winners as in a search without the ball
+(reduction (1) skips no candidate that could win, whichever candidates of a
+state the ball keeps): the target's winners, sigmas and record, and so its
+witness, are bit-for-bit unchanged.  The target search compares primary
 costs; its secondary weights are 0.
 """
 
@@ -414,7 +429,6 @@ class _Placement(NamedTuple):
     """One (controls, target) placement as packed-key arithmetic, shared by
     the gates on it."""
 
-    pid: np.uint8               # the placement id reduction (1) compares
     control_flags: np.uint64    # flag bits of the control lines (0 for NOT)
     target_bool: np.uint64      # Boolean bits of the target line
     moves: tuple[tuple[np.uint64, int], ...]  # per control: its Boolean bits, and
@@ -427,10 +441,25 @@ class _Expansion(NamedTuple):
     of their first gate), by position in the gate list within a group."""
 
     placements: tuple[_Placement, ...]
+    bits: np.ndarray                    # uint16 bit of each placement in reduction (1)'s sets
     steps: tuple[tuple[int, str], ...]  # (placement index, gate kind) in candidate order
     gate_ids: np.ndarray                # uint8 gate ids in candidate order
     groups: tuple[tuple[Cost, int], ...]  # (weight, end of its steps) in candidate order
-    placement_of_gate: np.ndarray       # uint8 placement id by gate id (255 off the list)
+
+
+@functools.cache
+def _placement_bits(gates: tuple[Gate, ...]) -> np.ndarray:
+    """uint16 by gate id: the bit of the gate's (controls, target) placement,
+    the placements numbered in the order the list first uses them; 0 for
+    every other id of the 256, so that a relabeled id of 255 (off the list,
+    or the root's) has none.  At most 12 placements (NCT on the full
+    topology).  Read-only."""
+    index: dict[tuple, int] = {}
+    bits = np.zeros(256, dtype=np.uint16)
+    for gate in gates:
+        bits[GATE_CODES[gate]] = 1 << index.setdefault(gate.placement, len(index))
+    bits.setflags(write=False)
+    return bits
 
 
 @functools.cache
@@ -446,7 +475,6 @@ def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion
         placement_index[gate.placement] = len(placements)
         t = gate.target
         placements.append(_Placement(
-            np.uint8(len(placements)),
             _U64(sum(_FLAG[c] for c in gate.controls)),
             _U64(_BOOL[t]),
             tuple((_U64(_BOOL[c]), 2 * (t - c) - 1) for c in gate.controls),
@@ -455,33 +483,35 @@ def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion
     pids = [placement_index[g.placement] for g in gates]
     codes = _codes_of(gates)
     gate_ids = codes[order].astype(np.uint8)
-    placement_of_gate = np.full(len(GATES), 255, dtype=np.uint8)
-    placement_of_gate[codes] = pids
-    for arr in (gate_ids, placement_of_gate):
+    # Bit i is placement i, as both number the placements in order of first use.
+    bits = (1 << np.arange(len(placements))).astype(np.uint16)
+    for arr in (gate_ids, bits):
         arr.setflags(write=False)
     return _Expansion(
         tuple(placements),
+        bits,
         tuple((pids[gid], gates[gid].kind) for gid in order),
         gate_ids,
         tuple(zip(by_weight, itertools.accumulate(map(len, by_weight.values())))),
-        placement_of_gate,
     )
 
 
 def _candidates(
-    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, no_repeat: bool,
+    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Every gate's images of the parents it applies to, in candidate order
     (uint64), the parents' settle indices, and the candidates per gate.  The
     parents of a placement (every control line Boolean and, with reduction
-    (1), another last placement) and their ``hit`` (the target's flag bit
-    set in each row whose controls are all 1) are found once for its
-    gates."""
+    (1), the placement's bit clear in the parent's ``placed`` set, the
+    placements of the gates that produced it) and their ``hit`` (the
+    target's flag bit set in each row whose controls are all 1) are found
+    once for its gates."""
     sources = []
-    for p in plan.placements:
+    # (placement, parent): whether the parent's set lacks the placement
+    free = (plan.bits[:, None] & placed) == 0 if no_repeat else [None] * len(plan.placements)
+    for p, other in zip(plan.placements, free):
         mask = (keys & p.control_flags) == _ZERO if p.control_flags else None
-        if no_repeat:
-            other = plc != p.pid
+        if other is not None:
             mask = other if mask is None else np.logical_and(mask, other, out=mask)
         src = (keys, gidx) if mask is None else (keys[mask], gidx[mask])
         hit = None
@@ -613,6 +643,7 @@ class _Orbits(NamedTuple):
     compose: np.ndarray   # int8 (a, b): sigma id of sigma a after sigma b
     relabel: np.ndarray   # uint8 (sigma, gate id): id of the gate's image; 255 if
                           # it is off the list, and for the root's gate id 255
+    placement_bit: np.ndarray  # uint16 (sigma, gate id): the image's placement bit
 
 
 @functools.cache
@@ -681,7 +712,9 @@ def _orbit_tables(
         compose = compose[line[:, None], line] + _N_SIDS * (rho[:, mask] ^ mask[:, None])
         compose = compose.astype(np.int8)
         relabel = np.tile(relabel, (N_ROWS, 1))
-    return _Orbits(*_image_tables(symmetries), conj, masks, compose, relabel)
+    placement_bit = _placement_bits(gates)[relabel]
+    placement_bit.setflags(write=False)
+    return _Orbits(*_image_tables(symmetries), conj, masks, compose, relabel, placement_bit)
 
 
 def _least_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
@@ -896,7 +929,7 @@ class _Search:
 
     def drains(self) -> Iterator[_Drain]:
         self._expand(
-            self.root, np.zeros(1, dtype=np.int32), np.full(1, 255, np.uint8), (0, 0),
+            self.root, np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.uint16), (0, 0),
             np.zeros(1, dtype=np.int64) if self.by_primary else None,
         )
         while self.heap:
@@ -908,7 +941,7 @@ class _Search:
             while self.buckets.get(cost):
                 settled = self._drain(cost)
                 if settled is not None:
-                    keys, gidx, plc, secondary = settled
+                    keys, gidx, placed, secondary = settled
                     if secondary is None:
                         yield cost, keys, gidx
                     else:
@@ -917,17 +950,23 @@ class _Search:
                         cuts = [0, *(np.flatnonzero(np.diff(secondary)) + 1).tolist(), len(keys)]
                         for lo, hi in zip(cuts, cuts[1:]):
                             yield (cost[0], int(secondary[lo])), keys[lo:hi], gidx[lo:hi]
-                    self._expand(keys, gidx, plc, cost, secondary)
+                    self._expand(keys, gidx, placed, cost, secondary)
             self.buckets.pop(cost, None)
 
     def _drain(self, cost: Cost) -> tuple[np.ndarray, ...] | None:
         """Settle the fresh keys of the bucket's batches: their keys, settle
-        indices, last placements and, in a bucket of one primary cost,
-        secondary costs (else None), in settle order; or None if no key is
-        fresh.  A bucket of more than ``_CHUNK`` candidates is cut at the
-        window's quantiles into one key range per thread of the pool; each
-        range settles its keys against its own slice of the window, then
-        merges its new keys into its slice of the next window."""
+        indices, placement sets (see below) and, in a bucket of one primary
+        cost, secondary costs (else None), in settle order; or None if no
+        key is fresh.  A bucket of more than ``_CHUNK`` candidates is cut at
+        the window's quantiles into one key range per thread of the pool;
+        each range settles its keys against its own slice of the window,
+        then merges its new keys into its slice of the next window.
+
+        A new key's placement set, which reduction (1) skips, ORs the
+        placement bits of every candidate of the key in the drain: each
+        reaches it at its settled cost.  In a bucket of one primary cost,
+        where candidates of other secondary costs meet, it is the winner's
+        bit alone."""
         probed, batches = zip(*self.buckets[cost])
         self.buckets[cost] = []
         columns = list(map(np.concatenate, zip(*batches)))
@@ -937,7 +976,7 @@ class _Search:
             # A stable sort keeps each parent's candidates in gate order.
             first = np.lexsort((columns[1], columns[4]))
             columns = [column[first] for column in columns]
-        keys, preds, gids, sigmas = columns[:4]
+        keys, _, gids, sigmas = columns[:4]
         window = self.window_keys
         ranges = 1 + self.pool.workers if len(keys) > _CHUNK else 1
         cuts = [len(window) * i // ranges for i in range(ranges + 1)]
@@ -950,6 +989,10 @@ class _Search:
             tests = [keys >= e for e in edges[:i][-1:]] + [keys < e for e in edges[i:][:1]]
             at = np.flatnonzero(functools.reduce(np.logical_and, tests)) if tests else None
             part = keys if at is None else keys[at]
+            # The placement bit of each candidate's sigma(gate), the last gate
+            # of the canonical state it reaches.
+            bits = (self.orbits.placement_bit[sigmas, gids] if at is None
+                    else self.orbits.placement_bit[sigmas[at], gids[at]])
             # Batches arrive in settle order, each in (parent settle index,
             # gate id) order, so the tie-break winner among equal-cost paths
             # to a key is its least bucket position.
@@ -959,19 +1002,23 @@ class _Search:
             np.not_equal(part[1:], part[:-1], out=lead[1:])
             starts = np.flatnonzero(lead)
             new, winners = part[starts], np.minimum.reduceat(order, starts)
+            placed = (bits[winners] if self.by_primary
+                      else np.bitwise_or.reduceat(bits[order], starts))
             # Each batch was probed when it was made, and only a settle since
             # then can have put one of its keys in the window.
             if min(probed) < self.total:
                 fresh = ~_find(window[cuts[i]:cuts[i + 1]], new)[1]
-                new, winners = new[fresh], winners[fresh]
+                new, winners, placed = new[fresh], winners[fresh], placed[fresh]
             if self.keep is not None:
                 kept = self.keep(cost, new)
-                new, winners = new[kept], winners[kept]
+                new, winners, placed = new[kept], winners[kept], placed[kept]
             _assert_projection_permutation(new)
-            return new, winners if at is None else at[winners]
+            return new, winners if at is None else at[winners], placed
 
         parts = self.pool.map(settle, range(ranges))
-        new_keys, winners = parts[0] if ranges == 1 else map(np.concatenate, zip(*parts))
+        new_keys, winners, placed = (
+            parts[0] if ranges == 1 else map(np.concatenate, zip(*parts))
+        )
         if not len(new_keys):
             return None
         # Range i's slice of the next window: its slice of this one, then
@@ -990,7 +1037,9 @@ class _Search:
         if self.by_primary:
             # The new keys take settle indices in (secondary, key) order.
             order = np.argsort(settled[3], kind="stable")
-            new_keys, *settled = [column[order] for column in (new_keys, *settled)]
+            new_keys, placed, *settled = [
+                column[order] for column in (new_keys, placed, *settled)
+            ]
         else:
             settled.append(None)
         pred, gate, sigma, secondary = settled
@@ -999,12 +1048,10 @@ class _Search:
         self.total += len(new_keys)
         self.window.append((cost[0], new_keys))
         self.window_keys = merged
-        # The canonical state's last gate is sigma(gate).
-        plc = self.plan.placement_of_gate[self.orbits.relabel[sigma, gate]]
-        return new_keys, gidx, plc, secondary
+        return new_keys, gidx, placed, secondary
 
     def _expand(
-        self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
+        self, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
         secondary: np.ndarray | None,
     ) -> None:
         """Enqueue the fresh canonical successors of settled states: chunk
@@ -1014,7 +1061,7 @@ class _Search:
 
         def run(chunk: slice) -> list[tuple[Cost, tuple]]:
             return self._expand_chunk(
-                keys[chunk], gidx[chunk], plc[chunk], cost,
+                keys[chunk], gidx[chunk], placed[chunk], cost,
                 None if secondary is None else secondary[chunk], window_keys,
             )
 
@@ -1026,19 +1073,20 @@ class _Search:
                 self.buckets.setdefault(new_cost, []).append((self.total, batch))
 
     def _expand_chunk(
-        self, keys: np.ndarray, gidx: np.ndarray, plc: np.ndarray, cost: Cost,
+        self, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
         secondary: np.ndarray | None, window_keys: np.ndarray,
     ) -> list[tuple[Cost, tuple]]:
         """The fresh canonical successors of some settled states, as one
         (bucket, batch) pair per gate weight, each batch in (parent settle
         index, gate id) order.  Given the parents' ``secondary`` costs, the
         bucket is (primary cost, 0) and each candidate carries its secondary
-        cost.  Each placement's parents are selected once for all its gates,
-        and the candidates of every weight are canonicalized and probed
+        cost.  Each placement's parents are selected once for all its gates
+        (less those whose ``placed`` set holds it, under reduction (1)), and
+        the candidates of every weight are canonicalized and probed
         together.  Runs on any thread: it reads only its arguments and the
         search's read-only tables."""
         plan = self.plan
-        raw, preds, counts = _candidates(plan, keys, gidx, plc, self.no_repeat)
+        raw, preds, counts = _candidates(plan, keys, gidx, placed, self.no_repeat)
         if not len(raw):
             return []
         new_keys, sigma = _canonical(raw, self.orbits)

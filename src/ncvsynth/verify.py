@@ -10,8 +10,14 @@ The batch oracle ``verify_witnesses`` is exact.  Every gate unitary has
 entries in Z[i][1/2], and doubling V and V+ makes them Gaussian integers
 (the ring argument of Giles & Selinger, PRA 2013), so a circuit with k V/V+
 gates passes iff its scaled product equals 2^k times the permutation matrix,
-with every entry an integer that complex128 holds exactly.  It multiplies
-each distinct circuit prefix once.  The single-circuit checks
+with every entry an integer that complex128 holds exactly.  A batch whose
+circuits have at most 20 V/V+ gates each is multiplied out in complex64.
+After j doubled gates every entry is a Gaussian integer whose real and
+imaginary parts are at most 2^j in size, and a gate row has at most two
+nonzero entries, each part at most 1 in size, so every product and partial
+sum of the next step stays below 2^(j+3), even in a 3M complex product.
+float32 holds every integer up to 2^24 exactly, which covers j <= 21.  It
+multiplies each distinct circuit prefix once.  The single-circuit checks
 ``check_realizes`` and ``first_mismatch`` (the CLI's ``verify --tol``) and
 ``check_model_consistency`` compare unscaled products within a tolerance.
 """
@@ -43,6 +49,10 @@ DEFAULT_TOL = 1e-9
 #: Most V/V+ gates in a circuit that ``verify_witnesses`` certifies: every
 #: partial sum of its scaled products then stays below 2^53.
 MAX_EXACT_V_GATES = 48
+#: Most V/V+ gates in every circuit of a batch that ``verify_witnesses``
+#: multiplies out in complex64, whose parts hold integers up to 2^24
+#: exactly (see the module docstring).
+_COMPLEX64_V_GATES = 20
 
 #: The controlled-V target transformation: a square root of NOT.
 V_MATRIX = (1 + 1j) / 2 * np.array([[1, -1j], [-1j, 1]])
@@ -172,6 +182,14 @@ def _gate_index(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return allowed, mats, doubled
 
 
+@functools.cache
+def _complex64_mats(topology: Topology) -> np.ndarray:
+    """``_gate_index``'s scaled gate unitaries in complex64 (read-only)."""
+    mats = _gate_index(topology)[1].astype(np.complex64)
+    mats.setflags(write=False)
+    return mats
+
+
 def verify_witnesses(
     witnesses: Iterable[tuple[Sequence[int], Circuit]],
     topology: Topology = FULL_TOPOLOGY,
@@ -183,7 +201,9 @@ def verify_witnesses(
     Every function is validated (InvalidFunction) and every gate must be a
     gate of ``topology`` (TopologyViolation) before any product is taken.
     There is no tolerance (see ``_first_failure``); a circuit with more
-    than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.
+    than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.  A batch of at
+    most ``_COMPLEX64_V_GATES`` V/V+ gates per circuit is multiplied out in
+    complex64, any other in complex128.
     """
     allowed, mats, doubled = _gate_index(topology)
     pairs = list(witnesses)
@@ -211,6 +231,8 @@ def verify_witnesses(
             f"a circuit with {n_doubled.max()} V/V+ gates is past the exact range "
             f"of verify_witnesses ({MAX_EXACT_V_GATES}); use check_realizes"
         )
+    if n_doubled.max() <= _COMPLEX64_V_GATES:
+        mats = _complex64_mats(topology)
     bad = _first_failure(funcs_array, ids, lengths, mats, np.ldexp(1.0, n_doubled))
     return len(funcs), None if bad is None else tuple(funcs_array[bad].tolist())
 
@@ -225,9 +247,10 @@ def _first_failure(
     Row i's circuit is ``ids[i, :lengths[i]]``, ids into ``mats``: the gate
     unitaries scaled so that every entry is a Gaussian integer (V and V+
     doubled).  A product with k doubled gates is 2^k times a unitary, so its
-    entries are Gaussian integers of modulus at most 2^k, which complex128
-    holds exactly.  Row i passes iff its product equals ``scale[i]`` = 2^k
-    times its permutation matrix.
+    entries are Gaussian integers of modulus at most 2^k, which the dtype of
+    ``mats`` must hold exactly, with the partial sums of a step (see the
+    module docstring); the products are taken in that dtype.  Row i passes
+    iff its product equals ``scale[i]`` = 2^k times its permutation matrix.
 
     The circuits are multiplied out depth by depth, each distinct prefix
     once: the (prefix, gate) pairs of depth d are made unique, sorted by
@@ -239,7 +262,7 @@ def _first_failure(
     """
     cols = np.arange(N_ROWS)
     prefix = np.zeros(len(funcs), dtype=np.int64)   # each row's prefix at this depth
-    products = np.eye(N_ROWS, dtype=complex)[:, None, :]
+    products = np.eye(N_ROWS, dtype=mats.dtype)[:, None, :]
     for depth in range(ids.shape[1] + 1):
         if depth:
             live = np.flatnonzero(lengths >= depth)
@@ -248,7 +271,7 @@ def _first_failure(
             )
             gate, parent = np.divmod(pairs, products.shape[1])
             starts = np.flatnonzero(np.diff(gate, prepend=-1))
-            step = np.empty((N_ROWS, len(pairs) * N_ROWS), dtype=complex)
+            step = np.empty((N_ROWS, len(pairs) * N_ROWS), dtype=mats.dtype)
             for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
                 extended = np.take(products, parent[a:b], axis=1).reshape(N_ROWS, -1)
                 np.matmul(mats[gate[a]], extended, out=step[:, a * N_ROWS:b * N_ROWS])

@@ -237,6 +237,43 @@ def test_stats_of_a_bad_cost_exits_2(tmp_path, capsys, row):
     assert (code, out) == (2, "") and "bad table row" in err
 
 
+@pytest.mark.parametrize("cost", ["1_0", "\u0663", "\uff13", "3 3"])
+def test_stats_reads_a_cost_of_ascii_digits_only(tmp_path, capsys, cost):
+    """``int`` reads ``1_0`` as 10 and the Arabic-Indic or full-width 3 as
+    3; a cost is an optional sign and ASCII digits."""
+    code, out, err = _stats(tmp_path, capsys, f'"0,1,2,3,4,5,6,7",{cost}\n')
+    assert (code, out) == (2, "") and "bad table row" in err
+
+
+def test_stats_reads_a_signed_cost_with_spaces(tmp_path, capsys):
+    code, out, _ = _stats(tmp_path, capsys, '"0,1,2,3,4,5,6,7", +4 \n')
+    assert code == 0 and "     4        1\nfunctions: 1\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--function", "\u0660,1,2,3,4,5,7,6"], "function must be 8 integers"),
+    (["--function", "0,1,2,3,4,5,7,6_"], "function must be 8 integers"),
+    (["--metric", "custom:1_0,1,1"], "bad custom metric weights"),
+    (["--metric", "custom:1,\u0661,1"], "bad custom metric weights"),
+    (["--max-cost", "-1"], "argument --max-cost: expected an integer >= 0, got '-1'"),
+    (["--max-states", "-1"], "argument --max-states: expected an integer >= 0, got '-1'"),
+    (["--max-states", "1_0"], "argument --max-states: expected an integer >= 0, got '1_0'"),
+])
+def test_synth_reads_integers_of_ascii_digits_only(capsys, argv, message):
+    """Each ran before: as the function 0,1,..., as weight 10 or 1, or as a
+    search that then exited 4 for a negative budget."""
+    args = {"--function": "0,1,2,3,4,5,7,6", **dict(zip(argv[::2], argv[1::2]))}
+    code, out, err = run(capsys, "synth", *(x for item in args.items() for x in item))
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_synth_reads_signs_and_spaces_around_integers(capsys):
+    plain = run(capsys, "synth", "--function", "0,1,2,3,4,5,7,6", "--metric", "custom:1,1,1")
+    spaced = run(capsys, "synth", "--function", "+0, 1 ,2,3,4,5,7,6", "--metric",
+                 "custom: 1,+1,1 ", "--max-cost", "+5", "--max-states", " 10000 ")
+    assert plain == spaced and plain[0] == 0
+
+
 def test_stats_skips_comment_and_blank_rows(tmp_path, capsys):
     text = '# a comment\n"0,1,2,3,4,5,6,7",0\n\n#"1,0,2,3,4,5,6,7",1\n"1,0,2,3,4,5,6,7",1\n'
     code, out, _ = _stats(tmp_path, capsys, text)

@@ -367,10 +367,10 @@ def test_relabel_table_maps_gates_like_relabel_circuit(topology, library):
 )
 def test_candidates_are_the_images_apply_gate_gives(seed, topology, library, no_repeat):
     """``_candidates`` on legal packed states (NCV circuits of 0-8 gates and
-    Boolean states), with random last placements and gate weights: gate by
-    gate in candidate order, the image ``apply_gate`` gives of each parent
-    whose controls are Boolean, in parent order, less the parents whose
-    last placement is the gate's under reduction (1)."""
+    Boolean states), with random placement sets (from none to all) and gate
+    weights: gate by gate in candidate order, the image ``apply_gate`` gives
+    of each parent whose controls are Boolean, in parent order, less the
+    parents whose set holds the gate's placement under reduction (1)."""
     rng = np.random.default_rng(seed)
     states = [apply_circuit(CircuitState.identity(),
                             random_legal_circuit(rng, int(rng.integers(9)), topology))
@@ -380,14 +380,18 @@ def test_candidates_are_the_images_apply_gate_gives(seed, topology, library, no_
     plan = search._expansion(gates, tuple((int(rng.integers(1, 3)), 0) for _ in gates))
     keys = np.array([state.pack() for state in states], dtype=np.uint64)
     gidx = np.arange(len(states), dtype=np.int64) + 100
-    plc = rng.choice([*range(len(plan.placements)), 255], size=len(states)).astype(np.uint8)
-    raw, preds, counts = search._candidates(plan, keys, gidx, plc, no_repeat)
+    # Each parent's set holds each placement with a probability drawn per
+    # parent from 0 (no placement) to 1 (every placement).
+    density = rng.choice([0, 0.2, 0.5, 0.8, 1], size=(len(states), 1))
+    held = rng.random((len(states), len(plan.placements))) < density
+    placed = np.bitwise_or.reduce(np.where(held, plan.bits, 0), axis=1).astype(np.uint16)
+    raw, preds, counts = search._candidates(plan, keys, gidx, placed, no_repeat)
 
     expected, expected_counts = [], []
     for code in plan.gate_ids.tolist():
         gate, before = GATES[code], len(expected)
-        for state, index, last in zip(states, gidx.tolist(), plc.tolist()):
-            if no_repeat and last == plan.placement_of_gate[code]:
+        for state, index, last in zip(states, gidx.tolist(), placed.tolist()):
+            if no_repeat and last & int(search._placement_bits(gates)[code]):
                 continue
             try:
                 expected.append((nv.apply_gate(state, gate).pack(), index))
@@ -710,6 +714,47 @@ def test_unequal_v_weights_stay_optimal():
     for func in (*LANDMARK_FUNCS, *randoms):
         one = nv.synthesize_one(func, metric, options=SearchOptions(settle_relabelings=False))
         assert one == (plain.cost_of(func), plain.witness(func)), func
+
+
+REDUCTION_1_SETTLES = {
+    "nct-gate-count": lambda options: nv.settle_all_nct(options=options),
+    "nct-lex-max/custom:1,300,300": lambda options: nv.settle_all_nct(
+        "lex-max", CostMetric.parse("custom:1,300,300"), options
+    ),
+    "ncv-012/path": lambda options: nv.settle_all(nv.NCV_012, nv.PATH_TOPOLOGY, options),
+    # Input masks without conjugation; under CostMetric(0,3,1,2) too, but
+    # there reduction (1) is off, as two V gates cost less than the CNOT.
+    "CostMetric(0,2,1,2)/full": lambda options: nv.settle_all(CostMetric(0, 2, 1, 2),
+                                                              options=options),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_1_SETTLES))
+def test_repeat_placement_reduction_changes_no_witness(name, monkeypatch):
+    """Reduction (1) skips, at each state, the placements of every gate that
+    produced it at its settled cost: each such candidate is met no later
+    and at no more cost from the producing gate's parent, so no skipped
+    candidate wins.  Witnesses, secondary costs and states visited are
+    those of the search without the reduction, which makes more
+    candidates."""
+    made = []  # candidates per ``_candidates`` call
+    candidates = search._candidates
+
+    def spy(*args):
+        out = candidates(*args)
+        made.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(search, "_candidates", spy)
+    settle = REDUCTION_1_SETTLES[name]
+    reduced = settle(SearchOptions())
+    n_reduced = sum(made)
+    plain = settle(SearchOptions(no_repeat_placement=False))
+    assert n_reduced < sum(made) - n_reduced
+    for got, want in zip(reduced.witness_paths(), plain.witness_paths()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(reduced.secondary_array(), plain.secondary_array())
+    assert reduced.states_visited == plain.states_visited
 
 
 def test_repeat_placement_reduction_yields_to_cheap_v_pairs():

@@ -199,9 +199,31 @@ def table_witnesses(ncv111_full, ncv111_path, nct_gc):
     return out
 
 
+def _spy_dtypes(monkeypatch):
+    """The dtype of the gate matrices of each ``_first_failure`` call."""
+    dtypes = []
+    first_failure = nv.verify._first_failure
+
+    def spy(funcs, ids, lengths, mats, scale):
+        dtypes.append(mats.dtype)
+        return first_failure(funcs, ids, lengths, mats, scale)
+
+    monkeypatch.setattr(nv.verify, "_first_failure", spy)
+    return dtypes
+
+
+#: A circuit of 24 V gates, the identity: a batch that holds it is past
+#: complex64's exact range, so it is multiplied out in complex128.
+V24_IDENTITY = (tuple(range(8)), Circuit((V(0, 1),) * 24))
+
+
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path", "nct_gc"])
-def test_mutated_row_gets_the_float_reference_verdict(table_witnesses, name, mutation):
+def test_mutated_row_gets_the_float_reference_verdict(
+    table_witnesses, monkeypatch, name, mutation
+):
+    """In complex64, and in complex128 with ``V24_IDENTITY`` added."""
+    dtypes = _spy_dtypes(monkeypatch)
     witnesses = list(table_witnesses[name])
     rng = np.random.default_rng(sorted(MUTATIONS).index(mutation))
     deep = [i for i, (_, c) in enumerate(witnesses)
@@ -212,9 +234,27 @@ def test_mutated_row_gets_the_float_reference_verdict(table_witnesses, name, mut
     assert witnesses[row][1] != circuit
     # Every other row passes both oracles, so the whole-table verdict is the
     # mutated row's own.
-    expected = (nv.N_FUNCTIONS, reference_verify([witnesses[row]])[1])
-    assert expected[1] == func
-    assert verify_witnesses(witnesses) == expected
+    verdict = reference_verify([witnesses[row]])[1]
+    assert verdict == func
+    assert verify_witnesses(witnesses) == (nv.N_FUNCTIONS, verdict)
+    assert verify_witnesses(witnesses + [V24_IDENTITY]) == (nv.N_FUNCTIONS + 1, verdict)
+    assert dtypes == [np.complex64, np.complex128]
+
+
+def test_complex64_certifies_up_to_its_bound(monkeypatch):
+    """20 V gates on one placement are the identity, certified in
+    complex64, and a wrong function claimed for them is named; one more V
+    gate in the batch sends it to complex128."""
+    dtypes = _spy_dtypes(monkeypatch)
+    bound = nv.verify._COMPLEX64_V_GATES
+    assert bound == 20
+    identity, cnot = tuple(range(8)), nv.realized_function(Circuit((CNOT(0, 1),)))
+    at_bound = Circuit((V(0, 1),) * bound)
+    assert verify_witnesses([(identity, at_bound)]) == (1, None)
+    assert verify_witnesses([(identity, at_bound), (cnot, at_bound)]) == (2, cnot)
+    past = (cnot, Circuit((V(0, 1),) * (bound + 2)))
+    assert verify_witnesses([(identity, at_bound), (cnot, at_bound), past]) == (3, cnot)
+    assert dtypes == [np.complex64, np.complex64, np.complex128]
 
 
 def test_shortest_failure_is_reported_first():
@@ -259,6 +299,8 @@ def test_scaled_gate_matrices_are_twice_the_v_unitaries():
     fixes a permutation matrix), so the scaled matrices are checked here."""
     allowed, mats, doubled = nv.verify._gate_index(PATH_TOPOLOGY)
     assert len(allowed) == len(mats) == len(doubled) - 1 == len(GATES) and not doubled[-1]
+    single = nv.verify._complex64_mats(PATH_TOPOLOGY)
+    assert single.dtype == np.complex64 and np.array_equal(single, mats)
     path_gates = enumerate_gates(PATH_TOPOLOGY, "NCV") + enumerate_gates(PATH_TOPOLOGY, "NCT")
     assert {GATES[code] for code in np.flatnonzero(allowed)} == set(path_gates)
     for code, gate in enumerate(GATES):
