@@ -43,7 +43,7 @@ from .errors import (
     NcvSynthError,
 )
 from .model import (CostMetric, FULL_TOPOLOGY, GATE_CODES, GATES, Gate, TOPOLOGIES, Topology,
-                    enumerate_gates, parse_int)
+                    enumerate_gates, parse_decimal, parse_int)
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -66,6 +66,18 @@ def _ceiling(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    """The value of ``--tol``: a finite decimal number >= 0 (nan would
+    accept no circuit and inf every one)."""
+    try:
+        value = parse_decimal(text)
+        if 0 <= value < np.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite decimal number >= 0, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit file against a function")
     p.add_argument("--circuit", type=Path, required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="largest entrywise unitary error accepted (finite, >= 0)")
 
     p = sub.add_parser("stats", help="histogram and weighted average of a table CSV")
@@ -320,8 +332,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 0 <= args.tol < np.inf:  # nan accepts no circuit and inf every one
-        raise ValueError(f"--tol must be a finite number >= 0, not {args.tol}")
     circuit = io.parse_circuit(args.circuit.read_text())
     func = io.parse_function(args.function)
     if check_realizes(circuit, func, args.tol):

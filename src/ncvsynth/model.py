@@ -196,6 +196,7 @@ _set_codes, _set_library = Circuit.codes.__set__, Circuit.library.__set__
 MAX_WEIGHT = 2 ** 32
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_DECIMAL = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", re.ASCII)
 
 
 def parse_int(text: str) -> int:
@@ -205,6 +206,17 @@ def parse_int(text: str) -> int:
     if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def parse_decimal(text: str) -> float:
+    """The number that ``text`` writes in decimal: an optional sign, ASCII
+    digits with at most one point, an optional exponent of ASCII digits,
+    and spaces around them.  ValueError for anything else, such as ``nan``,
+    ``inf``, ``1_0`` and the digits of other scripts that ``float`` also
+    reads."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 @dataclass(frozen=True)

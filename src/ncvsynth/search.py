@@ -96,6 +96,26 @@ keys, two sorted runs that a stable sort merges.  The ranges join in key
 order, which is packed-key order, so the states settle with the winners and
 settle indices of an unsplit drain.
 
+Stacked forms for small inputs: ``_candidates`` on at most
+``_STACKED_PARENTS`` (128) parents, and ``_least_line_image`` and
+``_mask_canonical`` on at most ``_STACKED_KEYS`` (1,024) keys, make one
+broadcast over every gate (or symmetry, or (key, least-class row) pair)
+where their loops make a few numpy calls per placement (or symmetry, or
+row).  Per-call overhead then stops setting the time of a target search's
+small frontiers (a median of 4 parents per expansion and 27 keys per
+canonicalization), while a settle's bulk drains keep the loops.  Measured
+per call on 2 CPUs, the stacked forms are 2.7-6x faster on the smallest
+inputs and break even at about 200 parents and 1,500-2,000 keys; on whole
+chunks they are 2.7-4x slower.  They return exactly what the loops do.  A
+loop replaces its kept image only by a strictly less one, so it keeps the
+first least image in its order (symmetries in ``_least_line_image``'s offer
+order; rows ascending, then symmetries, in ``_mask_canonical``).  The
+stacked forms list their offers in the same order and take, per key, the
+least offer shifted left with its position in the low bits (keys use 48 of
+64 bits): the least image, first among equals.  ``_candidates``'s (gate,
+parent) matrix, compressed row-major, is in candidate order with each
+gate's parents in order.
+
 Search reductions (each can be switched off):
 
 1. never extend a state with a gate on the (controls, target) placement of
@@ -424,6 +444,18 @@ def _shifted(x: np.ndarray, delta: int) -> np.ndarray:
 #: peak of 25.7 MiB against their 26.7 MiB.
 _BLOCK = 1 << 15
 
+#: Most keys that ``_least_line_image`` and ``_mask_canonical``, and most
+#: parents that ``_candidates``, take in their stacked forms: one broadcast
+#: over every symmetry (or gate) in place of a loop of numpy calls per
+#: symmetry (or placement), faster while per-call overhead outweighs the
+#: larger temporaries (see the module docstring).  Swept on 2 CPUs, medians
+#: of 7 rounds of 240 ``synthesize_one`` requests / an ncv-012 full settle /
+#: an ncv-111 full settle: loops only 762 / 133 / 350 ms; 1,024 keys and 128
+#: parents 666 / 130 / 351 ms; 512 or 2,048 keys 664-678 / 129-136 /
+#: 363-371 ms; 64 or 256 parents 674-700 / 134-140 / 361-365 ms.
+_STACKED_KEYS = 1024
+_STACKED_PARENTS = 128
+
 
 class _Placement(NamedTuple):
     """One (controls, target) placement as packed-key arithmetic, shared by
@@ -438,13 +470,35 @@ class _Placement(NamedTuple):
 class _Expansion(NamedTuple):
     """A gate list and its weights compiled for expansion.  Candidates are
     made gate by gate in candidate order: grouped by weight (groups in order
-    of their first gate), by position in the gate list within a group."""
+    of their first gate), by position in the gate list within a group.  The
+    last four fields hold each step (gate) as a (step, 1) column, for the
+    stacked form of ``_candidates``."""
 
     placements: tuple[_Placement, ...]
     bits: np.ndarray                    # uint16 bit of each placement in reduction (1)'s sets
     steps: tuple[tuple[int, str], ...]  # (placement index, gate kind) in candidate order
     gate_ids: np.ndarray                # uint8 gate ids in candidate order
     groups: tuple[tuple[Cost, int], ...]  # (weight, end of its steps) in candidate order
+    step_flags: np.ndarray  # uint64 flag bits of the step's control lines
+    step_bits: np.ndarray   # uint16 bit of the step's placement
+    step_moves: np.ndarray  # uint64 (control, [Boolean bits, left shift], step, 1), moving
+                            # them onto the target's flag bits shifted left by _LIFT; a
+                            # single control twice, none (bits 0) for NOT
+    step_forms: np.ndarray  # uint64 ([NOT's hit, m_and, m_xor, m_v], step, 1), see _candidates
+
+
+#: Bits by which ``_stacked_candidates`` lifts its control moves, so that
+#: each shifts left (a move shifts by -5..3 bits; keys use 48 of 64).
+_LIFT = _U64(5)
+
+#: Per gate kind, its (m_and, m_xor, m_v) in ``_candidates``'s stacked formula.
+_FORMS = {
+    "NOT": (_ZERO, _ALL_FLAGS, _ZERO),
+    "CNOT": (_ZERO, _ALL_FLAGS, _ZERO),
+    "TOF": (_ZERO, _ALL_FLAGS, _ZERO),
+    "V": (_ALL_FLAGS, _ZERO, _ALL_FLAGS),
+    "V+": (_ALL_FLAGS, _ALL_FLAGS, _ALL_FLAGS),
+}
 
 
 @functools.cache
@@ -485,14 +539,29 @@ def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion
     gate_ids = codes[order].astype(np.uint8)
     # Bit i is placement i, as both number the placements in order of first use.
     bits = (1 << np.arange(len(placements))).astype(np.uint16)
-    for arr in (gate_ids, bits):
+    steps = tuple((pids[gid], gates[gid].kind) for gid in order)
+    moves = np.zeros((2, 2, len(steps), 1), dtype=np.uint64)
+    forms = np.zeros((4, len(steps), 1), dtype=np.uint64)
+    for s, (i, kind) in enumerate(steps):
+        controls = placements[i].moves
+        for j, (bool_bits, shift) in enumerate((controls * 2)[:2]):
+            moves[j, :, s, 0] = bool_bits, shift + int(_LIFT)
+        target_flags = _FLAG[gates[order[s]].target] if kind == "NOT" else 0
+        forms[:, s, 0] = target_flags, *_FORMS[kind]
+    step_flags = np.array([[placements[i].control_flags] for i, _ in steps], dtype=np.uint64)
+    step_bits = bits[[i for i, _ in steps]][:, None]
+    for arr in (gate_ids, bits, step_flags, step_bits, moves, forms):
         arr.setflags(write=False)
     return _Expansion(
         tuple(placements),
         bits,
-        tuple((pids[gid], gates[gid].kind) for gid in order),
+        steps,
         gate_ids,
         tuple(zip(by_weight, itertools.accumulate(map(len, by_weight.values())))),
+        step_flags,
+        step_bits,
+        moves,
+        forms,
     )
 
 
@@ -505,7 +574,10 @@ def _candidates(
     (1), the placement's bit clear in the parent's ``placed`` set, the
     placements of the gates that produced it) and their ``hit`` (the
     target's flag bit set in each row whose controls are all 1) are found
-    once for its gates."""
+    once for its gates.  At most ``_STACKED_PARENTS`` parents take the
+    stacked form, ``_stacked_candidates``."""
+    if len(keys) <= _STACKED_PARENTS:
+        return _stacked_candidates(plan, keys, gidx, placed, no_repeat)
     sources = []
     # (placement, parent): whether the parent's set lacks the placement
     free = (plan.bits[:, None] & placed) == 0 if no_repeat else [None] * len(plan.placements)
@@ -528,6 +600,36 @@ def _candidates(
         _apply(kind, plan.placements[i], src_keys, hit, raw[start:end])
     preds = np.concatenate([sources[i][1] for i, _ in plan.steps])
     return raw, preds, counts
+
+
+def _stacked_candidates(
+    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``_candidates`` as one broadcast over the (step, parent) matrix.  A
+    step's ``hit`` is the AND of its controls' moved Boolean bits (one
+    control is taken twice), or the target's flag bits for NOT.  With c =
+    ((k & m_and) ^ m_xor) & hit, the image of k is k ^ (c << 1) ^ (hit &
+    m_v): NOT, CNOT and TOF flip the Boolean bits under ``hit`` (c =
+    hit), V carries from the flag (c = k & hit) and V+ from its absence (c =
+    (k & hit) ^ hit), each adding ``hit`` to the flag.  The matrix is
+    compressed row-major by its validity mask, which puts the candidates in
+    candidate order with each step's parents in order."""
+    moved = (keys & plan.step_moves[:, 0]) << plan.step_moves[:, 1]
+    hit = np.bitwise_and(moved[0], moved[1], out=moved[0])
+    hit >>= _LIFT
+    not_hit, m_and, m_xor, m_v = plan.step_forms
+    hit |= not_hit
+    valid = (keys & plan.step_flags) == _ZERO
+    if no_repeat:
+        valid &= (placed & plan.step_bits) == 0
+    image = keys & m_and
+    image ^= m_xor
+    image &= hit
+    image <<= _ONE
+    image ^= keys
+    image ^= hit & m_v
+    parent = np.nonzero(valid)[1]
+    return image[valid], gidx[parent], valid.sum(axis=1).tolist()
 
 
 def _apply(kind: str, placement: _Placement, keys: np.ndarray, hit, out: np.ndarray) -> None:
@@ -574,7 +676,7 @@ def _row_pair_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row = np.arange(1 << 6)
     levels = [(row >> bit_offset(0, line)) & 3 for line in range(N_LINES)]
     output = sum((lv >> 1) << (N_LINES - 1 - line) for line, lv in enumerate(levels))
-    klass = 4 * sum(lv != 0 for lv in levels) + sum(lv != 2 for lv in levels)
+    klass = _row_classes().astype(np.uint16)
     second, first = np.divmod(np.arange(1 << 12), 1 << 6)
     occupancy = ((1 << output[first]) | (1 << output[second])).astype(np.uint8)
     codes = ((output[first] << 8) | output[second]).astype(">u2")
@@ -582,6 +684,16 @@ def _row_pair_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (occupancy, codes, classes):
         table.setflags(write=False)
     return occupancy, codes, classes
+
+
+@functools.cache
+def _row_classes() -> np.ndarray:
+    """uint8 class of each of the 64 values of a row, as ``_row_pair_tables``
+    defines it.  Read-only."""
+    levels = [(np.arange(1 << 6) >> bit_offset(0, line)) & 3 for line in range(N_LINES)]
+    classes = (4 * sum(lv != 0 for lv in levels) + sum(lv != 2 for lv in levels)).astype(np.uint8)
+    classes.setflags(write=False)
+    return classes
 
 
 def _row_pair_lookup(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -644,6 +756,9 @@ class _Orbits(NamedTuple):
     relabel: np.ndarray   # uint8 (sigma, gate id): id of the gate's image; 255 if
                           # it is off the list, and for the root's gate id 255
     placement_bit: np.ndarray  # uint16 (sigma, gate id): the image's placement bit
+    word_index: np.ndarray  # int64 (symmetry, key word, 1): offset of its table in images
+    offer_sids: np.ndarray  # int8 sigma id of each offer of _stacked_line_image
+    offer_index: np.ndarray  # uint64 (offer, 1): each offer's row, 0, 1, ...
 
 
 @functools.cache
@@ -713,15 +828,30 @@ def _orbit_tables(
         compose = compose.astype(np.int8)
         relabel = np.tile(relabel, (N_ROWS, 1))
     placement_bit = _placement_bits(gates)[relabel]
-    placement_bit.setflags(write=False)
-    return _Orbits(*_image_tables(symmetries), conj, masks, compose, relabel, placement_bit)
+    perm_ids, images = _image_tables(symmetries)
+    word_index = (np.arange(images.shape[0] * 3, dtype=np.int64) << 16).reshape(-1, 3, 1)
+    # The offers in _least_line_image's order: each line image (the key's
+    # own first), followed by its conjugate where conjugation is in the group.
+    line_sids = np.array([0, *perm_ids.tolist()], dtype=np.int8)
+    offer_sids = (np.stack([line_sids, line_sids + _N_PERMS], axis=1).ravel() if conj
+                  else line_sids)
+    offer_index = np.arange(len(offer_sids), dtype=np.uint64)[:, None]
+    for arr in (placement_bit, word_index, offer_sids, offer_index):
+        arr.setflags(write=False)
+    return _Orbits(perm_ids, images, conj, masks, compose, relabel, placement_bit,
+                   word_index, offer_sids, offer_index)
 
 
 def _least_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
     """Write the least line and conjugation image of each key to ``low``
     and the sigma id of the first symmetry giving it (0 for the key) to
     ``sig``.  Each line image y, the key included, is followed by its
-    conjugate y ^ ((y & flags) << 1), which maps every level v to -v mod 4."""
+    conjugate y ^ ((y & flags) << 1), which maps every level v to -v mod 4.
+    At most ``_STACKED_KEYS`` keys take the stacked form,
+    ``_stacked_line_image``; more take a loop over the symmetries."""
+    if len(x) <= _STACKED_KEYS:
+        _stacked_line_image(x, orbits, low, sig)
+        return
     np.copyto(low, x)
     sig.fill(0)
     image, part, less = np.empty_like(x), np.empty_like(x), np.empty(len(x), dtype=bool)
@@ -744,8 +874,42 @@ def _least_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.n
             np.minimum(low, y, out=low)
 
 
+def _stacked_line_image(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
+    """``_least_line_image`` as one (offer, key) matrix, its rows in the
+    loop's offer order: the key, its conjugate, then each line image
+    followed by its conjugate.  The loop replaces only on a strictly less
+    offer, so it keeps the first least one.  Each offer, shifted left by 4
+    bits (keys use 48), carries its row index (at most 12 rows) in the low
+    bits, so the least entry of a column is its least offer, the first
+    among equals."""
+    words = np.empty((3, len(x)), dtype=np.int64)
+    words[...] = x.astype("<u8", copy=False).view(np.uint16).reshape(-1, 4)[:, :3].T
+    lines = len(orbits.perm_ids)
+    offers = np.empty((1 + lines, 1 + orbits.conj, len(x)), dtype=np.uint64)
+    offers[0, 0] = x
+    if lines:
+        parts = orbits.images.reshape(-1).take(np.add(orbits.word_index, words))
+        np.bitwise_or.reduce(parts, axis=1, out=offers[1:, 0])
+    if orbits.conj:
+        flipped = offers[:, 1]
+        np.bitwise_and(offers[:, 0], _ALL_FLAGS, out=flipped)
+        flipped <<= _ONE
+        flipped ^= offers[:, 0]
+    offers = offers.reshape(len(orbits.offer_sids), len(x))
+    offers <<= _U64(4)
+    offers |= orbits.offer_index
+    least = offers.min(axis=0)
+    np.right_shift(least, _U64(4), out=low)
+    sig[:] = orbits.offer_sids.take(least & _U64(15))
+
+
 #: The index of the lowest set bit of each byte value (0 for 0).
 _LOW_BIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
+
+#: Bit offset of each of a packed key's rows (six bits each), and each row's index.
+_ROW_SHIFTS = np.arange(0, 6 * N_ROWS, 6, dtype=np.uint64)
+_ROW_INDEX = np.arange(N_ROWS)
+
 
 #: (mask bit, its row shift in bits, the bits of the rows whose index lacks it)
 _ROW_SWAPS = tuple(
@@ -767,7 +931,14 @@ def _xor_rows(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def _mask_canonical(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray) -> None:
     """``_least_line_image`` under masks too: for each row of least class,
     the mask that moves it to row 7 (which every line map fixes), then the
-    line and conjugation images; the least of these, and its sigma id."""
+    line and conjugation images; the least of these, and its sigma id.  The
+    loop visits each key's rows of least class by lowest set bit and
+    replaces only on a strictly less image, so it keeps the first least
+    (row, image) pair; at most ``_STACKED_KEYS`` keys take the stacked form,
+    ``_stacked_mask_canonical``, which finds that pair in one pass."""
+    if len(x) <= _STACKED_KEYS:
+        _stacked_mask_canonical(x, orbits, low, sig)
+        return
     classes = _row_pair_lookup(x, _row_pair_tables()[2]).view(np.uint8)
     least = classes[:, 0].copy()
     for row in range(1, N_ROWS):
@@ -793,6 +964,34 @@ def _mask_canonical(x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.nda
         if not len(more):
             return
         todo, hits = (more if todo is None else todo[more]), hits[more]
+
+
+def _stacked_mask_canonical(
+    x: np.ndarray, orbits: _Orbits, low: np.ndarray, sig: np.ndarray,
+) -> None:
+    """``_mask_canonical`` over every (key, row of least class) pair at
+    once.  ``np.nonzero`` lists the pairs by key, rows ascending, and each
+    pair's masked key gathers its key's rows.  Each pair's least line
+    image, shifted left by 7 bits (keys use 48), carries its row and line
+    sigma in the low bits, so the least of a key's pairs, by
+    ``minimum.reduceat``, is its least image from the first row giving it."""
+    rows = x[:, None] >> _ROW_SHIFTS
+    rows &= _U64(63)
+    classes = _row_classes().take(rows)
+    key, row = np.nonzero(classes == classes.min(axis=1, keepdims=True))
+    # Row i of a masked key is row i ^ mask of the key, mask = row ^ 7.
+    moved = rows[key[:, None], _ROW_INDEX ^ (row[:, None] ^ (N_ROWS - 1))]
+    moved <<= _ROW_SHIFTS
+    y = np.bitwise_or.reduce(moved, axis=1)
+    y_low, y_sig = np.empty_like(y), np.empty(len(y), dtype=np.int8)
+    _least_line_image(y, orbits, y_low, y_sig)
+    y_low <<= _U64(7)
+    y_low |= row.astype(np.uint64) << _U64(4)
+    y_low |= y_sig.astype(np.uint64)
+    least = np.minimum.reduceat(y_low, key.searchsorted(np.arange(len(x))))
+    np.right_shift(least, _U64(7), out=low)
+    mask = (least >> _U64(4) & _U64(N_ROWS - 1)) ^ _U64(N_ROWS - 1)
+    sig[:] = orbits.compose[least & _U64(15), _N_SIDS * mask]
 
 
 def _canonical(keys: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -937,7 +1136,10 @@ class _Search:
             floor = cost[0] - self.span
             if self.window[0][0] < floor:
                 self.window = [(c, k) for c, k in self.window if c >= floor]
-                self.window_keys = np.sort(np.concatenate([k for _, k in self.window]))
+                # Each drain's keys are sorted: a stable sort merges the runs.
+                self.window_keys = np.sort(
+                    np.concatenate([k for _, k in self.window]), kind="stable"
+                )
             while self.buckets.get(cost):
                 settled = self._drain(cost)
                 if settled is not None:
@@ -1136,10 +1338,6 @@ def _merged(
     return both[order], union_costs
 
 
-#: Bit offset of each of a packed key's rows (six bits each).
-_ROW_SHIFTS = np.arange(0, 6 * N_ROWS, 6, dtype=np.uint64)
-
-
 def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndarray:
     """The canonical key of conj(s o T') for each key s and each row order
     T' (a row of ``orders``): row i of s o T' is row T'(i) of s, and conj,
@@ -1270,15 +1468,21 @@ def _run_search(
     def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
         """Record the functions of Boolean states settled in packed-key order
         with all their candidate symmetries; the first record of a function
-        wins."""
+        wins.  A target search records its target alone, at its first
+        candidate, the index ``np.unique`` would return for it (the search
+        stops once it is recorded)."""
         nonlocal remaining
         candidates = ranks.relabeled[funcs[:, None], col_perm]
         if masks:
             candidates = _input_masked()[candidates, col_mask]
         candidates = candidates.ravel()
-        uniq, first = np.unique(candidates, return_index=True)
-        fresh = cost_of[uniq] < 0
-        new, first = uniq[fresh], first[fresh]
+        if target is None:
+            uniq, first = np.unique(candidates, return_index=True)
+            fresh = cost_of[uniq] < 0
+            new, first = uniq[fresh], first[fresh]
+        else:
+            first = np.flatnonzero(candidates == target)[:1]
+            new = np.full(len(first), target)
         row, col = np.divmod(first, width)
         cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]

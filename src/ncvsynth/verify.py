@@ -54,6 +54,17 @@ MAX_EXACT_V_GATES = 48
 #: exactly (see the module docstring).
 _COMPLEX64_V_GATES = 20
 
+#: Most prefixes that one gate's product in ``_first_failure`` extends, so
+#: that each 8 x 8 by 8 x 8n GEMM stays on the calling thread and never
+#: wakes OpenBLAS's pool: unblocked, the first table of 2 in 20 ``tables``
+#: benchmark processes took 1.9-2.1 s to settle and certify in place of
+#: about 0.65 s.  By per-thread CPU time, OpenBLAS 0.3.31 (Haswell kernels)
+#: ran complex64 and complex128 products on one thread for n <= 127 and on
+#: its pool from n = 128 (M * N * K = 65,536) on.  Whole-table calls took
+#: the same time in blocks of 127 as unblocked (80.6 against 84.3 ms on
+#: ncv-111/full, medians of 11 on 2 CPUs).
+_PRODUCT_BLOCK = 127
+
 #: The controlled-V target transformation: a square root of NOT.
 V_MATRIX = (1 + 1j) / 2 * np.array([[1, -1j], [-1j, 1]])
 
@@ -203,7 +214,9 @@ def verify_witnesses(
     There is no tolerance (see ``_first_failure``); a circuit with more
     than ``MAX_EXACT_V_GATES`` V/V+ gates raises ValueError.  A batch of at
     most ``_COMPLEX64_V_GATES`` V/V+ gates per circuit is multiplied out in
-    complex64, any other in complex128.
+    complex64, any other in complex128.  Each product extends at most
+    ``_PRODUCT_BLOCK`` prefixes, small enough that OpenBLAS keeps it on the
+    calling thread: a call never waits on its thread pool.
     """
     allowed, mats, doubled = _gate_index(topology)
     pairs = list(witnesses)
@@ -254,11 +267,11 @@ def _first_failure(
 
     The circuits are multiplied out depth by depth, each distinct prefix
     once: the (prefix, gate) pairs of depth d are made unique, sorted by
-    gate, and each gate's unitary multiplies the matrices of all prefixes it
-    extends in one product.  Only one depth's matrices are kept, laid out as
-    (row, prefix, column).  A row is checked at its last depth: the entries
-    of its permutation, and the nonzero count of each prefix that ends
-    there, taken once per distinct prefix.
+    gate, and each gate's unitary multiplies the matrices of the prefixes it
+    extends, ``_PRODUCT_BLOCK`` prefixes per product.  Only one depth's
+    matrices are kept, laid out as (row, prefix, column).  A row is checked
+    at its last depth: the entries of its permutation, and the nonzero count
+    of each prefix that ends there, taken once per distinct prefix.
     """
     cols = np.arange(N_ROWS)
     prefix = np.zeros(len(funcs), dtype=np.int64)   # each row's prefix at this depth
@@ -272,9 +285,11 @@ def _first_failure(
             gate, parent = np.divmod(pairs, products.shape[1])
             starts = np.flatnonzero(np.diff(gate, prepend=-1))
             step = np.empty((N_ROWS, len(pairs) * N_ROWS), dtype=mats.dtype)
-            for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
-                extended = np.take(products, parent[a:b], axis=1).reshape(N_ROWS, -1)
-                np.matmul(mats[gate[a]], extended, out=step[:, a * N_ROWS:b * N_ROWS])
+            for a, end in zip(starts.tolist(), [*starts[1:].tolist(), len(pairs)]):
+                for lo in range(a, end, _PRODUCT_BLOCK):
+                    hi = min(lo + _PRODUCT_BLOCK, end)
+                    extended = np.take(products, parent[lo:hi], axis=1).reshape(N_ROWS, -1)
+                    np.matmul(mats[gate[a]], extended, out=step[:, lo * N_ROWS:hi * N_ROWS])
             products = step.reshape(N_ROWS, len(pairs), N_ROWS)
             prefix[live] = inverse
         ending = np.flatnonzero(lengths == depth)

@@ -116,6 +116,8 @@ def test_verify_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("tol, expected", [
     ([], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 1e-09)\n"),
     (["--tol", "0"], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 0)\n"),
+    (["--tol", ".5"], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 0.5)\n"),
+    (["--tol", " +1e-9 "], "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 1e-09)\n"),
 ])
 def test_verify_tol_default_and_zero(tmp_path, capsys, tol, expected):
     circuit_file = tmp_path / "tof.txt"
@@ -126,9 +128,10 @@ def test_verify_tol_default_and_zero(tmp_path, capsys, tol, expected):
     assert (code, out) == (1, "") and err.startswith("FAIL: unitary entry (6,6) is 0+0j")
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "x", "1_0", "٣", "３", "1e_3"])
 def test_verify_tol_that_is_not_finite_and_non_negative_exits_2(tmp_path, capsys, tol):
-    """nan ended in a traceback, -1 failed every circuit and inf passed any."""
+    """nan ended in a traceback, -1 failed every circuit and inf passed any;
+    ``float`` read 1_0 as 10 and the Arabic-Indic and fullwidth 3 as 3."""
     circuit_file = tmp_path / "tof.txt"
     circuit_file.write_text(TOF_TEXT)
     code, out, err = run(capsys, "verify", "--circuit", str(circuit_file),

@@ -1,5 +1,7 @@
 """Search engine behavior: landmarks, oracles, budgets, determinism."""
 
+import contextlib
+import functools
 import hashlib
 import io as stdio
 import multiprocessing
@@ -38,6 +40,25 @@ from helpers import random_legal_circuit, state_of_permutation
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 PERES_FUNC = (0, 1, 2, 3, 6, 7, 5, 4)
+
+#: Values of the stacked forms' size constants under which every input of
+#: ``_candidates``, ``_least_line_image`` and ``_mask_canonical`` takes the
+#: loop form, takes the stacked form, or is chosen by size as in a search.
+KERNEL_FORMS = {
+    "loop": -1,
+    "stacked": 1 << 62,
+    "by size": None,
+}
+
+
+@contextlib.contextmanager
+def kernel_form(form):
+    """Run the kernels in ``form``, a key of ``KERNEL_FORMS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if KERNEL_FORMS[form] is not None:
+            patch.setattr(search, "_STACKED_KEYS", KERNEL_FORMS[form])
+            patch.setattr(search, "_STACKED_PARENTS", KERNEL_FORMS[form])
+        yield
 
 
 def test_identity_synthesizes_to_empty():
@@ -89,6 +110,30 @@ def test_synthesize_one_matches_full_table(request):
             cost, circuit = nv.synthesize_one(func, table.metric, table.topology)
             assert cost == table.cost_of(func), (name, func)
             assert circuit == table.witness(func), (name, func)
+
+
+#: SHA-256 of what ``synthesize_one`` returns for the five landmarks under
+#: ncv-111, ncv-012 and ncv-155 on the full and the path topology, then for
+#: 30 seeded functions, the i-th under the (i mod 6)-th of those (metric,
+#: topology) pairs: per request its cost as little-endian int64, its
+#: circuit's length as one byte and its gate codes.
+SYNTHESIZE_ONE_DIGEST = "389709ff3f80649c559975385b0c77a37dfd60c545d332b4d5353907b09abaa4"
+
+
+def test_synthesize_one_digest():
+    """Witnesses of target searches, bit for bit, over zero-weight NOT
+    (input masks in the group), a span of 5 and both topologies."""
+    pairs = [(metric, topology) for metric in (nv.NCV_111, nv.NCV_012, nv.NCV_155)
+             for topology in (nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY)]
+    rng = np.random.default_rng(2929)
+    requests = [(func, *pair) for pair in pairs for func in LANDMARK_FUNCS]
+    requests += [(tuple(rng.permutation(8).tolist()), *pairs[i % 6]) for i in range(30)]
+    digest = hashlib.sha256()
+    for func, metric, topology in requests:
+        cost, circuit = nv.synthesize_one(func, metric, topology)
+        digest.update(np.int64(cost).astype("<i8").tobytes())
+        digest.update(bytes([len(circuit.codes)]) + circuit.codes)
+    assert digest.hexdigest() == SYNTHESIZE_ONE_DIGEST
 
 
 # V and V+ weigh differently, so conjugation is out of the group and the
@@ -368,9 +413,10 @@ def test_relabel_table_maps_gates_like_relabel_circuit(topology, library):
 def test_candidates_are_the_images_apply_gate_gives(seed, topology, library, no_repeat):
     """``_candidates`` on legal packed states (NCV circuits of 0-8 gates and
     Boolean states), with random placement sets (from none to all) and gate
-    weights: gate by gate in candidate order, the image ``apply_gate`` gives
-    of each parent whose controls are Boolean, in parent order, less the
-    parents whose set holds the gate's placement under reduction (1)."""
+    weights, in its loop and its stacked form: gate by gate in candidate
+    order, the image ``apply_gate`` gives of each parent whose controls are
+    Boolean, in parent order, less the parents whose set holds the gate's
+    placement under reduction (1)."""
     rng = np.random.default_rng(seed)
     states = [apply_circuit(CircuitState.identity(),
                             random_legal_circuit(rng, int(rng.integers(9)), topology))
@@ -385,7 +431,6 @@ def test_candidates_are_the_images_apply_gate_gives(seed, topology, library, no_
     density = rng.choice([0, 0.2, 0.5, 0.8, 1], size=(len(states), 1))
     held = rng.random((len(states), len(plan.placements))) < density
     placed = np.bitwise_or.reduce(np.where(held, plan.bits, 0), axis=1).astype(np.uint16)
-    raw, preds, counts = search._candidates(plan, keys, gidx, placed, no_repeat)
 
     expected, expected_counts = [], []
     for code in plan.gate_ids.tolist():
@@ -398,8 +443,11 @@ def test_candidates_are_the_images_apply_gate_gives(seed, topology, library, no_
             except nv.QuantumControl:
                 pass
         expected_counts.append(len(expected) - before)
-    assert list(zip(raw.tolist(), preds.tolist())) == expected
-    assert counts == expected_counts
+    for form in KERNEL_FORMS:
+        with kernel_form(form):
+            raw, preds, counts = search._candidates(plan, keys, gidx, placed, no_repeat)
+        assert list(zip(raw.tolist(), preds.tolist())) == expected, form
+        assert counts == expected_counts, form
 
 
 def test_determinism():
@@ -832,8 +880,9 @@ def _row_class(row):
 @pytest.mark.parametrize("topology", [nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY])
 def test_canonical_key_is_shared_by_every_image(topology):
     """Every image of a reachable state has one canonical key, which the
-    returned sigma maps the image to: without masks the least image, with
-    them the least image whose row 7 holds a row of least class."""
+    returned sigma maps the image to, in the loop and the stacked form:
+    without masks the least image, with them the least image whose row 7
+    holds a row of least class."""
     rng = np.random.default_rng(11)
     symmetries = topology.line_symmetries()
     for masks in (False, True):
@@ -861,11 +910,74 @@ def test_canonical_key_is_shared_by_every_image(topology):
                 i.pack() for i in images if not masks or _row_class(i.rows[7]) == least
             )
             keys = np.array([image.pack() for image in images], dtype=np.uint64)
-            canonical, sigma = search._canonical(keys, orbits)
-            assert canonical.tolist() == [expected] * len(keys)
-            for key, sid in zip(keys.tolist(), sigma.tolist()):
-                assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
-                assert _sigma_image(CircuitState.unpack(key), sid).pack() == expected
+            for form in KERNEL_FORMS:
+                with kernel_form(form):
+                    canonical, sigma = search._canonical(keys, orbits)
+                assert canonical.tolist() == [expected] * len(keys), form
+                for key, sid in zip(keys.tolist(), sigma.tolist()):
+                    assert LINE_PERMUTATIONS[sid % len(LINE_PERMUTATIONS)] in symmetries
+                    assert _sigma_image(CircuitState.unpack(key), sid).pack() == expected
+
+
+@functools.cache
+def _reachable_keys(topology, library):
+    """(parents, candidates): the keys a unit-weight search settles in its
+    first drains (at least 3,000 where the library reaches that many), and
+    the raw candidates ``_candidates`` makes of them, canonical or not."""
+    gates = enumerate_gates(topology, library)
+    plan = search._expansion(gates, ((1, 0),) * len(gates))
+    orbits = search._orbit_tables(gates, topology.line_symmetries(), library == "NCV", False)
+    parents = []
+    with search._Pool() as pool:
+        for _, keys, _ in search._Search(plan, orbits, SearchOptions(), 1, pool).drains():
+            parents.append(keys)
+            if sum(map(len, parents)) >= 3_000:
+                break
+    parents = np.concatenate(parents)
+    n = len(parents)
+    raw = search._candidates(plan, parents, np.zeros(n, np.int32), np.zeros(n, np.uint16), False)
+    return parents, raw[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n=st.integers(0, 3_000),
+    topology=st.sampled_from([nv.FULL_TOPOLOGY, nv.PATH_TOPOLOGY]),
+    library=st.sampled_from(["NCV", "NCT"]),
+    conj=st.booleans(),
+    masks=st.booleans(),
+    no_repeat=st.booleans(),
+)
+@example(seed=0, n=0, topology=nv.FULL_TOPOLOGY, library="NCV", conj=True, masks=True,
+         no_repeat=True)
+@example(seed=1, n=1_025, topology=nv.FULL_TOPOLOGY, library="NCV", conj=True, masks=True,
+         no_repeat=True)
+@example(seed=2, n=129, topology=nv.PATH_TOPOLOGY, library="NCV", conj=False, masks=False,
+         no_repeat=False)
+def test_loop_and_stacked_kernel_forms_agree(seed, n, topology, library, conj, masks, no_repeat):
+    """On reachable keys, the loop and the stacked forms, and the form a
+    search picks by size, return the same candidates, parents and counts,
+    and the same canonical keys and sigmas."""
+    parents, candidates = _reachable_keys(topology, library)
+    rng = np.random.default_rng(seed)
+    gates = enumerate_gates(topology, library)
+    plan = search._expansion(gates, tuple((int(w), 0) for w in rng.integers(1, 3, len(gates))))
+    keys = parents[rng.integers(len(parents), size=n)]
+    gidx = np.arange(n, dtype=np.int32) + 7
+    placed = rng.integers(0, 1 << len(plan.placements), size=n).astype(np.uint16)
+    orbits = search._orbit_tables(gates, topology.line_symmetries(), conj, masks)
+    raw = candidates[rng.integers(len(candidates), size=n)]
+    out = {}
+    for form in KERNEL_FORMS:
+        with kernel_form(form):
+            made = search._candidates(plan, keys, gidx, placed, no_repeat)
+            out[form] = (*made[:2], *search._canonical(raw, orbits)), made[2]
+    want, want_counts = out["loop"]
+    for form, (got, counts) in out.items():
+        assert counts == want_counts, form
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), form
 
 
 def test_sigma_ids_compose_like_their_images():

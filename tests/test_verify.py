@@ -222,7 +222,9 @@ V24_IDENTITY = (tuple(range(8)), Circuit((V(0, 1),) * 24))
 def test_mutated_row_gets_the_float_reference_verdict(
     table_witnesses, monkeypatch, name, mutation
 ):
-    """In complex64, and in complex128 with ``V24_IDENTITY`` added."""
+    """In complex64, and in complex128 with ``V24_IDENTITY`` added; with
+    the default product block and with blocks of 7 prefixes, which split
+    every gate's product many times."""
     dtypes = _spy_dtypes(monkeypatch)
     witnesses = list(table_witnesses[name])
     rng = np.random.default_rng(sorted(MUTATIONS).index(mutation))
@@ -236,9 +238,12 @@ def test_mutated_row_gets_the_float_reference_verdict(
     # mutated row's own.
     verdict = reference_verify([witnesses[row]])[1]
     assert verdict == func
-    assert verify_witnesses(witnesses) == (nv.N_FUNCTIONS, verdict)
-    assert verify_witnesses(witnesses + [V24_IDENTITY]) == (nv.N_FUNCTIONS + 1, verdict)
-    assert dtypes == [np.complex64, np.complex128]
+    for block in (nv.verify._PRODUCT_BLOCK, 7):
+        monkeypatch.setattr(nv.verify, "_PRODUCT_BLOCK", block)
+        dtypes.clear()
+        assert verify_witnesses(witnesses) == (nv.N_FUNCTIONS, verdict)
+        assert verify_witnesses(witnesses + [V24_IDENTITY]) == (nv.N_FUNCTIONS + 1, verdict)
+        assert dtypes == [np.complex64, np.complex128]
 
 
 def test_complex64_certifies_up_to_its_bound(monkeypatch):
