@@ -43,7 +43,7 @@ heaviest primary gate weight; states below it are dropped from the probe
 on each new bucket.  That misses no settled state a candidate can meet.  A
 state's settled cost is its distance from the identity, and its primary
 part the primary distance: Dijkstra settles distances, and reduction (1)
-below preserves every state's distance under the weights ``_run_search``
+below preserves every state's distance under the weights ``_search_plan``
 leaves it on for.  The gate list holds the inverse of each of its gates
 (ValueError otherwise), and the symmetries of reduction (2) map gates to
 gates of equal weight, so the search graph is undirected: if a candidate
@@ -103,10 +103,8 @@ broadcast over every gate (or symmetry, or (key, least-class row) pair)
 where their loops make a few numpy calls per placement (or symmetry, or
 row).  Per-call overhead then stops setting the time of a target search's
 small frontiers (a median of 4 parents per expansion and 27 keys per
-canonicalization), while a settle's bulk drains keep the loops.  Measured
-per call on 2 CPUs, the stacked forms are 2.7-6x faster on the smallest
-inputs and break even at about 200 parents and 1,500-2,000 keys; on whole
-chunks they are 2.7-4x slower.  They return exactly what the loops do.  A
+canonicalization), while a settle's bulk drains keep the loops (see
+``_STACKED_KEYS``).  They return exactly what the loops do.  A
 loop replaces its kept image only by a strictly less one, so it keeps the
 first least image in its order (symmetries in ``_least_line_image``'s offer
 order; rows ascending, then symmetries, in ``_mask_canonical``).  The
@@ -115,6 +113,14 @@ least offer shifted left with its position in the low bits (keys use 48 of
 64 bits): the least image, first among equals.  ``_candidates``'s (gate,
 parent) matrix, compressed row-major, is in candidate order with each
 gate's parents in order.
+
+Plans: what a search derives from its gate list, weights, line symmetries
+and reduction switches is built once per such key by ``_search_plan`` and
+shared, read-only, by every search of that key: the reductions the weights
+leave on, the expansion and orbit tables, the span, the bucket mode, the
+record columns, the NOT ids and the root's canonical key, sigma, rank and
+successors.  Budgets (``max_cost``, ``max_states``) are per call and not in
+the key.  A plan that fails to build (ValueError) is not cached.
 
 Search reductions (each can be switched off):
 
@@ -175,7 +181,8 @@ packed-key order: its own function, then its image under each non-identity
 line symmetry in ``line_symmetries()`` order, and with masks these 8 times,
 each composed with N_m for m = 0..7.  The first record of a rank wins,
 exactly as a function-at-a-time loop in that order would decide.  Per rank
-the search keeps primary and secondary cost, settle index and sigma.
+(a target search: for its target alone) the search keeps primary and
+secondary cost, settle index and sigma.
 
 When the search ends, one vectorized walk over the predecessor array
 extracts the gate-id path of every settle index that a function uses,
@@ -244,7 +251,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -566,7 +573,7 @@ def _expansion(gates: tuple[Gate, ...], weights: tuple[Cost, ...]) -> _Expansion
 
 
 def _candidates(
-    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
+    expansion: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Every gate's images of the parents it applies to, in candidate order
     (uint64), the parents' settle indices, and the candidates per gate.  The
@@ -577,11 +584,12 @@ def _candidates(
     once for its gates.  At most ``_STACKED_PARENTS`` parents take the
     stacked form, ``_stacked_candidates``."""
     if len(keys) <= _STACKED_PARENTS:
-        return _stacked_candidates(plan, keys, gidx, placed, no_repeat)
+        return _stacked_candidates(expansion, keys, gidx, placed, no_repeat)
     sources = []
     # (placement, parent): whether the parent's set lacks the placement
-    free = (plan.bits[:, None] & placed) == 0 if no_repeat else [None] * len(plan.placements)
-    for p, other in zip(plan.placements, free):
+    free = ((expansion.bits[:, None] & placed) == 0 if no_repeat
+            else [None] * len(expansion.placements))
+    for p, other in zip(expansion.placements, free):
         mask = (keys & p.control_flags) == _ZERO if p.control_flags else None
         if other is not None:
             mask = other if mask is None else np.logical_and(mask, other, out=mask)
@@ -591,19 +599,19 @@ def _candidates(
             moved = _shifted(src[0] & bits, shift)
             hit = moved if hit is None else np.bitwise_and(hit, moved, out=hit)
         sources.append((*src, hit))
-    counts = [len(sources[i][0]) for i, _ in plan.steps]
+    counts = [len(sources[i][0]) for i, _ in expansion.steps]
     raw = np.empty(sum(counts), dtype=np.uint64)
     end = 0
-    for (i, kind), n in zip(plan.steps, counts):
+    for (i, kind), n in zip(expansion.steps, counts):
         start, end = end, end + n
         src_keys, _, hit = sources[i]
-        _apply(kind, plan.placements[i], src_keys, hit, raw[start:end])
-    preds = np.concatenate([sources[i][1] for i, _ in plan.steps])
+        _apply(kind, expansion.placements[i], src_keys, hit, raw[start:end])
+    preds = np.concatenate([sources[i][1] for i, _ in expansion.steps])
     return raw, preds, counts
 
 
 def _stacked_candidates(
-    plan: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
+    expansion: _Expansion, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, no_repeat: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """``_candidates`` as one broadcast over the (step, parent) matrix.  A
     step's ``hit`` is the AND of its controls' moved Boolean bits (one
@@ -614,14 +622,14 @@ def _stacked_candidates(
     (k & hit) ^ hit), each adding ``hit`` to the flag.  The matrix is
     compressed row-major by its validity mask, which puts the candidates in
     candidate order with each step's parents in order."""
-    moved = (keys & plan.step_moves[:, 0]) << plan.step_moves[:, 1]
+    moved = (keys & expansion.step_moves[:, 0]) << expansion.step_moves[:, 1]
     hit = np.bitwise_and(moved[0], moved[1], out=moved[0])
     hit >>= _LIFT
-    not_hit, m_and, m_xor, m_v = plan.step_forms
+    not_hit, m_and, m_xor, m_v = expansion.step_forms
     hit |= not_hit
-    valid = (keys & plan.step_flags) == _ZERO
+    valid = (keys & expansion.step_flags) == _ZERO
     if no_repeat:
-        valid &= (placed & plan.step_bits) == 0
+        valid &= (placed & expansion.step_bits) == 0
     image = keys & m_and
     image ^= m_xor
     image &= hit
@@ -650,11 +658,6 @@ def _apply(kind: str, placement: _Placement, keys: np.ndarray, hit, out: np.ndar
         out <<= _ONE
         out ^= hit
     out ^= keys
-
-
-@functools.cache
-def _identity_key() -> int:
-    return CircuitState.identity().pack()
 
 
 #: Rows 2i and 2i+1 of a packed key are its bits 12i .. 12i + 11.
@@ -781,7 +784,10 @@ def _image_tables(symmetries: tuple[LinePerm, ...]) -> tuple[np.ndarray, np.ndar
             parts[byte] |= ((values >> _U64(2 * offset)) & _U64(3)) << _U64(dest)
         # word value 256 * high byte + low byte
         images[s] = (parts[1::2, :, None] | parts[0::2, None, :]).reshape(3, -1)
-    return np.array(perm_ids, dtype=np.int8), images
+    perm_ids = np.array(perm_ids, dtype=np.int8)
+    for arr in (perm_ids, images):
+        arr.setflags(write=False)
+    return perm_ids, images
 
 
 @functools.cache
@@ -810,7 +816,7 @@ def _orbit_tables(
     gates: tuple[Gate, ...], symmetries: tuple[LinePerm, ...], conj: bool, masks: bool
 ) -> _Orbits:
     """Built on first use per gate list, line symmetry set, ``conj`` and
-    ``masks``."""
+    ``masks``; read-only."""
     after = np.array(
         [[LINE_PERMUTATIONS.index(tuple(a[l] for l in b)) for b in LINE_PERMUTATIONS]
          for a in LINE_PERMUTATIONS],
@@ -836,7 +842,7 @@ def _orbit_tables(
     offer_sids = (np.stack([line_sids, line_sids + _N_PERMS], axis=1).ravel() if conj
                   else line_sids)
     offer_index = np.arange(len(offer_sids), dtype=np.uint64)[:, None]
-    for arr in (placement_bit, word_index, offer_sids, offer_index):
+    for arr in (compose, relabel, placement_bit, word_index, offer_sids, offer_index):
         arr.setflags(write=False)
     return _Orbits(perm_ids, images, conj, masks, compose, relabel, placement_bit,
                    word_index, offer_sids, offer_index)
@@ -1029,12 +1035,6 @@ def _workers() -> int:
     return min(1, cpus - 1)
 
 
-@functools.cache
-def _closed_under_inverse(gates: tuple[Gate, ...]) -> bool:
-    """Whether the list holds the inverse of each of its gates."""
-    return {g.inverse() for g in gates} <= set(gates)
-
-
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each key's position in the sorted ``sorted_keys`` (where it would go,
     if absent), and whether it is there."""
@@ -1104,36 +1104,25 @@ class _Search:
     keys and returns the mask of those to settle; the others are dropped
     unsettled."""
 
-    def __init__(
-        self, plan: _Expansion, orbits: _Orbits, options: SearchOptions, span: int, pool: _Pool,
-    ) -> None:
-        self.plan, self.orbits, self.pool, self.span = plan, orbits, pool, span
-        self.no_repeat = options.no_repeat_placement
-        # A bucket is one primary cost where every gate has primary weight
-        # and some gate secondary weight (see the module docstring).
-        weights = [weight for weight, _ in plan.groups]
-        self.by_primary = min(weights)[0] >= 1 and any(s for _, s in weights)
-        # The root is the identity's canonical key, reached by its sigma.
-        self.root, root_sigma = _canonical(np.array([_identity_key()], dtype=np.uint64), orbits)
-        # Per drain, its states' predecessor settle indices, gate ids and sigmas.
-        self.settled = [(np.array([-1], np.int32), np.array([255], np.uint8), root_sigma)]
+    def __init__(self, plan: _Plan, pool: _Pool) -> None:
+        self.plan, self.pool = plan, pool
+        # Per drain, its states' predecessor settle indices, gate ids and
+        # sigmas; the root's are its own, 255 and 0 (see _extract_paths).
+        self.settled = [(np.zeros(1, np.int32), np.array([255], np.uint8), np.zeros(1, np.int8))]
         self.total = 1
         # The settled states a candidate can meet (see the module docstring):
         # each drain's new keys with its primary cost, and their sorted union.
-        self.window: list[tuple[int, np.ndarray]] = [(0, self.root)]
-        self.window_keys = self.root
+        self.window: list[tuple[int, np.ndarray]] = [(0, plan.root)]
+        self.window_keys = plan.root
         self.buckets: dict[Cost, list] = {}
         self.heap: list[Cost] = []
         self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
 
     def drains(self) -> Iterator[_Drain]:
-        self._expand(
-            self.root, np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.uint16), (0, 0),
-            np.zeros(1, dtype=np.int64) if self.by_primary else None,
-        )
+        self._enqueue(self.plan.root_batches)
         while self.heap:
             cost = heapq.heappop(self.heap)
-            floor = cost[0] - self.span
+            floor = cost[0] - self.plan.span
             if self.window[0][0] < floor:
                 self.window = [(c, k) for c, k in self.window if c >= floor]
                 # Each drain's keys are sorted: a stable sort merges the runs.
@@ -1172,7 +1161,8 @@ class _Search:
         probed, batches = zip(*self.buckets[cost])
         self.buckets[cost] = []
         columns = list(map(np.concatenate, zip(*batches)))
-        if self.by_primary:
+        by_primary = self.plan.by_primary
+        if by_primary:
             # Candidates in (secondary, parent settle index, gate) order: the
             # order of the (primary, secondary) drains this one stands for.
             # A stable sort keeps each parent's candidates in gate order.
@@ -1193,8 +1183,8 @@ class _Search:
             part = keys if at is None else keys[at]
             # The placement bit of each candidate's sigma(gate), the last gate
             # of the canonical state it reaches.
-            bits = (self.orbits.placement_bit[sigmas, gids] if at is None
-                    else self.orbits.placement_bit[sigmas[at], gids[at]])
+            bits = (self.plan.orbits.placement_bit[sigmas, gids] if at is None
+                    else self.plan.orbits.placement_bit[sigmas[at], gids[at]])
             # Batches arrive in settle order, each in (parent settle index,
             # gate id) order, so the tie-break winner among equal-cost paths
             # to a key is its least bucket position.
@@ -1204,7 +1194,7 @@ class _Search:
             np.not_equal(part[1:], part[:-1], out=lead[1:])
             starts = np.flatnonzero(lead)
             new, winners = part[starts], np.minimum.reduceat(order, starts)
-            placed = (bits[winners] if self.by_primary
+            placed = (bits[winners] if by_primary
                       else np.bitwise_or.reduceat(bits[order], starts))
             # Each batch was probed when it was made, and only a settle since
             # then can have put one of its keys in the window.
@@ -1236,7 +1226,7 @@ class _Search:
 
         self.pool.map(merge, range(ranges))
         settled = [column[winners] for column in columns[1:]]
-        if self.by_primary:
+        if by_primary:
             # The new keys take settle indices in (secondary, key) order.
             order = np.argsort(settled[3], kind="stable")
             new_keys, placed, *settled = [
@@ -1262,60 +1252,65 @@ class _Search:
         window_keys = self.window_keys
 
         def run(chunk: slice) -> list[tuple[Cost, tuple]]:
-            return self._expand_chunk(
-                keys[chunk], gidx[chunk], placed[chunk], cost,
+            return _successors(
+                self.plan, keys[chunk], gidx[chunk], placed[chunk], cost,
                 None if secondary is None else secondary[chunk], window_keys,
             )
 
         chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
         for batches in self.pool.map(run, chunks):
-            for new_cost, batch in batches:
-                if new_cost not in self.buckets:
-                    heapq.heappush(self.heap, new_cost)
-                self.buckets.setdefault(new_cost, []).append((self.total, batch))
+            self._enqueue(batches)
 
-    def _expand_chunk(
-        self, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
-        secondary: np.ndarray | None, window_keys: np.ndarray,
-    ) -> list[tuple[Cost, tuple]]:
-        """The fresh canonical successors of some settled states, as one
-        (bucket, batch) pair per gate weight, each batch in (parent settle
-        index, gate id) order.  Given the parents' ``secondary`` costs, the
-        bucket is (primary cost, 0) and each candidate carries its secondary
-        cost.  Each placement's parents are selected once for all its gates
-        (less those whose ``placed`` set holds it, under reduction (1)), and
-        the candidates of every weight are canonicalized and probed
-        together.  Runs on any thread: it reads only its arguments and the
-        search's read-only tables."""
-        plan = self.plan
-        raw, preds, counts = _candidates(plan, keys, gidx, placed, self.no_repeat)
-        if not len(raw):
-            return []
-        new_keys, sigma = _canonical(raw, self.orbits)
-        del raw
-        fresh = np.flatnonzero(~_find(window_keys, new_keys)[1])
-        gids = np.repeat(plan.gate_ids, counts)
-        # The candidates of each weight are one run of ``fresh``.
-        ends = list(itertools.accumulate(counts))
-        bounds = [0, *np.searchsorted(fresh, [ends[i - 1] for _, i in plan.groups]).tolist()]
-        out = []
-        for (weight, _), lo, hi in zip(plan.groups, bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            # Each gate's run is in parent order; a stable sort merges them.
-            group = fresh[lo:hi]
-            group_preds = preds[group]
-            order = np.argsort(group_preds, kind="stable")
-            take = group[order]
-            batch = (new_keys[take], group_preds[order], gids[take], sigma[take])
-            if secondary is None:
-                out.append(((cost[0] + weight[0], cost[1] + weight[1]), batch))
-            else:
-                # A chunk's parents have consecutive settle indices.
-                out.append(((cost[0] + weight[0], 0), (
-                    *batch, secondary[batch[1] - gidx[0]] + weight[1],
-                )))
-        return out
+    def _enqueue(self, batches: Sequence[tuple[Cost, tuple]]) -> None:
+        """Append (bucket, batch) pairs, made since the latest settle, to
+        their buckets."""
+        for new_cost, batch in batches:
+            if new_cost not in self.buckets:
+                heapq.heappush(self.heap, new_cost)
+            self.buckets.setdefault(new_cost, []).append((self.total, batch))
+
+
+def _successors(
+    plan: _Plan, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
+    secondary: np.ndarray | None, window_keys: np.ndarray,
+) -> list[tuple[Cost, tuple]]:
+    """The fresh canonical successors of some settled states, as one
+    (bucket, batch) pair per gate weight, each batch in (parent settle
+    index, gate id) order.  Given the parents' ``secondary`` costs, the
+    bucket is (primary cost, 0) and each candidate carries its secondary
+    cost.  Each placement's parents are selected once for all its gates
+    (less those whose ``placed`` set holds it, under reduction (1)), and
+    the candidates of every weight are canonicalized and probed together.
+    Runs on any thread: it reads only its arguments and the plan."""
+    expansion = plan.expansion
+    raw, preds, counts = _candidates(expansion, keys, gidx, placed, plan.no_repeat)
+    if not len(raw):
+        return []
+    new_keys, sigma = _canonical(raw, plan.orbits)
+    del raw
+    fresh = np.flatnonzero(~_find(window_keys, new_keys)[1])
+    gids = np.repeat(expansion.gate_ids, counts)
+    # The candidates of each weight are one run of ``fresh``.
+    ends = list(itertools.accumulate(counts))
+    bounds = [0, *np.searchsorted(fresh, [ends[i - 1] for _, i in expansion.groups]).tolist()]
+    out = []
+    for (weight, _), lo, hi in zip(expansion.groups, bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        # Each gate's run is in parent order; a stable sort merges them.
+        group = fresh[lo:hi]
+        group_preds = preds[group]
+        order = np.argsort(group_preds, kind="stable")
+        take = group[order]
+        batch = (new_keys[take], group_preds[order], gids[take], sigma[take])
+        if secondary is None:
+            out.append(((cost[0] + weight[0], cost[1] + weight[1]), batch))
+        else:
+            # A chunk's parents have consecutive settle indices.
+            out.append(((cost[0] + weight[0], 0), (
+                *batch, secondary[batch[1] - gidx[0]] + weight[1],
+            )))
+    return out
 
 
 def _met(keys: np.ndarray, costs: np.ndarray, new_keys: np.ndarray, cost: int) -> int | None:
@@ -1359,20 +1354,25 @@ def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndar
     return _canonical(images, orbits)[0]
 
 
-def _toward(search: _Search, orders: np.ndarray) -> Iterator[_Drain]:
+def _toward(search: _Search, target: int) -> Iterator[_Drain]:
     """The drains of a target search (see "Target search" in the module
-    docstring), whose target's row orders under the group's relabelings
-    (and output masks) are the rows of ``orders``: the ball around the
-    target grows by the images of each drain's keys, at the drain's cost,
-    until a drain settles a key inside it; from then on the search drops
-    each fresh key that lies on no path to the target of cost at most the
-    meeting bound."""
+    docstring) for the function of rank ``target``: the ball around the
+    target, whose row orders under the group's relabelings (and output
+    masks) are each record column's image of it, grows by the images of
+    each drain's keys, at the drain's cost, until a drain settles a key
+    inside it; from then on the search drops each fresh key that lies on no
+    path to the target of cost at most the meeting bound."""
+    plan, ranks = search.plan, rank_tables()
+    # The row orders of N_m o T' for each column's relabeling T', made
+    # unique by their 8-byte codes (big-endian, so in row order).
+    orders = ranks.outputs[ranks.relabeled[target, plan.col_perm]] ^ plan.col_mask[:, None]
+    orders = np.unique(orders.view(">u8")).view(np.uint8).reshape(-1, N_ROWS)
     drains = search.drains()
-    images = np.unique(_ball_keys(search.root, orders, search.orbits))
+    images = np.unique(_ball_keys(plan.root, orders, plan.orbits))
     ball = (images, np.zeros(len(images), dtype=np.int64))
     for cost, keys, gidx in drains:
         yield cost, keys, gidx
-        images = np.unique(_ball_keys(keys, orders, search.orbits))
+        images = np.unique(_ball_keys(keys, orders, plan.orbits))
         ball = _merged(*ball, images[~_find(ball[0], images)[1]], cost[0])
         bound = _met(*ball, keys, cost[0])
         if bound is not None:
@@ -1407,6 +1407,83 @@ def _input_masked() -> np.ndarray:
     return table
 
 
+class _Plan(NamedTuple):
+    """What a search derives from its gate list, weights, line symmetries
+    and reduction switches: built once per key by ``_search_plan`` and
+    shared, read-only, by every search of that key."""
+
+    expansion: _Expansion
+    orbits: _Orbits
+    no_repeat: bool         # reduction (1), where the weights leave it sound
+    span: int               # the heaviest primary gate weight
+    by_primary: bool        # a bucket is one primary cost (see the module docstring)
+    col_perm: np.ndarray    # int8 per record column: the line map's LINE_PERMUTATIONS id,
+    col_mask: np.ndarray    # uint8 the input mask
+    col_sigma: np.ndarray   # int8 and the sigma id
+    not_ids: np.ndarray     # uint8 ids of NOT on lines a, b, c, where masks are in the group
+    root: np.ndarray        # uint64 the identity's canonical key, as one entry
+    root_sigma: np.ndarray  # int8 the sigma id taking the identity to it
+    root_rank: np.ndarray   # int32 the rank of its function
+    root_batches: tuple     # the root's (bucket, batch) pairs, as _successors makes them
+
+
+@functools.cache
+def _search_plan(
+    gates: tuple[Gate, ...], weights: tuple[Cost, ...], symmetries: tuple[LinePerm, ...],
+    no_repeat: bool, relabel: bool,
+) -> _Plan:
+    """The plan of a search with reductions (1) ``no_repeat`` and (2)
+    ``relabel`` asked for.  ValueError for a weight below (0, 0), a gate
+    list that lacks the inverse of one of its gates, or weights that a line
+    symmetry does not keep (a failed build is not cached: each call raises)."""
+    if min(weights) < (0, 0):
+        raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
+    if not {g.inverse() for g in gates} <= set(gates):
+        raise ValueError("the gate list must hold the inverse of each of its gates")
+    no_repeat = no_repeat and _repeat_reduction_sound(gates, weights)
+    if not relabel:
+        symmetries = LINE_PERMUTATIONS[:1]
+    codes = _codes_of(gates)
+    pairs = np.zeros((len(GATES), 2), dtype=np.int64)  # weight by gate id
+    pairs[codes] = weights
+    # Conjugation joins the group where it moves some gate and keeps every cost.
+    conj = (
+        relabel
+        and any(g.kind == "V" for g in gates)
+        and bool((pairs[_relabel_table(gates)[_N_PERMS, codes]] == pairs[codes]).all())
+    )
+    # Input masks join it where every NOT weighs (0, 0): a NOT layer at a
+    # circuit's input then costs nothing and commutes with every gate.
+    not_ids = {g.target: GATE_CODES[g] for g in gates if g.kind == "NOT"}
+    masks = relabel and len(not_ids) == N_LINES and not pairs[list(not_ids.values())].any()
+    orbits = _orbit_tables(gates, symmetries, conj, masks)
+    if (pairs[orbits.relabel[orbits.perm_ids][:, codes]] != pairs[codes]).any():
+        raise ValueError("gate weights must be invariant under the line symmetries")
+    # Record columns per settled function, in recording order: per mask in
+    # the group, 0 first, the function, then its non-identity relabelings in
+    # line_symmetries() order, each then masked.  Conjugation fixes every
+    # function and adds no column.
+    n_masks = N_ROWS if masks else 1
+    col_perm = np.tile(np.array([0, *orbits.perm_ids.tolist()], dtype=np.int8), n_masks)
+    col_mask = np.repeat(np.arange(n_masks, dtype=np.uint8), len(col_perm) // n_masks)
+    col_sigma = col_perm + _N_SIDS * col_mask.astype(np.int8)
+    nots = np.array([not_ids[line] for line in range(N_LINES)] if masks else [], dtype=np.uint8)
+    root, root_sigma = _canonical(np.array([CircuitState.identity().pack()], np.uint64), orbits)
+    by_primary = min(weights)[0] >= 1 and any(w[1] for w in weights)
+    plan = _Plan(
+        _expansion(gates, weights), orbits, no_repeat, max(w[0] for w in weights), by_primary,
+        col_perm, col_mask, col_sigma, nots, root, root_sigma, _ranks_of(root), (),
+    )
+    root_batches = _successors(
+        plan, root, np.zeros(1, np.int32), np.zeros(1, np.uint16), (0, 0),
+        np.zeros(1, np.int64) if by_primary else None, root,
+    )
+    # The plan's own arrays, col_perm to root_rank, and the batches' arrays.
+    for arr in (*plan[5:-1], *(arr for _, batch in root_batches for arr in batch)):
+        arr.setflags(write=False)
+    return plan._replace(root_batches=tuple(root_batches))
+
+
 def _run_search(
     gates: Sequence[Gate],
     weights: Sequence[Cost],
@@ -1419,90 +1496,50 @@ def _run_search(
     function in rank order (of the target alone, if given) and the number
     of (canonical) states settled.  A target search compares primary costs
     only: its secondary weights must be 0."""
-    if min(weights) < (0, 0):
-        raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
-    gates = tuple(gates)
-    if not _closed_under_inverse(gates):
-        raise ValueError("the gate list must hold the inverse of each of its gates")
-    options = _effective_options(options, gates, weights)
-    if not options.settle_relabelings:
-        symmetries = LINE_PERMUTATIONS[:1]
-    codes = _codes_of(gates)
-    pairs = np.zeros((len(GATES), 2), dtype=np.int64)  # weight by gate id
-    pairs[codes] = weights
-    # Conjugation joins the group where it moves some gate and keeps every cost.
-    conj = (
-        options.settle_relabelings
-        and any(g.kind == "V" for g in gates)
-        and bool((pairs[_relabel_table(gates)[_N_PERMS, codes]] == pairs[codes]).all())
+    plan = _search_plan(
+        tuple(gates), tuple(weights), tuple(symmetries),
+        options.no_repeat_placement, options.settle_relabelings,
     )
-    # Input masks join it where every NOT weighs (0, 0): a NOT layer at a
-    # circuit's input then costs nothing and commutes with every gate.
-    not_ids = {g.target: GATE_CODES[g] for g in gates if g.kind == "NOT"}
-    masks = (
-        options.settle_relabelings and len(not_ids) == N_LINES
-        and not pairs[list(not_ids.values())].any()
-    )
-    orbits = _orbit_tables(gates, tuple(symmetries), conj, masks)
-    if (pairs[orbits.relabel[orbits.perm_ids][:, codes]] != pairs[codes]).any():
-        raise ValueError("gate weights must be invariant under the line symmetries")
-    span = max(weight[0] for weight in weights)
-    ranks = rank_tables()
-
-    cost_of = np.full(N_FUNCTIONS, -1, dtype=np.int64)
-    secondary_of = np.zeros(N_FUNCTIONS, dtype=np.int64)
-    state_of = np.full(N_FUNCTIONS, -1, dtype=np.int32)
-    sigma_of = np.zeros(N_FUNCTIONS, dtype=np.int8)
-    remaining = N_FUNCTIONS
-
-    # Candidate columns per settled function, in recording order: per mask
-    # in the group, 0 first, the function, then its non-identity relabelings
-    # in line_symmetries() order, each then masked.  Conjugation fixes every
-    # function and adds no column.
-    n_masks = N_ROWS if masks else 1
-    col_perm = np.tile(np.array([0, *orbits.perm_ids.tolist()], dtype=np.int8), n_masks)
-    col_mask = np.repeat(np.arange(n_masks, dtype=np.uint8), len(col_perm) // n_masks)
-    col_sigma = col_perm + _N_SIDS * col_mask.astype(np.int8)
-    width = len(col_perm)
+    orbits, ranks = plan.orbits, rank_tables()
+    # One slot per function by rank, or the target's one.
+    slots = N_FUNCTIONS if target is None else 1
+    cost_of = np.full(slots, -1, dtype=np.int64)
+    secondary_of = np.zeros(slots, dtype=np.int64)
+    state_of = np.full(slots, -1, dtype=np.int32)
+    sigma_of = np.zeros(slots, dtype=np.int8)
+    remaining = slots
+    width = len(plan.col_perm)
 
     def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
         """Record the functions of Boolean states settled in packed-key order
-        with all their candidate symmetries; the first record of a function
-        wins.  A target search records its target alone, at its first
-        candidate, the index ``np.unique`` would return for it (the search
-        stops once it is recorded)."""
+        with all their record columns; the first record of a function wins.
+        A target search records its target alone, at its first candidate,
+        the index ``np.unique`` would return for it (the search stops once
+        it is recorded)."""
         nonlocal remaining
-        candidates = ranks.relabeled[funcs[:, None], col_perm]
-        if masks:
-            candidates = _input_masked()[candidates, col_mask]
+        candidates = ranks.relabeled[funcs[:, None], plan.col_perm]
+        if orbits.masks:
+            candidates = _input_masked()[candidates, plan.col_mask]
         candidates = candidates.ravel()
         if target is None:
-            uniq, first = np.unique(candidates, return_index=True)
-            fresh = cost_of[uniq] < 0
-            new, first = uniq[fresh], first[fresh]
+            new, first = np.unique(candidates, return_index=True)
+            fresh = cost_of[new] < 0
+            new, first = new[fresh], first[fresh]
         else:
             first = np.flatnonzero(candidates == target)[:1]
-            new = np.full(len(first), target)
+            new = np.zeros(len(first), dtype=np.intp)
         row, col = np.divmod(first, width)
         cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]
-        sigma_of[new] = col_sigma[col]
+        sigma_of[new] = plan.col_sigma[col]
         remaining -= len(new)
 
-    def unsettled() -> int:
-        """Functions (or the target) not yet recorded."""
-        return remaining if target is None else int(cost_of[target] < 0)
-
     with _Pool() as pool:
-        search = _Search(_expansion(gates, tuple(weights)), orbits, options, span, pool)
-        record(_ranks_of(search.root), np.zeros(1, dtype=np.int32), (0, 0))
-        drains = search.drains()
-        if target is not None and unsettled():
-            # The row orders of N_m o T' for each column's relabeling T'
-            orders = ranks.outputs[ranks.relabeled[target, col_perm]] ^ col_mask[:, None]
-            drains = _toward(search, np.unique(orders, axis=0))
+        search = _Search(plan, pool)
+        record(plan.root_rank, np.zeros(1, dtype=np.int32), (0, 0))
+        drains = search.drains() if target is None or not remaining else _toward(search, target)
         visited = 1
-        while unsettled():
+        while remaining:
             cost, keys, gidx = next(drains, (None, None, None))
             if cost is None:
                 raise InternalError("internal error: search ended with unsettled functions")
@@ -1516,53 +1553,53 @@ def _run_search(
                 if ceiling is not None and passed > ceiling:
                     raise BudgetExceeded(
                         f"{what} ceiling {ceiling} reached with "
-                        f"{unsettled()} function(s) unsettled"
+                        f"{remaining} function(s) unsettled"
                     )
             boolean = (keys & _ALL_FLAGS) == _U64(0)
             if bool(boolean.any()):
                 record(_ranks_of(keys[boolean]), gidx[boolean], cost)
 
-    held = np.arange(N_FUNCTIONS) if target is None else np.array([target])
-    states, rows = np.unique(state_of[held], return_inverse=True)
+    # The states the slots use, each once: a target's one slot needs no unique.
+    states, rows = (np.unique(state_of, return_inverse=True) if target is None
+                    else (state_of, np.zeros(1, dtype=np.intp)))
     paths, lengths, path_sigma = _extract_paths(
-        states, *map(np.concatenate, zip(*search.settled)), orbits
+        states, *map(np.concatenate, zip(*search.settled)), orbits, plan.root_sigma
     )
     lengths = lengths[rows]
-    ids = orbits.relabel[sigma_of[held, None], paths[rows]]
+    ids = orbits.relabel[sigma_of[:, None], paths[rows]]
     ids[np.arange(ids.shape[1]) >= lengths[:, None]] = len(GATES)
-    if masks:
-        prefix = orbits.compose[sigma_of[held], path_sigma[rows]] // _N_SIDS
-        nots = np.array([not_ids[line] for line in range(N_LINES)], dtype=np.uint8)
-        ids, lengths = _with_not_prefix(ids, lengths, prefix, nots, len(GATES))
-    return WitnessPaths(cost_of[held], ids, lengths), secondary_of[held], visited
+    if orbits.masks:
+        prefix = orbits.compose[sigma_of, path_sigma[rows]] // _N_SIDS
+        ids, lengths = _with_not_prefix(ids, lengths, prefix, plan.not_ids, len(GATES))
+    return WitnessPaths(cost_of, ids, lengths), secondary_of, visited
 
 
 def _extract_paths(
     states: np.ndarray, pred: np.ndarray, gate_ids: np.ndarray,
-    sigma: np.ndarray, orbits: _Orbits,
+    sigma: np.ndarray, orbits: _Orbits, root_sigma: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate-id paths from the root to each state, by one pointer walk over
     all of them: a padded uint8 matrix (a row per state), the lengths, and
-    the composition of each path's sigmas, the root's included.  Each
+    the composition of each path's sigmas, ending with ``root_sigma``, the
+    root's.  The root, state 0, is its own predecessor, of sigma 0 (the
+    identity), so a walk that reached it stays there unchanged.  Each
     stored gate is mapped through the composition of the sigmas from its
     own state to the path's end."""
-    cur = states.astype(np.int64)
-    perm = sigma[cur]
-    lengths = np.zeros(len(cur), dtype=np.int32)
-    steps = []  # steps[d][i]: the d-th gate back from state i
-    while True:
-        live = cur > 0
-        if not live.any():
-            break
-        steps.append(np.where(live, orbits.relabel[perm, gate_ids[cur]], 0))
-        lengths += live
-        cur = np.where(live, pred[cur], 0)
-        perm = np.where(live, orbits.compose[perm, sigma[cur]], perm)
-    if not steps:
-        return np.zeros((len(cur), 0), dtype=np.uint8), lengths, perm
-    back = np.stack(steps, axis=1)
-    src = lengths[:, None] - 1 - np.arange(back.shape[1])
-    paths = np.take_along_axis(back, np.maximum(src, 0), axis=1)
+    cur, perm = states, sigma[states]
+    chain, perms = [], []  # chain[d][i]: the d-th state back from state i
+    while cur.any():
+        chain.append(cur)
+        perms.append(perm)
+        cur = pred[cur]
+        perm = orbits.compose[perm, sigma[cur]]
+    perm = orbits.compose[perm, root_sigma]
+    if not chain:
+        return np.zeros((len(cur), 0), dtype=np.uint8), np.zeros(len(cur), np.int32), perm
+    chain = np.stack(chain, axis=1)
+    back = orbits.relabel[np.stack(perms, axis=1), gate_ids[chain]]
+    lengths = np.count_nonzero(chain, axis=1).astype(np.int32)
+    src = lengths[:, None] - 1 - np.arange(chain.shape[1])
+    paths = back[np.arange(len(back))[:, None], np.maximum(src, 0)]
     paths[src < 0] = 0
     return paths, lengths, perm
 
@@ -1575,7 +1612,7 @@ def _with_not_prefix(
     are ``nots``."""
     bits = (masks[:, None] >> np.array([2, 1, 0])) & 1
     row = np.concatenate([np.where(bits, nots, pad).astype(np.uint8), ids], axis=1)
-    row = np.take_along_axis(row, np.argsort(row == pad, axis=1, kind="stable"), axis=1)
+    row = row[np.arange(len(row))[:, None], np.argsort(row == pad, axis=1, kind="stable")]
     lengths = lengths + bits.sum(axis=1, dtype=lengths.dtype)
     return np.ascontiguousarray(row[:, :lengths.max(initial=0)]), lengths
 
@@ -1584,23 +1621,18 @@ def _with_not_prefix(
 _V_POWER = {"V": 1, "CNOT": 2, "V+": 3}
 
 
-def _effective_options(
-    options: SearchOptions, gates: Sequence[Gate], weights: Sequence[Cost]
-) -> SearchOptions:
-    """Switch off the repeated-placement reduction where the gate weights
-    make it unsound."""
+def _repeat_reduction_sound(gates: Sequence[Gate], weights: Sequence[Cost]) -> bool:
+    """Whether the gate weights leave the repeated-placement reduction sound."""
     weight_of = {g.kind: w for g, w in zip(gates, weights)}
     power = {_V_POWER[k]: w for k, w in weight_of.items() if k in _V_POWER}
     # (1): two gates on one placement compose to the identity or, on a
     # controlled placement, to the gate whose V power is the sum of theirs;
     # skipping the pair is sound only if that gate never costs more.
-    if options.no_repeat_placement and not all(
+    return all(
         (a + b) % 4 == 0 or power[(a + b) % 4] <= (wa[0] + wb[0], wa[1] + wb[1])
         for a, wa in power.items()
         for b, wb in power.items()
-    ):
-        options = replace(options, no_repeat_placement=False)
-    return options
+    )
 
 
 def settle_all(
@@ -1647,6 +1679,19 @@ def settle_all(
     )
 
 
+@functools.cache
+def _target_search_key(
+    metric: CostMetric, topology: Topology,
+) -> tuple[tuple[Gate, ...], tuple[Cost, ...], tuple[LinePerm, ...]]:
+    """``synthesize_one``'s gate list, weights and line symmetries, built
+    once per metric and topology (ValueError, not cached, for a topology
+    that is not connected)."""
+    if not topology.is_connected():
+        raise ValueError("topology must be connected")
+    gates = enumerate_gates(topology, "NCV")
+    return gates, tuple((metric.weight(g), 0) for g in gates), topology.line_symmetries()
+
+
 def synthesize_one(
     func: Sequence[int],
     metric: CostMetric,
@@ -1655,14 +1700,8 @@ def synthesize_one(
 ) -> tuple[int, Circuit]:
     """Optimal cost and witness for one function; stops as soon as it settles."""
     target = function_rank(func)
-    options = options or SearchOptions()
-    if not topology.is_connected():
-        raise ValueError("topology must be connected")
-    gates = enumerate_gates(topology, "NCV")
-    weights = [(metric.weight(g), 0) for g in gates]
-    paths, _, _ = _run_search(
-        gates, weights, topology.line_symmetries(), options, target=target
-    )
+    paths, _, _ = _run_search(*_target_search_key(metric, topology), options or SearchOptions(),
+                              target=target)
     codes = paths.gate_ids[0, :paths.lengths[0]].tobytes()
     return int(paths.cost[0]), _circuit_of_codes(codes, "NCV")
 

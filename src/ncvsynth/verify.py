@@ -101,11 +101,20 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     return u
 
 
+@functools.cache
+def _gate_unitaries() -> np.ndarray:
+    """``gate_unitary`` of every gate of ``GATES``, by ``Circuit`` code
+    (read-only)."""
+    mats = np.stack([gate_unitary(g) for g in GATES])
+    mats.setflags(write=False)
+    return mats
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Ordered product of gate unitaries (first gate applied first)."""
     u = np.eye(N_ROWS, dtype=complex)
-    for gate in circuit:
-        u = gate_unitary(gate) @ u
+    for mat in _gate_unitaries()[np.frombuffer(circuit.codes, dtype=np.uint8)]:
+        u = mat @ u
     return u
 
 
@@ -184,7 +193,7 @@ def _gate_index(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     doubled it (V and V+; one more False entry stands for padding)."""
     allowed = np.array([topology.allows_gate(g) for g in GATES])
     doubled = np.array([g.kind in ("V", "V+") for g in GATES] + [False])
-    mats = np.stack([gate_unitary(g) for g in GATES])
+    mats = _gate_unitaries().copy()
     mats[doubled[:-1]] *= 2
     if not np.array_equal(mats, mats.round()):
         raise InternalError("internal error: a scaled gate unitary left Z[i]")

@@ -201,13 +201,13 @@ def test_input_masks_join_the_group_only_when_every_not_is_free(
     monkeypatch, secondary, not_weight, relabel, masks
 ):
     seen = []
-    tables = search._orbit_tables
+    plans = search._search_plan
 
     def spy(*args):
-        seen.append(tables(*args))
-        return seen[-1]
+        seen.append(plans(*args).orbits)
+        return plans(*args)
 
-    monkeypatch.setattr(search, "_orbit_tables", spy)
+    monkeypatch.setattr(search, "_search_plan", spy)
     options = SearchOptions(settle_relabelings=relabel, max_cost=0)
     with pytest.raises(BudgetExceeded):
         nv.settle_all(CostMetric(not_weight, 1, 1, 1), secondary=secondary, options=options)
@@ -656,6 +656,84 @@ def test_gate_list_without_inverses_rejected():
         )
 
 
+def _refused_plans():
+    """(gates, weights, message) per kind of search that ``_search_plan``
+    refuses, all on the full topology."""
+    gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCV")
+    unit = [(1, 0)] * len(gates)
+    return {
+        "weight below (0, 0)": (gates, [(0, -1), *unit[1:]], "below"),
+        "no inverse": ([g for g in gates if g.kind != "V+"], unit, "inverse"),
+        "not invariant": (gates, [(2, 0), *unit[1:]], "invariant"),
+    }
+
+
+@pytest.mark.parametrize("case", ["weight below (0, 0)", "no inverse", "not invariant"])
+def test_a_refused_plan_is_refused_again(case):
+    """A plan that fails to build is not cached: an identical second call
+    raises the same ValueError as the first."""
+    gates, weights, message = _refused_plans()[case]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            search._run_search(
+                gates, weights, nv.FULL_TOPOLOGY.line_symmetries(), SearchOptions()
+            )
+
+
+def test_budgets_are_per_call():
+    """A plan is shared by every search of its key and holds no budget:
+    ``synthesize_one`` under ``max_states`` and under ``max_cost`` raises
+    the same message before and after an unbounded call of that metric,
+    and searches under three distinct budgets add no plan."""
+    metric, func = CostMetric(1, 3, 2, 2), PERES_FUNC
+    search._search_plan.cache_clear()
+
+    def refusals():
+        messages = []
+        for options in (SearchOptions(max_states=40), SearchOptions(max_cost=3)):
+            with pytest.raises(BudgetExceeded) as refused:
+                nv.synthesize_one(func, metric, options=options)
+            messages.append(str(refused.value))
+        return messages
+
+    before = refusals()
+    cost, circuit = nv.synthesize_one(func, metric)
+    assert refusals() == before
+    plans = search._search_plan.cache_info().currsize
+    for options in (
+        SearchOptions(max_cost=cost), SearchOptions(max_states=10 ** 6),
+        SearchOptions(max_cost=cost + 1, max_states=10 ** 5),
+    ):
+        assert nv.synthesize_one(func, metric, options=options) == (cost, circuit)
+    assert search._search_plan.cache_info().currsize == plans
+
+
+def _arrays(part):
+    """Every array in ``part`` and the tuples nested in it."""
+    if isinstance(part, np.ndarray):
+        yield part
+    elif isinstance(part, tuple):
+        for item in part:
+            yield from _arrays(item)
+
+
+def test_plan_arrays_are_read_only():
+    """Every array of a plan, its expansion, its orbit tables and its root's
+    batches is shared by the searches of its key, so none can be written."""
+    gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCV")
+    plan = search._search_plan(
+        gates, tuple((nv.NCV_012.weight(g), 0) for g in gates),
+        nv.FULL_TOPOLOGY.line_symmetries(), True, True,
+    )
+    assert plan.orbits.masks and plan.orbits.conj and plan.root_batches
+    arrays = list(_arrays(plan))
+    assert len(arrays) == 21 + 4 * len(plan.root_batches)
+    for arr in arrays:
+        assert arr.size
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
 # states_visited and the SHA-256 of write_table_jsonl and the secondary
 # costs, for searches that stress the settled-state window: ncv-012 has a
 # zero-weight NOT (several drains per bucket) and input masks in its group,
@@ -925,17 +1003,20 @@ def _reachable_keys(topology, library):
     first drains (at least 3,000 where the library reaches that many), and
     the raw candidates ``_candidates`` makes of them, canonical or not."""
     gates = enumerate_gates(topology, library)
-    plan = search._expansion(gates, ((1, 0),) * len(gates))
-    orbits = search._orbit_tables(gates, topology.line_symmetries(), library == "NCV", False)
+    # Unit weights: conjugation where the library has V gates, no masks.
+    plan = search._search_plan(gates, ((1, 0),) * len(gates), topology.line_symmetries(),
+                               True, True)
     parents = []
     with search._Pool() as pool:
-        for _, keys, _ in search._Search(plan, orbits, SearchOptions(), 1, pool).drains():
+        for _, keys, _ in search._Search(plan, pool).drains():
             parents.append(keys)
             if sum(map(len, parents)) >= 3_000:
                 break
     parents = np.concatenate(parents)
     n = len(parents)
-    raw = search._candidates(plan, parents, np.zeros(n, np.int32), np.zeros(n, np.uint16), False)
+    raw = search._candidates(
+        plan.expansion, parents, np.zeros(n, np.int32), np.zeros(n, np.uint16), False
+    )
     return parents, raw[0]
 
 

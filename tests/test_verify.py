@@ -129,6 +129,25 @@ def test_circuit_unitary_order():
     assert np.allclose(circuit_unitary(circuit), expected)
 
 
+def test_circuit_unitary_is_the_ordered_product_of_gate_unitaries():
+    """``circuit_unitary`` multiplies one cached stack of gate unitaries:
+    on seeded circuits of 0-20 gates of either library it equals the
+    ordered product of fresh ``gate_unitary`` matrices, and writing to one
+    of those leaves the next unchanged."""
+    rng = np.random.default_rng(3031)
+    for library in ("NCV", "NCT"):
+        gates = enumerate_gates(FULL_TOPOLOGY, library)
+        for n in range(21):
+            circuit = Circuit([gates[i] for i in rng.integers(0, len(gates), n)], library)
+            expected = np.eye(8, dtype=complex)
+            for gate in circuit:
+                expected = gate_unitary(gate) @ expected
+            assert np.array_equal(circuit_unitary(circuit), expected)
+    fresh = gate_unitary(NOT(0))
+    fresh[:] = 0
+    assert np.array_equal(gate_unitary(NOT(0)), permutation_matrix((4, 5, 6, 7, 0, 1, 2, 3)))
+
+
 # --------------------------------------------------------------------------
 # The exact batch oracle against a float reference
 
