@@ -96,20 +96,22 @@ def _comparison_stats(
     # custom:0,0,0; numpy would warn as it divides by the zero deviation.
     defined = len(x) and x.min() < x.max() and y.min() < y.max()
     corr = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1]) if defined else float("nan")
-    ratio = y != 0
-    xs, ys = x[ratio], y[ratio]
-    # Each (x, y) pair as one integer, x major, so that a 1-D unique counts them.
-    low = min(xs.min(initial=0), ys.min(initial=0))
-    span = max(xs.max(initial=0), ys.max(initial=0)) - low + 1
-    codes, counts = np.unique((xs - low) * span + (ys - low), return_counts=True)
-    a, b = np.divmod(codes, span)
-    ratios = [Fraction(p, q) for p, q in zip((a + low).tolist(), (b + low).tolist())]
+    at = np.flatnonzero(y != 0)
+    # Each entry's (x, y) pair coded by the ranks of x and y among their
+    # distinct values: a code is below len(at) ** 2, where one made of the
+    # costs themselves could wrap.
+    (xs, xi), (ys, yi) = (np.unique(c[at], return_inverse=True) for c in (x, y))
+    code = xi * len(ys) + yi
+    codes, counts = np.unique(code, return_counts=True)
+    xi, yi = np.divmod(codes, len(ys))
+    ratios = [Fraction(p, q) for p, q in zip(xs[xi].tolist(), ys[yi].tolist())]
     n = int(counts.sum())
     total = sum((r * c for r, c in zip(ratios, counts.tolist())), Fraction(0))
     best = max([Fraction(0), *ratios])
     first = 0
     if best > 0:
-        first = int(np.argmax(ratio & (x * best.denominator == y * best.numerator)))
+        tops = codes[[r == best for r in ratios]]
+        first = int(at[np.argmax(np.isin(code, tops))])
     return ComparisonStats(
         pearson_correlation=corr,
         average_ratio=total / n if n else Fraction(0),

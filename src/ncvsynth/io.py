@@ -29,11 +29,10 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from fractions import Fraction
 
 import numpy as np
 
-from .analysis import ComparisonReport, CostHistogram, render_4dp
+from .analysis import ComparisonReport, CostHistogram
 from .errors import CircuitParseError
 from .model import (ARITY, Circuit, GATES, Gate, LINE_NAMES, N_FUNCTIONS, N_ROWS, function_rank,
                     parse_int, rank_tables, validate_permutation)
@@ -214,14 +213,16 @@ def histogram_text(hist: CostHistogram) -> str:
 def comparison_text(report: ComparisonReport) -> str:
     """Side-by-side cost distributions: gate count, substituted, NCV optimum."""
     names = ("nct-gc", "nct-sub", "ncv-opt")
-    columns = (report.nct_gc, report.nct_sub_cost, report.ncv_opt_cost)
-    top = max(int(column.max()) for column in columns)
-    counts = np.stack([np.bincount(column, minlength=top + 1) for column in columns], axis=1)
+    # Each column counted over its distinct costs, so memory grows with the
+    # number of functions, not with the largest cost.
+    hists = [
+        CostHistogram.from_costs(column, expect_total=None)
+        for column in (report.nct_gc, report.nct_sub_cost, report.ncv_opt_cost)
+    ]
     lines = [f"{'cost':>6} " + " ".join(f"{n:>8}" for n in names)]
-    for cost in np.flatnonzero(counts.any(axis=1)).tolist():
-        lines.append(f"{cost:>6} " + " ".join(f"{c:>8}" for c in counts[cost].tolist()))
-    was = [render_4dp(Fraction(int(column.sum()), len(column))) for column in columns]
-    lines.append(f"{'WA':>6} " + " ".join(f"{w:>8}" for w in was))
+    for cost in sorted(set().union(*(h.counts for h in hists))):
+        lines.append(f"{cost:>6} " + " ".join(f"{h.counts.get(cost, 0):>8}" for h in hists))
+    lines.append(f"{'WA':>6} " + " ".join(f"{h.weighted_average_text:>8}" for h in hists))
     return "\n".join(lines) + "\n"
 
 

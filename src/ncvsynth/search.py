@@ -13,10 +13,8 @@ the NCT lex-max negated substitution costs, pick among the primary-optimal
 circuits.  Dijkstra is sound because no gate weighs less than (0, 0): a gate
 of primary weight >= 1 may carry a negative secondary weight, and a gate of
 primary weight 0 may not.  Weights below (0, 0) are rejected with
-ValueError.  A heap orders the buckets.  A bucket is one (primary,
-secondary) cost, except where every gate has primary weight >= 1 and some
-gate a secondary weight (the NCT lex-max mode): there a bucket is one primary
-cost, and each of its candidates carries its secondary cost (see below).
+ValueError.  A heap orders the buckets, and a bucket is one (primary,
+secondary) cost.
 
 Expansion is vectorized with numpy and shares work per placement: the
 parents a gate may extend (its control lines Boolean, and reduction (1)
@@ -55,23 +53,6 @@ made, whose costs are at least c.
 A drain whose batches were all made after the latest settle (under
 ncv-111, every drain) skips the probe: the window has since only been
 trimmed, which removes keys, so the probe could find none of them.
-
-A bucket of one primary cost c stands for the (c, s) buckets, s ascending,
-that a (primary, secondary) queue would drain.  Every primary weight is at
-least 1, so no drain at c makes a candidate of cost c: the bucket is
-complete when it is drained, and one drain settles it.  It puts its
-candidates in (secondary, parent settle index, gate candidate order)
-order, the order in which those drains would meet them, before the least
-position per key wins; a key met at several secondary costs is thus
-settled at its least, where each (c, s) drain would have found it in the
-window.  The window, trimmed by primary cost, holds every settled state a
-candidate can meet, as the graph is undirected.  The new keys take settle
-indices in (secondary, key) order, and the drain yields one (c, s) drain
-per secondary cost, so records, budgets and states visited are those of the
-(c, s) drains: a search that stops at the (c, s) drain recording its last
-function does not count the later ones.  A search with a free gate (where
-ncv-012's NOT makes candidates of the cost being drained) or with every
-secondary weight 0 keeps its (primary, secondary) buckets.
 
 Parallel expansion and drain: a frontier of more than ``_CHUNK`` parents is
 expanded in fixed chunks of that many consecutive parents, shared by the
@@ -117,10 +98,10 @@ gate's parents in order.
 Plans: what a search derives from its gate list, weights, line symmetries
 and reduction switches is built once per such key by ``_search_plan`` and
 shared, read-only, by every search of that key: the reductions the weights
-leave on, the expansion and orbit tables, the span, the bucket mode, the
-record columns, the NOT ids and the root's canonical key, sigma, rank and
-successors.  Budgets (``max_cost``, ``max_states``) are per call and not in
-the key.  A plan that fails to build (ValueError) is not cached.
+leave on, the expansion and orbit tables, the span, the record columns, the
+NOT ids and the root's canonical key, sigma, rank and successors.  Budgets
+(``max_cost``, ``max_states``) are per call and not in the key.  A plan
+that fails to build (ValueError) is not cached.
 
 Search reductions (each can be switched off):
 
@@ -128,18 +109,16 @@ Search reductions (each can be switched off):
    a gate that produced it.  A state keeps the set of these placements (a
    uint16 bit set): each candidate of its key in the drain that settled
    it, all of that cost, adds the placement of its gate as the canonical
-   state's last gate (in a bucket of one primary cost, where candidates of
-   several secondary costs meet, the winner's alone).  This skips no
-   candidate that could win.  Say gate h took q to p's key, canonicalized
-   by sigma, so p = sigma(h)(sigma q) and cost(p) = cost(q) + w(h).  A gate
-   g on sigma(h)'s placement composes with sigma(h) to the identity, and
-   g(p) = sigma q, of q's canonical key, which is settled; or to a gate h'
-   on that placement, and g(p) = h'(sigma q), the image under sigma of
-   sigma^-1(h')(q).  q's expansion made that candidate (q skips no gate
-   on h's placement, since it made h) at cost(q) + w(h') <= cost(p) +
-   w(g), the search turning the reduction off for weights under which that
-   fails (such as w_cnot > 2 w_v), and at an earlier bucket position, as q
-   settled before p.
+   state's last gate.  This skips no candidate that could win.  Say gate h
+   took q to p's key, canonicalized by sigma, so p = sigma(h)(sigma q) and
+   cost(p) = cost(q) + w(h).  A gate g on sigma(h)'s placement composes
+   with sigma(h) to the identity, and g(p) = sigma q, of q's canonical key,
+   which is settled; or to a gate h' on that placement, and g(p) =
+   h'(sigma q), the image under sigma of sigma^-1(h')(q).  q's expansion
+   made that candidate (q skips no gate on h's placement, since it made h)
+   at cost(q) + w(h') <= cost(p) + w(g), the search turning the reduction
+   off for weights under which that fails (such as w_cnot > 2 w_v), and at
+   an earlier bucket position, as q settled before p.
    Winners, sigmas, settle indices, witnesses and states visited are
    therefore those of the search without the reduction;
 2. search one state per orbit of a cost-preserving symmetry group, and
@@ -1132,43 +1111,26 @@ class _Search:
             while self.buckets.get(cost):
                 settled = self._drain(cost)
                 if settled is not None:
-                    keys, gidx, placed, secondary = settled
-                    if secondary is None:
-                        yield cost, keys, gidx
-                    else:
-                        # One drain per secondary cost, as a (primary,
-                        # secondary) bucket queue would yield them.
-                        cuts = [0, *(np.flatnonzero(np.diff(secondary)) + 1).tolist(), len(keys)]
-                        for lo, hi in zip(cuts, cuts[1:]):
-                            yield (cost[0], int(secondary[lo])), keys[lo:hi], gidx[lo:hi]
-                    self._expand(keys, gidx, placed, cost, secondary)
+                    keys, gidx, placed = settled
+                    yield cost, keys, gidx
+                    self._expand(keys, gidx, placed, cost)
             self.buckets.pop(cost, None)
 
     def _drain(self, cost: Cost) -> tuple[np.ndarray, ...] | None:
         """Settle the fresh keys of the bucket's batches: their keys, settle
-        indices, placement sets (see below) and, in a bucket of one primary
-        cost, secondary costs (else None), in settle order; or None if no
-        key is fresh.  A bucket of more than ``_CHUNK`` candidates is cut at
-        the window's quantiles into one key range per thread of the pool;
+        indices and placement sets (see below), in settle order; or None if
+        no key is fresh.  A bucket of more than ``_CHUNK`` candidates is cut
+        at the window's quantiles into one key range per thread of the pool;
         each range settles its keys against its own slice of the window,
         then merges its new keys into its slice of the next window.
 
         A new key's placement set, which reduction (1) skips, ORs the
         placement bits of every candidate of the key in the drain: each
-        reaches it at its settled cost.  In a bucket of one primary cost,
-        where candidates of other secondary costs meet, it is the winner's
-        bit alone."""
+        reaches it at its settled cost."""
         probed, batches = zip(*self.buckets[cost])
         self.buckets[cost] = []
         columns = list(map(np.concatenate, zip(*batches)))
-        by_primary = self.plan.by_primary
-        if by_primary:
-            # Candidates in (secondary, parent settle index, gate) order: the
-            # order of the (primary, secondary) drains this one stands for.
-            # A stable sort keeps each parent's candidates in gate order.
-            first = np.lexsort((columns[1], columns[4]))
-            columns = [column[first] for column in columns]
-        keys, _, gids, sigmas = columns[:4]
+        keys, _, gids, sigmas = columns
         window = self.window_keys
         ranges = 1 + self.pool.workers if len(keys) > _CHUNK else 1
         cuts = [len(window) * i // ranges for i in range(ranges + 1)]
@@ -1194,8 +1156,7 @@ class _Search:
             np.not_equal(part[1:], part[:-1], out=lead[1:])
             starts = np.flatnonzero(lead)
             new, winners = part[starts], np.minimum.reduceat(order, starts)
-            placed = (bits[winners] if by_primary
-                      else np.bitwise_or.reduceat(bits[order], starts))
+            placed = np.bitwise_or.reduceat(bits[order], starts)
             # Each batch was probed when it was made, and only a settle since
             # then can have put one of its keys in the window.
             if min(probed) < self.total:
@@ -1225,27 +1186,14 @@ class _Search:
             out.sort(kind="stable")
 
         self.pool.map(merge, range(ranges))
-        settled = [column[winners] for column in columns[1:]]
-        if by_primary:
-            # The new keys take settle indices in (secondary, key) order.
-            order = np.argsort(settled[3], kind="stable")
-            new_keys, placed, *settled = [
-                column[order] for column in (new_keys, placed, *settled)
-            ]
-        else:
-            settled.append(None)
-        pred, gate, sigma, secondary = settled
         gidx = np.arange(self.total, self.total + len(new_keys), dtype=np.int32)
-        self.settled.append((pred, gate, sigma))
+        self.settled.append(tuple(column[winners] for column in columns[1:]))
         self.total += len(new_keys)
         self.window.append((cost[0], new_keys))
         self.window_keys = merged
-        return new_keys, gidx, placed, secondary
+        return new_keys, gidx, placed
 
-    def _expand(
-        self, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
-        secondary: np.ndarray | None,
-    ) -> None:
+    def _expand(self, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost) -> None:
         """Enqueue the fresh canonical successors of settled states: chunk
         by chunk of ``_CHUNK`` parents, on this thread and the pool's, each
         chunk's batches appended in chunk order."""
@@ -1253,8 +1201,7 @@ class _Search:
 
         def run(chunk: slice) -> list[tuple[Cost, tuple]]:
             return _successors(
-                self.plan, keys[chunk], gidx[chunk], placed[chunk], cost,
-                None if secondary is None else secondary[chunk], window_keys,
+                self.plan, keys[chunk], gidx[chunk], placed[chunk], cost, window_keys
             )
 
         chunks = [slice(s, s + _CHUNK) for s in range(0, len(keys), _CHUNK)]
@@ -1272,16 +1219,15 @@ class _Search:
 
 def _successors(
     plan: _Plan, keys: np.ndarray, gidx: np.ndarray, placed: np.ndarray, cost: Cost,
-    secondary: np.ndarray | None, window_keys: np.ndarray,
+    window_keys: np.ndarray,
 ) -> list[tuple[Cost, tuple]]:
     """The fresh canonical successors of some settled states, as one
     (bucket, batch) pair per gate weight, each batch in (parent settle
-    index, gate id) order.  Given the parents' ``secondary`` costs, the
-    bucket is (primary cost, 0) and each candidate carries its secondary
-    cost.  Each placement's parents are selected once for all its gates
-    (less those whose ``placed`` set holds it, under reduction (1)), and
-    the candidates of every weight are canonicalized and probed together.
-    Runs on any thread: it reads only its arguments and the plan."""
+    index, gate id) order.  Each placement's parents are selected once for
+    all its gates (less those whose ``placed`` set holds it, under
+    reduction (1)), and the candidates of every weight are canonicalized
+    and probed together.  Runs on any thread: it reads only its arguments
+    and the plan."""
     expansion = plan.expansion
     raw, preds, counts = _candidates(expansion, keys, gidx, placed, plan.no_repeat)
     if not len(raw):
@@ -1303,13 +1249,7 @@ def _successors(
         order = np.argsort(group_preds, kind="stable")
         take = group[order]
         batch = (new_keys[take], group_preds[order], gids[take], sigma[take])
-        if secondary is None:
-            out.append(((cost[0] + weight[0], cost[1] + weight[1]), batch))
-        else:
-            # A chunk's parents have consecutive settle indices.
-            out.append(((cost[0] + weight[0], 0), (
-                *batch, secondary[batch[1] - gidx[0]] + weight[1],
-            )))
+        out.append(((cost[0] + weight[0], cost[1] + weight[1]), batch))
     return out
 
 
@@ -1416,7 +1356,6 @@ class _Plan(NamedTuple):
     orbits: _Orbits
     no_repeat: bool         # reduction (1), where the weights leave it sound
     span: int               # the heaviest primary gate weight
-    by_primary: bool        # a bucket is one primary cost (see the module docstring)
     col_perm: np.ndarray    # int8 per record column: the line map's LINE_PERMUTATIONS id,
     col_mask: np.ndarray    # uint8 the input mask
     col_sigma: np.ndarray   # int8 and the sigma id
@@ -1469,17 +1408,15 @@ def _search_plan(
     col_sigma = col_perm + _N_SIDS * col_mask.astype(np.int8)
     nots = np.array([not_ids[line] for line in range(N_LINES)] if masks else [], dtype=np.uint8)
     root, root_sigma = _canonical(np.array([CircuitState.identity().pack()], np.uint64), orbits)
-    by_primary = min(weights)[0] >= 1 and any(w[1] for w in weights)
     plan = _Plan(
-        _expansion(gates, weights), orbits, no_repeat, max(w[0] for w in weights), by_primary,
+        _expansion(gates, weights), orbits, no_repeat, max(w[0] for w in weights),
         col_perm, col_mask, col_sigma, nots, root, root_sigma, _ranks_of(root), (),
     )
     root_batches = _successors(
-        plan, root, np.zeros(1, np.int32), np.zeros(1, np.uint16), (0, 0),
-        np.zeros(1, np.int64) if by_primary else None, root,
+        plan, root, np.zeros(1, np.int32), np.zeros(1, np.uint16), (0, 0), root
     )
     # The plan's own arrays, col_perm to root_rank, and the batches' arrays.
-    for arr in (*plan[5:-1], *(arr for _, batch in root_batches for arr in batch)):
+    for arr in (*plan[4:-1], *(arr for _, batch in root_batches for arr in batch)):
         arr.setflags(write=False)
     return plan._replace(root_batches=tuple(root_batches))
 
@@ -1543,9 +1480,8 @@ def _run_search(
             cost, keys, gidx = next(drains, (None, None, None))
             if cost is None:
                 raise InternalError("internal error: search ended with unsettled functions")
-            # States settled so far: a drain of one primary cost yields its
-            # secondary costs one at a time, and those past the last
-            # function's count for nothing.
+            # States settled so far: the search stops at the drain that
+            # records the last function, so later drains count for nothing.
             visited = int(gidx[-1]) + 1
             for ceiling, passed, what in (
                 (options.max_cost, cost[0], "cost"), (options.max_states, visited, "state"),

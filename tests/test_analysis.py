@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import ncvsynth as nv
 from ncvsynth import IncompleteTable, MetricMismatch
+from ncvsynth import io as nio
 from ncvsynth.analysis import CostHistogram, _comparison_stats, render_4dp
-from ncvsynth.model import rank_tables
+from ncvsynth.model import CostMetric, rank_tables
 
 from helpers import substituted_witness_cost
 
@@ -131,16 +133,72 @@ def _reference_compare_costs(xs, ys):
 @example([(1, 1), (2, 1), (4, 2), (0, 0)])  # 2/1 first, then 4/2
 @example([(0, 3), (0, 1)])                  # every ratio 0
 def test_compare_costs_matches_fraction_loop(pairs):
+    with np.errstate(all="raise"):  # a constant column must not divide by 0
+        _assert_stats_match_fraction_loop(pairs)
+
+
+def _assert_stats_match_fraction_loop(pairs):
     x, y = np.array(pairs, dtype=np.int64).T
     xs = {(i,): c for i, c in enumerate(x.tolist())}
     ys = {(i,): c for i, c in enumerate(y.tolist())}
-    with np.errstate(all="raise"):  # a constant column must not divide by 0
-        stats = _comparison_stats(x, y, lambda i: (i,))
+    stats = _comparison_stats(x, y, lambda i: (i,))
     corr, average, best, best_func, equal = _reference_compare_costs(xs, ys)
     assert stats.pearson_correlation == pytest.approx(corr, nan_ok=True)
     assert (stats.average_ratio, stats.max_ratio) == (average, best)
     assert stats.max_ratio_function == best_func
     assert stats.equal_count == equal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2 ** 32),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=2, max_size=40),
+    st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)), max_size=5),
+)
+@example(2 ** 32, [(18, 7), (27, 8), (0, 0)], [])
+@example(3_037_000_500, [(36, 14), (18, 7), (1, 1)], [])  # 36/14 ties 18/7: the first wins
+def test_comparison_stats_match_fraction_loop_at_large_costs(scale, small, large):
+    """Costs up to those the CLI's largest weight, 2^32, gives (and past
+    them): small pairs scaled by a common weight, so that pairs repeat and
+    ratios tie, and a few drawn from the whole range.  The counts, the
+    first max-ratio entry and the exact sums must not wrap."""
+    _assert_stats_match_fraction_loop([(a * scale, b * scale) for a, b in small] + large)
+
+
+@pytest.mark.parametrize("w", [7, 10 ** 6, 3_037_000_500, 2 ** 32])
+def test_comparison_under_equal_weights_is_ncv_111s_scaled(w, nct_gc, comparison_111):
+    """Under custom:w,w,w every cost is w times its ncv-111 cost, so every
+    cost column is w times ncv-111's and every statistic equals ncv-111's,
+    up to the largest weight the CLI takes (2^32)."""
+    metric = CostMetric.parse(f"custom:{w},{w},{w}")
+    report = nv.compare(nct_gc, nv.settle_all(metric), metric)
+    assert np.array_equal(report.nct_gc, comparison_111.nct_gc)
+    for name in ("nct_sub_cost", "nct_sub_min", "nct_sub_max", "ncv_opt_cost"):
+        assert np.array_equal(getattr(report, name), w * getattr(comparison_111, name)), name
+    for name in ("witness", "worst_case", "best_case"):
+        got, want = getattr(report, name), getattr(comparison_111, name)
+        assert got.pearson_correlation == pytest.approx(want.pearson_correlation, rel=1e-12)
+        assert replace(got, pearson_correlation=0.0) == replace(want, pearson_correlation=0.0)
+    assert (report.witness.max_ratio, report.worst_case.max_ratio) == (
+        Fraction(18, 7), Fraction(27, 8)
+    )
+    # The histogram block: per cost of any column, each column's count, then
+    # the weighted averages, from ncv-111's columns with the NCV costs times w.
+    columns = [
+        k * column.astype(object) for k, column in zip(
+            (1, w, w),
+            (comparison_111.nct_gc, comparison_111.nct_sub_cost, comparison_111.ncv_opt_cost),
+        )
+    ]
+    counters = [Counter(column.tolist()) for column in columns]
+    text = nio.comparison_text(report).splitlines()
+    assert [list(map(int, row.split())) for row in text[1:-1]] == [
+        [cost, *(counter[cost] for counter in counters)]
+        for cost in sorted(set().union(*counters))
+    ]
+    assert text[-1].split() == [
+        "WA", *(render_4dp(Fraction(sum(column), len(column))) for column in columns)
+    ]
 
 
 @pytest.mark.filterwarnings("error")

@@ -880,6 +880,25 @@ def test_compare_with_wide_substitution_costs(tmp_path, capsys):
     assert "#summary metric=custom-1-300-300" in stdout
 
 
+def test_compare_under_the_largest_equal_weights_gives_ncv_111s_ratios(tmp_path, capsys):
+    """custom:w,w,w with w = 2^32, the largest weight the CLI takes, scales
+    every ncv-111 cost by w: the histogram block is counted over distinct
+    costs (no array as long as the largest cost), and the ratios are
+    ncv-111's."""
+    w = 2 ** 32
+    code, stdout, err = run(
+        capsys, "compare", "--metric", f"custom:{w},{w},{w}", "--no-cache",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    assert " max_ratio=2.5714 " in next(
+        line for line in stdout.splitlines() if line.startswith("#summary witness ")
+    )
+    assert " max_ratio=3.3750 " in next(
+        line for line in stdout.splitlines() if line.startswith("#summary worst-case ")
+    )
+
+
 def test_compare_under_an_all_zero_metric_writes_nothing_to_stderr(tmp_path):
     """Every NCV cost is 0 under custom:0,0,0, so the witness correlation is
     undefined: the summary says nan, and no numpy warning reaches stderr (a

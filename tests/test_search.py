@@ -236,12 +236,11 @@ def test_no_drain_at_cost_zero_settles_a_state(monkeypatch):
     assert settled_at_zero == []
 
 
-def test_a_lex_settle_drains_once_per_primary_cost(monkeypatch):
-    """Every NCT gate has primary weight 1, so no drain of a primary cost
-    makes a candidate of that cost, and one drain settles all of its
-    secondary costs.  ncv-111's secondaries are 0 and ncv-012's NOT weighs
-    (0, 1) under an ncv-111 secondary: both drain as (primary, secondary)
-    buckets."""
+def test_each_drain_is_one_cost_pair(monkeypatch):
+    """A bucket is one (primary, secondary) cost.  No gate of these searches
+    weighs (0, 0) (ncv-012's NOT weighs (0, 1) under an ncv-111
+    secondary), so none re-enters the bucket being drained, and each bucket
+    drains once: every drain is of a distinct cost."""
     drained = []
     drain = search._Search._drain
 
@@ -250,14 +249,15 @@ def test_a_lex_settle_drains_once_per_primary_cost(monkeypatch):
         return drain(self, cost)
 
     monkeypatch.setattr(search._Search, "_drain", spy)
-    nv.settle_all_nct("lex-max", nv.NCV_012)
-    assert len(drained) <= 10 and len({cost[0] for cost in drained}) == len(drained)
-    drained.clear()
-    nv.settle_all(nv.NCV_111)
-    assert len(drained) == 14
-    drained.clear()
-    nv.settle_all(nv.NCV_012, secondary=nv.NCV_111)
-    assert len(drained) == 121
+    for settle, drains in (
+        (lambda: nv.settle_all_nct("lex-max", nv.NCV_012), 103),
+        (lambda: nv.settle_all(nv.NCV_111), 14),
+        (lambda: nv.settle_all(nv.NCV_111, secondary=nv.NCV_012), 113),
+        (lambda: nv.settle_all(nv.NCV_012, secondary=nv.NCV_111), 121),
+    ):
+        drained.clear()
+        settle()
+        assert len(drained) == len(set(drained)) == drains
 
 
 @pytest.mark.parametrize("name", ["ncv111_full", "ncv111_path"])
@@ -623,6 +623,46 @@ def test_target_search_budgets_count_its_states(monkeypatch):
     assert max(drained[:-1]) <= cost - 1 < drained[-1]
 
 
+SECONDARY_SETTLES = {
+    "nct-lex-max/ncv-012": lambda options: nv.settle_all_nct("lex-max", nv.NCV_012, options),
+    "ncv-111+ncv-012/full": lambda options: nv.settle_all(
+        nv.NCV_111, options=options, secondary=nv.NCV_012
+    ),
+}
+
+
+@pytest.mark.parametrize("name, budget, unsettled", [
+    ("nct-lex-max/ncv-012", {"max_states": 6_828}, None),
+    ("nct-lex-max/ncv-012", {"max_states": 6_827}, 263),
+    ("nct-lex-max/ncv-012", {"max_states": 3_414}, 20_995),
+    ("nct-lex-max/ncv-012", {"max_cost": 3}, 39_580),
+    ("nct-lex-max/ncv-012", {"max_cost": 5}, 27_879),
+    ("ncv-111+ncv-012/full", {"max_states": 379_232}, None),
+    ("ncv-111+ncv-012/full", {"max_states": 379_231}, 784),
+    ("ncv-111+ncv-012/full", {"max_cost": 5}, 38_941),
+])
+def test_secondary_weight_settles_refuse_budgets_with_the_pinned_messages(
+    name, budget, unsettled
+):
+    """Budgets of searches with secondary weights count the states and
+    compare the primary costs of their (primary, secondary) drains: a
+    ``max_states`` equal to ``states_visited`` (the WINDOW_TABLES pin)
+    settles the table, and one state less, or a lower ceiling, names the
+    functions left unsettled."""
+    settle = SECONDARY_SETTLES[name]
+    options = SearchOptions(**budget)
+    if unsettled is None:
+        assert settle(options).states_visited == WINDOW_TABLES[name][1] == budget["max_states"]
+        return
+    ((what, ceiling),) = budget.items()
+    word = {"max_states": "state", "max_cost": "cost"}[what]
+    with pytest.raises(BudgetExceeded) as refused:
+        settle(options)
+    assert str(refused.value) == (
+        f"{word} ceiling {ceiling} reached with {unsettled} function(s) unsettled"
+    )
+
+
 # States the target search settles for the five landmarks under ncv-012,
 # whose NOT is free and whose group holds conjugation and the input masks.
 # A key outside the target's ball is at least ``reach`` from the target; a
@@ -739,12 +779,12 @@ def test_plan_arrays_are_read_only():
 # zero-weight NOT (several drains per bucket) and input masks in its group,
 # CostMetric(0,3,1,2) the masks without conjugation, ncv-155 a span of 5,
 # custom:1,3,1 switches reduction (1) off, and NCT lex-max pairs carry
-# negative secondaries.  ncv-111 with an ncv-012 secondary and the NCT
-# lex-max mode drain one primary cost at a time (on ncv-111, on split key ranges),
-# while ncv-012 with an ncv-111 secondary, whose NOT weighs (0, 1), drains
-# (primary, secondary) buckets.  A window too narrow to hold every settled
-# state a candidate can meet settles some states again, which shows as more
-# states.
+# negative secondaries.  ncv-111 with an ncv-012 secondary spreads each
+# primary cost over several (primary, secondary) buckets, some of them
+# drained on split key ranges, and ncv-012 with an ncv-111 secondary has a
+# NOT of weight (0, 1), whose candidates stay at the primary cost being
+# drained.  A window too narrow to hold every settled state a candidate can
+# meet settles some states again, which shows as more states.
 WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
     "ncv-111/full": ("ncv111_full", 389_026,
                      "29fbd21aa8a6767d16634c9ec555ee9dd471ae11ea2a71b7b5c00e6c901b6664"),
@@ -1253,8 +1293,9 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
     window slice lost, would change a witness or ``states_visited``.
     ncv-012's zero-weight NOT re-enters the bucket being drained, and
     custom:1,3,1's weights of 1 and 3 fill a bucket from several drains, so
-    that its older batches are probed again.  The NCT lex-max drain of one
-    primary cost reads its parents' secondary costs chunk by chunk."""
+    that its older batches are probed again.  NCT lex-max spreads each
+    primary cost over several (primary, secondary) buckets, whose batches
+    come from parents of several secondary costs."""
     before = threading.active_count()
     monkeypatch.setattr(search, "_CHUNK", 64)
     monkeypatch.setattr(search, "_workers", lambda: 3)
