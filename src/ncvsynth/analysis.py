@@ -7,7 +7,6 @@ last digit.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -16,9 +15,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import IncompleteTable, InternalError, MetricMismatch
-from .model import GATES, Circuit, CostMetric, Gate, rank_tables, realized_function
+from .model import GATES, CostMetric, rank_tables
 # settle_all_nct is imported here too because the benchmark's tracer wraps it by this name.
-from .nct import GATE_COUNT, settle_all_nct, substituted_weight  # noqa: F401
+from .nct import GATE_COUNT, _substituted_bounds, settle_all_nct, substituted_weight  # noqa: F401
 from .search import N_FUNCTIONS, SynthesisTable
 
 
@@ -188,43 +187,6 @@ class ComparisonReport:
             f"max_ratio={render_4dp(hi.max_ratio)} equal_count={hi.equal_count} "
             f"max_ratio_function={fn}",
         ]
-
-
-@functools.cache
-def _successors(gates: tuple[Gate, ...]) -> np.ndarray:
-    """(rank, gate index) -> rank of the function the gate realizes after
-    the function of that rank: int32, read-only, built once per gate list."""
-    functions = rank_tables()
-    table = np.empty((N_FUNCTIONS, len(gates)), dtype=np.int32)
-    for j, gate in enumerate(gates):
-        perm = np.array(realized_function(Circuit((gate,), "NCT")), dtype=np.uint8)
-        table[:, j] = functions.ranks_of_codes(perm[functions.outputs].view(">u8")[:, 0])
-    table.setflags(write=False)
-    return table
-
-
-def _substituted_bounds(
-    nct_table: SynthesisTable, metric: CostMetric
-) -> tuple[np.ndarray, np.ndarray]:
-    """The least and the greatest substituted cost under ``metric`` over
-    every gate-count-optimal circuit of each function, by rank.  Every
-    prefix of such a circuit is gate-count-optimal, so the bounds at gate
-    count k fold from those at k - 1, along each gate g with gc(g o f) =
-    gc(f) + 1.  A function no such gate reaches keeps a bound past every
-    cost."""
-    gc = nct_table.costs
-    successors = _successors(nct_table.gate_list)
-    weights = np.array([substituted_weight(g, metric) for g in nct_table.gate_list])
-    least = np.where(gc == 0, 0, np.iinfo(np.int64).max)
-    greatest = np.where(gc == 0, 0, np.iinfo(np.int64).min)
-    for k in range(1, int(gc.max(initial=0)) + 1):
-        before = np.flatnonzero(gc == k - 1)
-        after = successors[before]
-        row, gate = np.nonzero(gc[after] == k)
-        reached, source, weight = after[row, gate], before[row], weights[gate]
-        np.minimum.at(least, reached, least[source] + weight)
-        np.maximum.at(greatest, reached, greatest[source] + weight)
-    return least, greatest
 
 
 def compare(

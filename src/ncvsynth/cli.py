@@ -43,7 +43,7 @@ from .errors import (
     NcvSynthError,
 )
 from .model import (CostMetric, FULL_TOPOLOGY, GATE_CODES, GATES, Gate, TOPOLOGIES, Topology,
-                    enumerate_gates, parse_decimal, parse_int)
+                    parse_decimal, parse_int)
 from .verify import check_realizes, first_mismatch
 
 EXIT_OK = 0
@@ -151,15 +151,12 @@ CACHE_FORMAT = 3
 
 def _table_kind(
     metric: CostMetric | None, topology: Topology
-) -> tuple[str, tuple[Gate, ...], list[search.Cost], str]:
+) -> tuple[str, tuple[Gate, ...], tuple[search.Cost, ...], str]:
     """The library, gate list, per-gate (primary, secondary) weights and mode
     of the NCV table of ``metric``, or with ``metric`` None of the NCT
     gate-count table."""
-    if metric is not None:
-        gates = enumerate_gates(topology, "NCV")
-        return "NCV", gates, [(metric.weight(g), 0) for g in gates], "metric"
-    gates = enumerate_gates(topology, "NCT")
-    return "NCT", gates, nct.nct_weights(nct.GATE_COUNT, None, gates), nct.GATE_COUNT
+    library, mode = ("NCV", "metric") if metric is not None else ("NCT", nct.GATE_COUNT)
+    return (library, *search.weighted_gates(metric, topology, library), mode)
 
 
 def cache_entry(

@@ -324,6 +324,7 @@ class Topology:
                     grew = True
         return len(seen) == N_LINES
 
+    @functools.cache
     def line_symmetries(self) -> tuple[tuple[int, int, int], ...]:
         """Line permutations mapping every allowed pair to an allowed pair."""
         sym = []

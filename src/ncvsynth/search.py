@@ -8,13 +8,11 @@ true minimum.  Zero-weight gates re-insert into the current bucket, which is
 processed to exhaustion.
 
 Costs are (primary, secondary) integer pairs, compared lexicographically.
-A plain metric gives every gate secondary weight 0; a secondary metric, or
-the NCT lex-max negated substitution costs, pick among the primary-optimal
-circuits.  Dijkstra is sound because no gate weighs less than (0, 0): a gate
-of primary weight >= 1 may carry a negative secondary weight, and a gate of
-primary weight 0 may not.  Weights below (0, 0) are rejected with
-ValueError.  A heap orders the buckets, and a bucket is one (primary,
-secondary) cost.
+A plain metric gives every gate secondary weight 0; a secondary metric
+picks among the primary-optimal circuits.  Both parts of every weight are
+>= 0 (ValueError otherwise), so a cost never falls along a path and
+Dijkstra is sound.  A heap orders the buckets, and a bucket is one
+(primary, secondary) cost.
 
 Expansion is vectorized with numpy and shares work per placement: the
 parents a gate may extend (its control lines Boolean, and reduction (1)
@@ -381,8 +379,8 @@ class SynthesisTable:
 
     def secondary_of(self, func: Sequence[int]) -> int:
         """The witness's secondary cost: under ``settle_all``'s ``secondary``
-        metric, or by the second components of pair weights; 0 for a table
-        settled under a single metric."""
+        metric, or in an NCT lex-max table its substituted cost; 0 for a
+        table settled under a single metric."""
         return int(self._secondary[function_rank(func)])
 
     def witness(self, func: Sequence[int]) -> Circuit:
@@ -1273,6 +1271,15 @@ def _merged(
     return both[order], union_costs
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` by a sort and a first-of-run mask, several times
+    faster past a few dozen keys than numpy's hashing unique of uint64."""
+    x = np.sort(x, axis=None)
+    lead = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=lead[1:])
+    return x[lead]
+
+
 def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndarray:
     """The canonical key of conj(s o T') for each key s and each row order
     T' (a row of ``orders``): row i of s o T' is row T'(i) of s, and conj,
@@ -1306,13 +1313,13 @@ def _toward(search: _Search, target: int) -> Iterator[_Drain]:
     # The row orders of N_m o T' for each column's relabeling T', made
     # unique by their 8-byte codes (big-endian, so in row order).
     orders = ranks.outputs[ranks.relabeled[target, plan.col_perm]] ^ plan.col_mask[:, None]
-    orders = np.unique(orders.view(">u8")).view(np.uint8).reshape(-1, N_ROWS)
+    orders = _distinct(orders.view(">u8")).view(np.uint8).reshape(-1, N_ROWS)
     drains = search.drains()
-    images = np.unique(_ball_keys(plan.root, orders, plan.orbits))
+    images = _distinct(_ball_keys(plan.root, orders, plan.orbits))
     ball = (images, np.zeros(len(images), dtype=np.int64))
     for cost, keys, gidx in drains:
         yield cost, keys, gidx
-        images = np.unique(_ball_keys(keys, orders, plan.orbits))
+        images = _distinct(_ball_keys(keys, orders, plan.orbits))
         ball = _merged(*ball, images[~_find(ball[0], images)[1]], cost[0])
         bound = _met(*ball, keys, cost[0])
         if bound is not None:
@@ -1372,11 +1379,11 @@ def _search_plan(
     no_repeat: bool, relabel: bool,
 ) -> _Plan:
     """The plan of a search with reductions (1) ``no_repeat`` and (2)
-    ``relabel`` asked for.  ValueError for a weight below (0, 0), a gate
-    list that lacks the inverse of one of its gates, or weights that a line
+    ``relabel`` asked for.  ValueError for a weight with a negative part, a
+    gate list that lacks the inverse of one of its gates, or weights that a line
     symmetry does not keep (a failed build is not cached: each call raises)."""
-    if min(weights) < (0, 0):
-        raise ValueError(f"gate weight {min(weights)} is below (0, 0)")
+    if min(min(w) for w in weights) < 0:
+        raise ValueError(f"a gate weight of {min(weights, key=min)} has a part below 0")
     if not {g.inverse() for g in gates} <= set(gates):
         raise ValueError("the gate list must hold the inverse of each of its gates")
     no_repeat = no_repeat and _repeat_reduction_sound(gates, weights)
@@ -1571,61 +1578,48 @@ def _repeat_reduction_sound(gates: Sequence[Gate], weights: Sequence[Cost]) -> b
     )
 
 
+@functools.cache
+def weighted_gates(
+    metric: CostMetric | None, topology: Topology, library: str = "NCV",
+    secondary: CostMetric | None = None,
+) -> tuple[tuple[Gate, ...], tuple[Cost, ...]]:
+    """The gate list of ``library`` on ``topology`` and each gate's weight,
+    built once per key: an NCV gate weighs (its ``metric`` weight, its
+    ``secondary`` weight or 0), an NCT gate (1, 0), the metric only naming
+    the table.  ValueError for an NCV list without a metric, a topology that
+    is not connected, or an NCT list without a Toffoli gate."""
+    if not topology.is_connected():
+        raise ValueError("topology must be connected")
+    gates = enumerate_gates(topology, library)
+    if library == "NCT":
+        if not any(g.kind == "TOF" for g in gates):
+            raise ValueError(f"the {topology.slug} topology places no Toffoli gate, and NOT "
+                             "and CNOT reach only the affine functions on it")
+        return gates, ((1, 0),) * len(gates)
+    if metric is None:
+        raise ValueError("an NCV search needs a cost metric, and the metric is None")
+    return gates, tuple((metric.weight(g), secondary.weight(g) if secondary else 0) for g in gates)
+
+
 def settle_all(
     metric: CostMetric | None,
     topology: Topology = FULL_TOPOLOGY,
     options: SearchOptions | None = None,
     library: str = "NCV",
-    weights: Sequence[Cost] | None = None,
     mode: str = "metric",
     secondary: CostMetric | None = None,
 ) -> SynthesisTable:
-    """Settle optimal circuits for all 40,320 reversible functions.
-
-    Costs are (primary, secondary) pairs minimized lexicographically.  By
-    default the primary weights come from ``metric`` and the secondary ones
-    from ``secondary`` (0 without it), so each witness is, among the
-    ``metric``-optimal circuits, one of least ``secondary`` cost.
-    ``weights`` overrides the per-gate pairs (used by the NCT cost modes);
-    with reduction (2) on they must be invariant under the topology's line
-    symmetries (ValueError otherwise), which weights by gate kind are.  An
-    NCT library on a topology that places no Toffoli gate is refused with
-    ValueError, as NOT and CNOT reach only the affine functions.  The
-    table's ``states_visited`` counts the orbit representatives settled.
-    """
-    options = options or SearchOptions()
-    if not topology.is_connected():
-        raise ValueError("topology must be connected for a complete search")
-    gates = enumerate_gates(topology, library)
-    if library == "NCT" and not any(g.kind == "TOF" for g in gates):
-        raise ValueError(
-            f"the {topology.slug} topology places no Toffoli gate, and NOT and "
-            "CNOT reach only the affine functions on it"
-        )
-    if weights is None:
-        weights = [
-            (metric.weight(g), secondary.weight(g) if secondary else 0) for g in gates
-        ]
-    paths, secondary, total = _run_search(
-        gates, weights, topology.line_symmetries(), options
-    )
-    return SynthesisTable(
-        metric, topology, library, gates, paths, secondary,
-        mode=mode, states_visited=total,
-    )
-
-
-@functools.cache
-def _target_search_key(
-    metric: CostMetric, topology: Topology,
-) -> tuple[tuple[Gate, ...], tuple[Cost, ...], tuple[LinePerm, ...]]:
-    """``synthesize_one``'s gate list, weights and line symmetries, built
-    once per metric and topology (ValueError, not cached, for a topology
-    that is not connected)."""
-    if not topology.is_connected():
-        raise ValueError("topology must be connected")
-    gates = enumerate_gates(topology, "NCV")
-    return gates, tuple((metric.weight(g), 0) for g in gates), topology.line_symmetries()
+    """Settle optimal circuits for all 40,320 reversible functions under the
+    weights of ``weighted_gates`` (ValueError as it raises): (primary,
+    secondary) costs minimized lexicographically, so each NCV witness is,
+    among the ``metric``-optimal circuits, one of least ``secondary`` cost.
+    The table's ``mode`` is ``mode``, and its ``states_visited`` counts the
+    orbit representatives settled."""
+    gates, weights = weighted_gates(metric, topology, library, secondary)
+    paths, secondary_costs, total = _run_search(gates, weights, topology.line_symmetries(),
+                                                options or SearchOptions())
+    return SynthesisTable(metric, topology, library, gates, paths, secondary_costs,
+                          mode=mode, states_visited=total)
 
 
 def synthesize_one(
@@ -1636,8 +1630,8 @@ def synthesize_one(
 ) -> tuple[int, Circuit]:
     """Optimal cost and witness for one function; stops as soon as it settles."""
     target = function_rank(func)
-    paths, _, _ = _run_search(*_target_search_key(metric, topology), options or SearchOptions(),
-                              target=target)
+    paths, _, _ = _run_search(*weighted_gates(metric, topology), topology.line_symmetries(),
+                              options or SearchOptions(), target=target)
     codes = paths.gate_ids[0, :paths.lengths[0]].tobytes()
     return int(paths.cost[0]), _circuit_of_codes(codes, "NCV")
 

@@ -1,7 +1,8 @@
 """Test fixtures and references built on the public API: random legal
 circuits, the Boolean state of a function, a witness's substituted cost, a
-table's CSV text and a reader of table JSONL."""
+table's CSV text and pin, and a reader of table JSONL."""
 
+import hashlib
 import io as stdio
 import json
 
@@ -65,6 +66,16 @@ def table_csv_text(costs) -> str:
     buf = stdio.StringIO()
     nio.write_table_csv(costs, buf)
     return buf.getvalue()
+
+
+def table_pin(table) -> tuple[int, str]:
+    """(states_visited, SHA-256 of write_table_jsonl and then of the
+    little-endian int64 secondary costs): a whole table's pin."""
+    buf = stdio.StringIO()
+    nio.write_table_jsonl(table, buf)
+    digest = hashlib.sha256(buf.getvalue().encode())
+    digest.update(table.secondary_array().astype("<i8").tobytes())
+    return table.states_visited, digest.hexdigest()
 
 
 def read_table_jsonl(stream) -> dict[tuple[int, ...], tuple[int, Circuit]]:

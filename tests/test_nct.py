@@ -1,14 +1,21 @@
-"""NCT search modes, the substituted-cost bounds and Toffoli substitution."""
+"""NCT tables, the substituted-cost bounds and Toffoli substitution."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncvsynth as nv
 from ncvsynth import Circuit, NOT, TOF
-from ncvsynth.analysis import _substituted_bounds
-from ncvsynth.model import function_rank
-from ncvsynth.nct import substituted_weight, toffoli_decomposition, toffoli_substitute
+from ncvsynth.model import GATES, function_rank
+from ncvsynth.nct import (
+    _substituted_bounds,
+    substituted_weight,
+    toffoli_decomposition,
+    toffoli_substitute,
+)
 
-from helpers import substituted_witness_cost
+from helpers import substituted_witness_cost, table_pin
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 #: Substituted costs far beyond any fixed scalarization base.
@@ -64,19 +71,24 @@ def test_lex_modes_pair_gate_count_with_substituted_cost(nct_gc):
     for func in (tuple(range(8)), TOF_FUNC, (7, 6, 4, 5, 2, 3, 1, 0)):
         rank = function_rank(func)
         assert lexmax.cost_of(func) == nct_gc.cost_of(func)
-        assert least[rank] <= -lexmax.secondary_of(func) == greatest[rank]
+        assert least[rank] <= lexmax.secondary_of(func) == greatest[rank]
         assert nct_gc.secondary_of(func) == 0
 
 
 @pytest.mark.parametrize("mode,sign", [("lex-max", -1)])
 def test_wide_lex_witnesses_are_gate_count_optimal(nct_gc, mode, sign):
+    """``sign`` is the direction the mode pushes the substituted cost: -1
+    keeps the greatest over the gate-count-optimal circuits, which is what
+    each witness substitutes to."""
     table = nv.settle_all_nct(mode, WIDE_METRIC)
+    bounds = _substituted_bounds(nct_gc, WIDE_METRIC)
     for func in table.functions():
         witness = table.witness(func)
+        rank = function_rank(func)
         assert len(witness) == table.cost_of(func) == nct_gc.cost_of(func)
-        assert table.secondary_of(func) == sign * nv.circuit_cost(
-            toffoli_substitute(witness), WIDE_METRIC
-        )
+        secondary = table.secondary_of(func)
+        assert secondary == nv.circuit_cost(toffoli_substitute(witness), WIDE_METRIC)
+        assert sign * secondary == min(sign * int(b[rank]) for b in bounds)
 
 
 def _lex_oracle(metric):
@@ -114,18 +126,62 @@ def _lex_oracle(metric):
     return best
 
 
-@pytest.mark.parametrize("metric", [nv.NCV_012, WIDE_METRIC], ids=["ncv-012", "wide"])
-def test_lex_tables_match_a_breadth_first_pass_over_the_permutations(nct_gc, metric):
-    """The bounds ``compare`` reads from the gate-count table, and the
-    lex-max table, against the plain-Python pass."""
+def _check_lex_max_table(nct_gc, metric):
+    """The lex-max table of ``metric``, and the bounds ``compare`` reads
+    from the gate-count table, against the plain-Python pass: every witness
+    is certified, has the gate count's length and substitutes to the
+    table's secondary cost, the greatest of the pass."""
     best = _lex_oracle(metric)
     assert len(best) == nv.N_FUNCTIONS
     lexmax = nv.settle_all_nct("lex-max", metric)
-    count, least, greatest = zip(*(best[f] for f in nct_gc.functions()))
-    assert nct_gc.costs.tolist() == lexmax.costs.tolist() == list(count)
-    bounds = _substituted_bounds(nct_gc, metric)
-    assert [b.tolist() for b in bounds] == [list(least), list(greatest)]
-    assert (-lexmax.secondary_array()).tolist() == list(greatest)
+    count, least, greatest = (list(c) for c in zip(*(best[f] for f in nct_gc.functions())))
+    assert nct_gc.costs.tolist() == lexmax.costs.tolist() == count
+    assert [b.tolist() for b in _substituted_bounds(nct_gc, metric)] == [least, greatest]
+    assert lexmax.secondary_array().tolist() == greatest
+    witnesses = [(f, lexmax.witness(f)) for f in lexmax.functions()]
+    assert nv.verify_witnesses(witnesses) == (nv.N_FUNCTIONS, None)
+    paths = lexmax.witness_paths()
+    assert paths.lengths.tolist() == count
+    weights = np.array([substituted_weight(g, metric) for g in GATES] + [0])
+    assert weights[paths.gate_ids].sum(axis=1).tolist() == greatest
+
+
+@pytest.mark.parametrize(
+    "metric", [nv.NCV_111, nv.NCV_012, nv.NCV_155, WIDE_METRIC],
+    ids=["ncv-111", "ncv-012", "ncv-155", "wide"],
+)
+def test_lex_tables_match_a_breadth_first_pass_over_the_permutations(nct_gc, metric):
+    _check_lex_max_table(nct_gc, metric)
+
+
+_WEIGHT = st.integers(0, 6)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_WEIGHT, _WEIGHT, _WEIGHT)
+@example(0, 0, 0)
+@example(0, 6, 0)
+def test_lex_max_tables_of_custom_metrics_match_the_pass(nct_gc, w_not, w_cnot, w_v):
+    """Custom weights, zero included: with every substituted cost 0, each
+    gate-count-optimal circuit ties for the greatest."""
+    _check_lex_max_table(nct_gc, nv.CostMetric(w_not, w_cnot, w_v, w_v))
+
+
+#: states_visited and the ``table_pin`` digest of the lex-max tables, which
+#: are derived from the gate-count table's gate counts.
+LEX_MAX_PINS = {
+    "ncv-012": (nv.NCV_012, 6_828,
+                "83b904c007cdfa9d6286777f5f94015e22f155b241db00e08ebc3d19b415a581"),
+    "custom:1,300,300": (WIDE_METRIC, 6_828,
+                         "fd6851ef52b58cd891f8e561d9b69498f676a145fd94d01de86dce67aa648ee3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEX_MAX_PINS))
+def test_lex_max_table_pin(name, nct_lexmax012):
+    metric, states, digest = LEX_MAX_PINS[name]
+    table = nct_lexmax012 if metric == nv.NCV_012 else nv.settle_all_nct("lex-max", metric)
+    assert table_pin(table) == (states, digest)
 
 
 def test_nct_witnesses_fold(nct_gc):
@@ -151,6 +207,5 @@ def test_nct_library_without_a_toffoli_placement_is_refused():
     settle every function."""
     with pytest.raises(ValueError, match="affine"):
         nv.settle_all_nct(topology=nv.PATH_TOPOLOGY)
-    gates = nv.enumerate_gates(nv.PATH_TOPOLOGY, "NCT")
     with pytest.raises(ValueError, match="affine"):
-        nv.settle_all(None, nv.PATH_TOPOLOGY, library="NCT", weights=[(1, 0)] * len(gates))
+        nv.settle_all(None, nv.PATH_TOPOLOGY, library="NCT")

@@ -3,7 +3,6 @@
 import contextlib
 import functools
 import hashlib
-import io as stdio
 import multiprocessing
 import os
 import sys
@@ -21,7 +20,6 @@ from ncvsynth import (
     InvalidFunction,
     SearchOptions,
 )
-from ncvsynth import io as nio
 from ncvsynth import search
 from ncvsynth.model import (
     GATES,
@@ -36,7 +34,7 @@ from ncvsynth.model import (
     row_permutation,
 )
 
-from helpers import random_legal_circuit, state_of_permutation
+from helpers import random_legal_circuit, state_of_permutation, table_pin
 
 TOF_FUNC = (0, 1, 2, 3, 4, 5, 7, 6)
 PERES_FUNC = (0, 1, 2, 3, 6, 7, 5, 4)
@@ -250,7 +248,7 @@ def test_each_drain_is_one_cost_pair(monkeypatch):
 
     monkeypatch.setattr(search._Search, "_drain", spy)
     for settle, drains in (
-        (lambda: nv.settle_all_nct("lex-max", nv.NCV_012), 103),
+        (lambda: nv.settle_all_nct(), 8),
         (lambda: nv.settle_all(nv.NCV_111), 14),
         (lambda: nv.settle_all(nv.NCV_111, secondary=nv.NCV_012), 113),
         (lambda: nv.settle_all(nv.NCV_012, secondary=nv.NCV_111), 121),
@@ -623,8 +621,8 @@ def test_target_search_budgets_count_its_states(monkeypatch):
     assert max(drained[:-1]) <= cost - 1 < drained[-1]
 
 
-SECONDARY_SETTLES = {
-    "nct-lex-max/ncv-012": lambda options: nv.settle_all_nct("lex-max", nv.NCV_012, options),
+BUDGETED_SETTLES = {
+    "nct-gate-count": lambda options: nv.settle_all_nct(options=options),
     "ncv-111+ncv-012/full": lambda options: nv.settle_all(
         nv.NCV_111, options=options, secondary=nv.NCV_012
     ),
@@ -632,11 +630,11 @@ SECONDARY_SETTLES = {
 
 
 @pytest.mark.parametrize("name, budget, unsettled", [
-    ("nct-lex-max/ncv-012", {"max_states": 6_828}, None),
-    ("nct-lex-max/ncv-012", {"max_states": 6_827}, 263),
-    ("nct-lex-max/ncv-012", {"max_states": 3_414}, 20_995),
-    ("nct-lex-max/ncv-012", {"max_cost": 3}, 39_580),
-    ("nct-lex-max/ncv-012", {"max_cost": 5}, 27_879),
+    ("nct-gate-count", {"max_states": 6_828}, None),
+    ("nct-gate-count", {"max_states": 6_827}, 577),
+    ("nct-gate-count", {"max_states": 3_414}, 27_879),
+    ("nct-gate-count", {"max_cost": 3}, 39_580),
+    ("nct-gate-count", {"max_cost": 5}, 27_879),
     ("ncv-111+ncv-012/full", {"max_states": 379_232}, None),
     ("ncv-111+ncv-012/full", {"max_states": 379_231}, 784),
     ("ncv-111+ncv-012/full", {"max_cost": 5}, 38_941),
@@ -644,12 +642,12 @@ SECONDARY_SETTLES = {
 def test_secondary_weight_settles_refuse_budgets_with_the_pinned_messages(
     name, budget, unsettled
 ):
-    """Budgets of searches with secondary weights count the states and
-    compare the primary costs of their (primary, secondary) drains: a
-    ``max_states`` equal to ``states_visited`` (the WINDOW_TABLES pin)
-    settles the table, and one state less, or a lower ceiling, names the
-    functions left unsettled."""
-    settle = SECONDARY_SETTLES[name]
+    """Budgets count the states and compare the primary costs of the
+    (primary, secondary) drains, of a search with secondary weights and of
+    the NCT gate-count search: a ``max_states`` equal to ``states_visited``
+    (the WINDOW_TABLES pin) settles the table, and one state less, or a
+    lower ceiling, names the functions left unsettled."""
+    settle = BUDGETED_SETTLES[name]
     options = SearchOptions(**budget)
     if unsettled is None:
         assert settle(options).states_visited == WINDOW_TABLES[name][1] == budget["max_states"]
@@ -778,8 +776,8 @@ def test_plan_arrays_are_read_only():
 # costs, for searches that stress the settled-state window: ncv-012 has a
 # zero-weight NOT (several drains per bucket) and input masks in its group,
 # CostMetric(0,3,1,2) the masks without conjugation, ncv-155 a span of 5,
-# custom:1,3,1 switches reduction (1) off, and NCT lex-max pairs carry
-# negative secondaries.  ncv-111 with an ncv-012 secondary spreads each
+# custom:1,3,1 switches reduction (1) off, and the NCT gate count runs the
+# engine on the NCT library.  ncv-111 with an ncv-012 secondary spreads each
 # primary cost over several (primary, secondary) buckets, some of them
 # drained on split key ranges, and ncv-012 with an ncv-111 secondary has a
 # NOT of weight (0, 1), whose candidates stay at the primary cost being
@@ -808,30 +806,16 @@ WINDOW_TABLES = {  # name: (session fixture or settle, states, digest)
         lambda: nv.settle_all(nv.NCV_012, secondary=nv.NCV_111), 381_364,
         "d0a5f001cd563bf429351d7d1cc69b7d0ea801d0baed0d7fbb81e4bb644620f4",
     ),
-    "nct-lex-max/ncv-012": ("nct_lexmax012", 6_828,
-                            "705540a0e77a722f6b783d8b7664687eaa25ebb7df75468a43d89df3f3a41b3c"),
-    "nct-lex-max/custom:1,300,300": (
-        lambda: nv.settle_all_nct("lex-max", CostMetric.parse("custom:1,300,300")), 6_828,
-        "daf5c6265050352e996e0645d42e0647ab093f9468506b360212aec30f22ad3e",
-    ),
+    "nct-gate-count": ("nct_gc", 6_828,
+                       "77de42cbd30a313308e808c3f4caf5dd1cec6e1500ddc92119f16d1c301e4c26"),
 }
-
-
-def _pin(table):
-    """(states_visited, SHA-256 of write_table_jsonl and then of the
-    little-endian int64 secondary costs), as WINDOW_TABLES pins."""
-    buf = stdio.StringIO()
-    nio.write_table_jsonl(table, buf)
-    digest = hashlib.sha256(buf.getvalue().encode())
-    digest.update(table.secondary_array().astype("<i8").tobytes())
-    return table.states_visited, digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(WINDOW_TABLES))
 def test_window_settles_each_state_once(name, request):
     settle, states, digest = WINDOW_TABLES[name]
     table = request.getfixturevalue(settle) if isinstance(settle, str) else settle()
-    assert _pin(table) == (states, digest)
+    assert table_pin(table) == (states, digest)
 
 
 _KEY_SETS = st.sets(st.integers(0, 2 ** 64 - 1), max_size=40)
@@ -884,9 +868,6 @@ def test_unequal_v_weights_stay_optimal():
 
 REDUCTION_1_SETTLES = {
     "nct-gate-count": lambda options: nv.settle_all_nct(options=options),
-    "nct-lex-max/custom:1,300,300": lambda options: nv.settle_all_nct(
-        "lex-max", CostMetric.parse("custom:1,300,300"), options
-    ),
     "ncv-012/path": lambda options: nv.settle_all(nv.NCV_012, nv.PATH_TOPOLOGY, options),
     # Input masks without conjugation; under CostMetric(0,3,1,2) too, but
     # there reduction (1) is off, as two V gates cost less than the CNOT.
@@ -937,12 +918,13 @@ def test_weights_must_be_invariant_under_line_symmetries():
     # NOT a weighs 2, NOT b and NOT c weigh 1: relabeling a and b changes cost.
     gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCT")
     weights = [(2 if g == nv.NOT(0) else 1, 0) for g in gates]
-    with pytest.raises(ValueError):
-        nv.settle_all(None, library="NCT", weights=weights)
-    table = nv.settle_all(
-        None, library="NCT", weights=weights,
-        options=SearchOptions(settle_relabelings=False),
+    symmetries = nv.FULL_TOPOLOGY.line_symmetries()
+    with pytest.raises(ValueError, match="invariant"):
+        search._search_plan(tuple(gates), tuple(weights), symmetries, True, True)
+    paths, _, _ = search._run_search(
+        gates, weights, symmetries, SearchOptions(settle_relabelings=False)
     )
+    table = nv.SynthesisTable(None, nv.FULL_TOPOLOGY, "NCT", gates, paths, np.zeros_like(paths.cost))
     weight_of = {g: w for g, (w, _) in zip(gates, weights)}
     assert table.cost_of((4, 5, 6, 7, 0, 1, 2, 3)) == 2   # NOT a
     assert table.cost_of((2, 3, 0, 1, 6, 7, 4, 5)) == 1   # NOT b
@@ -950,10 +932,20 @@ def test_weights_must_be_invariant_under_line_symmetries():
         assert sum(weight_of[g] for g in table.witness(func)) == table.cost_of(func)
 
 
-@pytest.mark.parametrize("weight", [(0, -1), (-1, 5)])
+@pytest.mark.parametrize("weight", [(0, -1), (-1, 5), (1, -1)])
 def test_weights_below_zero_pair_rejected(weight):
-    with pytest.raises(ValueError):
-        nv.settle_all(None, library="NCT", weights=[weight] * 12)
+    """Every part of every weight is >= 0: (1, -1) lies above (0, 0) but
+    has a negative secondary part."""
+    gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCT")
+    with pytest.raises(ValueError, match="below 0"):
+        search._search_plan(
+            gates, (weight,) * len(gates), nv.FULL_TOPOLOGY.line_symmetries(), True, True
+        )
+
+
+def test_ncv_settle_without_a_metric_is_a_value_error():
+    with pytest.raises(ValueError, match="metric is None"):
+        nv.settle_all(None)
 
 
 # --------------------------------------------------------------------------
@@ -1281,7 +1273,7 @@ SPLIT_SETTLES = {  # WINDOW_TABLES name: settle
     "ncv-012/full": lambda: nv.settle_all(nv.NCV_012),
     "ncv-111/path": lambda: nv.settle_all(nv.NCV_111, nv.PATH_TOPOLOGY),
     "custom:1,3,1/full": lambda: nv.settle_all(CostMetric.parse("custom:1,3,1")),
-    "nct-lex-max/ncv-012": lambda: nv.settle_all_nct("lex-max", nv.NCV_012),
+    "nct-gate-count": lambda: nv.settle_all_nct(),
 }
 
 
@@ -1293,9 +1285,8 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
     window slice lost, would change a witness or ``states_visited``.
     ncv-012's zero-weight NOT re-enters the bucket being drained, and
     custom:1,3,1's weights of 1 and 3 fill a bucket from several drains, so
-    that its older batches are probed again.  NCT lex-max spreads each
-    primary cost over several (primary, secondary) buckets, whose batches
-    come from parents of several secondary costs."""
+    that its older batches are probed again.  The NCT gate count runs the
+    split drains on the NCT library, whose states are all Boolean."""
     before = threading.active_count()
     monkeypatch.setattr(search, "_CHUNK", 64)
     monkeypatch.setattr(search, "_workers", lambda: 3)
@@ -1307,7 +1298,7 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
         table = SPLIT_SETTLES[name]()
     finally:
         sys.setswitchinterval(interval)
-    assert _pin(table) == WINDOW_TABLES[name][1:]
+    assert table_pin(table) == WINDOW_TABLES[name][1:]
     assert max(counts) > before and threading.active_count() == before
     assert max(ranges) == 4
 

@@ -31,3 +31,23 @@ def test_tracing_install_finds_its_attributes_and_restore_puts_them_back(monkeyp
         assert now.keys() == attrs.keys()
         assert all(now[name] is value for name, value in attrs.items()), owner
     assert {owner for owner, _, _ in patched} <= set(owners)
+
+
+def test_nct_settles_are_labelled_by_mode_and_metric(monkeypatch):
+    """The tracer labels each ``settle_all_nct`` span from the call's bound
+    ``mode`` and ``metric``, and each engine span from ``library`` and
+    ``mode``: a renamed parameter fails here, not only in a traced
+    benchmark round."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer(lambda start, end: end - start)
+    try:
+        tracing.install(tracer)
+        nct.settle_all_nct()
+        nct.settle_all_nct("lex-max", model.NCV_012)
+    finally:
+        tracer.restore()
+    assert [(name, label) for _, name, label, _, _ in tracer.spans] == [
+        ("nct.settle_all_nct", "gate-count"), ("search.settle_all", "gate-count"),
+        ("nct.settle_all_nct", "lex-max:ncv-012"), ("search.settle_all", "gate-count"),
+    ]
