@@ -329,7 +329,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    circuit = io.parse_circuit(args.circuit.read_text())
+    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is no gate text.
+    circuit = io.parse_circuit(args.circuit.read_text(encoding="utf-8-sig"))
     func = io.parse_function(args.function)
     if check_realizes(circuit, func, args.tol):
         print(f"ok: circuit realizes {io.format_function(func)} (tol {args.tol:g})")
@@ -343,7 +344,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    with args.table.open("r", newline="") as fh:
+    with args.table.open("r", newline="", encoding="utf-8-sig") as fh:
         _, costs = io.read_table_csv(fh)
     hist = analysis.CostHistogram.from_costs(costs, expect_total=None)
     sys.stdout.write(io.histogram_text(hist))

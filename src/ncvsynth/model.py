@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -612,7 +611,8 @@ class RankTables(NamedTuple):
     """Every reversible function by its rank in 0..40319.
 
     The rank is the lexicographic index of the output tuple, so ascending
-    ranks are the serialization order.  All arrays are read-only.
+    ranks are the serialization order.  ``ranks_of`` ranks the rows of any
+    outputs matrix.  All arrays are read-only.
     """
 
     #: (rank, row) -> output of that row, uint8
@@ -626,8 +626,20 @@ class RankTables(NamedTuple):
         """Ranks of functions given by their uint64 codes."""
         return np.searchsorted(self.codes, codes).astype(np.int32)
 
+    def ranks_of(self, outputs: np.ndarray) -> np.ndarray:
+        """int32 rank of each row of an (n, 8) matrix of functions' outputs,
+        of any integer dtype or memory layout.  The rows must be
+        permutations of 0..7; nothing here checks them."""
+        return self.ranks_of_codes(_codes(outputs))
+
     def function(self, rank: int) -> tuple[int, ...]:
         return tuple(self.outputs[rank].tolist())
+
+
+def _codes(outputs: np.ndarray) -> np.ndarray:
+    """Each row of an (n, 8) outputs matrix read as a big-endian uint64:
+    its code in ``RankTables.codes``."""
+    return np.ascontiguousarray(outputs, dtype=np.uint8).view(">u8")[:, 0].astype(np.uint64)
 
 
 @functools.cache
@@ -640,41 +652,15 @@ def rank_tables() -> RankTables:
         itertools.chain.from_iterable(itertools.permutations(range(N_ROWS))),
         dtype=np.uint8, count=N_FUNCTIONS * N_ROWS,
     ).reshape(N_FUNCTIONS, N_ROWS)
-    codes = outputs.view(">u8")[:, 0].astype(np.uint64)
-    relabeled = np.empty((N_FUNCTIONS, len(LINE_PERMUTATIONS)), dtype=np.int32)
-    image = np.empty_like(outputs)
+    tables = RankTables(outputs, _codes(outputs),
+                        np.empty((N_FUNCTIONS, len(LINE_PERMUTATIONS)), dtype=np.int32))
     for j, perm in enumerate(LINE_PERMUTATIONS):
-        rp = np.array(_ROW_PERMS[perm][0], dtype=np.uint8)
-        for row in range(N_ROWS):
-            image[:, rp[row]] = rp[outputs[:, row]]
-        relabeled[:, j] = np.searchsorted(codes, image.view(">u8")[:, 0])
-    tables = RankTables(outputs, codes, relabeled)
+        # out[rp[i]] = rp[func[i]], as in relabel_function.
+        rp, rp_inv = (np.array(rows, dtype=np.uint8) for rows in _ROW_PERMS[perm])
+        tables.relabeled[:, j] = tables.ranks_of(rp[outputs[:, rp_inv]])
     for arr in tables:
         arr.setflags(write=False)
     return tables
-
-
-@functools.cache
-def _half_ranks() -> tuple[dict[bytes, tuple[int, int]], dict[bytes, tuple[int, int]]]:
-    """Tables of the 1,680 arrangements of 4 distinct outputs, keyed by their
-    bytes: as the first four outputs of a function and as the last four.
-    Each entry holds that half's share of the rank and the bit mask of its
-    outputs.  Output i adds (its Lehmer digit) x (7 - i)!; the digit counts
-    the smaller outputs after i, which for i < 4 are the smaller ones not
-    before i, so each half's share reads that half only."""
-    weights = [math.factorial(N_ROWS - 1 - i) for i in range(N_ROWS)]
-    head, tail = {}, {}
-    for half in itertools.permutations(range(N_ROWS), N_ROWS // 2):
-        mask = sum(1 << out for out in half)
-        head[bytes(half)] = (sum(
-            (out - sum(prior < out for prior in half[:i])) * weights[i]
-            for i, out in enumerate(half)
-        ), mask)
-        tail[bytes(half)] = (sum(
-            sum(later < out for later in half[i + 1:]) * weights[4 + i]
-            for i, out in enumerate(half)
-        ), mask)
-    return head, tail
 
 
 class _Interned(NamedTuple):
@@ -685,7 +671,8 @@ class _Interned(NamedTuple):
 #: Built by the first ``function_tuples`` call and published in one
 #: assignment, so a reader sees both halves or neither.  A tuple of a build
 #: that lost a race between threads fails ``function_rank``'s identity test
-#: and is ranked the general way.
+#: and is ranked as any other input: ``validate_permutation`` and then
+#: ``RankTables.ranks_of``.
 _interned: _Interned | None = None
 
 
@@ -708,10 +695,9 @@ def function_rank(func: Sequence[int]) -> int:
 
     A tuple of ``function_tuples`` is ranked by identity in O(1): the map
     finds equal tuples too, such as one ending in ``7.0``, but only the
-    interned object itself passes.  Anything else takes the general path:
-    the 8 outputs, as bytes, are looked up half by half in ``_half_ranks``;
-    a function is valid iff both halves are found and their masks are
-    disjoint, and its rank is the sum of their shares."""
+    interned object itself passes.  Anything else is checked by
+    ``validate_permutation`` and ranked as one uint8 row through
+    ``RankTables.ranks_of``."""
     interned = _interned
     if interned is not None and type(func) is tuple:
         try:
@@ -720,16 +706,5 @@ def function_rank(func: Sequence[int]) -> int:
             rank = None
         if rank is not None and interned.functions[rank] is func:
             return rank
-    values = func
-    try:
-        if type(values) is not tuple:
-            # bytes() of an ndarray (or any buffer) copies its memory, not its values
-            values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        data = bytes(values)
-    except (TypeError, ValueError):
-        data = b""
-    head, tail = _half_ranks()
-    first, last = head.get(data[:4]), tail.get(data[4:])
-    if first is None or last is None or first[1] & last[1]:
-        raise InvalidFunction(f"not a permutation of 0..7: {func!r}")
-    return first[0] + last[0]
+    row = np.array([validate_permutation(func)], dtype=np.uint8)
+    return int(rank_tables().ranks_of(row)[0])

@@ -67,7 +67,7 @@ def _successors(gates: tuple[Gate, ...]) -> np.ndarray:
     table = np.empty((N_FUNCTIONS, len(gates)), dtype=np.int32)
     for j, gate in enumerate(gates):
         perm = np.array(realized_function(Circuit((gate,), "NCT")), dtype=np.uint8)
-        table[:, j] = functions.ranks_of_codes(perm[functions.outputs].view(">u8")[:, 0])
+        table[:, j] = functions.ranks_of(perm[functions.outputs])
     table.setflags(write=False)
     return table
 

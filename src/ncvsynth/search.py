@@ -1346,10 +1346,7 @@ def _input_masked() -> np.ndarray:
     of the function f of that rank.  Built on first use, read-only."""
     ranks = rank_tables()
     rows = np.arange(N_ROWS)
-    table = np.stack([
-        ranks.ranks_of_codes(ranks.outputs[:, rows ^ m].copy().view(">u8")[:, 0].astype(np.uint64))
-        for m in range(N_ROWS)
-    ], axis=1)
+    table = np.stack([ranks.ranks_of(ranks.outputs[:, rows ^ m]) for m in range(N_ROWS)], axis=1)
     table.setflags(write=False)
     return table
 

@@ -139,6 +139,14 @@ def test_verify_tol_that_is_not_finite_and_non_negative_exits_2(tmp_path, capsys
     assert (code, out) == (2, "") and "--tol" in err and "Traceback" not in err
 
 
+def test_verify_reads_a_circuit_that_begins_with_a_byte_order_mark(tmp_path, capsys):
+    """It exited 2 with "unknown gate kind '\\ufeffV'"."""
+    circuit_file = tmp_path / "tof.txt"
+    circuit_file.write_text(TOF_TEXT, encoding="utf-8-sig")
+    assert run(capsys, "verify", "--circuit", str(circuit_file), "--function",
+               "0,1,2,3,4,5,7,6") == (0, "ok: circuit realizes 0,1,2,3,4,5,7,6 (tol 1e-09)\n", "")
+
+
 def test_verify_failure_exits_1(tmp_path, capsys):
     circuit_file = tmp_path / "not.txt"
     circuit_file.write_text("NOT a\n")
@@ -210,6 +218,16 @@ def test_stats_roundtrip(tmp_path, capsys, ncv111_full):
         nio.write_table_csv(ncv111_full.costs, fh)
     code, out, _ = run(capsys, "stats", str(table_file))
     assert code == 0 and "weighted average: 10.0319" in out
+
+
+def test_stats_reads_a_table_that_begins_with_a_byte_order_mark(tmp_path, capsys, ncv111_full):
+    """It exited 2 with "table CSV must start with a function,cost header"."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    with plain.open("w", newline="") as fh:
+        nio.write_table_csv(ncv111_full.costs, fh)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run(capsys, "stats", str(plain))
+    assert expected[0] == 0 and run(capsys, "stats", str(marked)) == expected
 
 
 def test_stats_missing_file_exits_5(tmp_path, capsys):

@@ -314,9 +314,9 @@ def test_function_rank_rejects_non_permutations():
 
 
 def test_function_rank_by_halves_ranks_every_function_and_rejects_overlaps():
-    """``function_rank`` adds the shares of the first and last four outputs,
-    each from a table of the 1,680 arrangements of 4 distinct outputs; two
-    halves that share an output, each valid alone, are no function."""
+    """``function_rank`` ranks every function, and rejects eight outputs
+    whose first four and last four are each four distinct outputs but share
+    one, as well as a negative or too large output and short ``bytes``."""
     outputs = nv.model.rank_tables().outputs.tolist()
     assert [nv.model.function_rank(tuple(f)) for f in outputs] == list(range(nv.N_FUNCTIONS))
     for head in itertools.permutations(range(8), 4):
@@ -350,14 +350,37 @@ def test_interned_tuples_change_no_verdict(nct_gc, monkeypatch, built):
     assert (nv.model._interned is None) is not built
 
 
-def test_function_rank_accepts_integer_sequences_of_any_kind():
-    tof = [0, 1, 2, 3, 4, 5, 7, 6]
-    rank = nv.model.function_rank(tuple(tof))
-    for func in (tof, np.array(tof), np.array(tof, dtype=np.uint8),
-                 tuple(np.array(tof)), bytes(tof), iter(tof)):
-        assert nv.model.function_rank(func) == rank
+@given(st.permutations(range(8)))
+def test_function_rank_accepts_integer_sequences_of_any_kind(func):
+    rank = lehmer_rank(func)
+    integer_dtypes = (np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64)
+    for same in (nv.model.function_tuples()[rank], tuple(func), func, bytes(func), iter(func),
+                 tuple(np.array(func)), *(np.array(func, dtype=d) for d in integer_dtypes)):
+        assert nv.model.function_rank(same) == rank
     assert nv.model.function_rank(np.arange(8)) == 0
-    assert nv.model.validate_permutation(np.array(tof, dtype=np.int32)) == tuple(tof)
+    assert nv.model.validate_permutation(np.array(func, dtype=np.int32)) == tuple(func)
+
+
+@given(start=st.integers(0, nv.N_FUNCTIONS), step=st.integers(1, 4000),
+       count=st.integers(0, 40), columns=st.permutations(range(8)))
+def test_ranks_of_ranks_rows_of_any_dtype_and_layout(start, step, count, columns):
+    """``RankTables.ranks_of`` against ``function_rank`` and the Lehmer
+    rank, on rows of the rank tables' outputs: a row-sliced view, its rows
+    with the columns permuted as strided and reversed views, and as int64,
+    uint8 and Fortran-order copies; zero rows too."""
+    tables = nv.model.rank_tables()
+    rows = tables.outputs[start:start + count * step:step]
+    assert tables.ranks_of(rows).tolist() == list(range(nv.N_FUNCTIONS)[start:start + count * step:step])
+    permuted = rows[:, columns]
+    expected = [lehmer_rank(f) for f in permuted.tolist()]
+    assert [nv.model.function_rank(f) for f in permuted.tolist()] == expected
+    spread = np.zeros((len(rows), 16), dtype=np.int64)
+    spread[:, 1::2] = permuted
+    for matrix in (spread[:, 1::2], permuted.astype(np.int64), permuted.astype(np.uint8),
+                   np.asfortranarray(permuted, dtype=np.int32)):
+        ranks = tables.ranks_of(matrix)
+        assert ranks.dtype == np.int32 and ranks.tolist() == expected
+        assert tables.ranks_of(matrix[::-1]).tolist() == expected[::-1]
 
 
 def test_relabel_function_examples():
