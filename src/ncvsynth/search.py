@@ -63,8 +63,8 @@ receives from one expansion join into the batch an unsplit expansion would
 make: witnesses, costs and states visited do not depend on the chunk size
 or the number of threads.  The worker reads only its chunk, the window's sorted keys (an array
 the search replaces, never mutates, and does not replace while chunks run)
-and the read-only orbit and gate tables.  The worker starts at a search's
-first split and stops when the search returns, so none outlives it (a
+and the read-only orbit and gate tables.  The worker starts at a call's
+first split and stops when the call returns, so none outlives it (a
 process forked later starts its own).  A drain of more than ``_CHUNK``
 candidates is cut into one key range per thread, at the window's
 quantiles, so that the bounds depend on the window alone.  Each range, on
@@ -97,9 +97,11 @@ Plans: what a search derives from its gate list, weights, line symmetries
 and reduction switches is built once per such key by ``_search_plan`` and
 shared, read-only, by every search of that key: the reductions the weights
 leave on, the expansion and orbit tables, the span, the record columns, the
-NOT ids and the root's canonical key, sigma, rank and successors.  Budgets
+NOT ids and the root's canonical key, sigma and rank.  Budgets
 (``max_cost``, ``max_states``) are per call and not in the key.  A plan
-that fails to build (ValueError) is not cached.
+that fails to build (ValueError) is not cached.  ``_prefix`` keeps, under
+the same key, the log of the drains that the plan's target searches share
+(see "Target search" below).
 
 Search reductions (each can be switched off):
 
@@ -218,10 +220,36 @@ bucket positions and with the same winners as in a search without the ball
 state the ball keeps): the target's winners, sigmas and record, and so its
 witness, are bit-for-bit unchanged.  The target search compares primary
 costs; its secondary weights are 0.
+
+The prefix: until a target search meets its ball, ``keep`` is unset and
+nothing it drains or expands depends on the target, so every target search
+of a plan makes the same drains up to its meeting drain.  ``_prefix`` logs
+them once per plan key, append-only: per drain its cost, keys and settle
+indices, and the search right after its expansion.  A target search replays
+the log, growing its own ball from each logged drain; at its meeting drain
+it forks a private search from the logged state (the containers copied,
+the arrays shared: every array a search keeps is read-only), sets its
+``keep`` and goes on, and it extracts its path from the settled records of
+whichever search yielded its last drain.  The log is built by the first
+target search of its plan, never at import, and it grows only when a
+request needs a drain past its end: under a lock, on that request's pool,
+and expanding a drain only once a request needs what follows it, so the
+request that grows it does no work its own search would not.  If anything
+raises while it grows, the whole log is dropped.  Calls may come from
+several threads.  The log lives as long as its plan and holds the drains
+up to the deepest meeting asked for.  Measured on 2 vCPUs: after the 240
+requests of a ``synth-one`` benchmark round, at most 4,236 states and 0.47
+MiB per plan (ncv-155/path); after a plan's deepest targets, at most
+99,245 states and 7.2 MiB (ncv-111/path) and 86,712 states and 8.8 MiB
+(ncv-155/path).  20 uniform ncv-111/full targets in one process take a
+median of 7-9 ms per request and 0.22-0.28 s in all; a cold ``ncvsynth
+synth`` of the cost-23 ncv-111/path target, which shares no work,
+0.30-0.34 s.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import heapq
 import itertools
@@ -1020,8 +1048,10 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class _Pool:
-    """The workers of one search, which expand chunks and drain key ranges:
-    started at the first split, shut down when the search ends."""
+    """The workers of one call, which expand chunks and drain key ranges:
+    started at the first split, shut down when the call ends.  A target
+    search's prefix log grows on the pool of the call that needs its next
+    drain, so its large frontiers split too and no thread outlives a call."""
 
     def __init__(self) -> None:
         self.workers = _workers()
@@ -1072,20 +1102,35 @@ class _Pool:
 #: packed-key order and their settle indices.
 _Drain = tuple[Cost, np.ndarray, np.ndarray]
 
+#: A drain of a target search, and the settled records that hold its states.
+_Recorded = tuple[Cost, np.ndarray, np.ndarray, list]
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+#: The root's settled record: its own predecessor, gate id 255 and sigma 0
+#: (see _extract_paths).
+_ROOT_RECORD = (np.zeros(1, np.int32), np.array([255], np.uint8), np.zeros(1, np.int8))
+_read_only(*_ROOT_RECORD)
+
 
 class _Search:
-    """The settle loop of a search from the identity, as a stepper: ``drains``
-    yields after each drain that settles a state, and expands that drain's
-    states only when resumed, so a caller that stops stepping expands
-    nothing more.  ``keep``, where set, is given each drain's cost and fresh
-    keys and returns the mask of those to settle; the others are dropped
-    unsettled."""
+    """The settle loop of a search from the identity, its root settled and
+    expanded: ``next_drain`` drains buckets in cost order up to the next
+    drain that settles a state, which ``_expand`` then expands; ``drains``
+    alternates the two, yielding each drain before it expands it, so a
+    caller that stops stepping expands nothing more.  ``keep``, where set,
+    is given each drain's cost and fresh keys and returns the mask of those
+    to settle; the others are dropped unsettled.  Every array a search keeps
+    is read-only once made, so ``fork`` shares them."""
 
-    def __init__(self, plan: _Plan, pool: _Pool) -> None:
+    def __init__(self, plan: _Plan, pool: _Pool | None) -> None:
         self.plan, self.pool = plan, pool
-        # Per drain, its states' predecessor settle indices, gate ids and
-        # sigmas; the root's are its own, 255 and 0 (see _extract_paths).
-        self.settled = [(np.zeros(1, np.int32), np.array([255], np.uint8), np.zeros(1, np.int8))]
+        # Per drain, its states' predecessor settle indices, gate ids and sigmas.
+        self.settled = [_ROOT_RECORD]
         self.total = 1
         # The settled states a candidate can meet (see the module docstring):
         # each drain's new keys with its primary cost, and their sorted union.
@@ -1093,26 +1138,48 @@ class _Search:
         self.window_keys = plan.root
         self.buckets: dict[Cost, list] = {}
         self.heap: list[Cost] = []
+        self.cost: Cost | None = None  # the bucket being drained
         self.keep: Callable[[Cost, np.ndarray], np.ndarray] | None = None
+        self._expand(plan.root, np.zeros(1, np.int32), np.zeros(1, np.uint16), (0, 0))
+
+    def fork(self, pool: _Pool | None) -> _Search:
+        """A search on ``pool`` that goes on from this one's state alone: the
+        buckets, heap, window list and settled list are copied, and the
+        arrays in them shared."""
+        twin = copy.copy(self)
+        twin.pool = pool
+        twin.settled, twin.window, twin.heap = list(self.settled), list(self.window), list(self.heap)
+        twin.buckets = {cost: list(batches) for cost, batches in self.buckets.items()}
+        return twin
 
     def drains(self) -> Iterator[_Drain]:
-        self._enqueue(self.plan.root_batches)
-        while self.heap:
-            cost = heapq.heappop(self.heap)
-            floor = cost[0] - self.plan.span
-            if self.window[0][0] < floor:
-                self.window = [(c, k) for c, k in self.window if c >= floor]
-                # Each drain's keys are sorted: a stable sort merges the runs.
-                self.window_keys = np.sort(
-                    np.concatenate([k for _, k in self.window]), kind="stable"
-                )
-            while self.buckets.get(cost):
-                settled = self._drain(cost)
-                if settled is not None:
-                    keys, gidx, placed = settled
-                    yield cost, keys, gidx
-                    self._expand(keys, gidx, placed, cost)
-            self.buckets.pop(cost, None)
+        while (drain := self.next_drain()) is not None:
+            cost, keys, gidx, placed = drain
+            yield cost, keys, gidx
+            self._expand(keys, gidx, placed, cost)
+
+    def next_drain(self) -> tuple[Cost, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The next drain that settles a state: its cost, keys, settle
+        indices and placement sets (see ``_drain``); None once the queue is
+        empty.  The current bucket is drained to exhaustion before the next
+        is taken from the heap, and the window is trimmed to the new one."""
+        while True:
+            while not self.buckets.get(self.cost):
+                self.buckets.pop(self.cost, None)
+                if not self.heap:
+                    return None
+                self.cost = heapq.heappop(self.heap)
+                floor = self.cost[0] - self.plan.span
+                if self.window[0][0] < floor:
+                    self.window = [(c, k) for c, k in self.window if c >= floor]
+                    # Each drain's keys are sorted: a stable sort merges the runs.
+                    self.window_keys = np.sort(
+                        np.concatenate([k for _, k in self.window]), kind="stable"
+                    )
+                    _read_only(self.window_keys)
+            settled = self._drain(self.cost)
+            if settled is not None:
+                return (self.cost, *settled)
 
     def _drain(self, cost: Cost) -> tuple[np.ndarray, ...] | None:
         """Settle the fresh keys of the bucket's batches: their keys, settle
@@ -1185,7 +1252,9 @@ class _Search:
 
         self.pool.map(merge, range(ranges))
         gidx = np.arange(self.total, self.total + len(new_keys), dtype=np.int32)
-        self.settled.append(tuple(column[winners] for column in columns[1:]))
+        record = tuple(column[winners] for column in columns[1:])
+        _read_only(new_keys, gidx, placed, merged, *record)
+        self.settled.append(record)
         self.total += len(new_keys)
         self.window.append((cost[0], new_keys))
         self.window_keys = merged
@@ -1210,6 +1279,7 @@ class _Search:
         """Append (bucket, batch) pairs, made since the latest settle, to
         their buckets."""
         for new_cost, batch in batches:
+            _read_only(*batch)
             if new_cost not in self.buckets:
                 heapq.heappush(self.heap, new_cost)
             self.buckets.setdefault(new_cost, []).append((self.total, batch))
@@ -1301,31 +1371,99 @@ def _ball_keys(keys: np.ndarray, orders: np.ndarray, orbits: _Orbits) -> np.ndar
     return _canonical(images, orbits)[0]
 
 
-def _toward(search: _Search, target: int) -> Iterator[_Drain]:
+class _Prefix:
+    """The prefix log of one plan (see "The prefix" in the module
+    docstring).  Drain i is a ``_Recorded`` whose records are the log's
+    search's settled list, which only grows; state i is a fork of that
+    search right after drain i's expansion.  ``_advance`` grows both under
+    ``lock``, and ``_drop`` empties the log."""
+
+    def __init__(self, plan: _Plan) -> None:
+        self.plan = plan
+        self.lock = threading.Lock()
+        self._drop()
+
+    def _drop(self) -> None:
+        self.search: _Search | None = None
+        self.drains: list[_Recorded] = []
+        self.states: list[_Search] = []
+        self.placed: np.ndarray | None = None  # the last drain's placement sets
+
+    def drain(self, i: int, pool: _Pool) -> _Recorded | None:
+        """Drain i, or None if the search ends before it."""
+        drains = self.drains
+        if i >= len(drains):
+            drains = self._advance(i, False, pool)[0]
+        return drains[i] if i < len(drains) else None
+
+    def state(self, i: int, pool: _Pool) -> _Search:
+        """The search right after drain i's expansion (drain i exists)."""
+        states = self.states
+        if i >= len(states):
+            states = self._advance(i, True, pool)[1]
+        return states[i]
+
+    def _advance(self, i: int, expanded: bool, pool: _Pool) -> tuple[list, list]:
+        """Grow the log on ``pool`` to drain i and, if ``expanded``, state i,
+        or until the search ends; the drains and states as they then are."""
+        with self.lock:
+            try:
+                if self.search is None:
+                    self.search = _Search(self.plan, pool)
+                search = self.search
+                search.pool = pool
+                while len(self.drains) <= i or (expanded and len(self.states) <= i):
+                    if len(self.states) < len(self.drains):
+                        cost, keys, gidx, _ = self.drains[-1]
+                        search._expand(keys, gidx, self.placed, cost)
+                        self.states.append(search.fork(None))
+                        continue
+                    drain = search.next_drain()
+                    if drain is None:
+                        break
+                    self.drains.append((*drain[:3], search.settled))
+                    self.placed = drain[3]
+                search.pool = None
+            except BaseException:
+                self._drop()
+                raise
+            return self.drains, self.states
+
+
+@functools.cache
+def _prefix(*key) -> _Prefix:
+    """The prefix log of the target searches of ``_search_plan(*key)``,
+    empty until the first of them advances it."""
+    return _Prefix(_search_plan(*key))
+
+
+def _toward(prefix: _Prefix, pool: _Pool, target: int) -> Iterator[_Recorded]:
     """The drains of a target search (see "Target search" in the module
-    docstring) for the function of rank ``target``: the ball around the
-    target, whose row orders under the group's relabelings (and output
-    masks) are each record column's image of it, grows by the images of
-    each drain's keys, at the drain's cost, until a drain settles a key
-    inside it; from then on the search drops each fresh key that lies on no
-    path to the target of cost at most the meeting bound."""
-    plan, ranks = search.plan, rank_tables()
+    docstring) for the function of rank ``target``, each with the settled
+    records that hold its states: the ball around the target, whose row
+    orders under the group's relabelings (and output masks) are each record
+    column's image of it, grows by the images of each of the prefix's
+    drains, at the drain's cost, until a drain settles a key inside it;
+    from then on a fork of the prefix's search drops each fresh key that
+    lies on no path to the target of cost at most the meeting bound."""
+    plan, ranks = prefix.plan, rank_tables()
     # The row orders of N_m o T' for each column's relabeling T', made
     # unique by their 8-byte codes (big-endian, so in row order).
     orders = ranks.outputs[ranks.relabeled[target, plan.col_perm]] ^ plan.col_mask[:, None]
     orders = _distinct(orders.view(">u8")).view(np.uint8).reshape(-1, N_ROWS)
-    drains = search.drains()
     images = _distinct(_ball_keys(plan.root, orders, plan.orbits))
     ball = (images, np.zeros(len(images), dtype=np.int64))
-    for cost, keys, gidx in drains:
-        yield cost, keys, gidx
+    for i in itertools.count():
+        drain = prefix.drain(i, pool)
+        if drain is None:
+            return
+        yield drain
+        cost, keys = drain[:2]
         images = _distinct(_ball_keys(keys, orders, plan.orbits))
         ball = _merged(*ball, images[~_find(ball[0], images)[1]], cost[0])
         bound = _met(*ball, keys, cost[0])
         if bound is not None:
             break
-    else:
-        return
     ball_keys, ball_costs = ball
     reach = cost[0]
 
@@ -1336,8 +1474,10 @@ def _toward(search: _Search, target: int) -> Iterator[_Drain]:
         rest = np.where(inside, ball_costs.take(at, mode="clip"), reach)
         return rest <= bound - cost[0]
 
+    search = prefix.state(i, pool).fork(pool)
     search.keep = keep
-    yield from drains
+    for drain in search.drains():
+        yield (*drain, search.settled)
 
 
 @functools.cache
@@ -1367,7 +1507,6 @@ class _Plan(NamedTuple):
     root: np.ndarray        # uint64 the identity's canonical key, as one entry
     root_sigma: np.ndarray  # int8 the sigma id taking the identity to it
     root_rank: np.ndarray   # int32 the rank of its function
-    root_batches: tuple     # the root's (bucket, batch) pairs, as _successors makes them
 
 
 @functools.cache
@@ -1412,17 +1551,12 @@ def _search_plan(
     col_sigma = col_perm + _N_SIDS * col_mask.astype(np.int8)
     nots = np.array([not_ids[line] for line in range(N_LINES)] if masks else [], dtype=np.uint8)
     root, root_sigma = _canonical(np.array([CircuitState.identity().pack()], np.uint64), orbits)
-    plan = _Plan(
+    root_rank = _ranks_of(root)
+    _read_only(col_perm, col_mask, col_sigma, nots, root, root_sigma, root_rank)
+    return _Plan(
         _expansion(gates, weights), orbits, no_repeat, max(w[0] for w in weights),
-        col_perm, col_mask, col_sigma, nots, root, root_sigma, _ranks_of(root), (),
+        col_perm, col_mask, col_sigma, nots, root, root_sigma, root_rank,
     )
-    root_batches = _successors(
-        plan, root, np.zeros(1, np.int32), np.zeros(1, np.uint16), (0, 0), root
-    )
-    # The plan's own arrays, col_perm to root_rank, and the batches' arrays.
-    for arr in (*plan[4:-1], *(arr for _, batch in root_batches for arr in batch)):
-        arr.setflags(write=False)
-    return plan._replace(root_batches=tuple(root_batches))
 
 
 def _run_search(
@@ -1437,10 +1571,9 @@ def _run_search(
     function in rank order (of the target alone, if given) and the number
     of (canonical) states settled.  A target search compares primary costs
     only: its secondary weights must be 0."""
-    plan = _search_plan(
-        tuple(gates), tuple(weights), tuple(symmetries),
-        options.no_repeat_placement, options.settle_relabelings,
-    )
+    key = (tuple(gates), tuple(weights), tuple(symmetries),
+           options.no_repeat_placement, options.settle_relabelings)
+    plan = _search_plan(*key)
     orbits, ranks = plan.orbits, rank_tables()
     # One slot per function by rank, or the target's one.
     slots = N_FUNCTIONS if target is None else 1
@@ -1475,13 +1608,16 @@ def _run_search(
         sigma_of[new] = plan.col_sigma[col]
         remaining -= len(new)
 
+    record(plan.root_rank, np.zeros(1, dtype=np.int32), (0, 0))
+    settled, visited = [_ROOT_RECORD], 1
     with _Pool() as pool:
-        search = _Search(plan, pool)
-        record(plan.root_rank, np.zeros(1, dtype=np.int32), (0, 0))
-        drains = search.drains() if target is None or not remaining else _toward(search, target)
-        visited = 1
+        if target is None:
+            search = _Search(plan, pool)
+            drains = ((*drain, search.settled) for drain in search.drains())
+        else:
+            drains = _toward(_prefix(*key), pool, target)
         while remaining:
-            cost, keys, gidx = next(drains, (None, None, None))
+            cost, keys, gidx, settled = next(drains, (None,) * 4)
             if cost is None:
                 raise InternalError("internal error: search ended with unsettled functions")
             # States settled so far: the search stops at the drain that
@@ -1503,7 +1639,7 @@ def _run_search(
     states, rows = (np.unique(state_of, return_inverse=True) if target is None
                     else (state_of, np.zeros(1, dtype=np.intp)))
     paths, lengths, path_sigma = _extract_paths(
-        states, *map(np.concatenate, zip(*search.settled)), orbits, plan.root_sigma
+        states, *map(np.concatenate, zip(*settled)), orbits, plan.root_sigma
     )
     lengths = lengths[rows]
     ids = orbits.relabel[sigma_of[:, None], paths[rows]]
@@ -1625,7 +1761,10 @@ def synthesize_one(
     topology: Topology = FULL_TOPOLOGY,
     options: SearchOptions | None = None,
 ) -> tuple[int, Circuit]:
-    """Optimal cost and witness for one function; stops as soon as it settles."""
+    """Optimal cost and witness for one function; stops as soon as it
+    settles.  The search replays the drains its plan's earlier calls logged
+    (see "The prefix" in the module docstring), so its result does not
+    depend on them.  Calls may come from several threads at once."""
     target = function_rank(func)
     paths, _, _ = _run_search(*weighted_gates(metric, topology), topology.line_symmetries(),
                               options or SearchOptions(), target=target)

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -219,6 +220,7 @@ def test_no_drain_at_cost_zero_settles_a_state(monkeypatch):
     identity, in its orbit, are no fresh states at cost 0 under ncv-012."""
     settled_at_zero = []
     drain = search._Search._drain
+    search._prefix.cache_clear()
 
     def spy(self, cost):
         settled = drain(self, cost)
@@ -592,14 +594,15 @@ def test_target_search_budgets_count_its_states(monkeypatch):
     stops it at the first drain above it, and a target of that cost is
     found with the unbudgeted witness."""
     drained = []  # the cost of every drain, in order
-    drains = search._Search.drains
+    next_drain = search._Search.next_drain
 
     def spy(self):
-        for drain in drains(self):
+        drain = next_drain(self)
+        if drain is not None:
             drained.append(drain[0][0])
-            yield drain
+        return drain
 
-    monkeypatch.setattr(search._Search, "drains", spy)
+    monkeypatch.setattr(search._Search, "next_drain", spy)
     func, topology = TOF_FUNC, nv.PATH_TOPOLOGY
     cost, circuit = nv.synthesize_one(func, nv.NCV_111, topology)
     gates = enumerate_gates(topology, "NCV")
@@ -615,6 +618,8 @@ def test_target_search_budgets_count_its_states(monkeypatch):
     assert budgeted(max_states=states) == budgeted(max_cost=cost) == (cost, circuit)
     with pytest.raises(BudgetExceeded, match="state ceiling .* 1 function"):
         budgeted(max_states=states - 1)
+    # On an empty prefix log the search's drains are the log's, then its fork's.
+    search._prefix.cache_clear()
     drained.clear()
     with pytest.raises(BudgetExceeded, match="cost ceiling 8 reached with 1 function"):
         budgeted(max_cost=cost - 1)
@@ -755,22 +760,213 @@ def _arrays(part):
             yield from _arrays(item)
 
 
+def _log_arrays(part, seen=None):
+    """Every array reachable from ``part``, a prefix log: through its
+    searches' attributes, lists, tuples and dicts (the plan's among them)."""
+    seen = set() if seen is None else seen
+    if id(part) in seen:
+        return
+    seen.add(id(part))
+    if isinstance(part, np.ndarray):
+        yield part
+    elif isinstance(part, (list, tuple)):
+        for item in part:
+            yield from _log_arrays(item, seen)
+    elif isinstance(part, dict):
+        for item in part.values():
+            yield from _log_arrays(item, seen)
+    elif isinstance(part, (search._Prefix, search._Search)):
+        for name, item in vars(part).items():
+            if name not in ("lock", "pool"):
+                yield from _log_arrays(item, seen)
+
+
+def _assert_read_only(arrays):
+    for arr in arrays:
+        assert not arr.flags.writeable
+        if arr.size:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+
+
+def _prefix_of(metric, topology):
+    """The prefix log of ``synthesize_one``'s searches under ``metric`` on
+    ``topology``."""
+    gates, weights = search.weighted_gates(metric, topology)
+    return search._prefix(gates, weights, topology.line_symmetries(), True, True)
+
+
 def test_plan_arrays_are_read_only():
-    """Every array of a plan, its expansion, its orbit tables and its root's
-    batches is shared by the searches of its key, so none can be written."""
+    """Every array of a plan, its expansion and its orbit tables, and every
+    array reachable from its prefix log, is shared by the searches of its
+    key, so none can be written."""
     gates = enumerate_gates(nv.FULL_TOPOLOGY, "NCV")
     plan = search._search_plan(
         gates, tuple((nv.NCV_012.weight(g), 0) for g in gates),
         nv.FULL_TOPOLOGY.line_symmetries(), True, True,
     )
-    assert plan.orbits.masks and plan.orbits.conj and plan.root_batches
+    assert plan.orbits.masks and plan.orbits.conj
     arrays = list(_arrays(plan))
-    assert len(arrays) == 21 + 4 * len(plan.root_batches)
-    for arr in arrays:
-        assert arr.size
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = arr.flat[0]
+    assert len(arrays) == 21 and all(arr.size for arr in arrays)
+    nv.synthesize_one(TOF_FUNC, nv.NCV_012)
+    prefix = _prefix_of(nv.NCV_012, nv.FULL_TOPOLOGY)
+    assert prefix.drains and prefix.states
+    _assert_read_only([*arrays, *_log_arrays(prefix)])
 
+
+# --------------------------------------------------------------------------
+# The prefix log of target searches
+
+PREFIX_PLANS = {  # name: (metric, topology)
+    "ncv-111/full": (nv.NCV_111, nv.FULL_TOPOLOGY),
+    "ncv-012/full": (nv.NCV_012, nv.FULL_TOPOLOGY),
+    "ncv-155/path": (nv.NCV_155, nv.PATH_TOPOLOGY),
+}
+
+#: The deepest ncv-111 function on the path topology, of cost 23.
+DEEP_PATH_FUNC = (3, 2, 4, 1, 5, 6, 7, 0)
+
+
+def _request(func, metric, topology, options=None):
+    cost, circuit = nv.synthesize_one(func, metric, topology, options)
+    return cost, circuit.codes
+
+
+def test_requests_in_any_order_match_requests_on_an_empty_prefix():
+    """A shuffled mix of the landmarks and 20 seeded uniform targets per
+    plan gives, request by request, what the request gives on its own after
+    the prefix registry is emptied: whichever requests grew the prefix, and
+    to whatever depth, a request replays the same drains up to its meeting
+    drain and forks the same search there."""
+    rng = np.random.default_rng(3434)
+    requests = [
+        (func, *PREFIX_PLANS[name]) for name in sorted(PREFIX_PLANS)
+        for func in (*LANDMARK_FUNCS, *(tuple(rng.permutation(8).tolist()) for _ in range(20)))
+    ]
+    alone = []
+    for request in requests:
+        search._prefix.cache_clear()
+        alone.append(_request(*request))
+    search._prefix.cache_clear()
+    for _ in range(2):
+        order = rng.permutation(len(requests))
+        got = {i: _request(*requests[i]) for i in order.tolist()}
+        assert [got[i] for i in range(len(requests))] == alone
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_SEARCH_STATES))
+def test_target_search_pins_hold_after_a_deeper_request(name, request):
+    """The landmarks settle their pinned states when the prefix was grown
+    past each of their searches by the deepest ncv-012 request."""
+    topology = nv.model.TOPOLOGIES[name]
+    table = request.getfixturevalue(f"ncv012_{name}")
+    deepest = nv.model.function_tuples()[int(np.argmax(table.costs))]
+    search._prefix.cache_clear()
+    nv.synthesize_one(deepest, nv.NCV_012, topology)
+    logged = int(_prefix_of(nv.NCV_012, topology).drains[-1][2][-1]) + 1
+    gates = enumerate_gates(topology, "NCV")
+    weights = [(nv.NCV_012.weight(g), 0) for g in gates]
+    states = [
+        search._run_search(
+            gates, weights, topology.line_symmetries(), SearchOptions(),
+            target=function_rank(func),
+        )[2]
+        for func in LANDMARK_FUNCS
+    ]
+    assert sum(states) == TARGET_SEARCH_STATES[name] and max(states) < logged
+
+
+def test_target_search_budgets_hold_after_a_deeper_request():
+    """``max_states`` and ``max_cost`` refuse the Toffoli on the path with
+    the pinned messages, on an empty prefix and on one that the cost-23
+    request grew past the Toffoli's search."""
+    func, topology = TOF_FUNC, nv.PATH_TOPOLOGY
+    search._prefix.cache_clear()
+    gates = enumerate_gates(topology, "NCV")
+    _, _, states = search._run_search(
+        gates, [(1, 0)] * len(gates), topology.line_symmetries(), SearchOptions(),
+        target=function_rank(func),
+    )
+    budgets = {
+        f"state ceiling {states - 1} reached with 1 function(s) unsettled":
+            SearchOptions(max_states=states - 1),
+        "cost ceiling 8 reached with 1 function(s) unsettled": SearchOptions(max_cost=8),
+    }
+    for grow in (False, True):
+        search._prefix.cache_clear()
+        if grow:
+            assert nv.synthesize_one(DEEP_PATH_FUNC, nv.NCV_111, topology)[0] == 23
+        for message, options in budgets.items():
+            with pytest.raises(BudgetExceeded) as refused:
+                nv.synthesize_one(func, nv.NCV_111, topology, options)
+            assert str(refused.value) == message, grow
+
+
+def test_a_failed_prefix_step_drops_the_log(monkeypatch, ncv111_path):
+    """An exception while the prefix advances propagates and drops the whole
+    log; the next request rebuilds it and gets the table's circuit."""
+    func, metric, topology = TOF_FUNC, nv.NCV_111, nv.PATH_TOPOLOGY
+    drain = search._Search._drain
+    calls = []
+
+    def failing(self, cost):
+        calls.append(cost)
+        if len(calls) == 3:
+            raise MemoryError("injected")
+        return drain(self, cost)
+
+    search._prefix.cache_clear()
+    monkeypatch.setattr(search._Search, "_drain", failing)
+    with pytest.raises(MemoryError, match="injected"):
+        nv.synthesize_one(func, metric, topology)
+    prefix = _prefix_of(metric, topology)
+    assert (prefix.search, prefix.drains, prefix.states) == (None, [], [])
+    monkeypatch.setattr(search._Search, "_drain", drain)
+    assert _request(func, metric, topology) == (
+        ncv111_path.cost_of(func), ncv111_path.witness(func).codes
+    )
+    assert prefix.drains and prefix.states
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_PLANS))
+def test_prefix_log_arrays_are_read_only(name):
+    metric, topology = PREFIX_PLANS[name]
+    for func in LANDMARK_FUNCS:
+        nv.synthesize_one(func, metric, topology)
+    arrays = list(_log_arrays(_prefix_of(metric, topology)))
+    assert len(arrays) > 21
+    _assert_read_only(arrays)
+
+
+def test_concurrent_requests_synthesize_the_sequential_circuits():
+    """The landmarks from 4 threads at once, each starting at a different
+    one and switching often, on one plan and then on two, on empty
+    prefixes: each thread gets the circuits of a sequential run, and no
+    thread outlives the requests."""
+    plans = [PREFIX_PLANS["ncv-012/full"], PREFIX_PLANS["ncv-155/path"]]
+    for chosen in (plans[:1], plans):
+        requests = [(func, *plan) for plan in chosen for func in LANDMARK_FUNCS]
+        search._prefix.cache_clear()
+        sequential = [_request(*r) for r in requests]
+        search._prefix.cache_clear()
+        before = threading.active_count()
+        start = threading.Barrier(4)
+
+        def run(first):
+            start.wait(timeout=60)
+            order = [(first + i) % len(requests) for i in range(len(requests))]
+            return order, [_request(*requests[i]) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                results = list(threads.map(run, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for order, got in results:
+            assert got == [sequential[i] for i in order]
+        assert threading.active_count() == before
 
 # states_visited and the SHA-256 of write_table_jsonl and the secondary
 # costs, for searches that stress the settled-state window: ncv-012 has a
@@ -1306,8 +1502,10 @@ def test_small_chunks_on_more_threads_than_cores_settle_the_same_table(name, mon
 def test_small_chunks_synthesize_the_same_circuits(monkeypatch):
     rng = np.random.default_rng(2011)
     funcs = [tuple(rng.permutation(8).tolist()) for _ in range(6)]
+    search._prefix.cache_clear()
     default = [nv.synthesize_one(f, nv.NCV_111) for f in funcs]
     monkeypatch.setattr(search, "_CHUNK", 64)
+    search._prefix.cache_clear()
     assert [nv.synthesize_one(f, nv.NCV_111) for f in funcs] == default
 
 
