@@ -218,33 +218,58 @@ path, and the kept states settle in the same drains, in the same relative
 bucket positions and with the same winners as in a search without the ball
 (reduction (1) skips no candidate that could win, whichever candidates of a
 state the ball keeps): the target's winners, sigmas and record, and so its
-witness, are bit-for-bit unchanged.  The target search compares primary
-costs; its secondary weights are 0.
+witness, are bit-for-bit unchanged.  A target's witness is therefore the
+one the unpruned search from the identity records for it, which is what
+the prefix log below runs.  The target search compares primary costs; its
+secondary weights are 0.
 
 The prefix: until a target search meets its ball, ``keep`` is unset and
 nothing it drains or expands depends on the target, so every target search
 of a plan makes the same drains up to its meeting drain.  ``_prefix`` logs
 them once per plan key, append-only: per drain its cost, keys and settle
-indices, and the search right after its expansion.  A target search replays
-the log, growing its own ball from each logged drain; at its meeting drain
-it forks a private search from the logged state (the containers copied,
-the arrays shared: every array a search keeps is read-only), sets its
-``keep`` and goes on, and it extracts its path from the settled records of
-whichever search yielded its last drain.  The log is built by the first
-target search of its plan, never at import, and it grows only when a
-request needs a drain past its end: under a lock, on that request's pool,
-and expanding a drain only once a request needs what follows it, so the
-request that grows it does no work its own search would not.  If anything
-raises while it grows, the whole log is dropped.  Calls may come from
-several threads.  The log lives as long as its plan and holds the drains
-up to the deepest meeting asked for.  Measured on 2 vCPUs: after the 240
-requests of a ``synth-one`` benchmark round, at most 4,236 states and 0.47
-MiB per plan (ncv-155/path); after a plan's deepest targets, at most
-99,245 states and 7.2 MiB (ncv-111/path) and 86,712 states and 8.8 MiB
-(ncv-155/path).  20 uniform ncv-111/full targets in one process take a
-median of 7-9 ms per request and 0.22-0.28 s in all; a cold ``ncvsynth
-synth`` of the cost-23 ncv-111/path target, which shares no work,
-0.30-0.34 s.
+indices, and the search right after its expansion.  The log runs the
+unpruned search, so it also records, once per plan, the functions its
+drains settle: per rank, one int8 entry naming the root or the drain that
+records the function first, by the record rule of a search of every
+function.  A request without a budget whose target the log records reads
+its witness from the log: the target's first record in that entry, by the
+target search's rule, and the path to that state over the log's settled
+records.  That is the replay's witness bit for bit: in the replay the
+target's first record comes in the same drain, on the same state and
+column (the state realizes a relabeling of the target, so its cost to the
+target is 0 and the ball keeps it), and the pruning keeps its winners (see
+"Target search").  Such a request settles nothing: it builds no ball,
+replays no drain, forks nothing and takes no lock.  Any other request
+replays the log, growing its own ball from each logged drain; at its
+meeting drain it forks a private search from the logged state (the
+containers copied, the arrays shared: every array a search keeps is
+read-only), sets its ``keep`` and goes on, and it extracts its path from
+the settled records of whichever search yielded its last drain.  A budget
+counts a call's own search, so a request with ``max_cost`` or
+``max_states`` always replays.  The log is built by the first target
+search of its plan, never at import, and it grows only when a request
+needs a drain past its end: under a lock, on that request's pool, and
+expanding a drain only once a request needs what follows it, so the
+request that grows it does no work its own search would not, beyond
+recording that drain's functions.  If anything raises while it grows, the
+whole log is dropped, its record with it.  Calls may come from several
+threads: the record is replaced whole after each drain the log appends,
+and a reader that sees a drain's entry finds that drain beside it.  The
+log lives as long as its plan and holds the drains up to the deepest
+meeting asked for.  Measured on 2 vCPUs: after a ``synth-one`` benchmark
+round (seed 1), at most 4,236 states and 0.47 MiB per plan
+(ncv-155/path), and 40 KB of record; after a plan's deepest targets, at
+most 99,245 states and 7.2 MiB (ncv-111/path) and 86,712 states and 8.8
+MiB (ncv-155/path).  In each ``synth-one`` round after the first, the log
+answers 87-89 of the 120 requests (seeds 1, 2, 3 and 7).  A landmark that
+the log answers takes 95-180 µs in process, against 0.7-1.5 ms for its
+replay.  A uniform target mostly settles past its meeting drain, so it
+mostly replays: of 120 uniform targets over the three named metrics on
+both topologies, the logs answer 22-29, and 27-31 when the same 120 are
+asked again (seeds 7 and 8).  20 uniform ncv-111/full targets in one process take a median of
+7.6-8.2 ms per request and 0.26-0.36 s in all, as they did before the log
+answered; a cold ``ncvsynth synth`` of the cost-23 ncv-111/path target,
+which shares no work, 0.33-0.46 s.
 """
 
 from __future__ import annotations
@@ -705,13 +730,25 @@ def _row_classes() -> np.ndarray:
 
 
 def _row_pair_lookup(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(key, i) -> ``table`` entry of the key's rows 2i and 2i+1, looked up
-    block by block of ``_BLOCK`` keys."""
+    """(key, i) -> ``table`` entry of the key's rows 2i and 2i+1.  Up to
+    ``_STACKED_KEYS`` keys take one broadcast over the row pairs; more take
+    one shift, mask and ``take`` per row pair into a column of the output,
+    block by block of ``_BLOCK`` keys: a broadcast's inner loop runs over
+    the 4 pairs.  Measured on 2 vCPUs, broadcast against columns: 1.05
+    against 0.27 ms on 30,000 random keys, 5.3 against 2.0-2.4 ms on
+    200,000, and 3.6 against 13-15 µs on 3."""
     out = np.empty((len(keys), len(_PAIR_SHIFTS)), dtype=table.dtype)
-    for start in range(0, len(keys), _BLOCK):
-        pairs = keys[start:start + _BLOCK, None] >> _PAIR_SHIFTS
+    if len(keys) <= _STACKED_KEYS:
+        pairs = keys[:, None] >> _PAIR_SHIFTS
         pairs &= _U64(0xFFF)
-        table.take(pairs, out=out[start:start + _BLOCK], mode="clip")
+        table.take(pairs, out=out, mode="clip")
+        return out
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        for i, shift in enumerate(_PAIR_SHIFTS):
+            pairs = block >> shift
+            pairs &= _U64(0xFFF)
+            table.take(pairs, out=out[start:start + _BLOCK, i], mode="clip")
     return out
 
 
@@ -1375,8 +1412,15 @@ class _Prefix:
     """The prefix log of one plan (see "The prefix" in the module
     docstring).  Drain i is a ``_Recorded`` whose records are the log's
     search's settled list, which only grows; state i is a fork of that
-    search right after drain i's expansion.  ``_advance`` grows both under
-    ``lock``, and ``_drop`` empties the log."""
+    search right after drain i's expansion.  ``recorded`` pairs the drain
+    list with an int8 entry per rank: where the log first records the
+    function, 0 for the root and i + 1 for drain i (the index of its record
+    in the settled list), or -1.  A function first recorded past drain 126
+    stays -1, and its requests replay; a whole search under a named metric
+    makes at most 105 drains (ncv-155/path).  ``_advance`` grows the log
+    under ``lock`` and replaces that array whole after each drain it
+    appends, so a reader that sees entry i + 1 finds drain i in the list
+    beside it; ``_drop`` empties the log and the record."""
 
     def __init__(self, plan: _Plan) -> None:
         self.plan = plan
@@ -1388,6 +1432,44 @@ class _Prefix:
         self.drains: list[_Recorded] = []
         self.states: list[_Search] = []
         self.placed: np.ndarray | None = None  # the last drain's placement sets
+        unrecorded = np.full(N_FUNCTIONS, -1, dtype=np.int8)
+        _read_only(unrecorded)
+        self.recorded: tuple[np.ndarray, list[_Recorded]] = (unrecorded, self.drains)
+
+    def answer(self, target: int) -> WitnessPaths | None:
+        """The witness of a target search for the function of rank
+        ``target``, read from the log if it records the function (None if
+        not): its first record in the first entry that records it, by the
+        target search's rule, and its path over the settled records up to
+        that entry.  It settles nothing and takes no lock."""
+        first, drains = self.recorded
+        entry = int(first[target])
+        if entry < 0:
+            return None
+        plan = self.plan
+        cost, keys, gidx, settled = (
+            ((0, 0), plan.root, np.zeros(1, np.int32), [_ROOT_RECORD]) if entry == 0
+            else drains[entry - 1]
+        )
+        funcs, states = _boolean_states(keys, gidx)
+        _, row, sigma = _record(plan, funcs, target)
+        return _witness_paths(plan, np.array(cost[:1], dtype=np.int64), states[row], sigma,
+                              settled[:entry + 1])
+
+    def _note(self, entry: int, keys: np.ndarray, gidx: np.ndarray) -> None:
+        """Record at ``entry`` each function that the Boolean states among
+        ``keys`` record and no earlier entry does."""
+        first = self.recorded[0]
+        funcs, _ = _boolean_states(keys, gidx)
+        if not len(funcs) or entry > np.iinfo(first.dtype).max:
+            return
+        ranks = _record(self.plan, funcs, None)[0]
+        ranks = ranks[first[ranks] < 0]
+        if len(ranks):
+            first = first.copy()
+            first[ranks] = entry
+            _read_only(first)
+            self.recorded = (first, self.drains)
 
     def drain(self, i: int, pool: _Pool) -> _Recorded | None:
         """Drain i, or None if the search ends before it."""
@@ -1410,6 +1492,7 @@ class _Prefix:
             try:
                 if self.search is None:
                     self.search = _Search(self.plan, pool)
+                    self._note(0, self.plan.root, np.zeros(1, np.int32))
                 search = self.search
                 search.pool = pool
                 while len(self.drains) <= i or (expanded and len(self.states) <= i):
@@ -1423,6 +1506,7 @@ class _Prefix:
                         break
                     self.drains.append((*drain[:3], search.settled))
                     self.placed = drain[3]
+                    self._note(len(self.drains), *drain[1:3])
                 search.pool = None
             except BaseException:
                 self._drop()
@@ -1571,10 +1655,8 @@ def _run_search(
     function in rank order (of the target alone, if given) and the number
     of (canonical) states settled.  A target search compares primary costs
     only: its secondary weights must be 0."""
-    key = (tuple(gates), tuple(weights), tuple(symmetries),
-           options.no_repeat_placement, options.settle_relabelings)
+    key = _plan_key(gates, weights, symmetries, options)
     plan = _search_plan(*key)
-    orbits, ranks = plan.orbits, rank_tables()
     # One slot per function by rank, or the target's one.
     slots = N_FUNCTIONS if target is None else 1
     cost_of = np.full(slots, -1, dtype=np.int64)
@@ -1582,30 +1664,20 @@ def _run_search(
     state_of = np.full(slots, -1, dtype=np.int32)
     sigma_of = np.zeros(slots, dtype=np.int8)
     remaining = slots
-    width = len(plan.col_perm)
 
     def record(funcs: np.ndarray, states: np.ndarray, cost: Cost) -> None:
         """Record the functions of Boolean states settled in packed-key order
-        with all their record columns; the first record of a function wins.
-        A target search records its target alone, at its first candidate,
-        the index ``np.unique`` would return for it (the search stops once
-        it is recorded)."""
+        (a target search: its target alone) where no earlier drain did."""
         nonlocal remaining
-        candidates = ranks.relabeled[funcs[:, None], plan.col_perm]
-        if orbits.masks:
-            candidates = _input_masked()[candidates, plan.col_mask]
-        candidates = candidates.ravel()
+        new, row, sigma = _record(plan, funcs, target)
         if target is None:
-            new, first = np.unique(candidates, return_index=True)
             fresh = cost_of[new] < 0
-            new, first = new[fresh], first[fresh]
+            new, row, sigma = new[fresh], row[fresh], sigma[fresh]
         else:
-            first = np.flatnonzero(candidates == target)[:1]
-            new = np.zeros(len(first), dtype=np.intp)
-        row, col = np.divmod(first, width)
+            new = np.zeros(len(new), dtype=np.intp)  # the target's slot
         cost_of[new], secondary_of[new] = cost
         state_of[new] = states[row]
-        sigma_of[new] = plan.col_sigma[col]
+        sigma_of[new] = sigma
         remaining -= len(new)
 
     record(plan.root_rank, np.zeros(1, dtype=np.int32), (0, 0))
@@ -1631,13 +1703,65 @@ def _run_search(
                         f"{what} ceiling {ceiling} reached with "
                         f"{remaining} function(s) unsettled"
                     )
-            boolean = (keys & _ALL_FLAGS) == _U64(0)
-            if bool(boolean.any()):
-                record(_ranks_of(keys[boolean]), gidx[boolean], cost)
+            funcs, states = _boolean_states(keys, gidx)
+            if len(funcs):
+                record(funcs, states, cost)
+    paths = _witness_paths(plan, cost_of, state_of, sigma_of, settled)
+    return paths, secondary_of, visited
 
+
+def _plan_key(
+    gates: Sequence[Gate], weights: Sequence[Cost], symmetries: Sequence[LinePerm],
+    options: SearchOptions,
+) -> tuple:
+    """The key of ``_search_plan`` and ``_prefix`` for a search."""
+    return (tuple(gates), tuple(weights), tuple(symmetries),
+            options.no_repeat_placement, options.settle_relabelings)
+
+
+def _boolean_states(keys: np.ndarray, gidx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The function ranks of the Boolean states among a drain's ``keys``,
+    and their settle indices."""
+    boolean = (keys & _ALL_FLAGS) == _ZERO
+    if not boolean.any():
+        return np.zeros(0, dtype=np.int32), gidx[:0]
+    return _ranks_of(keys[boolean]), gidx[boolean]
+
+
+def _record(
+    plan: _Plan, funcs: np.ndarray, target: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What Boolean states of the functions ``funcs``, settled in packed-key
+    order, record with all their record columns: per rank recorded, its
+    first record (the first of a rank wins), as the rank, the row of its
+    state in ``funcs`` and the column's sigma id.  With ``target``, the
+    target's first record alone, at its first candidate, the index
+    ``np.unique`` would return for it."""
+    candidates = rank_tables().relabeled[funcs[:, None], plan.col_perm]
+    if plan.orbits.masks:
+        candidates = _input_masked()[candidates, plan.col_mask]
+    candidates = candidates.ravel()
+    if target is None:
+        ranks, first = np.unique(candidates, return_index=True)
+    else:
+        first = np.flatnonzero(candidates == target)[:1]
+        ranks = candidates[first]
+    row, col = np.divmod(first, len(plan.col_perm))
+    return ranks, row, plan.col_sigma[col]
+
+
+def _witness_paths(
+    plan: _Plan, cost_of: np.ndarray, state_of: np.ndarray, sigma_of: np.ndarray,
+    settled: Sequence[tuple[np.ndarray, ...]],
+) -> WitnessPaths:
+    """The witness of each slot: the path to its settled state
+    ``state_of`` over the ``settled`` records, each gate mapped through the
+    slot's sigma, after the input NOTs of its mask where masks are in the
+    group."""
+    orbits = plan.orbits
     # The states the slots use, each once: a target's one slot needs no unique.
-    states, rows = (np.unique(state_of, return_inverse=True) if target is None
-                    else (state_of, np.zeros(1, dtype=np.intp)))
+    states, rows = (np.unique(state_of, return_inverse=True) if len(state_of) > 1
+                    else (state_of, np.zeros(len(state_of), dtype=np.intp)))
     paths, lengths, path_sigma = _extract_paths(
         states, *map(np.concatenate, zip(*settled)), orbits, plan.root_sigma
     )
@@ -1647,7 +1771,7 @@ def _run_search(
     if orbits.masks:
         prefix = orbits.compose[sigma_of, path_sigma[rows]] // _N_SIDS
         ids, lengths = _with_not_prefix(ids, lengths, prefix, plan.not_ids, len(GATES))
-    return WitnessPaths(cost_of, ids, lengths), secondary_of, visited
+    return WitnessPaths(cost_of, ids, lengths)
 
 
 def _extract_paths(
@@ -1762,12 +1886,22 @@ def synthesize_one(
     options: SearchOptions | None = None,
 ) -> tuple[int, Circuit]:
     """Optimal cost and witness for one function; stops as soon as it
-    settles.  The search replays the drains its plan's earlier calls logged
-    (see "The prefix" in the module docstring), so its result does not
-    depend on them.  Calls may come from several threads at once."""
+    settles.  Without a budget, a function that the drains its plan's
+    earlier calls logged already record is read from that log; any other
+    call replays those drains and searches on from its meeting drain (see
+    "The prefix" in the module docstring).  Either way the result does not
+    depend on the earlier calls.  Calls may come from several threads at
+    once."""
     target = function_rank(func)
-    paths, _, _ = _run_search(*weighted_gates(metric, topology), topology.line_symmetries(),
-                              options or SearchOptions(), target=target)
+    options = options or SearchOptions()
+    gates, weights = weighted_gates(metric, topology)
+    symmetries = topology.line_symmetries()
+    paths = None
+    if options.max_cost is None and options.max_states is None:
+        # A budget counts the call's own search, so a budgeted call replays.
+        paths = _prefix(*_plan_key(gates, weights, symmetries, options)).answer(target)
+    if paths is None:
+        paths = _run_search(gates, weights, symmetries, options, target=target)[0]
     codes = paths.gate_ids[0, :paths.lengths[0]].tobytes()
     return int(paths.cost[0]), _circuit_of_codes(codes, "NCV")
 

@@ -854,6 +854,65 @@ def test_requests_in_any_order_match_requests_on_an_empty_prefix():
         assert [got[i] for i in range(len(requests))] == alone
 
 
+#: The session fixture of each prefix plan's table, or None to settle it.
+PREFIX_TABLES = {"ncv-111/full": "ncv111_full", "ncv-012/full": "ncv012_full",
+                 "ncv-155/path": None}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_PLANS))
+def test_the_log_answers_every_function_it_records_with_the_table_witness(
+    name, request, monkeypatch
+):
+    """Once a plan's deepest target has grown its log, ``synthesize_one``
+    answers every function the log records from the log, with no search,
+    and gets the ``settle_all`` witness (cost and codes); a seeded sample
+    of them, the last one the log records among them, gets the same from
+    the replay on an emptied registry."""
+    metric, topology = PREFIX_PLANS[name]
+    fixture = PREFIX_TABLES[name]
+    table = request.getfixturevalue(fixture) if fixture else nv.settle_all(metric, topology)
+    funcs = nv.model.function_tuples()
+    search._prefix.cache_clear()
+    nv.synthesize_one(funcs[int(np.argmax(table.costs))], metric, topology)
+    first = _prefix_of(metric, topology).recorded[0]
+    held = np.flatnonzero(first >= 0)
+    assert len(held) > 1_000 and first.max() > 5
+    expected = {f: (table.cost_of(f), table.witness(f).codes) for f in map(funcs.__getitem__, held)}
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_run_search", None)  # any search would raise
+        assert {f: _request(f, metric, topology) for f in expected} == expected
+    rng = np.random.default_rng(3535)
+    sample = [*rng.choice(held, 8, replace=False).tolist(), int(np.argmax(first))]
+    for rank in sample:
+        search._prefix.cache_clear()
+        assert _request(funcs[rank], metric, topology) == expected[funcs[rank]]
+
+
+def test_functions_past_the_logs_last_entry_replay():
+    """The record's int8 entries name the root and drains 0..126.  Under a
+    metric whose search records its last function in drain 151, a log
+    grown to the end records the functions of drains up to 126 and leaves
+    later ones at -1; both kinds of request get the table's witness."""
+    metric = CostMetric(100, 101, 103, 103)
+    table = nv.settle_all(metric)
+    search._prefix.cache_clear()
+    prefix = _prefix_of(metric, nv.FULL_TOPOLOGY)
+    with search._Pool() as pool:
+        assert prefix.drain(10 ** 6, pool) is None
+    first = prefix.recorded[0]
+    assert len(prefix.drains) > 152
+    funcs = nv.model.function_tuples()
+    rng = np.random.default_rng(3737)
+    for held in (True, False):
+        ranks = np.flatnonzero((first >= 0) == held)
+        assert len(ranks) > 100
+        for rank in rng.choice(ranks, 5, replace=False).tolist():
+            assert (prefix.answer(rank) is not None) == held
+            assert _request(funcs[rank], metric, nv.FULL_TOPOLOGY) == (
+                table.cost_of(funcs[rank]), table.witness(funcs[rank]).codes
+            )
+
+
 @pytest.mark.parametrize("name", sorted(TARGET_SEARCH_STATES))
 def test_target_search_pins_hold_after_a_deeper_request(name, request):
     """The landmarks settle their pinned states when the prefix was grown
@@ -879,7 +938,9 @@ def test_target_search_pins_hold_after_a_deeper_request(name, request):
 def test_target_search_budgets_hold_after_a_deeper_request():
     """``max_states`` and ``max_cost`` refuse the Toffoli on the path with
     the pinned messages, on an empty prefix and on one that the cost-23
-    request grew past the Toffoli's search."""
+    request grew past the Toffoli's search: there the log records the
+    Toffoli and answers an unbudgeted request, but a budget counts the
+    call's own search, which a budgeted request replays."""
     func, topology = TOF_FUNC, nv.PATH_TOPOLOGY
     search._prefix.cache_clear()
     gates = enumerate_gates(topology, "NCV")
@@ -896,6 +957,9 @@ def test_target_search_budgets_hold_after_a_deeper_request():
         search._prefix.cache_clear()
         if grow:
             assert nv.synthesize_one(DEEP_PATH_FUNC, nv.NCV_111, topology)[0] == 23
+            prefix = _prefix_of(nv.NCV_111, topology)
+            assert prefix.recorded[0][function_rank(func)] > 0
+            assert prefix.answer(function_rank(func)) is not None
         for message, options in budgets.items():
             with pytest.raises(BudgetExceeded) as refused:
                 nv.synthesize_one(func, nv.NCV_111, topology, options)
@@ -904,7 +968,9 @@ def test_target_search_budgets_hold_after_a_deeper_request():
 
 def test_a_failed_prefix_step_drops_the_log(monkeypatch, ncv111_path):
     """An exception while the prefix advances propagates and drops the whole
-    log; the next request rebuilds it and gets the table's circuit."""
+    log, its record of the functions it settles too; the next request
+    rebuilds it and gets the table's circuit, and a request that the new
+    log records is answered from it."""
     func, metric, topology = TOF_FUNC, nv.NCV_111, nv.PATH_TOPOLOGY
     drain = search._Search._drain
     calls = []
@@ -921,52 +987,117 @@ def test_a_failed_prefix_step_drops_the_log(monkeypatch, ncv111_path):
         nv.synthesize_one(func, metric, topology)
     prefix = _prefix_of(metric, topology)
     assert (prefix.search, prefix.drains, prefix.states) == (None, [], [])
+    first, drains = prefix.recorded
+    assert drains is prefix.drains and (first == -1).all()
+    assert prefix.answer(function_rank(tuple(range(8)))) is None
     monkeypatch.setattr(search._Search, "_drain", drain)
     assert _request(func, metric, topology) == (
         ncv111_path.cost_of(func), ncv111_path.witness(func).codes
     )
     assert prefix.drains and prefix.states
+    first, drains = prefix.recorded
+    assert drains is prefix.drains and (first >= 0).any()
+    held = nv.model.function_tuples()[int(np.argmax(first))]
+    assert prefix.answer(function_rank(held)) is not None
+    assert _request(held, metric, topology) == (
+        ncv111_path.cost_of(held), ncv111_path.witness(held).codes
+    )
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_PLANS))
 def test_prefix_log_arrays_are_read_only(name):
+    """Every array reachable from a prefix log refuses a write, the record
+    of the functions it settles among them: a reader keeps the array it
+    took while the log replaces it."""
     metric, topology = PREFIX_PLANS[name]
     for func in LANDMARK_FUNCS:
         nv.synthesize_one(func, metric, topology)
-    arrays = list(_log_arrays(_prefix_of(metric, topology)))
+    prefix = _prefix_of(metric, topology)
+    arrays = list(_log_arrays(prefix))
     assert len(arrays) > 21
+    first = prefix.recorded[0]
+    assert (first >= 0).any() and any(arr is first for arr in arrays)
     _assert_read_only(arrays)
 
 
-def test_concurrent_requests_synthesize_the_sequential_circuits():
+def _in_threads(calls):
+    """The results of ``calls`` (4 at most), each run on its own thread,
+    all started together and switching often; no thread outlives them."""
+    before = threading.active_count()
+    start = threading.Barrier(len(calls))
+
+    def run(call):
+        start.wait(timeout=60)
+        return call()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(calls)) as threads:
+            results = list(threads.map(run, calls, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    return results
+
+
+def test_concurrent_requests_synthesize_the_sequential_circuits(ncv012_full):
     """The landmarks from 4 threads at once, each starting at a different
-    one and switching often, on one plan and then on two, on empty
-    prefixes: each thread gets the circuits of a sequential run, and no
-    thread outlives the requests."""
+    one, on one plan and then on two, on empty prefixes; then three threads
+    that the ncv-012/full log answers, over and over, while a fourth grows
+    that log with the deepest target.  Each thread gets the circuits of a
+    sequential run."""
     plans = [PREFIX_PLANS["ncv-012/full"], PREFIX_PLANS["ncv-155/path"]]
     for chosen in (plans[:1], plans):
         requests = [(func, *plan) for plan in chosen for func in LANDMARK_FUNCS]
         search._prefix.cache_clear()
         sequential = [_request(*r) for r in requests]
         search._prefix.cache_clear()
-        before = threading.active_count()
-        start = threading.Barrier(4)
-
-        def run(first):
-            start.wait(timeout=60)
-            order = [(first + i) % len(requests) for i in range(len(requests))]
-            return order, [_request(*requests[i]) for i in order]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(4) as threads:
-                results = list(threads.map(run, range(4), timeout=300))
-        finally:
-            sys.setswitchinterval(interval)
-        for order, got in results:
+        orders = [[(first + i) % len(requests) for i in range(len(requests))]
+                  for first in range(4)]
+        results = _in_threads([
+            functools.partial(lambda order: [_request(*requests[i]) for i in order], order)
+            for order in orders
+        ])
+        for order, got in zip(orders, results):
             assert got == [sequential[i] for i in order]
-        assert threading.active_count() == before
+
+    metric, topology = plans[0]
+    funcs = nv.model.function_tuples()
+    deepest = funcs[int(np.argmax(ncv012_full.costs))]
+
+    def landmarks_logged():
+        search._prefix.cache_clear()
+        for func in LANDMARK_FUNCS:
+            _request(func, metric, topology)
+        return _prefix_of(metric, topology)
+
+    held = [funcs[r] for r in np.flatnonzero(landmarks_logged().recorded[0] >= 0)[::7][:40]]
+    sequential = {f: _request(f, metric, topology) for f in [*held, deepest]}
+    prefix = landmarks_logged()
+    logged = len(prefix.drains)
+    grown = threading.Event()
+
+    def grow():
+        try:
+            return {deepest: _request(deepest, metric, topology)}, 0
+        finally:
+            grown.set()
+
+    def answer(first):
+        got, during = {}, 0
+        while not got or not grown.is_set():
+            for f in held[first:] + held[:first]:
+                during += not grown.is_set()
+                got[f] = _request(f, metric, topology)
+        return got, during
+
+    results = _in_threads([grow, *(functools.partial(answer, i) for i in (0, 13, 26))])
+    assert len(prefix.drains) > logged
+    assert all(r[1] for r in results[1:])  # answers made while the log grew
+    for got, _ in results:
+        assert got == {f: sequential[f] for f in got}
+
 
 # states_visited and the SHA-256 of write_table_jsonl and the secondary
 # costs, for searches that stress the settled-state window: ncv-012 has a
@@ -1363,6 +1494,27 @@ def test_row_pair_decode_matches_per_row_formula(values):
     classes = search._row_pair_lookup(keys, search._row_pair_tables()[2]).view(np.uint8)
     rows = [CircuitState.unpack(key).rows for key in values]
     assert classes.tolist() == [[_row_class(row) for row in key_rows] for key_rows in rows]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 48) - 1), max_size=300),
+    st.sampled_from([3, 64, 1 << 15]),
+)
+@example([0, (1 << 48) - 1, CircuitState.identity().pack()], 2)
+def test_row_pair_lookup_forms_agree(values, block):
+    """The broadcast over the row pairs and the per-pair columns, taken past
+    ``_STACKED_KEYS`` keys and block by block of ``_BLOCK``, give the same
+    entries of each of the three decode tables."""
+    keys = np.array(values, dtype=np.uint64)
+    got = []
+    for form in ("stacked", "loop"):
+        with kernel_form(form), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_BLOCK", block)
+            got.append([search._row_pair_lookup(keys, t) for t in search._row_pair_tables()])
+    for stacked, columns in zip(*got):
+        assert stacked.dtype == columns.dtype and stacked.shape == columns.shape == (len(keys), 4)
+        assert (stacked == columns).all()
 
 
 def test_input_masked_ranks_are_the_masked_functions():
